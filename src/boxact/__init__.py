@@ -1,10 +1,11 @@
 """Interpretable activity recognition from bounding-box tracks.
 
-The pipeline: per-frame geometric relations between two objects and a hand,
-declarative per-action phase models scored frame by frame, greedy assignment
-of five ordered phases (approach start, movement, manipulation, withdrawal,
-result), fixed-length embeddings around the assigned phases, and a small
-random-forest classifier over those embeddings.
+The pipeline: one table per track of the geometric relations between two
+objects and a hand at every frame, declarative per-action phase models scored
+frame by frame, greedy assignment of five ordered phases (approach start,
+movement, manipulation, withdrawal, result), fixed-length embeddings around
+the assigned phases, and a small random-forest classifier over those
+embeddings.
 """
 
 from .errors import AnnotationError, BoxactError, ConfigError, ContractError
@@ -12,9 +13,8 @@ from .relations import (
     DEFAULT_CONFIG,
     OVERLAP_NORMALISER,
     RelationConfig,
-    binary_relations,
-    frame_relations,
     relation_keys,
+    relation_table,
 )
 from .phases import (
     ARCHETYPES,
@@ -64,9 +64,8 @@ __all__ = [
     "DEFAULT_CONFIG",
     "OVERLAP_NORMALISER",
     "RelationConfig",
-    "binary_relations",
-    "frame_relations",
     "relation_keys",
+    "relation_table",
     "ARCHETYPES",
     "PHASES",
     "ActionModel",

@@ -31,7 +31,7 @@ from .phases import (
     relation_sequence,
     score_frames,
 )
-from .relations import FrameRelations
+from .relations import COLUMN
 from .tracks import VideoTrack
 
 __all__ = [
@@ -50,29 +50,23 @@ __all__ = [
 STAT_NAMES = ("mean", "med", "max", "min")
 
 
-def _stats(values: np.ndarray) -> tuple[float, float, float, float]:
-    return (
-        float(values.mean()),
-        float(np.median(values)),
-        float(values.max()),
-        float(values.min()),
-    )
-
-
 @dataclass(frozen=True)
 class PhaseFeature:
-    """One phase's statistics block: score stats, per-feature stats, flag."""
+    """One phase's statistics block: score stats, per-feature stats, flag.
+
+    ``feature_stats`` has one row per feature of the model's feature list and
+    one column per entry of ``STAT_NAMES``.
+    """
 
     phase: str
     score_stats: tuple[float, float, float, float]
-    feature_stats: Mapping[str, tuple[float, float, float, float]]
+    feature_stats: np.ndarray
     assigned: bool
 
-    def flat(self, feature_list: Sequence[str], scores_only: bool) -> list[float]:
+    def flat(self, scores_only: bool) -> list[float]:
         out = list(self.score_stats)
         if not scores_only:
-            for key in feature_list:
-                out.extend(self.feature_stats[key])
+            out.extend(self.feature_stats.ravel().tolist())
         out.append(1.0 if self.assigned else 0.0)
         return out
 
@@ -105,35 +99,36 @@ class VideoEmbedding:
 def phase_feature(
     phase: str,
     scores: np.ndarray | Sequence[float],
-    window_relations: Sequence[FrameRelations],
-    feature_list: Sequence[str],
+    window: np.ndarray,
 ) -> PhaseFeature:
     """Statistics of one phase's scores and features over its window.
 
+    ``window`` holds one row per window frame and one column per feature.
     An empty window is the unassigned path: all statistics zero, flag down.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
-        zeros = (0.0, 0.0, 0.0, 0.0)
         return PhaseFeature(
             phase=phase,
-            score_stats=zeros,
-            feature_stats={key: zeros for key in feature_list},
+            score_stats=(0.0, 0.0, 0.0, 0.0),
+            feature_stats=np.zeros((window.shape[1], len(STAT_NAMES))),
             assigned=False,
         )
-    if scores.size != len(window_relations):
+    if scores.size != window.shape[0]:
         raise ContractError(
             f"phase {phase!r}: {scores.size} scores but "
-            f"{len(window_relations)} frames of relations"
+            f"{window.shape[0]} frames of relations"
         )
-    per_feature = {}
-    for key in feature_list:
-        vals = np.array([rel.values[key] for rel in window_relations])
-        per_feature[key] = _stats(vals)
+    # one contiguous row per series, so each reduction runs as on a 1-D array
+    series = np.vstack([scores, window.T])
+    high, low = series.max(axis=1), series.min(axis=1)
+    # rounding can push the mean of equal values one ulp past them
+    mean = np.clip(series.mean(axis=1), low, high)
+    stats = np.column_stack([mean, np.median(series, axis=1), high, low])
     return PhaseFeature(
         phase=phase,
-        score_stats=_stats(scores),
-        feature_stats=per_feature,
+        score_stats=tuple(stats[0].tolist()),
+        feature_stats=stats[1:],
         assigned=True,
     )
 
@@ -164,11 +159,13 @@ def embed_video(
     matrix: PhaseScoreMatrix,
     model: ActionModel,
     scores_only: bool = False,
-    relations: Sequence[FrameRelations] | None = None,
+    relations: np.ndarray | None = None,
 ) -> VideoEmbedding:
     """Build the embedding from an existing assignment and score matrix.
 
-    Raw (unsmoothed, unstandardised) score rows feed the statistics.
+    Raw (unsmoothed, unstandardised) score rows feed the statistics;
+    ``relations`` is the track's relation table in the assignment's object
+    order, computed when not given.
     """
     if assignment.action_id != model.action_id or matrix.action_id != model.action_id:
         raise ContractError(
@@ -182,26 +179,22 @@ def embed_video(
         )
     if relations is None:
         relations = relation_sequence(track, assignment.object_order, model.thresholds)
-    if len(relations) != matrix.num_frames:
+    if relations.shape[0] != matrix.num_frames:
         raise ContractError(
-            f"{track.video_id!r}: {len(relations)} relation frames vs "
+            f"{track.video_id!r}: {relations.shape[0]} relation frames vs "
             f"{matrix.num_frames} score frames"
         )
-    feature_list = model.feature_list
+    columns = [COLUMN[key] for key in model.feature_list]
     values: list[float] = []
     for p in PHASES:
         window = assignment.windows[p]
         if window is None:
-            block = phase_feature(p, np.empty(0), (), feature_list)
+            block = phase_feature(p, np.empty(0), np.empty((0, len(columns))))
         else:
             lo, hi = window
-            block = phase_feature(
-                p,
-                matrix.row(p, kind="raw")[lo : hi + 1],
-                relations[lo : hi + 1],
-                feature_list,
-            )
-        values.extend(block.flat(feature_list, scores_only))
+            scores = matrix.row(p, kind="raw")[lo : hi + 1]
+            block = phase_feature(p, scores, relations[lo : hi + 1, columns])
+        values.extend(block.flat(scores_only))
     return VideoEmbedding(
         action_id=model.action_id,
         video_id=track.video_id,

@@ -22,7 +22,8 @@ rows while raw rows are kept for the embedding stage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,12 +32,13 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .relations import (
+    COLUMN,
     DEFAULT_CONFIG,
     BOOLEAN_FEATURES,
-    FrameRelations,
+    SWAP,
     RelationConfig,
     feature_key,
-    frame_relations,
+    relation_table,
 )
 from .tracks import VideoTrack
 
@@ -93,22 +95,12 @@ class Term:
     negate: bool = False
     threshold: float | None = None
 
-    @property
+    @cached_property
     def key(self) -> str:
         return feature_key(self.feature, self.args)
 
-    def value(self, rel: FrameRelations) -> float:
-        v = rel.values[self.key]
-        boolean = self.feature in BOOLEAN_FEATURES
-        if self.threshold is not None:
-            v = 1.0 if v > self.threshold else 0.0
-            boolean = True
-        if self.negate:
-            v = 1.0 - v if boolean else -v
-        return self.weight * v
-
     def series(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`value` over a whole per-frame value array."""
+        """The term's weighted contribution at every frame of a feature column."""
         v = values
         boolean = self.feature in BOOLEAN_FEATURES
         if self.threshold is not None:
@@ -142,7 +134,7 @@ class ActionModel:
                 f"model {self.action_id!r}: unknown phases {sorted(unknown)}"
             )
 
-    @property
+    @cached_property
     def feature_list(self) -> tuple[str, ...]:
         """Canonical keys of every feature this model references, sorted."""
         keys = {t.key for terms in self.phases.values() for t in terms}
@@ -315,12 +307,12 @@ def relation_sequence(
     track: VideoTrack,
     object_order: str = "as_annotated",
     config: RelationConfig = DEFAULT_CONFIG,
-) -> tuple[FrameRelations, ...]:
+) -> np.ndarray:
+    """The track's relation table in one object order (see :func:`relation_table`)."""
     if object_order not in OBJECT_ORDERS:
         raise ContractError(f"unknown object order {object_order!r}")
-    if object_order == "swapped":
-        track = track.with_swapped_objects()
-    return tuple(frame_relations(track, i, config) for i in range(len(track.frames)))
+    table = relation_table(track, config)
+    return table if object_order == "as_annotated" else table[:, SWAP]
 
 
 def score_frames(
@@ -328,19 +320,19 @@ def score_frames(
     model: ActionModel,
     object_order: str = "as_annotated",
     sigma: float = DEFAULT_SIGMA,
-    relations: Sequence[FrameRelations] | None = None,
+    relations: np.ndarray | None = None,
 ) -> PhaseScoreMatrix:
-    """Evaluate all five phase scores for every frame, then smooth each row."""
+    """Evaluate all five phase scores for every frame, then smooth each row.
+
+    ``relations`` is the track's relation table in ``object_order``; it is
+    computed when not given.
+    """
     if relations is None:
         relations = relation_sequence(track, object_order, model.thresholds)
-    keys = {t.key for terms in model.phases.values() for t in terms}
-    columns = {
-        key: np.array([rel.values[key] for rel in relations]) for key in keys
-    }
-    raw = np.zeros((len(PHASES), len(relations)))
+    raw = np.zeros((len(PHASES), relations.shape[0]))
     for pi, phase in enumerate(PHASES):
         for t in model.phases[phase]:
-            raw[pi] += t.series(columns[t.key])
+            raw[pi] += t.series(relations[:, COLUMN[t.key]])
     smoothed = np.vstack([smooth(row, sigma) for row in raw])
     return PhaseScoreMatrix(
         action_id=model.action_id,
@@ -528,6 +520,7 @@ def best_assignment(
     sigma: float = DEFAULT_SIGMA,
 ) -> PhaseAssignment:
     """Score both object orders and return the winning alternative."""
-    m_ann = score_frames(track, model, "as_annotated", sigma)
-    m_swap = score_frames(track, model, "swapped", sigma)
+    table = relation_sequence(track, "as_annotated", model.thresholds)
+    m_ann = score_frames(track, model, "as_annotated", sigma, table)
+    m_swap = score_frames(track, model, "swapped", sigma, table[:, SWAP])
     return assign_with_alternatives(m_ann, m_swap, n)

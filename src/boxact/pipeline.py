@@ -26,6 +26,7 @@ from .forest import ForestModel, ForestParams, layout_fingerprint, predict_proba
 from .phases import (
     DEFAULT_SIGMA,
     DEFAULT_WINDOW_HALF_WIDTH,
+    OBJECT_ORDERS,
     ActionModel,
     PhaseAssignment,
     assign_with_alternatives,
@@ -34,6 +35,7 @@ from .phases import (
     relation_sequence,
     score_frames,
 )
+from .relations import SWAP, RelationConfig
 from .tracks import VideoTrack
 
 __all__ = [
@@ -161,27 +163,37 @@ def assign_track(
 ) -> dict[str, tuple[VideoEmbedding, PhaseAssignment]]:
     """Embed one track under every action model.
 
-    Both object orders share the per-frame relations, which are computed once
-    per order rather than once per model (all reference models use the same
-    thresholds; models with custom thresholds get their own pass).
+    The relation table is computed once per track and threshold set rather
+    than once per model (all reference models use the same thresholds;
+    models with custom thresholds get their own pass).  The swapped object
+    order is a column permutation of it.
     """
-    cache: dict[tuple, tuple] = {}
+    tables: dict[RelationConfig, dict[str, np.ndarray]] = {}
     out: dict[str, tuple[VideoEmbedding, PhaseAssignment]] = {}
     for action in sorted(models):
         model = models[action]
-        cfg_key = model.thresholds
-        if (cfg_key, "as_annotated") not in cache:
-            for order in ("as_annotated", "swapped"):
-                cache[(cfg_key, order)] = relation_sequence(track, order, model.thresholds)
-        rel_ann = cache[(cfg_key, "as_annotated")]
-        rel_swap = cache[(cfg_key, "swapped")]
-        matrix_ann = score_frames(track, model, "as_annotated", sigma, rel_ann)
-        matrix_swap = score_frames(track, model, "swapped", sigma, rel_swap)
-        assignment = assign_with_alternatives(matrix_ann, matrix_swap, n=n)
-        matrix = matrix_ann if assignment.object_order == "as_annotated" else matrix_swap
-        rels = rel_ann if assignment.object_order == "as_annotated" else rel_swap
+        if model.thresholds not in tables:
+            table = relation_sequence(track, "as_annotated", model.thresholds)
+            tables[model.thresholds] = {
+                "as_annotated": table,
+                "swapped": table[:, SWAP],
+            }
+        rels = tables[model.thresholds]
+        matrices = {
+            order: score_frames(track, model, order, sigma, rels[order])
+            for order in OBJECT_ORDERS
+        }
+        assignment = assign_with_alternatives(
+            matrices["as_annotated"], matrices["swapped"], n=n
+        )
+        order = assignment.object_order
         embedding = embed_video(
-            track, assignment, matrix, model, scores_only=scores_only, relations=rels
+            track,
+            assignment,
+            matrices[order],
+            model,
+            scores_only=scores_only,
+            relations=rels[order],
         )
         out[action] = (embedding, assignment)
     return out

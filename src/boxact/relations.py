@@ -1,12 +1,19 @@
-"""Per-frame relational features between the two object boxes and the hand.
+"""Relational features between the two object boxes and the hand.
 
 Real-valued features: size, speed (offset magnitude), normalised overlap,
 offset distance, offset angle, centre distance.  Binary features: present,
 moving, touching, contained, centre-on-top / centre-underneath, and the three
 relative-movement tests (move-with-hand, hand-move-relative,
-object-move-relative).  Offsets compare the current frame against the
-immediately preceding annotated frame; the first frame of a track, and any
-frame where an entity was absent in the previous frame, yield a zero offset.
+object-move-relative).  Offsets compare each annotated frame against the
+previous annotated frame, whatever the gap in frame indices between the two;
+the first frame of a track, and any frame where an entity was absent in the
+previous frame, yield a zero offset.
+
+:func:`relation_table` computes every feature for every frame of a track in
+one pass: a ``(T, 55)`` float64 table whose columns follow
+:func:`relation_keys`, booleans stored as 0.0/1.0.  Exchanging the two
+objects only permutes columns, so the table of the object-swapped track is
+``table[:, SWAP]``.
 
 All thresholds live in :class:`RelationConfig` so they can be overridden from
 configuration files; the 0.1 overlap normaliser is a named constant.
@@ -14,30 +21,25 @@ configuration files; the 0.1 overlap normaliser is a named constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
-from .errors import ConfigError, ContractError
-from .tracks import BoundingBox, FrameAnnotation, VideoTrack
+import numpy as np
+
+from .errors import ConfigError
+from .tracks import BoundingBox, VideoTrack
 
 __all__ = [
     "OVERLAP_NORMALISER",
     "RelationConfig",
-    "FrameRelations",
-    "AngleResult",
-    "size",
     "overlap_area",
-    "overlap_normalised",
     "edge_gap",
-    "centre_dist",
-    "offset_between",
-    "offset",
-    "offset_dist",
-    "offset_angle",
-    "frame_relations",
-    "binary_relations",
     "relation_keys",
+    "relation_table",
+    "COLUMN",
+    "SWAP",
     "feature_key",
     "feature_kind",
     "validate_feature",
@@ -59,9 +61,12 @@ class RelationConfig:
 
     touch_tol: max gap between nearest edges still counted as touching.
     containment_fraction: min overlap_area/area(inner) for containment.
-    move_threshold: min offset magnitude (px/frame) to count as moving.
+    move_threshold: min offset magnitude (px per annotated-frame step) to
+        count as moving.  On a track with gaps in its frame indices the step
+        spans the whole gap: a hand that moves 20 px between frames 0 and 10
+        has speed 20, not 2.
     move_with_hand_tol: max offset difference for moving together, and min
-        offset difference for moving relative to one another.
+        offset difference for moving relative to one another (same unit).
     """
 
     touch_tol: float = 5.0
@@ -91,32 +96,10 @@ class RelationConfig:
 DEFAULT_CONFIG = RelationConfig()
 
 
-class AngleResult(NamedTuple):
-    radians: float
-    stationary: bool
-
-
-def size(box: BoundingBox) -> float:
-    """Box area (width times height)."""
-    return box.area
-
-
 def overlap_area(b1: BoundingBox, b2: BoundingBox) -> float:
     xo = max(0.0, min(b1.x2, b2.x2) - max(b1.x, b2.x))
     yo = max(0.0, min(b1.y2, b2.y2) - max(b1.y, b2.y))
     return xo * yo
-
-
-def overlap_normalised(b1: BoundingBox, b2: BoundingBox) -> float:
-    """Overlap area divided by ``OVERLAP_NORMALISER`` times the smaller area.
-
-    Returns 0.0 when the denominator vanishes: the smaller box has zero area
-    (its overlap is zero too) or the scaled area underflows to zero.
-    """
-    denominator = OVERLAP_NORMALISER * min(size(b1), size(b2))
-    if denominator == 0.0:
-        return 0.0
-    return overlap_area(b1, b2) / denominator
 
 
 def edge_gap(b1: BoundingBox, b2: BoundingBox) -> float:
@@ -124,60 +107,6 @@ def edge_gap(b1: BoundingBox, b2: BoundingBox) -> float:
     dx = max(b1.x - b2.x2, b2.x - b1.x2, 0.0)
     dy = max(b1.y - b2.y2, b2.y - b1.y2, 0.0)
     return math.hypot(dx, dy)
-
-
-def centre_dist(b1: BoundingBox, b2: BoundingBox) -> float:
-    (x1, y1), (x2, y2) = b1.centre, b2.centre
-    return math.hypot(x1 - x2, y1 - y2)
-
-
-def offset_between(current: BoundingBox, previous: BoundingBox) -> tuple[float, float]:
-    (cx, cy), (px, py) = current.centre, previous.centre
-    return (cx - px, cy - py)
-
-
-def offset(track: VideoTrack, entity: str, frame_index: int) -> tuple[float, float]:
-    """Centre displacement of ``entity`` since the previous annotated frame.
-
-    Zero at the first frame and after an absence.  Raises
-    :class:`ContractError` when the entity is absent at ``frame_index``.
-    """
-    frame = track.frames[frame_index]
-    box = frame.box(entity)
-    if box is None:
-        raise ContractError(
-            f"video {track.video_id!r}: {entity} absent at frame "
-            f"{frame.frame_index}"
-        )
-    if frame_index == 0:
-        return (0.0, 0.0)
-    prev = track.frames[frame_index - 1].box(entity)
-    if prev is None:
-        return (0.0, 0.0)
-    return offset_between(box, prev)
-
-
-def offset_dist(o1: tuple[float, float], o2: tuple[float, float]) -> float:
-    """Euclidean norm of the difference between two offset vectors."""
-    return math.hypot(o1[0] - o2[0], o1[1] - o2[1])
-
-
-def offset_angle(
-    o1: tuple[float, float],
-    o2: tuple[float, float],
-    move_threshold: float = DEFAULT_CONFIG.move_threshold,
-) -> AngleResult:
-    """Absolute angle between two offset vectors, folded into [0, pi].
-
-    Either offset below ``move_threshold`` yields ``AngleResult(0.0, True)``:
-    the direction of a near-stationary box is meaningless.
-    """
-    if math.hypot(*o1) <= move_threshold or math.hypot(*o2) <= move_threshold:
-        return AngleResult(0.0, True)
-    diff = abs(math.atan2(o1[1], o1[0]) - math.atan2(o2[1], o2[0]))
-    if diff > math.pi:
-        diff = 2.0 * math.pi - diff
-    return AngleResult(diff, False)
 
 
 # --- feature catalogue -----------------------------------------------------
@@ -256,146 +185,102 @@ def relation_keys() -> tuple[str, ...]:
     return tuple(keys)
 
 
-@dataclass(frozen=True)
-class FrameRelations:
-    """All relational features of one frame, keyed canonically.
+_KEYS = relation_keys()
+COLUMN: Mapping[str, int] = {key: i for i, key in enumerate(_KEYS)}
 
-    Booleans are stored as 0.0/1.0 so that phase models can take weighted
-    sums without special cases; ``offsets`` keeps the raw offset vectors.
+_SWAPPED_ROLE = {"object1": "object2", "object2": "object1", "hand": "hand"}
+
+
+def _swapped_key(key: str) -> str:
+    name, _, rest = key.partition("(")
+    return feature_key(name, tuple(_SWAPPED_ROLE[a] for a in rest[:-1].split(",")))
+
+
+# Column j of the object-swapped track's table is column SWAP[j] of the
+# annotated table.
+SWAP = np.array([COLUMN[_swapped_key(key)] for key in _KEYS])
+
+
+def _box_rows(track: VideoTrack) -> np.ndarray:
+    """(x, y, w, h, present) per entity per frame, shape (5, 3, T)."""
+    absent = (0.0, 0.0, 0.0, 0.0, 0.0)
+    rows = [
+        absent if b is None else (b.x, b.y, b.w, b.h, 1.0)
+        for f in track.frames
+        for b in (f.object1, f.object2, f.hand)
+    ]
+    return np.array(rows).reshape(len(track.frames), len(ENTITIES), 5).T
+
+
+def relation_table(
+    track: VideoTrack, config: RelationConfig = DEFAULT_CONFIG
+) -> np.ndarray:
+    """Every catalogued feature for every frame of a track, shape (T, 55).
+
+    Columns follow :func:`relation_keys`.  Binary relations involving an
+    absent entity are false; real pair features involving an absent entity
+    are 0.0.
     """
+    x, y, w, h, present = _box_rows(track)
+    present = present > 0.0
+    x2, y2 = x + w, y + h
+    cx, cy = x + w / 2.0, y + h / 2.0
+    area = w * h
+    # offsets against the previous annotated frame, zero after an absence
+    step = present[:, 1:] & present[:, :-1]
+    ox, oy = np.zeros_like(cx), np.zeros_like(cy)
+    ox[:, 1:] = np.where(step, np.diff(cx), 0.0)
+    oy[:, 1:] = np.where(step, np.diff(cy), 0.0)
+    speed = np.hypot(ox, oy)
+    moving = present & (speed > config.move_threshold)
 
-    frame_index: int
-    values: Mapping[str, float]
-    offsets: Mapping[str, tuple[float, float]]
+    table = np.zeros((len(track.frames), len(_KEYS)))
 
-    def value(self, name: str, *args: str) -> float:
-        return self.values[feature_key(name, tuple(args))]
+    def put(name: str, args: tuple[int, ...], value: np.ndarray) -> None:
+        # pairs come in entity order, which is canonical for symmetric features
+        table[:, COLUMN[f"{name}({','.join(ENTITIES[i] for i in args)})"]] = value
 
-
-def _centre_on_top(a: BoundingBox, b: BoundingBox) -> bool:
-    cx, cy = a.centre
-    return b.x <= cx <= b.x2 and cy < b.centre[1]
-
-
-def _centre_underneath(a: BoundingBox, b: BoundingBox) -> bool:
-    cx, cy = a.centre
-    return b.x <= cx <= b.x2 and cy > b.centre[1]
-
-
-def frame_relations(
-    track: VideoTrack,
-    frame_index: int,
-    config: RelationConfig = DEFAULT_CONFIG,
-) -> FrameRelations:
-    """Compute every catalogued feature for one frame of a track.
-
-    Binary relations involving an absent entity are false; real pair features
-    involving an absent entity are 0.0.
-    """
-    frame = track.frames[frame_index]
-    prev = track.frames[frame_index - 1] if frame_index > 0 else None
-    boxes = {e: frame.box(e) for e in ENTITIES}
-
-    offsets: dict[str, tuple[float, float]] = {}
-    for e in ENTITIES:
-        box = boxes[e]
-        prev_box = prev.box(e) if prev is not None else None
-        if box is None or prev_box is None:
-            offsets[e] = (0.0, 0.0)
-        else:
-            offsets[e] = offset_between(box, prev_box)
-
-    values: dict[str, float] = {}
-
-    def put(name: str, args: tuple[str, ...], value: float | bool) -> None:
-        values[feature_key(name, args)] = float(value)
-
-    speed = {e: math.hypot(*offsets[e]) for e in ENTITIES}
-    moving = {
-        e: boxes[e] is not None and speed[e] > config.move_threshold for e in ENTITIES
-    }
-    for e in ENTITIES:
-        put("present", (e,), boxes[e] is not None)
-        put("size", (e,), size(boxes[e]) if boxes[e] is not None else 0.0)
-        put("speed", (e,), speed[e] if boxes[e] is not None else 0.0)
+    for e in range(len(ENTITIES)):
+        put("present", (e,), present[e])
+        put("size", (e,), area[e])
+        put("speed", (e,), speed[e])
         put("moving", (e,), moving[e])
 
-    pairs = [("object1", "object2"), ("object1", "hand"), ("object2", "hand")]
-    for a, b in pairs:
-        ba, bb = boxes[a], boxes[b]
-        both = ba is not None and bb is not None
-        put("overlap", (a, b), overlap_normalised(ba, bb) if both else 0.0)
-        put("centre_dist", (a, b), centre_dist(ba, bb) if both else 0.0)
-        put(
-            "offset_dist",
-            (a, b),
-            offset_dist(offsets[a], offsets[b]) if both else 0.0,
+    for a, b in itertools.combinations(range(len(ENTITIES)), 2):
+        both = present[a] & present[b]
+        inter = np.maximum(0.0, np.minimum(x2[a], x2[b]) - np.maximum(x[a], x[b]))
+        inter *= np.maximum(0.0, np.minimum(y2[a], y2[b]) - np.maximum(y[a], y[b]))
+        scaled = OVERLAP_NORMALISER * np.minimum(area[a], area[b])
+        overlap = np.divide(
+            inter, scaled, out=np.zeros_like(inter), where=both & (scaled != 0.0)
         )
-        angle = (
-            offset_angle(offsets[a], offsets[b], config.move_threshold).radians
-            if both
-            else 0.0
+        gap = np.hypot(
+            np.maximum(np.maximum(x[a] - x2[b], x[b] - x2[a]), 0.0),
+            np.maximum(np.maximum(y[a] - y2[b], y[b] - y2[a]), 0.0),
         )
-        put("offset_angle", (a, b), angle)
-        put("touching", (a, b), both and edge_gap(ba, bb) <= config.touch_tol)
-
-    for a in ENTITIES:
-        for b in ENTITIES:
-            if a == b:
-                continue
-            ba, bb = boxes[a], boxes[b]
-            both = ba is not None and bb is not None
-            contained = (
-                both
-                and ba.area > 0
-                and overlap_area(ba, bb) / ba.area >= config.containment_fraction
+        offset_dist = np.hypot(ox[a] - ox[b], oy[a] - oy[b])
+        angle = np.abs(np.arctan2(oy[a], ox[a]) - np.arctan2(oy[b], ox[b]))
+        angle = np.where(angle > math.pi, 2.0 * math.pi - angle, angle)
+        centre_dist = np.hypot(cx[a] - cx[b], cy[a] - cy[b])
+        put("overlap", (a, b), overlap)
+        put("centre_dist", (a, b), np.where(both, centre_dist, 0.0))
+        put("offset_dist", (a, b), np.where(both, offset_dist, 0.0))
+        # the direction of a near-stationary box is meaningless
+        put("offset_angle", (a, b), np.where(moving[a] & moving[b], angle, 0.0))
+        put("touching", (a, b), both & (gap <= config.touch_tol))
+        relative = both & (offset_dist > config.move_with_hand_tol)
+        for i, j in ((a, b), (b, a)):
+            share = np.divide(
+                inter, area[i], out=np.zeros_like(inter), where=area[i] > 0.0
             )
-            put("contained", (a, b), contained)
-            put("centre_on_top", (a, b), both and _centre_on_top(ba, bb))
-            put("centre_underneath", (a, b), both and _centre_underneath(ba, bb))
-            put(
-                "object_move_relative",
-                (a, b),
-                both
-                and moving[a]
-                and offset_dist(offsets[a], offsets[b]) > config.move_with_hand_tol,
-            )
-
-    for o in ("object1", "object2"):
-        bo, bh = boxes[o], boxes["hand"]
-        both = bo is not None and bh is not None
-        put(
-            "move_with_hand",
-            (o,),
-            both
-            and moving[o]
-            and moving["hand"]
-            and edge_gap(bo, bh) <= config.touch_tol
-            and offset_dist(offsets[o], offsets["hand"]) <= config.move_with_hand_tol,
-        )
-        put(
-            "hand_move_relative",
-            (o,),
-            both
-            and moving["hand"]
-            and offset_dist(offsets[o], offsets["hand"]) > config.move_with_hand_tol,
-        )
-
-    return FrameRelations(
-        frame_index=frame.frame_index, values=values, offsets=offsets
-    )
-
-
-def binary_relations(
-    track: VideoTrack,
-    frame_index: int,
-    config: RelationConfig = DEFAULT_CONFIG,
-) -> dict[str, bool]:
-    """The boolean subset of :func:`frame_relations`, as actual bools."""
-    rel = frame_relations(track, frame_index, config)
-    out: dict[str, bool] = {}
-    for key, value in rel.values.items():
-        name = key.split("(", 1)[0]
-        if name in BOOLEAN_FEATURES:
-            out[key] = bool(value)
-    return out
+            above_or_below = both & (x[j] <= cx[i]) & (cx[i] <= x2[j])
+            put("contained", (i, j), both & (share >= config.containment_fraction))
+            put("centre_on_top", (i, j), above_or_below & (cy[i] < cy[j]))
+            put("centre_underneath", (i, j), above_or_below & (cy[i] > cy[j]))
+            put("object_move_relative", (i, j), relative & moving[i])
+        if b == ENTITIES.index("hand"):
+            # together: within touching range and not moving relative
+            together = (gap <= config.touch_tol) & ~relative
+            put("move_with_hand", (a,), together & moving[a] & moving[b])
+            put("hand_move_relative", (a,), relative & moving[b])
+    return table

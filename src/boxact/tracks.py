@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,6 +25,7 @@ from .errors import AnnotationError
 
 __all__ = [
     "ROLES",
+    "COORDINATE_LIMIT",
     "BoundingBox",
     "FrameAnnotation",
     "VideoTrack",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 ROLES = ("object1", "object2", "hand")
+
+# Largest accepted |coordinate| and extent, in pixels.  Far beyond any real
+# frame, and small enough that every area, overlap ratio and distance the
+# relations derive from a box stays finite.
+COORDINATE_LIMIT = 1e9
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,11 @@ class BoundingBox:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise AnnotationError(f"box field {name!r} must be finite, got {v!r}")
+            if abs(v) > COORDINATE_LIMIT:
+                raise AnnotationError(
+                    f"box field {name!r} must lie within +/-{COORDINATE_LIMIT:g} px, "
+                    f"got {v!r}"
+                )
         if self.w < 0 or self.h < 0:
             raise AnnotationError(
                 f"box extent must be non-negative, got w={self.w}, h={self.h}"
@@ -90,9 +101,6 @@ class FrameAnnotation:
     def present(self, role: str) -> bool:
         return self.box(role) is not None
 
-    def with_swapped_objects(self) -> "FrameAnnotation":
-        return replace(self, object1=self.object2, object2=self.object1)
-
 
 @dataclass(frozen=True)
 class VideoTrack:
@@ -121,11 +129,6 @@ class VideoTrack:
 
     def __len__(self) -> int:
         return len(self.frames)
-
-    def with_swapped_objects(self) -> "VideoTrack":
-        return replace(
-            self, frames=tuple(f.with_swapped_objects() for f in self.frames)
-        )
 
 
 def _require(cond: bool, message: str) -> None:

@@ -9,8 +9,24 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
+
+from boxact.errors import ContractError
+from boxact.phases import Term
+from boxact.relations import (
+    BOOLEAN_FEATURES,
+    DEFAULT_CONFIG,
+    ENTITIES,
+    OVERLAP_NORMALISER,
+    RelationConfig,
+    edge_gap,
+    feature_key,
+    overlap_area,
+)
+from boxact.tracks import BoundingBox, VideoTrack
 
 
 def smooth_reference(series, sigma: float) -> np.ndarray:
@@ -109,3 +125,233 @@ def symmetric_unimodal_sequence(
     gaps = rng.uniform(0.01, 1.0, size=dmax + 1)
     v = np.concatenate([np.cumsum(gaps[::-1])[::-1], [0.0]])
     return v[np.abs(np.arange(t) - peak)], peak
+
+
+# --- per-frame relations, one scalar at a time ---------------------------------
+
+
+class AngleResult(NamedTuple):
+    radians: float
+    stationary: bool
+
+
+def size(box: BoundingBox) -> float:
+    """Box area (width times height)."""
+    return box.area
+
+
+def overlap_normalised(b1: BoundingBox, b2: BoundingBox) -> float:
+    """Overlap area divided by ``OVERLAP_NORMALISER`` times the smaller area.
+
+    Returns 0.0 when the denominator vanishes: the smaller box has zero area
+    (its overlap is zero too) or the scaled area underflows to zero.
+    """
+    denominator = OVERLAP_NORMALISER * min(size(b1), size(b2))
+    if denominator == 0.0:
+        return 0.0
+    return overlap_area(b1, b2) / denominator
+
+
+def centre_dist(b1: BoundingBox, b2: BoundingBox) -> float:
+    (x1, y1), (x2, y2) = b1.centre, b2.centre
+    return math.hypot(x1 - x2, y1 - y2)
+
+
+def offset_between(current: BoundingBox, previous: BoundingBox) -> tuple[float, float]:
+    (cx, cy), (px, py) = current.centre, previous.centre
+    return (cx - px, cy - py)
+
+
+def offset(track: VideoTrack, entity: str, frame_index: int) -> tuple[float, float]:
+    """Centre displacement of ``entity`` since the previous annotated frame.
+
+    Zero at the first frame and after an absence.  Raises
+    :class:`ContractError` when the entity is absent at ``frame_index``.
+    """
+    frame = track.frames[frame_index]
+    box = frame.box(entity)
+    if box is None:
+        raise ContractError(
+            f"video {track.video_id!r}: {entity} absent at frame "
+            f"{frame.frame_index}"
+        )
+    if frame_index == 0:
+        return (0.0, 0.0)
+    prev = track.frames[frame_index - 1].box(entity)
+    if prev is None:
+        return (0.0, 0.0)
+    return offset_between(box, prev)
+
+
+def offset_dist(o1: tuple[float, float], o2: tuple[float, float]) -> float:
+    """Euclidean norm of the difference between two offset vectors."""
+    return math.hypot(o1[0] - o2[0], o1[1] - o2[1])
+
+
+def offset_angle(
+    o1: tuple[float, float],
+    o2: tuple[float, float],
+    move_threshold: float = DEFAULT_CONFIG.move_threshold,
+) -> AngleResult:
+    """Absolute angle between two offset vectors, folded into [0, pi].
+
+    Either offset below ``move_threshold`` yields ``AngleResult(0.0, True)``:
+    the direction of a near-stationary box is meaningless.
+    """
+    if math.hypot(*o1) <= move_threshold or math.hypot(*o2) <= move_threshold:
+        return AngleResult(0.0, True)
+    diff = abs(math.atan2(o1[1], o1[0]) - math.atan2(o2[1], o2[0]))
+    if diff > math.pi:
+        diff = 2.0 * math.pi - diff
+    return AngleResult(diff, False)
+
+
+def _centre_on_top(a: BoundingBox, b: BoundingBox) -> bool:
+    cx, cy = a.centre
+    return b.x <= cx <= b.x2 and cy < b.centre[1]
+
+
+def _centre_underneath(a: BoundingBox, b: BoundingBox) -> bool:
+    cx, cy = a.centre
+    return b.x <= cx <= b.x2 and cy > b.centre[1]
+
+
+def frame_relations(
+    track: VideoTrack,
+    frame_index: int,
+    config: RelationConfig = DEFAULT_CONFIG,
+) -> dict[str, float]:
+    """Every catalogued feature of one frame, keyed canonically.
+
+    Booleans are 0.0/1.0.  Binary relations involving an absent entity are
+    false; real pair features involving an absent entity are 0.0.
+    """
+    frame = track.frames[frame_index]
+    prev = track.frames[frame_index - 1] if frame_index > 0 else None
+    boxes = {e: frame.box(e) for e in ENTITIES}
+
+    offsets: dict[str, tuple[float, float]] = {}
+    for e in ENTITIES:
+        box = boxes[e]
+        prev_box = prev.box(e) if prev is not None else None
+        if box is None or prev_box is None:
+            offsets[e] = (0.0, 0.0)
+        else:
+            offsets[e] = offset_between(box, prev_box)
+
+    values: dict[str, float] = {}
+
+    def put(name: str, args: tuple[str, ...], value: float | bool) -> None:
+        values[feature_key(name, args)] = float(value)
+
+    speed = {e: math.hypot(*offsets[e]) for e in ENTITIES}
+    moving = {
+        e: boxes[e] is not None and speed[e] > config.move_threshold for e in ENTITIES
+    }
+    for e in ENTITIES:
+        put("present", (e,), boxes[e] is not None)
+        put("size", (e,), size(boxes[e]) if boxes[e] is not None else 0.0)
+        put("speed", (e,), speed[e] if boxes[e] is not None else 0.0)
+        put("moving", (e,), moving[e])
+
+    pairs = [("object1", "object2"), ("object1", "hand"), ("object2", "hand")]
+    for a, b in pairs:
+        ba, bb = boxes[a], boxes[b]
+        both = ba is not None and bb is not None
+        put("overlap", (a, b), overlap_normalised(ba, bb) if both else 0.0)
+        put("centre_dist", (a, b), centre_dist(ba, bb) if both else 0.0)
+        put(
+            "offset_dist",
+            (a, b),
+            offset_dist(offsets[a], offsets[b]) if both else 0.0,
+        )
+        angle = (
+            offset_angle(offsets[a], offsets[b], config.move_threshold).radians
+            if both
+            else 0.0
+        )
+        put("offset_angle", (a, b), angle)
+        put("touching", (a, b), both and edge_gap(ba, bb) <= config.touch_tol)
+
+    for a in ENTITIES:
+        for b in ENTITIES:
+            if a == b:
+                continue
+            ba, bb = boxes[a], boxes[b]
+            both = ba is not None and bb is not None
+            contained = (
+                both
+                and ba.area > 0
+                and overlap_area(ba, bb) / ba.area >= config.containment_fraction
+            )
+            put("contained", (a, b), contained)
+            put("centre_on_top", (a, b), both and _centre_on_top(ba, bb))
+            put("centre_underneath", (a, b), both and _centre_underneath(ba, bb))
+            put(
+                "object_move_relative",
+                (a, b),
+                both
+                and moving[a]
+                and offset_dist(offsets[a], offsets[b]) > config.move_with_hand_tol,
+            )
+
+    for o in ("object1", "object2"):
+        bo, bh = boxes[o], boxes["hand"]
+        both = bo is not None and bh is not None
+        put(
+            "move_with_hand",
+            (o,),
+            both
+            and moving[o]
+            and moving["hand"]
+            and edge_gap(bo, bh) <= config.touch_tol
+            and offset_dist(offsets[o], offsets["hand"]) <= config.move_with_hand_tol,
+        )
+        put(
+            "hand_move_relative",
+            (o,),
+            both
+            and moving["hand"]
+            and offset_dist(offsets[o], offsets["hand"]) > config.move_with_hand_tol,
+        )
+    return values
+
+
+def binary_relations(
+    track: VideoTrack,
+    frame_index: int,
+    config: RelationConfig = DEFAULT_CONFIG,
+) -> dict[str, bool]:
+    """The boolean subset of :func:`frame_relations`, as actual bools."""
+    out: dict[str, bool] = {}
+    for key, value in frame_relations(track, frame_index, config).items():
+        if key.split("(", 1)[0] in BOOLEAN_FEATURES:
+            out[key] = bool(value)
+    return out
+
+
+def relation_table_reference(
+    track: VideoTrack, config: RelationConfig = DEFAULT_CONFIG
+) -> list[dict[str, float]]:
+    """:func:`frame_relations` for every frame of the track."""
+    return [frame_relations(track, i, config) for i in range(len(track.frames))]
+
+
+def term_value(term: Term, values: dict[str, float]) -> float:
+    """One term's weighted contribution at one frame."""
+    v = values[term.key]
+    boolean = term.feature in BOOLEAN_FEATURES
+    if term.threshold is not None:
+        v = 1.0 if v > term.threshold else 0.0
+        boolean = True
+    if term.negate:
+        v = 1.0 - v if boolean else -v
+    return term.weight * v
+
+
+def swap_objects(track: VideoTrack) -> VideoTrack:
+    """The same track with the object1 and object2 boxes exchanged."""
+    frames = tuple(
+        replace(f, object1=f.object2, object2=f.object1) for f in track.frames
+    )
+    return replace(track, frames=frames)

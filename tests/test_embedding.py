@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boxact.embedding import (
     STAT_NAMES,
@@ -58,22 +58,24 @@ def _clean_video():
 
 
 def test_phase_feature_frozen_stats():
-    block = phase_feature("b", np.array([2.0, 3.0, 4.0, 5.0]), (None,) * 4, ())
+    window = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 7.0], [1.0, -3.0]])
+    block = phase_feature("b", np.array([2.0, 3.0, 4.0, 5.0]), window)
     assert block.score_stats == (3.5, 3.5, 5.0, 2.0)
+    assert block.feature_stats.tolist() == [[0.75, 1.0, 1.0, 0.0], [1.5, 1.0, 7.0, -3.0]]
     assert block.assigned
 
 
 def test_phase_feature_empty_window_is_the_unassigned_path():
-    block = phase_feature("c", np.empty(0), (), ("present(hand)",))
+    block = phase_feature("c", np.empty(0), np.empty((0, 1)))
     assert not block.assigned
     assert block.score_stats == (0.0, 0.0, 0.0, 0.0)
-    assert block.feature_stats["present(hand)"] == (0.0, 0.0, 0.0, 0.0)
-    assert block.flat(("present(hand)",), scores_only=False) == [0.0] * 9
+    assert block.feature_stats.tolist() == [[0.0, 0.0, 0.0, 0.0]]
+    assert block.flat(scores_only=False) == [0.0] * 9
 
 
 def test_phase_feature_length_mismatch():
     with pytest.raises(ContractError, match="2 scores but 1 frames"):
-        phase_feature("b", np.array([1.0, 2.0]), (object(),), ())
+        phase_feature("b", np.array([1.0, 2.0]), np.empty((1, 0)))
 
 
 @given(
@@ -83,9 +85,10 @@ def test_phase_feature_length_mismatch():
         max_size=20,
     )
 )
+@example([51.54009046733276] * 5)  # the plain mean of these rounds one ulp high
 @settings(max_examples=100, deadline=None)
 def test_stat_ordering(scores):
-    block = phase_feature("a", np.array(scores), [None] * len(scores), ())
+    block = phase_feature("a", np.array(scores), np.empty((len(scores), 0)))
     mean, med, mx, mn = block.score_stats
     assert mn <= med <= mx
     assert mn <= mean <= mx

@@ -36,8 +36,10 @@ from boxact.phases import (
 from boxact.phases import model_from_dict, model_to_dict
 from boxact.synthetic import SyntheticScript, generate_synthetic
 
+from boxact.relations import COLUMN
+
 from conftest import moving_track
-from oracles import smooth_reference
+from oracles import relation_table_reference, smooth_reference, term_value
 
 # --- smoothing ----------------------------------------------------------------
 
@@ -122,32 +124,30 @@ def test_asymmetric_peak_can_shift():
 # --- terms and models -----------------------------------------------------------
 
 
-def _rel_at(track, index):
-    return relation_sequence(track)[index]
+def _term_at(term, track, index):
+    """The term's contribution at one frame, read from the relation table."""
+    return term.series(relation_sequence(track)[:, COLUMN[term.key]])[index]
 
 
 def test_term_weight_and_negate_on_booleans():
     track = moving_track({"hand": [(10, 10)], "object2": [(50, 50)]})
-    rel = _rel_at(track, 0)
-    assert Term("present", ("hand",), weight=2.0).value(rel) == 2.0
-    assert Term("present", ("object1",), weight=2.0, negate=True).value(rel) == 2.0
-    assert Term("present", ("hand",), negate=True).value(rel) == 0.0
+    assert _term_at(Term("present", ("hand",), weight=2.0), track, 0) == 2.0
+    assert _term_at(Term("present", ("object1",), weight=2.0, negate=True), track, 0) == 2.0
+    assert _term_at(Term("present", ("hand",), negate=True), track, 0) == 0.0
 
 
 def test_term_negate_on_real_features_flips_sign():
     track = moving_track({"hand": [(0, 0), (10, 0)]})
-    rel = _rel_at(track, 1)
-    assert Term("speed", ("hand",)).value(rel) == 10.0
-    assert Term("speed", ("hand",), negate=True).value(rel) == -10.0
+    assert _term_at(Term("speed", ("hand",)), track, 1) == 10.0
+    assert _term_at(Term("speed", ("hand",), negate=True), track, 1) == -10.0
 
 
 def test_term_threshold_builds_an_indicator():
     track = moving_track({"hand": [(0, 0), (10, 0)]})
-    rel = _rel_at(track, 1)
-    assert Term("speed", ("hand",), threshold=5.0).value(rel) == 1.0
-    assert Term("speed", ("hand",), threshold=15.0).value(rel) == 0.0
+    assert _term_at(Term("speed", ("hand",), threshold=5.0), track, 1) == 1.0
+    assert _term_at(Term("speed", ("hand",), threshold=15.0), track, 1) == 0.0
     # negate applies to the indicator, not the raw value
-    assert Term("speed", ("hand",), threshold=15.0, negate=True).value(rel) == 1.0
+    assert _term_at(Term("speed", ("hand",), threshold=15.0, negate=True), track, 1) == 1.0
 
 
 def test_term_series_agrees_with_value():
@@ -157,7 +157,8 @@ def test_term_series_agrees_with_value():
         "hand": [tuple(rng.uniform(0, 300, 2)) for _ in range(8)],
     }
     track = moving_track(centres)
-    rels = relation_sequence(track)
+    table = relation_sequence(track)
+    rels = relation_table_reference(track)
     terms = [
         Term("speed", ("hand",), weight=0.3),
         Term("touching", ("object1", "hand"), weight=4.0),
@@ -165,9 +166,8 @@ def test_term_series_agrees_with_value():
         Term("size", ("object1",), threshold=50.0, negate=True, weight=2.0),
     ]
     for term in terms:
-        column = np.array([r.values[term.key] for r in rels])
         assert np.allclose(
-            term.series(column), [term.value(r) for r in rels]
+            term.series(table[:, COLUMN[term.key]]), [term_value(term, r) for r in rels]
         )
 
 

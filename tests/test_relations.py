@@ -2,32 +2,45 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boxact.errors import ConfigError, ContractError
+from boxact.phases import ActionModel, builtin_model
+from boxact.pipeline import assign_track
 from boxact.relations import (
+    COLUMN,
+    DEFAULT_CONFIG,
     ENTITIES,
-    OVERLAP_NORMALISER,
+    SWAP,
     RelationConfig,
-    binary_relations,
-    centre_dist,
     edge_gap,
     feature_key,
     feature_kind,
-    frame_relations,
+    overlap_area,
+    relation_keys,
+    relation_table,
+    validate_feature,
+)
+from boxact.tracks import COORDINATE_LIMIT, BoundingBox, FrameAnnotation, parse_annotations
+
+from conftest import box, make_track, moving_track
+from oracles import (
+    centre_dist,
     offset,
     offset_angle,
     offset_dist,
-    overlap_area,
     overlap_normalised,
-    relation_keys,
+    relation_table_reference,
     size,
-    validate_feature,
+    swap_objects,
 )
-from boxact.tracks import BoundingBox
 
-from conftest import box, moving_track
+
+def _at(track, index: int, config: RelationConfig = DEFAULT_CONFIG) -> dict[str, float]:
+    """One frame of the relation table, keyed canonically."""
+    return dict(zip(relation_keys(), relation_table(track, config)[index].tolist()))
 
 
 # --- geometry, against hand-computed values ---------------------------------
@@ -101,17 +114,34 @@ def test_offset_between_frames():
     track = moving_track({"hand": [(10, 10), (13, 14)]})
     assert offset(track, "hand", 0) == (0.0, 0.0)
     assert offset(track, "hand", 1) == (3.0, 4.0)
+    speed = relation_table(track)[:, COLUMN["speed(hand)"]]
+    assert speed.tolist() == [0.0, 5.0]
 
 
 def test_offset_zero_after_absence():
     track = moving_track({"hand": [(10, 10), None, (20, 20)]})
     assert offset(track, "hand", 2) == (0.0, 0.0)
+    assert _at(track, 2)["speed(hand)"] == 0.0
+    assert _at(track, 2)["moving(hand)"] == 0.0
 
 
 def test_offset_raises_when_absent():
     track = moving_track({"hand": [(10, 10), None, (20, 20)]})
     with pytest.raises(ContractError, match="hand absent at frame 1"):
         offset(track, "hand", 1)
+    assert _at(track, 1)["present(hand)"] == 0.0
+    assert _at(track, 1)["speed(hand)"] == 0.0
+
+
+def test_sparse_indices_measure_offsets_per_annotated_step():
+    # frames 0 and 10 are consecutive annotations: the 20 px jump is one step
+    frames = [
+        FrameAnnotation(frame_index=0, hand=box(5, 5)),
+        FrameAnnotation(frame_index=10, hand=box(25, 5)),
+    ]
+    rel = _at(make_track(frames), 1)
+    assert rel["speed(hand)"] == 20.0
+    assert rel["moving(hand)"] == 1.0
 
 
 # --- thresholds --------------------------------------------------------------
@@ -120,74 +150,70 @@ def test_offset_raises_when_absent():
 def test_touching_tolerance_is_inclusive():
     track_5 = moving_track({"object1": [(5, 5)], "object2": [(20, 5)]})
     track_6 = moving_track({"object1": [(5, 5)], "object2": [(21, 5)]})
-    assert binary_relations(track_5, 0)["touching(object1,object2)"] is True
-    assert binary_relations(track_6, 0)["touching(object1,object2)"] is False
+    assert _at(track_5, 0)["touching(object1,object2)"] == 1.0
+    assert _at(track_6, 0)["touching(object1,object2)"] == 0.0
 
 
 def test_containment_fraction_boundary():
-    from boxact.tracks import FrameAnnotation, VideoTrack
-
     inner = BoundingBox(0, 0, 10, 10)
 
     def rel_with(outer):
-        frame = FrameAnnotation(frame_index=0, object1=inner, object2=outer)
-        t = VideoTrack("v", (frame,), 320.0, 240.0)
-        return frame_relations(t, 0)
+        return _at(make_track([FrameAnnotation(0, object1=inner, object2=outer)]), 0)
 
-    assert rel_with(BoundingBox(0, 0, 9, 10)).value("contained", "object1", "object2") == 1.0
-    assert rel_with(BoundingBox(0, 0, 8.9, 10)).value("contained", "object1", "object2") == 0.0
+    assert rel_with(BoundingBox(0, 0, 9, 10))["contained(object1,object2)"] == 1.0
+    assert rel_with(BoundingBox(0, 0, 8.9, 10))["contained(object1,object2)"] == 0.0
 
 
 def test_moving_threshold_is_strict():
     at_3 = moving_track({"hand": [(0, 0), (3, 0)]})
     above = moving_track({"hand": [(0, 0), (4, 0)]})
-    assert binary_relations(at_3, 1)["moving(hand)"] is False
-    assert binary_relations(above, 1)["moving(hand)"] is True
+    assert _at(at_3, 1)["moving(hand)"] == 0.0
+    assert _at(above, 1)["moving(hand)"] == 1.0
 
 
 def test_move_with_hand():
     track = moving_track(
         {"object1": [(10, 10), (16, 10)], "hand": [(12, 10), (18, 10)]}
     )
-    rel = binary_relations(track, 1)
-    assert rel["move_with_hand(object1)"] is True
-    assert rel["hand_move_relative(object1)"] is False
-    assert rel["object_move_relative(object1,hand)"] is False
+    rel = _at(track, 1)
+    assert rel["move_with_hand(object1)"] == 1.0
+    assert rel["hand_move_relative(object1)"] == 0.0
+    assert rel["object_move_relative(object1,hand)"] == 0.0
 
 
 def test_hand_move_relative():
     track = moving_track({"object1": [(10, 10), (10, 10)], "hand": [(30, 10), (38, 10)]})
-    rel = binary_relations(track, 1)
-    assert rel["hand_move_relative(object1)"] is True
-    assert rel["move_with_hand(object1)"] is False
-    assert rel["object_move_relative(object1,hand)"] is False
-    assert rel["object_move_relative(hand,object1)"] is True
+    rel = _at(track, 1)
+    assert rel["hand_move_relative(object1)"] == 1.0
+    assert rel["move_with_hand(object1)"] == 0.0
+    assert rel["object_move_relative(object1,hand)"] == 0.0
+    assert rel["object_move_relative(hand,object1)"] == 1.0
 
 
 def test_centre_on_top_and_underneath():
     track = moving_track({"object1": [(15, 2)], "object2": [(15, 20)]})
-    rel = binary_relations(track, 0)
-    assert rel["centre_on_top(object1,object2)"] is True
-    assert rel["centre_underneath(object1,object2)"] is False
-    assert rel["centre_on_top(object2,object1)"] is False
-    assert rel["centre_underneath(object2,object1)"] is True
+    rel = _at(track, 0)
+    assert rel["centre_on_top(object1,object2)"] == 1.0
+    assert rel["centre_underneath(object1,object2)"] == 0.0
+    assert rel["centre_on_top(object2,object1)"] == 0.0
+    assert rel["centre_underneath(object2,object1)"] == 1.0
 
 
 def test_centre_on_top_requires_x_alignment():
     track = moving_track({"object1": [(100, 2)], "object2": [(15, 20)]})
-    rel = binary_relations(track, 0)
-    assert rel["centre_on_top(object1,object2)"] is False
-    assert rel["centre_underneath(object2,object1)"] is False
+    rel = _at(track, 0)
+    assert rel["centre_on_top(object1,object2)"] == 0.0
+    assert rel["centre_underneath(object2,object1)"] == 0.0
 
 
 def test_absent_entity_features_are_zero():
     track = moving_track({"object2": [(50, 50)]})
-    rel = frame_relations(track, 0)
-    assert rel.value("present", "hand") == 0.0
-    assert rel.value("size", "hand") == 0.0
-    assert rel.value("overlap", "object1", "object2") == 0.0
-    assert rel.value("touching", "object2", "hand") == 0.0
-    assert rel.value("contained", "object1", "object2") == 0.0
+    rel = _at(track, 0)
+    assert rel["present(hand)"] == 0.0
+    assert rel["size(hand)"] == 0.0
+    assert rel["overlap(object1,object2)"] == 0.0
+    assert rel["touching(object2,hand)"] == 0.0
+    assert rel["contained(object1,object2)"] == 0.0
 
 
 # --- configuration -----------------------------------------------------------
@@ -206,7 +232,7 @@ def test_config_validation():
 def test_custom_threshold_changes_result():
     track = moving_track({"object1": [(5, 5)], "object2": [(21, 5)]})
     loose = RelationConfig(touch_tol=8.0)
-    assert binary_relations(track, 0, loose)["touching(object1,object2)"] is True
+    assert _at(track, 0, loose)["touching(object1,object2)"] == 1.0
 
 
 # --- the feature catalogue ---------------------------------------------------
@@ -251,8 +277,9 @@ def test_relation_keys_catalogue():
 
 def test_frame_relations_covers_the_catalogue():
     track = moving_track({"object1": [(10, 10)], "object2": [(50, 50)], "hand": [(90, 90)]})
-    rel = frame_relations(track, 0)
-    assert set(rel.values) == set(relation_keys())
+    table = relation_table(track)
+    assert table.shape == (1, len(relation_keys()))
+    assert list(COLUMN) == list(relation_keys())
 
 
 # --- properties --------------------------------------------------------------
@@ -297,16 +324,144 @@ def test_offset_angle_range_and_symmetry(o1, o2):
 @given(st.integers(min_value=0, max_value=3))
 @settings(max_examples=4, deadline=None)
 def test_boolean_values_are_indicator_floats(seed):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     centres = {
         e: [tuple(rng.uniform(0, 300, size=2)) for _ in range(4)] for e in ENTITIES
     }
-    track = moving_track(centres)
-    for i in range(4):
-        rel = frame_relations(track, i)
-        for key, value in rel.values.items():
-            name = key.split("(", 1)[0]
-            if feature_kind(name) == "boolean":
-                assert value in (0.0, 1.0)
+    table = relation_table(moving_track(centres))
+    for key, column in COLUMN.items():
+        if feature_kind(key.split("(", 1)[0]) == "boolean":
+            assert set(table[:, column].tolist()) <= {0.0, 1.0}
+
+
+# --- the table against the per-frame oracle ------------------------------------
+
+# Integer grid values make shared edges, exact touch_tol gaps and zero-area
+# boxes common; free floats cover everything in between.
+grid = st.integers(min_value=-20, max_value=60).map(float)
+table_coords = st.one_of(grid, st.floats(min_value=-200, max_value=400))
+table_extents = st.one_of(
+    st.integers(min_value=0, max_value=20).map(float),
+    st.floats(min_value=0, max_value=200),
+)
+table_boxes = st.builds(BoundingBox, table_coords, table_coords, table_extents, table_extents)
+configs = st.sampled_from(
+    [
+        DEFAULT_CONFIG,
+        RelationConfig(touch_tol=0.0, containment_fraction=1.0, move_threshold=0.0),
+        RelationConfig(touch_tol=2.0, move_threshold=1.5, move_with_hand_tol=0.5),
+    ]
+)
+
+
+@st.composite
+def relation_tracks(draw):
+    """1-8 frames with sparse indices; some entities absent throughout."""
+    indices = sorted(draw(st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=8)))
+    roles = draw(st.sets(st.sampled_from(ENTITIES)))
+    frames = []
+    for idx in indices:
+        boxes = {r: draw(st.one_of(st.none(), table_boxes)) for r in sorted(roles)}
+        frames.append(FrameAnnotation(frame_index=idx, **boxes))
+    return make_track(frames)
+
+
+def _two_frame(o1, o2, hand, idx=(0, 1)):
+    return make_track(
+        [FrameAnnotation(i, object1=a, object2=b, hand=c) for i, a, b, c in zip(idx, o1, o2, hand)]
+    )
+
+
+REAL_COLUMNS = np.array([feature_kind(k.split("(", 1)[0]) == "real" for k in relation_keys()])
+
+
+@given(relation_tracks(), configs)
+@example(make_track([FrameAnnotation(0, object1=box(0, 0), hand=box(15, 0))]), DEFAULT_CONFIG)
+@example(
+    # the hand is absent throughout; object2 comes and goes; object1 has no area
+    _two_frame((box(0, 0, 0, 0), box(1, 1, 0, 4)), (box(12, 0), None), (None, None), idx=(3, 17)),
+    DEFAULT_CONFIG,
+)
+@example(
+    # edges exactly touch_tol apart, moving together across a sparse gap
+    _two_frame((box(0, 0), box(6, 0)), (box(30, 0), None), (box(15, 0), box(21, 0)), idx=(0, 9)),
+    DEFAULT_CONFIG,
+)
+@settings(max_examples=300, deadline=None)
+def test_table_matches_the_per_frame_oracle(track, config):
+    table = relation_table(track, config)
+    expected = np.array(
+        [[row[k] for k in relation_keys()] for row in relation_table_reference(track, config)]
+    )
+    assert table.shape == expected.shape == (len(track.frames), 55)
+    assert np.array_equal(table[:, ~REAL_COLUMNS], expected[:, ~REAL_COLUMNS])
+    np.testing.assert_allclose(table[:, REAL_COLUMNS], expected[:, REAL_COLUMNS], rtol=1e-12, atol=0)
+
+
+@given(relation_tracks(), configs)
+@settings(max_examples=200, deadline=None)
+def test_swapping_the_objects_permutes_the_columns(track, config):
+    swapped = relation_table(swap_objects(track), config)
+    assert np.array_equal(swapped, relation_table(track, config)[:, SWAP])
+
+
+def test_swap_is_an_involution():
+    assert np.array_equal(SWAP[SWAP], np.arange(len(SWAP)))
+    keys = relation_keys()
+    assert keys[SWAP[COLUMN["present(object1)"]]] == "present(object2)"
+    assert keys[SWAP[COLUMN["contained(object1,object2)"]]] == "contained(object2,object1)"
+    assert keys[SWAP[COLUMN["touching(object1,object2)"]]] == "touching(object1,object2)"
+    assert keys[SWAP[COLUMN["move_with_hand(object2)"]]] == "move_with_hand(object1)"
+    assert keys[SWAP[COLUMN["speed(hand)"]]] == "speed(hand)"
+
+
+# --- every accepted track stays finite ------------------------------------------
+
+limit_coords = st.floats(min_value=-COORDINATE_LIMIT, max_value=COORDINATE_LIMIT)
+limit_extents = st.floats(min_value=0.0, max_value=COORDINATE_LIMIT)
+
+
+@st.composite
+def box_documents(draw):
+    frames = []
+    for idx in sorted(draw(st.sets(st.integers(0, 50), min_size=1, max_size=12))):
+        roles = draw(st.sets(st.sampled_from(ENTITIES)))
+        boxes = [
+            dict(
+                role=r,
+                x=draw(limit_coords),
+                y=draw(limit_coords),
+                w=draw(limit_extents),
+                h=draw(limit_extents),
+            )
+            for r in sorted(roles)
+        ]
+        frames.append({"idx": idx, "boxes": boxes})
+    return [{"id": "v", "width": 320, "height": 240, "frames": frames}]
+
+
+ALL_RELATIONS = ActionModel(
+    action_id="all-relations",
+    phases=builtin_model("put-into").phases,
+    extra_features=relation_keys(),
+)
+
+
+@given(box_documents())
+@example(
+    [{"id": "v", "width": 320, "height": 240, "frames": [
+        {"idx": 0, "boxes": [
+            {"role": r, "x": -COORDINATE_LIMIT, "y": COORDINATE_LIMIT,
+             "w": COORDINATE_LIMIT, "h": COORDINATE_LIMIT} for r in ENTITIES]},
+        {"idx": 1, "boxes": [
+            {"role": "object1", "x": COORDINATE_LIMIT, "y": 0.0, "w": 5e-324, "h": 1e-300},
+            {"role": "hand", "x": COORDINATE_LIMIT, "y": -COORDINATE_LIMIT, "w": 0.0,
+             "h": COORDINATE_LIMIT}]},
+    ]}]
+)
+@settings(max_examples=100, deadline=None)
+def test_accepted_tracks_give_finite_tables_and_embeddings(document):
+    track = parse_annotations(document)[0]
+    assert np.isfinite(relation_table(track)).all()
+    embedding, _ = assign_track(track, {"all-relations": ALL_RELATIONS})["all-relations"]
+    assert np.isfinite(embedding.values).all()

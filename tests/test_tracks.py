@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from boxact.errors import AnnotationError
 from boxact.tracks import (
+    COORDINATE_LIMIT,
     ROLES,
     BoundingBox,
     FrameAnnotation,
@@ -128,11 +129,14 @@ def test_box_properties():
     assert b.area == 200.0
 
 
-def test_swap_is_an_involution():
-    t = parse_annotations(DOC)[0]
-    assert t.with_swapped_objects().with_swapped_objects() == t
-    swapped = t.with_swapped_objects().frames[0]
-    assert swapped.object1 is not None and swapped.object2 is None
+def test_huge_box_values_rejected():
+    # w = h = 1e200 once parsed, and gave an infinite size and a NaN overlap
+    for bad in ({"w": 1e200, "h": 1e200}, {"x": -2 * COORDINATE_LIMIT}, {"y": 1e10}):
+        entry = {"role": "hand", "x": 0.0, "y": 0.0, "w": 1.0, "h": 1.0, **bad}
+        with pytest.raises(AnnotationError, match="must lie within"):
+            parse_annotations([dict(DOC[0], frames=[{"idx": 0, "boxes": [entry]}])])
+    edge = BoundingBox(-COORDINATE_LIMIT, COORDINATE_LIMIT, COORDINATE_LIMIT, 0.0)
+    assert edge.x == -COORDINATE_LIMIT
 
 
 def test_track_requires_increasing_indices():
