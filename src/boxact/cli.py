@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .embedding import dump_embeddings
-from .errors import BoxactError
+from .errors import BoxactError, ConfigError
 from .evaluation import (
     confusion_csv,
     evaluate,
@@ -43,6 +43,13 @@ from .synthetic import (
 from .tracks import load_annotation_file, write_annotation_file
 
 FOREST_FILE_PREFIX = "forest_"
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -80,7 +87,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         forest=forest,
         val_fraction=getattr(args, "val_fraction", 0.25),
         seed=getattr(args, "seed", 0),
-        workers=getattr(args, "workers", 1),
     )
 
 
@@ -109,10 +115,13 @@ def _noise_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.from_scripts:
-        raw = json.loads(Path(args.from_scripts).read_text())
+        raw = _read_json(args.from_scripts)
         if not isinstance(raw, list):
             parser.error("--from-scripts file must hold a list of script records")
-        scripts = [script_from_dict(rec) for rec in raw]
+        try:
+            scripts = [script_from_dict(rec) for rec in raw]
+        except BoxactError as exc:
+            raise type(exc)(f"{args.from_scripts}: {exc}") from None
         pairs = [generate_synthetic(s) for s in scripts]
         tracks = [t for t, _ in pairs]
         truth = {t.video_id: g for (t, g) in pairs}
@@ -268,15 +277,19 @@ def _load_forest_dir(path: str) -> dict:
     return forests
 
 
-def _subset_ids(args: argparse.Namespace, labels: dict[str, str]) -> list[str] | None:
+def _subset_ids(args: argparse.Namespace) -> list[str] | None:
     if not getattr(args, "split", None):
         return None
-    doc = json.loads(Path(args.split).read_text())
-    if doc.get("format") != "boxact-split":
-        raise BoxactError(f"{args.split}: not a split file")
-    if args.subset == "all":
-        return sorted(doc["train"]) + sorted(doc["val"])
-    return sorted(doc[args.subset])
+    doc = _read_json(args.split)
+    if not isinstance(doc, dict) or doc.get("format") != "boxact-split":
+        raise ConfigError(f"{args.split}: not a split file")
+    ids: list[str] = []
+    for subset in ("train", "val") if args.subset == "all" else (args.subset,):
+        part = doc.get(subset)
+        if not isinstance(part, list) or not all(isinstance(v, str) for v in part):
+            raise ConfigError(f"{args.split}: {subset!r} must be a list of video ids")
+        ids.extend(sorted(part))
+    return ids
 
 
 def cmd_predict(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -285,7 +298,7 @@ def cmd_predict(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     models = load_models(args.models)
     forests = _load_forest_dir(args.forest_dir)
     config = _config_from_args(args)
-    subset = _subset_ids(args, labels)
+    subset = _subset_ids(args)
     if subset is not None:
         known = {t.video_id for t in tracks}
         missing = [v for v in subset if v not in known]
@@ -351,7 +364,6 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 forest=ForestParams(num_trees=args.num_trees, seed=args.seed),
                 val_fraction=args.val_fraction,
                 seed=args.seed,
-                workers=args.workers,
             )
             train_ids, val_ids = stratified_split(labels, config.val_fraction, config.seed)
             embeds = embed_all(tracks, models, config)
@@ -392,7 +404,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=EMBEDDING_MODES, default="full",
                    help="embedding layout")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def _add_forest_flags(p: argparse.ArgumentParser) -> None:
@@ -481,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-trees", type=int, default=50)
     p.add_argument("--mode", choices=EMBEDDING_MODES, default="full")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -20,17 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AnnotationError, ContractError
-from .phases import (
-    DEFAULT_SIGMA,
-    DEFAULT_WINDOW_HALF_WIDTH,
-    PHASES,
-    ActionModel,
-    PhaseAssignment,
-    PhaseScoreMatrix,
-    best_assignment,
-    relation_sequence,
-    score_frames,
-)
+from .phases import PHASES, ActionModel, PhaseAssignment, PhaseScoreMatrix
 from .relations import COLUMN
 from .tracks import VideoTrack
 
@@ -40,9 +30,7 @@ __all__ = [
     "VideoEmbedding",
     "phase_feature",
     "embedding_layout",
-    "embedding_length",
     "embed_video",
-    "embed_track",
     "dump_embeddings",
     "load_embeddings",
 ]
@@ -147,25 +135,19 @@ def embedding_layout(model: ActionModel, scores_only: bool = False) -> tuple[str
     return tuple(names)
 
 
-def embedding_length(model: ActionModel, scores_only: bool = False) -> int:
-    if scores_only:
-        return len(PHASES) * 4 + len(PHASES)
-    return len(PHASES) * (1 + len(model.feature_list)) * 4 + len(PHASES)
-
-
 def embed_video(
     track: VideoTrack,
     assignment: PhaseAssignment,
     matrix: PhaseScoreMatrix,
     model: ActionModel,
+    relations: np.ndarray,
     scores_only: bool = False,
-    relations: np.ndarray | None = None,
 ) -> VideoEmbedding:
     """Build the embedding from an existing assignment and score matrix.
 
     Raw (unsmoothed, unstandardised) score rows feed the statistics;
     ``relations`` is the track's relation table in the assignment's object
-    order, computed when not given.
+    order.
     """
     if assignment.action_id != model.action_id or matrix.action_id != model.action_id:
         raise ContractError(
@@ -177,8 +159,6 @@ def embed_video(
             f"object order mismatch: assignment {assignment.object_order!r} "
             f"vs matrix {matrix.object_order!r}"
         )
-    if relations is None:
-        relations = relation_sequence(track, assignment.object_order, model.thresholds)
     if relations.shape[0] != matrix.num_frames:
         raise ContractError(
             f"{track.video_id!r}: {relations.shape[0]} relation frames vs "
@@ -201,25 +181,6 @@ def embed_video(
         values=np.asarray(values),
         layout=embedding_layout(model, scores_only),
     )
-
-
-def embed_track(
-    track: VideoTrack,
-    model: ActionModel,
-    n: int = DEFAULT_WINDOW_HALF_WIDTH,
-    sigma: float = DEFAULT_SIGMA,
-    scores_only: bool = False,
-) -> tuple[VideoEmbedding, PhaseAssignment]:
-    """Assign phases (both object orders, both b choices) and embed."""
-    assignment = best_assignment(track, model, n=n, sigma=sigma)
-    relations = relation_sequence(track, assignment.object_order, model.thresholds)
-    matrix = score_frames(
-        track, model, assignment.object_order, sigma=sigma, relations=relations
-    )
-    embedding = embed_video(
-        track, assignment, matrix, model, scores_only=scores_only, relations=relations
-    )
-    return embedding, assignment
 
 
 def dump_embeddings(

@@ -267,12 +267,17 @@ def load_predictions(path: str | Path) -> PredictionSet:
         raise AnnotationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != PREDICTIONS_FORMAT:
         raise AnnotationError(f"{path}: not a predictions file")
-    videos = tuple(
-        VideoPrediction(
-            video_id=rec["video_id"],
-            true_label=rec["true_label"],
-            probabilities={a: float(p) for a, p in rec["probabilities"].items()},
+    try:
+        videos = tuple(
+            VideoPrediction(
+                video_id=rec["video_id"],
+                true_label=rec["true_label"],
+                probabilities={a: float(p) for a, p in rec["probabilities"].items()},
+            )
+            for rec in doc.get("records", [])
         )
-        for rec in doc.get("records", [])
-    )
+    except KeyError as exc:
+        raise AnnotationError(f"{path}: prediction record missing {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise AnnotationError(f"{path}: malformed prediction record: {exc}") from None
     return PredictionSet(videos=videos)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,7 +30,6 @@ __all__ = [
     "train_tree",
     "train_forest",
     "predict_proba",
-    "classify",
     "forest_to_dict",
     "forest_from_dict",
     "save_forest",
@@ -192,9 +191,6 @@ class ForestModel:
     num_features: int
     fingerprint: str = ""
 
-    def with_fingerprint(self, fingerprint: str) -> "ForestModel":
-        return replace(self, fingerprint=fingerprint)
-
 
 def layout_fingerprint(layout: Sequence[str]) -> str:
     digest = hashlib.sha256("\n".join(layout).encode())
@@ -263,24 +259,6 @@ def predict_proba(model: ForestModel, values: np.ndarray) -> float:
     return float(np.mean([_tree_predict(t, v) for t in model.trees]))
 
 
-def classify(
-    models: Mapping[str, ForestModel],
-    embeddings: Mapping[str, np.ndarray],
-) -> tuple[str, dict[str, float]]:
-    """Highest-probability action; exact ties go to the lowest action id."""
-    if not models:
-        raise ContractError("classify needs at least one model")
-    missing = sorted(set(models) - set(embeddings))
-    if missing:
-        raise ContractError(f"no embedding supplied for actions {missing}")
-    probs = {
-        action: predict_proba(model, embeddings[action])
-        for action, model in models.items()
-    }
-    winner = max(sorted(probs), key=lambda a: probs[a])
-    return winner, probs
-
-
 # --- serialization -------------------------------------------------------------
 
 
@@ -335,20 +313,25 @@ def forest_to_dict(model: ForestModel) -> dict:
 
 
 def forest_from_dict(data: Mapping) -> ForestModel:
-    if data.get("format") != FOREST_FORMAT:
+    if not isinstance(data, Mapping) or data.get("format") != FOREST_FORMAT:
         raise ConfigError("not a serialized forest model")
     if data.get("version") != FOREST_VERSION:
         raise ConfigError(f"unsupported forest version {data.get('version')!r}")
-    params = ForestParams(**data["params"])
-    num_features = int(data["num_features"])
-    trees = tuple(_node_from_dict(t, num_features) for t in data["trees"])
-    return ForestModel(
-        action_id=str(data["action_id"]),
-        trees=trees,
-        params=params,
-        num_features=num_features,
-        fingerprint=str(data.get("fingerprint", "")),
-    )
+    try:
+        params = ForestParams(**data["params"])
+        num_features = int(data["num_features"])
+        trees = tuple(_node_from_dict(t, num_features) for t in data["trees"])
+        return ForestModel(
+            action_id=str(data["action_id"]),
+            trees=trees,
+            params=params,
+            num_features=num_features,
+            fingerprint=str(data.get("fingerprint", "")),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"malformed forest: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed forest: {exc}") from None
 
 
 def save_forest(model: ForestModel, path: str | Path) -> None:
@@ -360,4 +343,7 @@ def load_forest(path: str | Path) -> ForestModel:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    return forest_from_dict(data)
+    try:
+        return forest_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -62,7 +62,6 @@ __all__ = [
     "second_best_b",
     "assign_phases",
     "assign_with_alternatives",
-    "best_assignment",
 ]
 
 PHASES = ("a", "b", "c", "d", "e")
@@ -318,17 +317,19 @@ def relation_sequence(
 def score_frames(
     track: VideoTrack,
     model: ActionModel,
+    relations: np.ndarray,
     object_order: str = "as_annotated",
     sigma: float = DEFAULT_SIGMA,
-    relations: np.ndarray | None = None,
 ) -> PhaseScoreMatrix:
     """Evaluate all five phase scores for every frame, then smooth each row.
 
-    ``relations`` is the track's relation table in ``object_order``; it is
-    computed when not given.
+    ``relations`` is the track's relation table in ``object_order``.
     """
-    if relations is None:
-        relations = relation_sequence(track, object_order, model.thresholds)
+    if relations.shape[0] != len(track):
+        raise ContractError(
+            f"{track.video_id!r}: {relations.shape[0]} relation frames for "
+            f"{len(track)} track frames"
+        )
     raw = np.zeros((len(PHASES), relations.shape[0]))
     for pi, phase in enumerate(PHASES):
         for t in model.phases[phase]:
@@ -511,16 +512,3 @@ def assign_with_alternatives(
         if cand.total_score > best.total_score:
             best = cand
     return best
-
-
-def best_assignment(
-    track: VideoTrack,
-    model: ActionModel,
-    n: int = DEFAULT_WINDOW_HALF_WIDTH,
-    sigma: float = DEFAULT_SIGMA,
-) -> PhaseAssignment:
-    """Score both object orders and return the winning alternative."""
-    table = relation_sequence(track, "as_annotated", model.thresholds)
-    m_ann = score_frames(track, model, "as_annotated", sigma, table)
-    m_swap = score_frames(track, model, "swapped", sigma, table[:, SWAP])
-    return assign_with_alternatives(m_ann, m_swap, n)

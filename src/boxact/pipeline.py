@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -63,7 +62,6 @@ class PipelineConfig:
     forest: ForestParams = field(default_factory=ForestParams)
     val_fraction: float = 0.25
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -77,8 +75,6 @@ class PipelineConfig:
             )
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must lie strictly between 0 and 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
 
     @property
     def scores_only(self) -> bool:
@@ -100,18 +96,12 @@ class PipelineConfig:
             },
             "val_fraction": self.val_fraction,
             "seed": self.seed,
-            "workers": self.workers,
         }
 
 
 def make_provenance(config: PipelineConfig, stage: str) -> dict:
-    """Deterministic provenance block: fingerprint and seed, no timestamps.
-
-    The worker count is an execution detail with no effect on results, so it
-    stays out of the fingerprint.
-    """
-    significant = {k: v for k, v in config.to_dict().items() if k != "workers"}
-    canonical = json.dumps(significant, sort_keys=True)
+    """Deterministic provenance block: fingerprint and seed, no timestamps."""
+    canonical = json.dumps(config.to_dict(), sort_keys=True)
     fingerprint = hashlib.sha256(canonical.encode()).hexdigest()[:16]
     return {
         "tool": "boxact",
@@ -161,8 +151,9 @@ def assign_track(
     sigma: float = DEFAULT_SIGMA,
     scores_only: bool = False,
 ) -> dict[str, tuple[VideoEmbedding, PhaseAssignment]]:
-    """Embed one track under every action model.
+    """Score, assign and embed one track under every action model.
 
+    This is the one path from a track to its assignments and embeddings.
     The relation table is computed once per track and threshold set rather
     than once per model (all reference models use the same thresholds;
     models with custom thresholds get their own pass).  The swapped object
@@ -180,7 +171,7 @@ def assign_track(
             }
         rels = tables[model.thresholds]
         matrices = {
-            order: score_frames(track, model, order, sigma, rels[order])
+            order: score_frames(track, model, rels[order], order, sigma)
             for order in OBJECT_ORDERS
         }
         assignment = assign_with_alternatives(
@@ -188,25 +179,10 @@ def assign_track(
         )
         order = assignment.object_order
         embedding = embed_video(
-            track,
-            assignment,
-            matrices[order],
-            model,
-            scores_only=scores_only,
-            relations=rels[order],
+            track, assignment, matrices[order], model, rels[order], scores_only
         )
         out[action] = (embedding, assignment)
     return out
-
-
-def _embed_worker(
-    payload: tuple[VideoTrack, dict[str, ActionModel], int, float, bool],
-) -> tuple[str, dict[str, tuple[VideoEmbedding, PhaseAssignment]]]:
-    track, models, n, sigma, scores_only = payload
-    try:
-        return track.video_id, assign_track(track, models, n, sigma, scores_only)
-    except BoxactError as exc:
-        raise type(exc)(f"video {track.video_id!r}: {exc}") from None
 
 
 def embed_all(
@@ -214,23 +190,18 @@ def embed_all(
     models: Mapping[str, ActionModel],
     config: PipelineConfig,
 ) -> dict[str, dict[str, tuple[VideoEmbedding, PhaseAssignment]]]:
-    """Per-video, per-action embeddings and assignments, optionally parallel."""
+    """Per-video, per-action embeddings and assignments."""
     ids = [t.video_id for t in tracks]
     if len(set(ids)) != len(ids):
         raise ContractError("duplicate video ids in track list")
-    payloads = [
-        (track, dict(models), config.n, config.sigma, config.scores_only)
-        for track in tracks
-    ]
     results: dict[str, dict[str, tuple[VideoEmbedding, PhaseAssignment]]] = {}
-    if config.workers > 1 and len(tracks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for video_id, per_action in pool.map(_embed_worker, payloads, chunksize=8):
-                results[video_id] = per_action
-    else:
-        for payload in payloads:
-            video_id, per_action = _embed_worker(payload)
-            results[video_id] = per_action
+    for track in tracks:
+        try:
+            results[track.video_id] = assign_track(
+                track, models, config.n, config.sigma, config.scores_only
+            )
+        except BoxactError as exc:
+            raise type(exc)(f"video {track.video_id!r}: {exc}") from None
     return results
 
 

@@ -142,6 +142,8 @@ def script_from_dict(data: Mapping) -> SyntheticScript:
         )
     except KeyError as exc:
         raise ContractError(f"script record missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"malformed script record: {exc}") from None
 
 
 def script_to_dict(script: SyntheticScript) -> dict:

@@ -47,12 +47,17 @@ from boxact.phases import (
     ARCHETYPES,
     PhaseScoreMatrix,
     assign_with_alternatives,
-    best_assignment,
     builtin_models,
     smooth,
     standardized_rows,
 )
-from boxact.pipeline import PipelineConfig, embed_all, predict_set, train_forests
+from boxact.pipeline import (
+    PipelineConfig,
+    assign_track,
+    embed_all,
+    predict_set,
+    train_forests,
+)
 from boxact.synthetic import NoiseParams, generate_dataset
 
 PHASES = ("a", "b", "c", "d", "e")
@@ -80,7 +85,8 @@ def test_criterion_1_zero_noise_phase_recovery():
     hits = 0
     total = 0
     for track in tracks:
-        assignment = best_assignment(track, models[track.label])
+        label = track.label
+        _, assignment = assign_track(track, {label: models[label]})[label]
         for phase in PHASES:
             total += 1
             center = assignment.centers[phase]
@@ -99,7 +105,8 @@ def test_criterion_2_noisy_phase_b_recovery():
     models = builtin_models()
     hits = 0
     for track in tracks:
-        assignment = best_assignment(track, models[track.label])
+        label = track.label
+        _, assignment = assign_track(track, {label: models[label]})[label]
         center = assignment.centers["b"]
         if center is not None and abs(center - truth[track.video_id]["b"]) <= 3:
             hits += 1

@@ -379,6 +379,89 @@ def test_missing_input_file_exits_cleanly(tmp_path):
     assert main(["eval", "--predictions", str(tmp_path / "nope.json")]) == 1
 
 
+LEAF = {"fraction": 0.5, "weight": 1.0}
+
+
+def _forest_doc(**changes) -> dict:
+    doc = {
+        "format": "boxact-forest",
+        "version": 1,
+        "action_id": "put-into",
+        "num_features": 2,
+        "fingerprint": "",
+        "params": {"num_trees": 1},
+        "trees": [LEAF],
+    }
+    doc.update(changes)
+    return doc
+
+
+# (command reading the file, file content)
+MALFORMED_INPUTS = {
+    "split-not-json": ("predict-split", "{not json"),
+    "split-without-val": ("predict-split", {"format": "boxact-split", "train": []}),
+    "split-ids-not-a-list": (
+        "predict-split",
+        {"format": "boxact-split", "train": [], "val": 5},
+    ),
+    "forest-not-an-object": ("predict-forest", []),
+    "forest-unknown-param": ("predict-forest", _forest_doc(params={"depth": 3})),
+    "forest-node-without-threshold": (
+        "predict-forest",
+        _forest_doc(trees=[{"feature": 0, "left": LEAF, "right": LEAF}]),
+    ),
+    "predictions-without-true-label": (
+        "eval",
+        {
+            "format": "boxact-predictions",
+            "records": [{"video_id": "v", "probabilities": {"put-into": 0.5}}],
+        },
+    ),
+    "prediction-with-text-probability": (
+        "eval",
+        {
+            "format": "boxact-predictions",
+            "records": [
+                {"video_id": "v", "true_label": "x", "probabilities": {"x": "high"}}
+            ],
+        },
+    ),
+    "scripts-not-json": ("generate", "[{"),
+    "script-with-bad-frame-count": (
+        "generate",
+        [{"archetype": "put-into", "num_frames": "sixty", "true_phase_centers": {}}],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_files_exit_1(workdir, tmp_path, capsys, case):
+    command, content = MALFORMED_INPUTS[case]
+    # the name matches the forest-directory glob, so one file serves every case
+    bad = tmp_path / "forest_put-into.json"
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    predict = [
+        "predict",
+        "--annotations",
+        str(workdir / "ann.json"),
+        "--models",
+        str(_model_paths(workdir)),
+        "--out",
+        str(tmp_path / "preds.json"),
+    ]
+    argv = {
+        "predict-split": predict
+        + ["--forest-dir", str(workdir / "forests"), "--split", str(bad)],
+        "predict-forest": predict + ["--forest-dir", str(tmp_path)],
+        "eval": ["eval", "--predictions", str(bad)],
+        "generate": ["generate", "--out", str(tmp_path / "ann.json"), "--from-scripts", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["dance"])

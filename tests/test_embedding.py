@@ -8,10 +8,8 @@ from boxact.embedding import (
     STAT_NAMES,
     VideoEmbedding,
     dump_embeddings,
-    embed_track,
     embed_video,
     embedding_layout,
-    embedding_length,
     load_embeddings,
     phase_feature,
 )
@@ -20,10 +18,11 @@ from boxact.phases import (
     PHASES,
     ActionModel,
     Term,
-    best_assignment,
     builtin_model,
+    relation_sequence,
     score_frames,
 )
+from boxact.pipeline import assign_track
 from boxact.synthetic import SyntheticScript, generate_synthetic
 
 from conftest import moving_track
@@ -41,6 +40,12 @@ def _model() -> ActionModel:
             "e": (present("object1"),),
         },
     )
+
+
+def _embed(track, model, scores_only=False):
+    """Embedding and assignment of one track under one model."""
+    per_action = assign_track(track, {model.action_id: model}, scores_only=scores_only)
+    return per_action[model.action_id]
 
 
 def _clean_video():
@@ -100,7 +105,7 @@ def test_stat_ordering(scores):
 def test_layout_names_and_order():
     layout = embedding_layout(_model())
     # per phase: 4 score stats, 4 stats per referenced feature, 1 flag
-    assert len(layout) == embedding_length(_model()) == 5 * (1 + 3) * 4 + 5
+    assert len(layout) == 5 * (1 + 3) * 4 + 5
     assert layout[0] == "a:score:mean"
     assert layout[3] == "a:score:min"
     assert layout[4] == "a:present(hand):mean"
@@ -111,14 +116,14 @@ def test_layout_names_and_order():
 
 def test_scores_only_layout():
     layout = embedding_layout(_model(), scores_only=True)
-    assert len(layout) == embedding_length(_model(), scores_only=True) == 25
+    assert len(layout) == 25
     assert all(":score:" in name or name.endswith(":assigned") for name in layout)
 
 
 def test_builtin_model_layout_length():
     model = builtin_model("put-into")
     f = len(model.feature_list)
-    assert embedding_length(model) == 5 * (1 + f) * 4 + 5
+    assert len(embedding_layout(model)) == 5 * (1 + f) * 4 + 5
 
 
 # --- embedding a track --------------------------------------------------------------
@@ -127,10 +132,11 @@ def test_builtin_model_layout_length():
 def test_embed_track_matches_manual_stats():
     track = _clean_video()
     model = _model()
-    emb, assignment = embed_track(track, model)
+    emb, assignment = _embed(track, model)
     assert emb.action_id == "tiny" and emb.video_id == "v-embed"
-    assert emb.values.shape == (embedding_length(model),)
-    matrix = score_frames(track, model, assignment.object_order)
+    assert emb.values.shape == (len(embedding_layout(model)),)
+    order = assignment.object_order
+    matrix = score_frames(track, model, relation_sequence(track, order), order)
     idx = emb.index
     for p in assignment.assigned_phases():
         lo, hi = assignment.windows[p]
@@ -145,8 +151,8 @@ def test_embed_track_matches_manual_stats():
 def test_scores_only_is_a_subvector_of_full():
     track = _clean_video()
     model = _model()
-    full, _ = embed_track(track, model)
-    slim, _ = embed_track(track, model, scores_only=True)
+    full, _ = _embed(track, model)
+    slim, _ = _embed(track, model, scores_only=True)
     fidx = full.index
     for name, value in zip(slim.layout, slim.values):
         assert value == full.values[fidx[name]]
@@ -155,7 +161,7 @@ def test_scores_only_is_a_subvector_of_full():
 def test_unassigned_phases_embed_as_zero_blocks():
     # three frames cannot host five phases
     track = moving_track({"object2": [(50, 50)] * 3, "hand": [None, (20, 20), None]})
-    emb, assignment = embed_track(track, _model())
+    emb, assignment = _embed(track, _model())
     flags = emb.assigned_flags()
     assert not assignment.fully_assigned
     unassigned = [p for p in PHASES if assignment.centers[p] is None]
@@ -170,15 +176,20 @@ def test_unassigned_phases_embed_as_zero_blocks():
 def test_embed_video_validates_consistency():
     track = _clean_video()
     model = _model()
-    emb, assignment = embed_track(track, model)
-    matrix = score_frames(track, model, assignment.object_order)
+    emb, assignment = _embed(track, model)
+    order = assignment.object_order
+    table = relation_sequence(track, order)
+    matrix = score_frames(track, model, table, order)
     other = builtin_model("put-into")
     with pytest.raises(ContractError, match="action mismatch"):
-        embed_video(track, assignment, matrix, other)
-    swapped = score_frames(track, model, "swapped")
+        embed_video(track, assignment, matrix, other, table)
+    swapped_table = relation_sequence(track, "swapped")
+    swapped = score_frames(track, model, swapped_table, "swapped")
     if assignment.object_order == "as_annotated":
         with pytest.raises(ContractError, match="object order mismatch"):
-            embed_video(track, assignment, swapped, model)
+            embed_video(track, assignment, swapped, model, swapped_table)
+    with pytest.raises(ContractError, match="relation frames"):
+        embed_video(track, assignment, matrix, model, table[:-1])
 
 
 def test_embedding_shape_validation():
@@ -191,7 +202,7 @@ def test_embedding_shape_validation():
 
 def test_dump_load_round_trip(tmp_path):
     track = _clean_video()
-    emb, _ = embed_track(track, _model())
+    emb, _ = _embed(track, _model())
     path = tmp_path / "emb.json"
     dump_embeddings([emb], path, provenance={"stage": "test"})
     loaded = load_embeddings(path)

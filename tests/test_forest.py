@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from boxact.errors import ConfigError, ContractError
 from boxact.forest import (
-    ForestModel,
     ForestParams,
     Leaf,
     Split,
-    classify,
     forest_from_dict,
     forest_to_dict,
     layout_fingerprint,
@@ -139,32 +137,6 @@ def test_row_order_does_not_matter_without_bootstrap():
     shuffled = train_forest(values[perm], labels[perm], params)
     probe = rng.uniform(size=(40, 4))
     assert all(predict_proba(model, v) == predict_proba(shuffled, v) for v in probe)
-
-
-# --- classification -----------------------------------------------------------------
-
-
-def _stump_forest(action: str) -> ForestModel:
-    values = np.array([[0.0], [1.0]])
-    labels = np.array([0, 1])
-    params = ForestParams(num_trees=1, min_samples_split=5, bootstrap=False)
-    return train_forest(values, labels, params, action_id=action)
-
-
-def test_classify_breaks_ties_by_action_id():
-    models = {"put-into": _stump_forest("put-into"), "put-behind": _stump_forest("put-behind")}
-    v = np.zeros(1)
-    winner, probs = classify(models, {"put-into": v, "put-behind": v})
-    assert probs == {"put-into": 0.5, "put-behind": 0.5}
-    assert winner == "put-behind"
-
-
-def test_classify_requires_embeddings_for_every_model():
-    models = {"x": _stump_forest("x")}
-    with pytest.raises(ContractError, match="no embedding supplied"):
-        classify(models, {})
-    with pytest.raises(ContractError, match="at least one model"):
-        classify({}, {})
 
 
 # --- serialization --------------------------------------------------------------------

@@ -21,7 +21,6 @@ from boxact.phases import (
     Term,
     assign_phases,
     assign_with_alternatives,
-    best_assignment,
     builtin_model,
     builtin_models,
     gaussian_kernel,
@@ -34,6 +33,7 @@ from boxact.phases import (
     standardized_rows,
 )
 from boxact.phases import model_from_dict, model_to_dict
+from boxact.pipeline import assign_track
 from boxact.synthetic import SyntheticScript, generate_synthetic
 
 from boxact.relations import COLUMN
@@ -255,7 +255,7 @@ def test_score_frames_raw_rows():
     track = moving_track(
         {"hand": [None, (50, 50), (50, 50), None], "object2": [(99, 99)] * 4}
     )
-    matrix = score_frames(track, _tiny_model(), sigma=1.0)
+    matrix = score_frames(track, _tiny_model(), relation_sequence(track), sigma=1.0)
     hand = [0.0, 1.0, 1.0, 0.0]
     assert matrix.raw[PHASES.index("a")].tolist() == [1.0] * 4
     assert matrix.raw[PHASES.index("b")].tolist() == [2 * v for v in hand]
@@ -268,13 +268,15 @@ def test_score_frames_raw_rows():
 def test_score_frames_object_order():
     track = moving_track({"object2": [(50, 50)]})
     model = _tiny_model()
-    ann = score_frames(track, model, "as_annotated")
-    swap = score_frames(track, model, "swapped")
+    ann = score_frames(track, model, relation_sequence(track), "as_annotated")
+    swap = score_frames(track, model, relation_sequence(track, "swapped"), "swapped")
     e_row = PHASES.index("e")  # e scores present(object1)
     assert ann.raw[e_row, 0] == 0.0
     assert swap.raw[e_row, 0] == 1.0  # the swapped object1 is the old object2
     assert ann.object_order == "as_annotated"
     assert swap.object_order == "swapped"
+    with pytest.raises(ContractError, match="2 relation frames for 1 track frames"):
+        score_frames(track, model, np.zeros((2, 55)))
 
 
 def test_relation_sequence_rejects_unknown_order():
@@ -473,7 +475,7 @@ def test_best_assignment_recovers_scripted_centres():
         layout_seed=5,
     )
     track, truth = generate_synthetic(script)
-    res = best_assignment(track, builtin_model("put-into"))
+    _, res = assign_track(track, {"put-into": builtin_model("put-into")})["put-into"]
     assert res.fully_assigned
     for p in PHASES:
         assert abs(res.centers[p] - truth[p]) <= 2, (p, res.centers[p], truth[p])
