@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .embedding import dump_embeddings
-from .errors import BoxactError, ConfigError
+from .errors import BoxactError, ConfigError, read_json
 from .evaluation import (
     confusion_csv,
     evaluate,
@@ -43,13 +43,6 @@ from .synthetic import (
 from .tracks import load_annotation_file, write_annotation_file
 
 FOREST_FILE_PREFIX = "forest_"
-
-
-def _read_json(path: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -115,7 +108,7 @@ def _noise_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.from_scripts:
-        raw = _read_json(args.from_scripts)
+        raw = read_json(args.from_scripts, ConfigError)
         if not isinstance(raw, list):
             parser.error("--from-scripts file must hold a list of script records")
         try:
@@ -280,7 +273,7 @@ def _load_forest_dir(path: str) -> dict:
 def _subset_ids(args: argparse.Namespace) -> list[str] | None:
     if not getattr(args, "split", None):
         return None
-    doc = _read_json(args.split)
+    doc = read_json(args.split, ConfigError)
     if not isinstance(doc, dict) or doc.get("format") != "boxact-split":
         raise ConfigError(f"{args.split}: not a split file")
     ids: list[str] = []
@@ -503,10 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except BoxactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (BoxactError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, ContractError
+from .errors import AnnotationError, ContractError, read_json
 from .phases import PHASES, ActionModel, PhaseAssignment, PhaseScoreMatrix
 from .relations import COLUMN
 from .tracks import VideoTrack
@@ -208,10 +208,7 @@ def dump_embeddings(
 
 
 def load_embeddings(path: str | Path) -> list[VideoEmbedding]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json(path, AnnotationError)
     if not isinstance(doc, dict) or doc.get("format") != "boxact-embeddings":
         raise AnnotationError(f"{path}: not an embedding dump")
     out = []

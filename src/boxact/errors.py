@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-__all__ = ["BoxactError", "AnnotationError", "ConfigError", "ContractError"]
+import json
+from pathlib import Path
+
+__all__ = ["BoxactError", "AnnotationError", "ConfigError", "ContractError", "read_json"]
 
 
 class BoxactError(Exception):
@@ -19,3 +22,15 @@ class ConfigError(BoxactError):
 
 class ContractError(BoxactError):
     """Caller passed inputs that violate an operation contract."""
+
+
+def read_json(path: str | Path, error_cls: type[BoxactError]):
+    """Parse a JSON file.
+
+    Text that is not UTF-8, not JSON or nested past the parser's limit raises
+    ``error_cls`` naming the file.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise error_cls(f"{path}: not valid JSON: {exc}") from None

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, ContractError
+from .errors import AnnotationError, ContractError, read_json
 
 __all__ = [
     "VideoPrediction",
@@ -261,10 +261,7 @@ def save_predictions(
 
 
 def load_predictions(path: str | Path) -> PredictionSet:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json(path, AnnotationError)
     if not isinstance(doc, dict) or doc.get("format") != PREDICTIONS_FORMAT:
         raise AnnotationError(f"{path}: not a predictions file")
     try:

@@ -5,7 +5,9 @@ take the forest with the highest probability.  Trees are grown by greedy
 binary splitting on weighted Gini impurity, with candidate thresholds at
 midpoints between consecutive distinct feature values.  Ties between equally
 good splits break toward the lowest feature index, then the lowest threshold,
-which makes training independent of sample order.
+which makes training independent of sample order.  Each tree is stored as
+flat pre-order node columns (:class:`Tree`), so growing, predicting and
+(de)serializing never recurse.
 """
 
 from __future__ import annotations
@@ -13,18 +15,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, read_json
 
 __all__ = [
     "ForestParams",
-    "Leaf",
-    "Split",
+    "Tree",
     "ForestModel",
     "layout_fingerprint",
     "train_tree",
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 FOREST_FORMAT = "boxact-forest"
-FOREST_VERSION = 1
+FOREST_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -74,23 +75,24 @@ class ForestParams:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    positive_fraction: float
-    weight: float
+class Tree:
+    """One tree as parallel node columns in pre-order; node 0 is the root.
+
+    A split sends ``v[feature] <= threshold`` to ``left`` and the rest to
+    ``right``.  A leaf has ``feature == -1`` and both children ``-1``.
+    ``fraction`` and ``weight`` are the positive share and the total sample
+    weight that reached each node; a leaf's fraction is its prediction.
+    """
+
+    feature: tuple[int, ...]
+    threshold: tuple[float, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    fraction: tuple[float, ...]
+    weight: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    left: "Leaf | Split"
-    right: "Leaf | Split"
-
-
-def _leaf(weights: np.ndarray, labels: np.ndarray) -> Leaf:
-    total = float(weights.sum())
-    pos = float(weights[labels == 1].sum())
-    return Leaf(positive_fraction=pos / total, weight=total)
+TREE_COLUMNS = tuple(f.name for f in fields(Tree))
 
 
 def _best_split(
@@ -136,42 +138,18 @@ def _best_split(
     return best
 
 
-def _grow(
-    values: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    params: ForestParams,
-    rng: np.random.Generator,
-    depth: int,
-) -> Leaf | Split:
-    n = labels.size
-    pure = labels.min() == labels.max()
-    if (
-        pure
-        or n < params.min_samples_split
-        or (params.max_depth is not None and depth >= params.max_depth)
-    ):
-        return _leaf(weights, labels)
-    m = params.resolve_features_per_split(values.shape[1])
-    candidates = rng.choice(values.shape[1], size=m, replace=False)
-    found = _best_split(values, labels, weights, candidates)
-    if found is None:
-        return _leaf(weights, labels)
-    _, f, threshold = found
-    mask = values[:, f] <= threshold
-    left = _grow(values[mask], labels[mask], weights[mask], params, rng, depth + 1)
-    right = _grow(values[~mask], labels[~mask], weights[~mask], params, rng, depth + 1)
-    return Split(feature=f, threshold=threshold, left=left, right=right)
-
-
 def train_tree(
     values: np.ndarray,
     labels: np.ndarray,
     params: ForestParams,
     rng: np.random.Generator,
     weights: np.ndarray | None = None,
-) -> Leaf | Split:
-    """Grow one tree on the given sample (no bootstrap at this level)."""
+) -> Tree:
+    """Grow one tree on the given sample (no bootstrap at this level).
+
+    Nodes are grown from an explicit stack, left child first, so they are
+    numbered and draw their candidate features in pre-order.
+    """
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels).astype(int)
     if values.ndim != 2 or labels.shape != (values.shape[0],):
@@ -180,13 +158,38 @@ def train_tree(
         raise ContractError("train_tree needs at least one sample")
     if weights is None:
         weights = np.ones(labels.size)
-    return _grow(values, labels, weights, params, rng, depth=0)
+    m = params.resolve_features_per_split(values.shape[1])
+    nodes: list[list] = []  # one [feature, threshold, left, right, fraction, weight] each
+    # (values, labels, weights, depth, node whose right child this is or -1)
+    stack = [(values, labels, weights, 0, -1)]
+    while stack:
+        x, y, w, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][3] = len(nodes)
+        total = float(w.sum())
+        nodes.append([-1, 0.0, -1, -1, float(w[y == 1].sum()) / total, total])
+        if (
+            y.min() == y.max()
+            or y.size < params.min_samples_split
+            or (params.max_depth is not None and depth >= params.max_depth)
+        ):
+            continue
+        candidates = rng.choice(values.shape[1], size=m, replace=False)
+        found = _best_split(x, y, w, candidates)
+        if found is None:
+            continue
+        _, f, threshold = found
+        nodes[-1][:3] = [f, threshold, len(nodes)]
+        mask = x[:, f] <= threshold
+        stack.append((x[~mask], y[~mask], w[~mask], depth + 1, len(nodes) - 1))
+        stack.append((x[mask], y[mask], w[mask], depth + 1, -1))
+    return Tree(*map(tuple, zip(*nodes)))
 
 
 @dataclass(frozen=True)
 class ForestModel:
     action_id: str
-    trees: tuple[Leaf | Split, ...]
+    trees: tuple[Tree, ...]
     params: ForestParams
     num_features: int
     fingerprint: str = ""
@@ -242,10 +245,14 @@ def train_forest(
     )
 
 
-def _tree_predict(node: Leaf | Split, v: np.ndarray) -> float:
-    while isinstance(node, Split):
-        node = node.left if v[node.feature] <= node.threshold else node.right
-    return node.positive_fraction
+def _leaf_fraction(tree: Tree, v: list[float]) -> float:
+    node = 0
+    while tree.feature[node] >= 0:
+        if v[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return tree.fraction[node]
 
 
 def predict_proba(model: ForestModel, values: np.ndarray) -> float:
@@ -256,40 +263,41 @@ def predict_proba(model: ForestModel, values: np.ndarray) -> float:
             f"forest {model.action_id!r} expects {model.num_features} features, "
             f"got shape {v.shape}"
         )
-    return float(np.mean([_tree_predict(t, v) for t in model.trees]))
+    x = v.tolist()
+    return float(np.mean([_leaf_fraction(t, x) for t in model.trees]))
 
 
 # --- serialization -------------------------------------------------------------
 
 
-def _node_to_dict(node: Leaf | Split) -> dict:
-    if isinstance(node, Leaf):
-        return {"fraction": node.positive_fraction, "weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(data: Mapping, num_features: int) -> Leaf | Split:
-    if "fraction" in data:
-        fraction = float(data["fraction"])
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigError(f"leaf fraction {fraction} outside [0, 1]")
-        return Leaf(positive_fraction=fraction, weight=float(data.get("weight", 0.0)))
-    feature = int(data["feature"])
-    if not 0 <= feature < num_features:
-        raise ConfigError(
-            f"node feature index {feature} outside embedding length {num_features}"
-        )
-    return Split(
-        feature=feature,
-        threshold=float(data["threshold"]),
-        left=_node_from_dict(data["left"], num_features),
-        right=_node_from_dict(data["right"], num_features),
+def _tree_from_dict(data: Mapping, num_features: int) -> Tree:
+    lengths = {len(data[name]) for name in TREE_COLUMNS}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ConfigError("tree columns must be non-empty and of equal length")
+    tree = Tree(
+        feature=tuple(map(int, data["feature"])),
+        threshold=tuple(map(float, data["threshold"])),
+        left=tuple(map(int, data["left"])),
+        right=tuple(map(int, data["right"])),
+        fraction=tuple(map(float, data["fraction"])),
+        weight=tuple(map(float, data["weight"])),
     )
+    n = len(tree.feature)
+    for node, (f, left, right) in enumerate(zip(tree.feature, tree.left, tree.right)):
+        if not -1 <= f < num_features:
+            raise ConfigError(
+                f"node feature index {f} outside embedding length {num_features}"
+            )
+        if f == -1 and (left, right) != (-1, -1):
+            raise ConfigError(f"leaf {node} has children {left}, {right}")
+        if f >= 0 and not (node < left < n and node < right < n):
+            raise ConfigError(
+                f"split {node} has children {left}, {right}; each must come "
+                f"after it and before {n}"
+            )
+    if not all(0.0 <= p <= 1.0 for p in tree.fraction):
+        raise ConfigError("node fraction outside [0, 1]")
+    return tree
 
 
 def forest_to_dict(model: ForestModel) -> dict:
@@ -299,16 +307,11 @@ def forest_to_dict(model: ForestModel) -> dict:
         "action_id": model.action_id,
         "num_features": model.num_features,
         "fingerprint": model.fingerprint,
-        "params": {
-            "num_trees": model.params.num_trees,
-            "max_depth": model.params.max_depth,
-            "min_samples_split": model.params.min_samples_split,
-            "features_per_split": model.params.features_per_split,
-            "bootstrap": model.params.bootstrap,
-            "seed": model.params.seed,
-            "class_weight": model.params.class_weight,
-        },
-        "trees": [_node_to_dict(t) for t in model.trees],
+        "params": asdict(model.params),
+        "trees": [
+            {name: list(getattr(tree, name)) for name in TREE_COLUMNS}
+            for tree in model.trees
+        ],
     }
 
 
@@ -316,11 +319,16 @@ def forest_from_dict(data: Mapping) -> ForestModel:
     if not isinstance(data, Mapping) or data.get("format") != FOREST_FORMAT:
         raise ConfigError("not a serialized forest model")
     if data.get("version") != FOREST_VERSION:
-        raise ConfigError(f"unsupported forest version {data.get('version')!r}")
+        raise ConfigError(
+            f"unsupported forest version {data.get('version')!r} (this boxact "
+            f"reads version {FOREST_VERSION}); re-run `boxact train` to rebuild it"
+        )
     try:
         params = ForestParams(**data["params"])
         num_features = int(data["num_features"])
-        trees = tuple(_node_from_dict(t, num_features) for t in data["trees"])
+        trees = tuple(_tree_from_dict(t, num_features) for t in data["trees"])
+        if not trees:
+            raise ConfigError("forest has no trees")
         return ForestModel(
             action_id=str(data["action_id"]),
             trees=trees,
@@ -330,7 +338,7 @@ def forest_from_dict(data: Mapping) -> ForestModel:
         )
     except KeyError as exc:
         raise ConfigError(f"malformed forest: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed forest: {exc}") from None
 
 
@@ -339,10 +347,7 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
 
 
 def load_forest(path: str | Path) -> ForestModel:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    data = read_json(path, ConfigError)
     try:
         return forest_from_dict(data)
     except ConfigError as exc:

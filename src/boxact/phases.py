@@ -30,12 +30,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, read_json
 from .relations import (
     COLUMN,
     DEFAULT_CONFIG,
     BOOLEAN_FEATURES,
-    SWAP,
     RelationConfig,
     feature_key,
     relation_table,
@@ -217,11 +216,7 @@ def model_to_dict(model: ActionModel) -> dict:
 
 
 def load_action_model(path: str | Path) -> ActionModel:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    return model_from_dict(data)
+    return model_from_dict(read_json(path, ConfigError))
 
 
 def save_action_model(model: ActionModel, path: str | Path) -> None:
@@ -303,15 +298,10 @@ OBJECT_ORDERS = ("as_annotated", "swapped")
 
 
 def relation_sequence(
-    track: VideoTrack,
-    object_order: str = "as_annotated",
-    config: RelationConfig = DEFAULT_CONFIG,
+    track: VideoTrack, config: RelationConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """The track's relation table in one object order (see :func:`relation_table`)."""
-    if object_order not in OBJECT_ORDERS:
-        raise ContractError(f"unknown object order {object_order!r}")
-    table = relation_table(track, config)
-    return table if object_order == "as_annotated" else table[:, SWAP]
+    """The track's relation table as annotated; ``[:, SWAP]`` gives the swapped order."""
+    return relation_table(track, config)
 
 
 def score_frames(

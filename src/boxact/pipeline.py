@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -85,15 +85,7 @@ class PipelineConfig:
             "n": self.n,
             "sigma": self.sigma,
             "embedding_mode": self.embedding_mode,
-            "forest": {
-                "num_trees": self.forest.num_trees,
-                "max_depth": self.forest.max_depth,
-                "min_samples_split": self.forest.min_samples_split,
-                "features_per_split": self.forest.features_per_split,
-                "bootstrap": self.forest.bootstrap,
-                "seed": self.forest.seed,
-                "class_weight": self.forest.class_weight,
-            },
+            "forest": asdict(self.forest),
             "val_fraction": self.val_fraction,
             "seed": self.seed,
         }
@@ -164,7 +156,7 @@ def assign_track(
     for action in sorted(models):
         model = models[action]
         if model.thresholds not in tables:
-            table = relation_sequence(track, "as_annotated", model.thresholds)
+            table = relation_sequence(track, model.thresholds)
             tables[model.thresholds] = {
                 "as_annotated": table,
                 "swapped": table[:, SWAP],

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import AnnotationError
+from .errors import AnnotationError, read_json
 
 __all__ = [
     "ROLES",
@@ -263,12 +263,7 @@ def serialize_annotations(tracks: Iterable[VideoTrack]) -> list[dict]:
 
 
 def load_annotation_file(path: str | Path) -> list[VideoTrack]:
-    text = Path(path).read_text()
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(f"{path}: not valid JSON: {exc}") from None
-    return parse_annotations(document)
+    return parse_annotations(read_json(path, AnnotationError))
 
 
 def write_annotation_file(path: str | Path, tracks: Sequence[VideoTrack]) -> None:

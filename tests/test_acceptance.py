@@ -33,8 +33,6 @@ from boxact.evaluation import (
 )
 from boxact.forest import (
     ForestParams,
-    Leaf,
-    Split,
     forest_from_dict,
     forest_to_dict,
     load_forest,
@@ -292,20 +290,17 @@ def test_criterion_8_forest_behavior_and_round_trip(tmp_path):
     params = ForestParams(num_trees=1, features_per_split=1, bootstrap=False, seed=0)
     pure = train_tree(np.array([[1.0], [2.0], [3.0]]), np.array([1, 1, 1]), params,
                       np.random.default_rng(0))
-    pure_ok = isinstance(pure, Leaf) and pure.positive_fraction == 1.0
+    pure_ok = pure.feature == (-1,) and pure.fraction == (1.0,)
 
     separable = train_forest(
         np.array([[1.0], [2.0], [8.0], [9.0]]), np.array([0, 0, 1, 1]), params, "sep"
     )
     root = separable.trees[0]
     split_ok = (
-        isinstance(root, Split)
-        and root.feature == 0
-        and root.threshold == 5.0
-        and isinstance(root.left, Leaf)
-        and root.left.positive_fraction == 0.0
-        and isinstance(root.right, Leaf)
-        and root.right.positive_fraction == 1.0
+        root.feature == (0, -1, -1)
+        and root.threshold[0] == 5.0
+        and (root.left[0], root.right[0]) == (1, 2)
+        and root.fraction[1:] == (0.0, 1.0)
     )
 
     rng = np.random.default_rng(8)

@@ -379,36 +379,106 @@ def test_missing_input_file_exits_cleanly(tmp_path):
     assert main(["eval", "--predictions", str(tmp_path / "nope.json")]) == 1
 
 
-LEAF = {"fraction": 0.5, "weight": 1.0}
+def test_directory_as_input_file_exits_cleanly(tmp_path, capsys):
+    assert main(["eval", "--predictions", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# one split on feature 0 at 0.5 over two leaves, as flat pre-order columns
+STUMP = {
+    "feature": [0, -1, -1],
+    "threshold": [0.5, 0.0, 0.0],
+    "left": [1, -1, -1],
+    "right": [2, -1, -1],
+    "fraction": [0.5, 0.0, 1.0],
+    "weight": [2.0, 1.0, 1.0],
+}
 
 
 def _forest_doc(**changes) -> dict:
     doc = {
         "format": "boxact-forest",
-        "version": 1,
+        "version": 2,
         "action_id": "put-into",
         "num_features": 2,
         "fingerprint": "",
         "params": {"num_trees": 1},
-        "trees": [LEAF],
+        "trees": [STUMP],
     }
     doc.update(changes)
     return doc
 
 
-# (command reading the file, file content)
+def _stump(**columns) -> list[dict]:
+    return [{**STUMP, **columns}]
+
+
+# (command reading the file, file content, part of the expected message)
 MALFORMED_INPUTS = {
-    "split-not-json": ("predict-split", "{not json"),
-    "split-without-val": ("predict-split", {"format": "boxact-split", "train": []}),
+    "split-not-json": ("predict-split", "{not json", "not valid JSON"),
+    "split-without-val": (
+        "predict-split",
+        {"format": "boxact-split", "train": []},
+        "val",
+    ),
     "split-ids-not-a-list": (
         "predict-split",
         {"format": "boxact-split", "train": [], "val": 5},
+        "val",
     ),
-    "forest-not-an-object": ("predict-forest", []),
-    "forest-unknown-param": ("predict-forest", _forest_doc(params={"depth": 3})),
+    "forest-not-an-object": ("predict-forest", [], "not a serialized forest"),
+    "forest-unknown-param": (
+        "predict-forest",
+        _forest_doc(params={"depth": 3}),
+        "depth",
+    ),
     "forest-node-without-threshold": (
         "predict-forest",
-        _forest_doc(trees=[{"feature": 0, "left": LEAF, "right": LEAF}]),
+        _forest_doc(trees=[{k: v for k, v in STUMP.items() if k != "threshold"}]),
+        "missing field 'threshold'",
+    ),
+    "forest-child-at-its-parent": (
+        "predict-forest",
+        _forest_doc(trees=_stump(right=[0, -1, -1])),
+        "split 0 has children 1, 0",
+    ),
+    "forest-child-before-its-parent": (
+        "predict-forest",
+        _forest_doc(
+            trees=_stump(feature=[0, 1, -1], left=[1, 0, -1], right=[2, 2, -1])
+        ),
+        "split 1 has children 0, 2",
+    ),
+    "forest-child-past-the-end": (
+        "predict-forest",
+        _forest_doc(trees=_stump(right=[3, -1, -1])),
+        "split 0 has children 1, 3",
+    ),
+    "forest-leaf-with-children": (
+        "predict-forest",
+        _forest_doc(trees=_stump(left=[1, 2, -1])),
+        "leaf 1 has children 2, -1",
+    ),
+    "forest-columns-of-unequal-length": (
+        "predict-forest",
+        _forest_doc(trees=_stump(weight=[2.0, 1.0])),
+        "equal length",
+    ),
+    "forest-feature-out-of-range": (
+        "predict-forest",
+        _forest_doc(trees=_stump(feature=[2, -1, -1])),
+        "feature index 2 outside embedding length 2",
+    ),
+    "forest-negative-feature": (
+        "predict-forest",
+        _forest_doc(trees=_stump(feature=[-2, -1, -1])),
+        "feature index -2",
+    ),
+    "forest-without-trees": ("predict-forest", _forest_doc(trees=[]), "no trees"),
+    "forest-version-1": (
+        "predict-forest",
+        _forest_doc(version=1, trees=[{"fraction": 0.5, "weight": 1.0}]),
+        "re-run `boxact train`",
     ),
     "predictions-without-true-label": (
         "eval",
@@ -416,6 +486,7 @@ MALFORMED_INPUTS = {
             "format": "boxact-predictions",
             "records": [{"video_id": "v", "probabilities": {"put-into": 0.5}}],
         },
+        "true_label",
     ),
     "prediction-with-text-probability": (
         "eval",
@@ -425,21 +496,40 @@ MALFORMED_INPUTS = {
                 {"video_id": "v", "true_label": "x", "probabilities": {"x": "high"}}
             ],
         },
+        "high",
     ),
-    "scripts-not-json": ("generate", "[{"),
+    "scripts-not-json": ("generate", "[{", "not valid JSON"),
     "script-with-bad-frame-count": (
         "generate",
         [{"archetype": "put-into", "num_frames": "sixty", "true_phase_centers": {}}],
+        "sixty",
     ),
 }
+# every JSON reader rejects text that is not UTF-8 or nests past the parser's limit
+for _reader, _command in {
+    "annotations": "assign",
+    "predictions": "eval",
+    "forest": "predict-forest",
+    "split": "predict-split",
+    "scripts": "generate",
+}.items():
+    MALFORMED_INPUTS[f"{_reader}-not-utf8"] = (_command, b"\xff\xfe\x00bad", "not valid JSON")
+    MALFORMED_INPUTS[f"{_reader}-nested-200k-deep"] = (
+        _command,
+        "[" * 200_000,
+        "not valid JSON",
+    )
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_files_exit_1(workdir, tmp_path, capsys, case):
-    command, content = MALFORMED_INPUTS[case]
+    command, content, message = MALFORMED_INPUTS[case]
     # the name matches the forest-directory glob, so one file serves every case
     bad = tmp_path / "forest_put-into.json"
-    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
     predict = [
         "predict",
         "--annotations",
@@ -455,11 +545,12 @@ def test_malformed_input_files_exit_1(workdir, tmp_path, capsys, case):
         "predict-forest": predict + ["--forest-dir", str(tmp_path)],
         "eval": ["eval", "--predictions", str(bad)],
         "generate": ["generate", "--out", str(tmp_path / "ann.json"), "--from-scripts", str(bad)],
+        "assign": ["assign", "--annotations", str(bad), "--out", str(tmp_path / "out.json")],
     }[command]
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(bad) in err
+    assert err.startswith("error: ") and str(bad) in err and message in err
 
 
 def test_unknown_subcommand_is_a_usage_error():

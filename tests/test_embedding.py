@@ -23,6 +23,7 @@ from boxact.phases import (
     score_frames,
 )
 from boxact.pipeline import assign_track
+from boxact.relations import SWAP
 from boxact.synthetic import SyntheticScript, generate_synthetic
 
 from conftest import moving_track
@@ -46,6 +47,12 @@ def _embed(track, model, scores_only=False):
     """Embedding and assignment of one track under one model."""
     per_action = assign_track(track, {model.action_id: model}, scores_only=scores_only)
     return per_action[model.action_id]
+
+
+def _table(track, order):
+    """The track's relation table in one object order."""
+    table = relation_sequence(track)
+    return table if order == "as_annotated" else table[:, SWAP]
 
 
 def _clean_video():
@@ -136,7 +143,7 @@ def test_embed_track_matches_manual_stats():
     assert emb.action_id == "tiny" and emb.video_id == "v-embed"
     assert emb.values.shape == (len(embedding_layout(model)),)
     order = assignment.object_order
-    matrix = score_frames(track, model, relation_sequence(track, order), order)
+    matrix = score_frames(track, model, _table(track, order), order)
     idx = emb.index
     for p in assignment.assigned_phases():
         lo, hi = assignment.windows[p]
@@ -178,12 +185,12 @@ def test_embed_video_validates_consistency():
     model = _model()
     emb, assignment = _embed(track, model)
     order = assignment.object_order
-    table = relation_sequence(track, order)
+    table = _table(track, order)
     matrix = score_frames(track, model, table, order)
     other = builtin_model("put-into")
     with pytest.raises(ContractError, match="action mismatch"):
         embed_video(track, assignment, matrix, other, table)
-    swapped_table = relation_sequence(track, "swapped")
+    swapped_table = relation_sequence(track)[:, SWAP]
     swapped = score_frames(track, model, swapped_table, "swapped")
     if assignment.object_order == "as_annotated":
         with pytest.raises(ContractError, match="object order mismatch"):

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from boxact.errors import ConfigError, ContractError
 from boxact.forest import (
     ForestParams,
-    Leaf,
-    Split,
     forest_from_dict,
     forest_to_dict,
     layout_fingerprint,
@@ -43,12 +41,12 @@ def test_resolve_features_per_split():
 
 def test_separable_split_lands_between_the_classes():
     model = train_forest(*SEPARABLE, ONE_TREE)
-    root = model.trees[0]
-    assert isinstance(root, Split)
-    assert root.feature == 0
-    assert root.threshold == 5.0  # midpoint of 2 and 8
-    assert isinstance(root.left, Leaf) and root.left.positive_fraction == 0.0
-    assert isinstance(root.right, Leaf) and root.right.positive_fraction == 1.0
+    tree = model.trees[0]
+    assert tree.feature == (0, -1, -1)
+    assert tree.threshold[0] == 5.0  # midpoint of 2 and 8
+    assert (tree.left, tree.right) == ((1, -1, -1), (2, -1, -1))
+    assert tree.fraction == (0.5, 0.0, 1.0)
+    assert tree.weight == (4.0, 2.0, 2.0)
     # the left branch is inclusive of the threshold itself
     assert predict_proba(model, np.array([5.0])) == 0.0
     assert predict_proba(model, np.array([5.0 + 1e-9])) == 1.0
@@ -58,7 +56,7 @@ def test_tied_gini_prefers_lowest_feature_index():
     values = np.hstack([SEPARABLE[0], SEPARABLE[0]])
     params = ForestParams(num_trees=1, features_per_split=2, bootstrap=False, seed=0)
     model = train_forest(values, SEPARABLE[1], params)
-    assert model.trees[0].feature == 0
+    assert model.trees[0].feature[0] == 0
 
 
 def test_min_samples_split_stops_growth():
@@ -66,9 +64,8 @@ def test_min_samples_split_stops_growth():
         num_trees=1, min_samples_split=5, features_per_split=1, bootstrap=False
     )
     model = train_forest(*SEPARABLE, params)
-    root = model.trees[0]
-    assert isinstance(root, Leaf)
-    assert root.positive_fraction == 0.5
+    assert model.trees[0].feature == (-1,)
+    assert model.trees[0].fraction == (0.5,)
     assert predict_proba(model, np.array([100.0])) == 0.5
 
 
@@ -79,8 +76,7 @@ def test_max_depth_one_gives_a_stump():
     params = ForestParams(num_trees=3, max_depth=1, bootstrap=False, features_per_split=3)
     model = train_forest(values, labels, params)
     for tree in model.trees:
-        assert isinstance(tree, Split)
-        assert isinstance(tree.left, Leaf) and isinstance(tree.right, Leaf)
+        assert tree.feature[0] >= 0 and tree.feature[1:] == (-1, -1)
 
 
 def test_single_class_training_is_rejected():
@@ -111,8 +107,8 @@ def test_balanced_class_weight_recentres_the_root():
     stump = dict(num_trees=1, min_samples_split=10, features_per_split=1, bootstrap=False)
     plain = train_forest(values, labels, ForestParams(**stump))
     balanced = train_forest(values, labels, ForestParams(**stump, class_weight="balanced"))
-    assert plain.trees[0].positive_fraction == 0.25
-    assert balanced.trees[0].positive_fraction == pytest.approx(0.5)
+    assert plain.trees[0].fraction == (0.25,)
+    assert balanced.trees[0].fraction[0] == pytest.approx(0.5)
 
 
 def test_training_is_deterministic_in_the_seed():
@@ -162,6 +158,27 @@ def test_round_trip_preserves_predictions(tmp_path):
     probe = rng.uniform(size=(100, 6))
     for v in probe:
         assert predict_proba(loaded, v) == predict_proba(model, v)
+
+
+def test_deep_tree_trains_and_round_trips_without_recursion(tmp_path):
+    # alternating labels on one feature need one split per sample: depth 1499
+    values = np.arange(1500.0)[:, None]
+    labels = np.arange(1500) % 2
+    params = ForestParams(num_trees=1, bootstrap=False)
+    assert params.max_depth is None
+    model = train_forest(values, labels, params)
+    tree = model.trees[0]
+    depth = [0] * len(tree.feature)
+    for node, f in enumerate(tree.feature):
+        if f >= 0:
+            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    assert max(depth) == 1499 and len(depth) == 2 * 1500 - 1
+    path = tmp_path / "deep.json"
+    save_forest(model, path)
+    loaded = load_forest(path)
+    assert loaded.trees == model.trees
+    for v, y in zip(values, labels):
+        assert predict_proba(loaded, v) == predict_proba(model, v) == y
 
 
 def test_dict_round_trip_is_exact():

@@ -36,7 +36,7 @@ from boxact.phases import model_from_dict, model_to_dict
 from boxact.pipeline import assign_track
 from boxact.synthetic import SyntheticScript, generate_synthetic
 
-from boxact.relations import COLUMN
+from boxact.relations import COLUMN, SWAP
 
 from conftest import moving_track
 from oracles import relation_table_reference, smooth_reference, term_value
@@ -269,7 +269,7 @@ def test_score_frames_object_order():
     track = moving_track({"object2": [(50, 50)]})
     model = _tiny_model()
     ann = score_frames(track, model, relation_sequence(track), "as_annotated")
-    swap = score_frames(track, model, relation_sequence(track, "swapped"), "swapped")
+    swap = score_frames(track, model, relation_sequence(track)[:, SWAP], "swapped")
     e_row = PHASES.index("e")  # e scores present(object1)
     assert ann.raw[e_row, 0] == 0.0
     assert swap.raw[e_row, 0] == 1.0  # the swapped object1 is the old object2
@@ -277,12 +277,6 @@ def test_score_frames_object_order():
     assert swap.object_order == "swapped"
     with pytest.raises(ContractError, match="2 relation frames for 1 track frames"):
         score_frames(track, model, np.zeros((2, 55)))
-
-
-def test_relation_sequence_rejects_unknown_order():
-    track = moving_track({"hand": [(1, 1)]})
-    with pytest.raises(ContractError, match="unknown object order"):
-        relation_sequence(track, "flipped")
 
 
 def test_standardized_rows():
