@@ -71,8 +71,8 @@ class VideoEmbedding:
     def __post_init__(self) -> None:
         if self.values.shape != (len(self.layout),):
             raise ContractError(
-                f"embedding for {self.video_id!r}: got {self.values.shape[0]} "
-                f"values for a layout of {len(self.layout)} names"
+                f"embedding for {self.video_id!r}: got values of shape "
+                f"{self.values.shape} for a layout of {len(self.layout)} names"
             )
 
     @property
@@ -211,14 +211,22 @@ def load_embeddings(path: str | Path) -> list[VideoEmbedding]:
     doc = read_json(path, AnnotationError)
     if not isinstance(doc, dict) or doc.get("format") != "boxact-embeddings":
         raise AnnotationError(f"{path}: not an embedding dump")
-    out = []
-    for rec in doc.get("records", []):
-        out.append(
-            VideoEmbedding(
-                action_id=rec["action_id"],
-                video_id=rec["video_id"],
-                values=np.asarray(rec["values"], dtype=float),
-                layout=tuple(rec["layout"]),
-            )
-        )
-    return out
+    try:
+        return [_embedding_from_record(rec) for rec in doc.get("records", [])]
+    except KeyError as exc:
+        raise AnnotationError(f"{path}: record without field {exc}") from None
+    except (TypeError, ValueError, ContractError) as exc:
+        raise AnnotationError(f"{path}: malformed record: {exc}") from None
+
+
+def _embedding_from_record(rec: Mapping) -> VideoEmbedding:
+    values = np.asarray(rec["values"], dtype=float)
+    ids = (rec["action_id"], rec["video_id"])
+    layout = rec["layout"]
+    if values.ndim != 1:
+        raise ValueError("values must be a flat list of numbers")
+    if not isinstance(layout, list) or not all(
+        isinstance(name, str) for name in (*ids, *layout)
+    ):
+        raise ValueError("ids and layout must be strings")
+    return VideoEmbedding(*ids, values, tuple(layout))

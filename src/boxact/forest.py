@@ -3,11 +3,12 @@
 One forest per action detects that action's presence; multi-class decisions
 take the forest with the highest probability.  Trees are grown by greedy
 binary splitting on weighted Gini impurity, with candidate thresholds at
-midpoints between consecutive distinct feature values.  Ties between equally
-good splits break toward the lowest feature index, then the lowest threshold,
-which makes training independent of sample order.  Each tree is stored as
-flat pre-order node columns (:class:`Tree`), so growing, predicting and
-(de)serializing never recurse.
+midpoints between consecutive distinct feature values.  A node scores all of
+its candidate features in one sorted pass over an ``(n, m)`` block.  Ties
+between equally good splits break toward the lowest feature index, then the
+lowest threshold, which makes training independent of sample order.  Each
+tree is stored as flat pre-order node columns (:class:`Tree`), so growing,
+predicting and (de)serializing never recurse.
 """
 
 from __future__ import annotations
@@ -103,39 +104,65 @@ def _best_split(
 ) -> tuple[float, int, float] | None:
     """Lowest weighted-Gini split over candidate features.
 
-    Returns (impurity, feature, threshold) or None when every candidate
-    feature is constant on this node.
+    All candidate columns are sorted and scored together as one ``(n, m)``
+    block.  Returns (impurity, feature, threshold) or None when every
+    candidate feature is constant on this node.
     """
-    best: tuple[float, int, float] | None = None
+    features = np.sort(candidates)
+    block = values[:, features]
+    order = np.argsort(block, axis=0, kind="stable")
+    columns = np.arange(features.size)
+    v = block[order, columns]
+    cw = np.cumsum(weights[order], axis=0)
+    cwp = np.cumsum(np.where(labels == 1, weights, 0.0)[order], axis=0)
+    # split after row i: left = [0..i], right = (i..n); valid where v rises
+    distinct = v[1:] > v[:-1]
+    has_split = distinct.any(axis=0)
+    if not has_split.any():
+        return None
     total = weights.sum()
-    for f in sorted(int(c) for c in candidates):
-        col = values[:, f]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        w = weights[order]
-        wp = np.where(labels[order] == 1, w, 0.0)
-        cw = np.cumsum(w)
-        cwp = np.cumsum(wp)
-        # split after position i: left = [0..i], right = (i..n)
-        distinct = np.nonzero(v[1:] > v[:-1])[0]
-        if distinct.size == 0:
-            continue
-        wl = cw[distinct]
-        wpl = cwp[distinct]
-        wr = total - wl
-        wpr = cwp[-1] - wpl
+    wl = cw[:-1]
+    wpl = cwp[:-1]
+    wr = total - wl
+    wpr = cwp[-1] - wpl
+    # masked positions are divided too, and any 0/0 among them is discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
         pl = wpl / wl
         pr = wpr / wr
-        gini = wl * 2.0 * pl * (1.0 - pl) + wr * 2.0 * pr * (1.0 - pr)
-        gini = gini / total
-        thresholds = (v[distinct] + v[distinct + 1]) / 2.0
-        i = int(np.argmin(gini))
-        # exact ties within one feature resolve to the lowest threshold,
-        # which argmin's first-hit rule already gives on sorted thresholds
-        cand = (float(gini[i]), f, float(thresholds[i]))
-        if best is None or cand[0] < best[0] - 1e-12:
-            best = cand
-    return best
+    gini = wl * 2.0 * pl * (1.0 - pl) + wr * 2.0 * pr * (1.0 - pr)
+    gini = gini / total
+    gini[~distinct] = np.inf
+    # exact ties within one feature resolve to the lowest threshold, which
+    # argmin's first-hit rule gives on sorted values
+    rows = np.argmin(gini, axis=0)
+    best_gini = gini[rows, columns]
+    # in ascending feature order, a feature replaces the best only when lower
+    # by more than 1e-12; an argmin over features would not keep that rule
+    best: tuple[float, int] | None = None  # (impurity, column)
+    for j in np.flatnonzero(has_split).tolist():
+        g = float(best_gini[j])
+        if best is None or g < best[0] - 1e-12:
+            best = (g, j)
+    g, j = best
+    low, high = v[rows[j] : rows[j] + 2, j].tolist()
+    return g, int(features[j]), (low + high) / 2.0
+
+
+def _training_input(
+    values: np.ndarray, labels: np.ndarray, caller: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check a training matrix and its 0/1 labels; return them as float/int."""
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    if values.ndim != 2 or labels.shape != (values.shape[0],):
+        raise ContractError(f"{caller} expects values (n, d) and labels (n,)")
+    if values.shape[1] == 0:
+        raise ContractError(f"{caller} needs at least one feature")
+    if not np.isin(labels, (0, 1)).all():
+        raise ContractError(f"{caller} expects labels 0 or 1")
+    if not np.isfinite(values).all():
+        raise ContractError(f"{caller} expects finite values")
+    return values, labels.astype(int)
 
 
 def train_tree(
@@ -147,17 +174,36 @@ def train_tree(
 ) -> Tree:
     """Grow one tree on the given sample (no bootstrap at this level).
 
-    Nodes are grown from an explicit stack, left child first, so they are
-    numbered and draw their candidate features in pre-order.
+    ``weights`` defaults to one per sample; given, each must be positive and
+    their sum finite.
     """
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels).astype(int)
-    if values.ndim != 2 or labels.shape != (values.shape[0],):
-        raise ContractError("train_tree expects values (n, d) and labels (n,)")
+    values, labels = _training_input(values, labels, "train_tree")
     if labels.size == 0:
         raise ContractError("train_tree needs at least one sample")
     if weights is None:
         weights = np.ones(labels.size)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != labels.shape:
+        raise ContractError("train_tree expects weights (n,)")
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not (np.isfinite(total) and (weights > 0).all()):
+        raise ContractError("train_tree expects weights > 0 with a finite sum")
+    return _grow(values, labels, weights, params, rng)
+
+
+def _grow(
+    values: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    params: ForestParams,
+    rng: np.random.Generator,
+) -> Tree:
+    """Grow one tree from checked inputs.
+
+    Nodes are grown from an explicit stack, left child first, so they are
+    numbered and draw their candidate features in pre-order.
+    """
     m = params.resolve_features_per_split(values.shape[1])
     nodes: list[list] = []  # one [feature, threshold, left, right, fraction, weight] each
     # (values, labels, weights, depth, node whose right child this is or -1)
@@ -167,9 +213,10 @@ def train_tree(
         if parent >= 0:
             nodes[parent][3] = len(nodes)
         total = float(w.sum())
-        nodes.append([-1, 0.0, -1, -1, float(w[y == 1].sum()) / total, total])
+        positive = y == 1
+        nodes.append([-1, 0.0, -1, -1, float(w[positive].sum()) / total, total])
         if (
-            y.min() == y.max()
+            not 0 < np.count_nonzero(positive) < y.size
             or y.size < params.min_samples_split
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
@@ -179,8 +226,12 @@ def train_tree(
         if found is None:
             continue
         _, f, threshold = found
-        nodes[-1][:3] = [f, threshold, len(nodes)]
         mask = x[:, f] <= threshold
+        if not 0 < np.count_nonzero(mask) < y.size:
+            # the midpoint rounded onto the largest value or overflowed to
+            # +-inf; a split that separates nothing would repeat forever
+            continue
+        nodes[-1][:3] = [f, threshold, len(nodes)]
         stack.append((x[~mask], y[~mask], w[~mask], depth + 1, len(nodes) - 1))
         stack.append((x[mask], y[mask], w[mask], depth + 1, -1))
     return Tree(*map(tuple, zip(*nodes)))
@@ -208,10 +259,7 @@ def train_forest(
     fingerprint: str = "",
 ) -> ForestModel:
     """Train ``num_trees`` trees on deterministic per-tree random sub-streams."""
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels).astype(int)
-    if values.ndim != 2 or labels.shape != (values.shape[0],):
-        raise ContractError("train_forest expects values (n, d) and labels (n,)")
+    values, labels = _training_input(values, labels, "train_forest")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -235,7 +283,7 @@ def train_forest(
             sample = (values[idx], labels[idx], weights[idx])
         else:
             sample = (values, labels, weights)
-        trees.append(train_tree(sample[0], sample[1], params, rng, sample[2]))
+        trees.append(_grow(sample[0], sample[1], sample[2], params, rng))
     return ForestModel(
         action_id=action_id,
         trees=tuple(trees),
@@ -263,6 +311,8 @@ def predict_proba(model: ForestModel, values: np.ndarray) -> float:
             f"forest {model.action_id!r} expects {model.num_features} features, "
             f"got shape {v.shape}"
         )
+    if not np.isfinite(v).all():
+        raise ContractError(f"forest {model.action_id!r} expects finite values")
     x = v.tolist()
     return float(np.mean([_leaf_fraction(t, x) for t in model.trees]))
 

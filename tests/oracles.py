@@ -355,3 +355,47 @@ def swap_objects(track: VideoTrack) -> VideoTrack:
         replace(f, object1=f.object2, object2=f.object1) for f in track.frames
     )
     return replace(track, frames=frames)
+
+
+# --- forest split search, one candidate feature at a time ----------------------
+
+
+def best_split_reference(
+    values: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    candidates: np.ndarray,
+) -> tuple[float, int, float] | None:
+    """Lowest weighted-Gini split, scoring each candidate feature on its own.
+
+    Features are visited in ascending order, and a later feature replaces the
+    best only when its impurity is lower by more than 1e-12.
+    """
+    best: tuple[float, int, float] | None = None
+    total = weights.sum()
+    for f in sorted(int(c) for c in candidates):
+        col = values[:, f]
+        order = np.argsort(col, kind="stable")
+        v = col[order]
+        w = weights[order]
+        wp = np.where(labels[order] == 1, w, 0.0)
+        cw = np.cumsum(w)
+        cwp = np.cumsum(wp)
+        # split after position i: left = [0..i], right = (i..n)
+        distinct = np.nonzero(v[1:] > v[:-1])[0]
+        if distinct.size == 0:
+            continue
+        wl = cw[distinct]
+        wpl = cwp[distinct]
+        wr = total - wl
+        wpr = cwp[-1] - wpl
+        pl = wpl / wl
+        pr = wpr / wr
+        gini = wl * 2.0 * pl * (1.0 - pl) + wr * 2.0 * pr * (1.0 - pr)
+        gini = gini / total
+        thresholds = (v[distinct] + v[distinct + 1]) / 2.0
+        i = int(np.argmin(gini))
+        cand = (float(gini[i]), f, float(thresholds[i]))
+        if best is None or cand[0] < best[0] - 1e-12:
+            best = cand
+    return best

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -200,8 +202,10 @@ def test_embed_video_validates_consistency():
 
 
 def test_embedding_shape_validation():
-    with pytest.raises(ContractError, match="3 values for a layout of 2"):
+    with pytest.raises(ContractError, match=r"shape \(3,\) for a layout of 2"):
         VideoEmbedding("a", "v", np.zeros(3), ("x", "y"))
+    with pytest.raises(ContractError, match=r"shape \(\) for a layout of 1"):
+        VideoEmbedding("a", "v", np.array(1.0), ("x",))
 
 
 # --- serialization -------------------------------------------------------------------
@@ -226,3 +230,28 @@ def test_load_rejects_other_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(AnnotationError, match="not an embedding dump"):
         load_embeddings(path)
+
+
+GOOD_RECORD = {"action_id": "a", "video_id": "v", "values": [1.0], "layout": ["x"]}
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([{"video_id": "v", "values": [1.0], "layout": ["x"]}], "without field 'action_id'"),
+        ([{**GOOD_RECORD, "values": ["x"]}], "could not convert"),
+        (5, "not iterable"),
+        ([5], "malformed record"),
+        ([{**GOOD_RECORD, "values": [[1.0]]}], "flat list of numbers"),
+        ([{**GOOD_RECORD, "values": 1.0}], "flat list of numbers"),
+        ([{**GOOD_RECORD, "layout": "x"}], "must be strings"),
+        ([{**GOOD_RECORD, "video_id": 7}], "must be strings"),
+        ([{**GOOD_RECORD, "values": [1.0, 2.0]}], r"shape \(2,\) for a layout of 1"),
+    ],
+)
+def test_load_rejects_malformed_records(tmp_path, records, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "boxact-embeddings", "records": records}))
+    with pytest.raises(AnnotationError, match=message) as info:
+        load_embeddings(path)
+    assert str(info.value).startswith(f"{path}: ")

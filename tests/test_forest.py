@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from boxact.errors import ConfigError, ContractError
 from boxact.forest import (
     ForestParams,
+    _best_split,
     forest_from_dict,
     forest_to_dict,
     layout_fingerprint,
@@ -14,7 +18,10 @@ from boxact.forest import (
     predict_proba,
     save_forest,
     train_forest,
+    train_tree,
 )
+
+from oracles import best_split_reference
 
 SEPARABLE = (np.array([[1.0], [2.0], [8.0], [9.0]]), np.array([0, 0, 1, 1]))
 ONE_TREE = ForestParams(num_trees=1, features_per_split=1, bootstrap=False, seed=0)
@@ -90,6 +97,30 @@ def test_shape_validation():
     model = train_forest(*SEPARABLE, ONE_TREE)
     with pytest.raises(ContractError, match="expects 1 features"):
         predict_proba(model, np.zeros(2))
+    with pytest.raises(ContractError, match="finite"):
+        predict_proba(model, np.array([np.nan]))
+    values, labels = SEPARABLE
+    for bad_values, bad_labels, message in (
+        (values, np.array([0, 0, 2, 1]), "labels 0 or 1"),
+        (values, np.array([0, 0, -1, 1]), "labels 0 or 1"),
+        (np.array([[1.0], [np.nan], [8.0], [9.0]]), labels, "finite"),
+        (np.array([[1.0], [2.0], [np.inf], [9.0]]), labels, "finite"),
+        (np.zeros((4, 0)), labels, "at least one feature"),
+    ):
+        for params in (ONE_TREE, replace(ONE_TREE, class_weight="balanced")):
+            with pytest.raises(ContractError, match=message):
+                train_forest(bad_values, bad_labels, params)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [np.zeros(4), -np.ones(4), np.array([1.0, 1.0, np.inf, 1.0]),
+     np.array([1.0, np.nan, 1.0, 1.0]), np.array([1e308, 1e308, 1.0, 1.0]),
+     np.ones(3), np.ones((4, 1))],
+)
+def test_train_tree_rejects_bad_weights(weights):
+    with pytest.raises(ContractError, match="weights"):
+        train_tree(*SEPARABLE, ForestParams(), np.random.default_rng(0), weights)
 
 
 def test_random_labels_predict_near_the_base_rate():
@@ -133,6 +164,55 @@ def test_row_order_does_not_matter_without_bootstrap():
     shuffled = train_forest(values[perm], labels[perm], params)
     probe = rng.uniform(size=(40, 4))
     assert all(predict_proba(model, v) == predict_proba(shuffled, v) for v in probe)
+
+
+# --- split search -------------------------------------------------------------------
+
+# few distinct values, so rows tie and columns repeat; -0.0 ties with 0.0
+SPLIT_VALUES = st.one_of(
+    st.sampled_from([-2.0, -0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 7.5]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=30))
+    values = draw(hnp.arrays(np.float64, (n, d), elements=SPLIT_VALUES))
+    column = st.integers(0, d - 1)
+    for col in draw(st.lists(column, max_size=3)):
+        values[:, col] = values[0, col]  # constant column
+    for src, dst in draw(st.lists(st.tuples(column, column), max_size=3)):
+        values[:, dst] = values[:, src]  # duplicated column: a cross-feature tie
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    n_pos = int(labels.sum())
+    if draw(st.booleans()) and 0 < n_pos < n:  # as class_weight="balanced" sets them
+        weights = np.where(labels == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
+    else:
+        weights = np.ones(n)
+    order = draw(st.permutations(range(d)))
+    candidates = np.array(order[: draw(st.integers(min_value=1, max_value=d))])
+    return values, labels, weights, candidates
+
+
+@given(split_problems())
+@settings(max_examples=300, deadline=None)
+def test_best_split_matches_the_per_feature_loop(problem):
+    got = _best_split(*problem)
+    want = best_split_reference(*problem)
+    assert repr(got) == repr(want)  # repr also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[1.0 + 2**-52, 1.0 + 2**-51],  # the midpoint rounds onto the larger value
+     [1e308, 1.7e308], [-1e308, -1.7e308]],  # the midpoint overflows
+)
+def test_split_whose_midpoint_separates_nothing_leaves_a_leaf(column):
+    params = ForestParams(num_trees=1, bootstrap=False)
+    model = train_forest(np.array(column)[:, None], np.array([0, 1]), params)
+    assert model.trees[0].feature == (-1,) and model.trees[0].fraction == (0.5,)
 
 
 # --- serialization --------------------------------------------------------------------
