@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import json
+from numbers import Integral
 from pathlib import Path
 
-__all__ = ["BoxactError", "AnnotationError", "ConfigError", "ContractError", "read_json"]
+__all__ = [
+    "BoxactError",
+    "AnnotationError",
+    "ConfigError",
+    "ContractError",
+    "check_int",
+    "read_json",
+]
 
 
 class BoxactError(Exception):
@@ -34,3 +42,14 @@ def read_json(path: str | Path, error_cls: type[BoxactError]):
         return json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:
         raise error_cls(f"{path}: not valid JSON: {exc}") from None
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer >= ``minimum``.
+
+    A bool is not an integer here, although Python treats it as one.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")

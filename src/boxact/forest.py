@@ -3,12 +3,18 @@
 One forest per action detects that action's presence; multi-class decisions
 take the forest with the highest probability.  Trees are grown by greedy
 binary splitting on weighted Gini impurity, with candidate thresholds at
-midpoints between consecutive distinct feature values.  A node scores all of
-its candidate features in one sorted pass over an ``(n, m)`` block.  Ties
-between equally good splits break toward the lowest feature index, then the
-lowest threshold, which makes training independent of sample order.  Each
-tree is stored as flat pre-order node columns (:class:`Tree`), so growing,
-predicting and (de)serializing never recurse.
+midpoints between consecutive distinct feature values.  Ties between equally
+good splits break toward the lowest feature index, then the lowest
+threshold, which makes training independent of sample order.
+
+All trees of a forest grow in lockstep.  Each tree draws from its own random
+stream and keeps its own stack, so its nodes come in pre-order, and a node
+holds the indices of its rows into the forest's one training matrix, never a
+copy.  Each step takes the next node of every tree and searches all their
+candidate features in one sorted pass over a padded
+``(nodes, m, rows)`` block.  Each tree is stored as flat pre-order node
+columns (:class:`Tree`), so growing, predicting and (de)serializing never
+recurse.
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, read_json
+from .errors import ConfigError, ContractError, check_int, read_json
 
 __all__ = [
     "ForestParams",
@@ -53,19 +59,17 @@ class ForestParams:
     class_weight: str | None = None  # None or "balanced"
 
     def __post_init__(self) -> None:
-        if self.num_trees < 1:
-            raise ConfigError("num_trees must be at least 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ConfigError("max_depth must be at least 1 when set")
-        if self.min_samples_split < 2:
-            raise ConfigError("min_samples_split must be at least 2")
-        if isinstance(self.features_per_split, str):
-            if self.features_per_split != "sqrt":
+        check_int("num_trees", self.num_trees, 1)
+        if self.max_depth is not None:
+            check_int("max_depth", self.max_depth, 1)
+        check_int("min_samples_split", self.min_samples_split, 2)
+        if self.features_per_split != "sqrt":
+            if isinstance(self.features_per_split, str):
                 raise ConfigError(
                     "features_per_split must be a positive integer or 'sqrt'"
                 )
-        elif self.features_per_split < 1:
-            raise ConfigError("features_per_split must be a positive integer or 'sqrt'")
+            check_int("features_per_split", self.features_per_split, 1)
+        check_int("seed", self.seed, 0)
         if self.class_weight not in (None, "balanced"):
             raise ConfigError("class_weight must be None or 'balanced'")
 
@@ -96,56 +100,131 @@ class Tree:
 TREE_COLUMNS = tuple(f.name for f in fields(Tree))
 
 
-def _best_split(
-    values: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    candidates: np.ndarray,
-) -> tuple[float, int, float] | None:
-    """Lowest weighted-Gini split over candidate features.
+class _SearchTable(NamedTuple):
+    """Checked training rows, prepared once per forest for :func:`_best_splits`.
 
-    All candidate columns are sorted and scored together as one ``(n, m)``
-    block.  Returns (impurity, feature, threshold) or None when every
-    candidate feature is constant on this node.
+    ``ranks`` holds, per column, each row's rank among the column's distinct
+    values: equal exactly where the values are equal (``-0.0 == 0.0``), so
+    ordering a node's rows by (rank, position) is their stable sort.  The
+    arrays other than ``values`` have one more row, used to pad a node's
+    rows: it ranks above every real row, as a row of ``+inf`` would, and
+    weighs nothing.
     """
-    features = np.sort(candidates)
-    block = values[:, features]
-    order = np.argsort(block, axis=0, kind="stable")
-    columns = np.arange(features.size)
-    v = block[order, columns]
-    cw = np.cumsum(weights[order], axis=0)
-    cwp = np.cumsum(np.where(labels == 1, weights, 0.0)[order], axis=0)
-    # split after row i: left = [0..i], right = (i..n); valid where v rises
-    distinct = v[1:] > v[:-1]
-    has_split = distinct.any(axis=0)
-    if not has_split.any():
-        return None
-    total = weights.sum()
-    wl = cw[:-1]
-    wpl = cwp[:-1]
-    wr = total - wl
-    wpr = cwp[-1] - wpl
-    # masked positions are divided too, and any 0/0 among them is discarded
+
+    values: np.ndarray  # (n, d)
+    ranks: np.ndarray  # (n + 1, d)
+    weights: np.ndarray  # (n + 1,)
+    positive_weights: np.ndarray  # (n + 1,): the weight of a positive row, else 0
+
+
+def _search_table(
+    values: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> _SearchTable:
+    n, d = values.shape
+    order = np.argsort(values, axis=0, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=0)
+    dense = np.zeros((n, d), dtype=np.int64)
+    np.cumsum(ordered[1:] > ordered[:-1], axis=0, out=dense[1:])
+    ranks = np.full((n + 1, d), n, dtype=np.int64)
+    np.put_along_axis(ranks[:n], order, dense, axis=0)
+    weights = np.append(weights, 0.0)
+    positive_weights = np.where(np.append(labels == 1, False), weights, 0.0)
+    return _SearchTable(values, ranks, weights, positive_weights)
+
+
+def _best_splits(
+    table: _SearchTable, nodes: Sequence[tuple[np.ndarray, float, np.ndarray]]
+) -> list[tuple[float, int, float] | None]:
+    """Lowest weighted-Gini split of each node, all searched in one batch.
+
+    A node is (row indices into ``table``, total weight, candidate features);
+    every node draws the same number of candidates.  Each lane of one
+    candidate feature of one node is padded to the largest node's row count
+    with the table's padding row, which sorts last and weighs nothing, and
+    split positions at or after a node's last real row are masked.  So each
+    node gets the result it would get searched alone.  Returns (impurity,
+    feature, threshold) per node, or None when every candidate feature is
+    constant on that node.
+    """
+    rows, totals, candidates = zip(*nodes)
+    sizes = np.array([r.size for r in rows])
+    count, width = sizes.size, int(sizes.max())
+    index = np.full((count, width), table.values.shape[0])
+    index[np.arange(width) < sizes[:, None]] = np.concatenate(rows)
+    features = np.sort(np.array(candidates), axis=1)
+    # lane (node, feature) keys each row by (rank, position); the keys are
+    # distinct, so sorting them gives the stable order of the values
+    shift = width.bit_length()
+    d = table.ranks.shape[1]
+    keys = table.ranks.take(index[:, None, :] * d + features[:, :, None])
+    keys <<= shift
+    keys |= np.arange(width)
+    keys.sort(axis=2)
+    # split after row i: left = [0..i], right = (i..size); valid where the rank rises
+    ranks = keys >> shift
+    distinct = ranks[:, :, 1:] > ranks[:, :, :-1]
+    del ranks
+    distinct &= (np.arange(width - 1) < (sizes - 1)[:, None])[:, None, :]
+    has_split = distinct.any(axis=2)
+    keys &= (1 << shift) - 1
+    keys += (np.arange(count) * width)[:, None, None]
+    ordered = index.take(keys)  # each lane's row indices in sorted order
+    del keys
+    cw = table.weights.take(ordered)
+    np.cumsum(cw, axis=2, out=cw)
+    cwp = table.positive_weights.take(ordered)
+    np.cumsum(cwp, axis=2, out=cwp)
+    total = np.array(totals)[:, None, None]
+    wl = cw[:, :, :-1]
+    wpl = cwp[:, :, :-1]
+    wpr = cwp[np.arange(count), :, sizes - 1][:, :, None] - wpl
+    # temporaries are reused in place, rounding in the order of the one-node
+    # formula wl*2*pl*(1-pl) + wr*2*pr*(1-pr); masked positions are divided
+    # too, and any 0/0 among them is discarded
     with np.errstate(divide="ignore", invalid="ignore"):
         pl = wpl / wl
-        pr = wpr / wr
-    gini = wl * 2.0 * pl * (1.0 - pl) + wr * 2.0 * pr * (1.0 - pr)
-    gini = gini / total
+        del cwp, wpl
+        gini = wl * 2.0
+        gini *= pl
+        np.subtract(1.0, pl, out=pl)
+        gini *= pl
+        del pl
+        wr = np.subtract(total, wl, out=wl)
+        pr = np.divide(wpr, wr, out=wpr)
+        wr *= 2.0
+        wr *= pr
+        np.subtract(1.0, pr, out=pr)
+        wr *= pr
+        gini += wr
+        del cw, wl, wr, wpr, pr
+        gini /= total
     gini[~distinct] = np.inf
     # exact ties within one feature resolve to the lowest threshold, which
     # argmin's first-hit rule gives on sorted values
-    rows = np.argmin(gini, axis=0)
-    best_gini = gini[rows, columns]
+    best_row = np.argmin(gini, axis=2)
+    best_gini = np.take_along_axis(gini, best_row[:, :, None], axis=2)[:, :, 0]
     # in ascending feature order, a feature replaces the best only when lower
     # by more than 1e-12; an argmin over features would not keep that rule
-    best: tuple[float, int] | None = None  # (impurity, column)
-    for j in np.flatnonzero(has_split).tolist():
-        g = float(best_gini[j])
-        if best is None or g < best[0] - 1e-12:
-            best = (g, j)
-    g, j = best
-    low, high = v[rows[j] : rows[j] + 2, j].tolist()
-    return g, int(features[j]), (low + high) / 2.0
+    column = np.full(count, -1)
+    best = np.zeros(count)
+    for j in range(features.shape[1]):
+        g = best_gini[:, j]
+        better = has_split[:, j] & ((column < 0) | (g < best - 1e-12))
+        column[better] = j
+        best[better] = g[better]
+    split = np.flatnonzero(column >= 0)
+    j = column[split]
+    r = best_row[split, j]
+    f = features[split, j]
+    low = table.values[ordered[split, j, r], f]
+    high = table.values[ordered[split, j, r + 1], f]
+    with np.errstate(over="ignore"):
+        thresholds = (low + high) / 2.0
+    found: list[tuple[float, int, float] | None] = [None] * count
+    results = zip(best[split].tolist(), f.tolist(), thresholds.tolist())
+    for i, result in zip(split.tolist(), results):
+        found[i] = result
+    return found
 
 
 def _training_input(
@@ -189,52 +268,75 @@ def train_tree(
         total = weights.sum()
     if not (np.isfinite(total) and (weights > 0).all()):
         raise ContractError("train_tree expects weights > 0 with a finite sum")
-    return _grow(values, labels, weights, params, rng)
+    return _grow_trees(values, labels, weights, params, [rng], bootstrap=False)[0]
 
 
-def _grow(
+def _grow_trees(
     values: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
     params: ForestParams,
-    rng: np.random.Generator,
-) -> Tree:
-    """Grow one tree from checked inputs.
+    rngs: Sequence[np.random.Generator],
+    bootstrap: bool,
+) -> list[Tree]:
+    """Grow one tree per generator from checked inputs, all in lockstep.
 
-    Nodes are grown from an explicit stack, left child first, so they are
-    numbered and draw their candidate features in pre-order.
+    A tree with ``bootstrap`` first draws its rows with replacement.  Each
+    tree grows from its own stack, left child first, so its nodes are
+    numbered and draw their candidate features in pre-order.  A node holds
+    the indices of its rows in ``values``, never a copy of them.  Each step
+    pops the next node of every tree that has one, and searches the splits
+    of all of them in one batch.
     """
-    m = params.resolve_features_per_split(values.shape[1])
-    nodes: list[list] = []  # one [feature, threshold, left, right, fraction, weight] each
-    # (values, labels, weights, depth, node whose right child this is or -1)
-    stack = [(values, labels, weights, 0, -1)]
-    while stack:
-        x, y, w, depth, parent = stack.pop()
-        if parent >= 0:
-            nodes[parent][3] = len(nodes)
-        total = float(w.sum())
-        positive = y == 1
-        nodes.append([-1, 0.0, -1, -1, float(w[positive].sum()) / total, total])
-        if (
-            not 0 < np.count_nonzero(positive) < y.size
-            or y.size < params.min_samples_split
-            or (params.max_depth is not None and depth >= params.max_depth)
-        ):
-            continue
-        candidates = rng.choice(values.shape[1], size=m, replace=False)
-        found = _best_split(x, y, w, candidates)
-        if found is None:
-            continue
-        _, f, threshold = found
-        mask = x[:, f] <= threshold
-        if not 0 < np.count_nonzero(mask) < y.size:
-            # the midpoint rounded onto the largest value or overflowed to
-            # +-inf; a split that separates nothing would repeat forever
-            continue
-        nodes[-1][:3] = [f, threshold, len(nodes)]
-        stack.append((x[~mask], y[~mask], w[~mask], depth + 1, len(nodes) - 1))
-        stack.append((x[mask], y[mask], w[mask], depth + 1, -1))
-    return Tree(*map(tuple, zip(*nodes)))
+    n, d = values.shape
+    m = params.resolve_features_per_split(d)
+    max_depth = math.inf if params.max_depth is None else params.max_depth
+    positive = labels == 1
+    table = _search_table(values, labels, weights)
+    # per tree: one [feature, threshold, left, right, fraction, weight] per node
+    nodes: list[list[list]] = [[] for _ in rngs]
+    # per tree: (rows, depth, node whose right child this is or -1)
+    stacks = [
+        [(rng.integers(0, n, size=n) if bootstrap else np.arange(n), 0, -1)]
+        for rng in rngs
+    ]
+    live = range(len(rngs))
+    while live:
+        pending = []  # (tree, rows, depth) of the nodes that may split
+        searches = []  # (rows, total weight, candidate features) of the same
+        for t in live:
+            rows, depth, parent = stacks[t].pop()
+            tree = nodes[t]
+            if parent >= 0:
+                tree[parent][3] = len(tree)
+            w = weights[rows]
+            total = float(w.sum())
+            pos = positive[rows]
+            tree.append([-1, 0.0, -1, -1, float(w[pos].sum()) / total, total])
+            if (
+                0 < np.count_nonzero(pos) < rows.size
+                and rows.size >= params.min_samples_split
+                and depth < max_depth
+            ):
+                pending.append((t, rows, depth))
+                searches.append((rows, total, rngs[t].choice(d, size=m, replace=False)))
+        if searches:
+            found = _best_splits(table, searches)
+            for (t, rows, depth), split in zip(pending, found):
+                if split is None:
+                    continue
+                _, f, threshold = split
+                mask = values[rows, f] <= threshold
+                if not 0 < np.count_nonzero(mask) < rows.size:
+                    # the midpoint rounded onto the largest value or overflowed
+                    # to +-inf; a split that separates nothing would repeat forever
+                    continue
+                tree = nodes[t]
+                tree[-1][:3] = [f, threshold, len(tree)]
+                stacks[t].append((rows[~mask], depth + 1, len(tree) - 1))
+                stacks[t].append((rows[mask], depth + 1, -1))
+        live = [t for t in live if stacks[t]]
+    return [Tree(*map(tuple, zip(*tree))) for tree in nodes]
 
 
 @dataclass(frozen=True)
@@ -275,15 +377,8 @@ def train_forest(
     else:
         weights = np.ones(n)
     streams = np.random.SeedSequence(params.seed).spawn(params.num_trees)
-    trees = []
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        if params.bootstrap:
-            idx = rng.integers(0, n, size=n)
-            sample = (values[idx], labels[idx], weights[idx])
-        else:
-            sample = (values, labels, weights)
-        trees.append(_grow(sample[0], sample[1], sample[2], params, rng))
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    trees = _grow_trees(values, labels, weights, params, rngs, params.bootstrap)
     return ForestModel(
         action_id=action_id,
         trees=tuple(trees),
@@ -333,6 +428,7 @@ def _tree_from_dict(data: Mapping, num_features: int) -> Tree:
         weight=tuple(map(float, data["weight"])),
     )
     n = len(tree.feature)
+    has_parent = [False] * n
     for node, (f, left, right) in enumerate(zip(tree.feature, tree.left, tree.right)):
         if not -1 <= f < num_features:
             raise ConfigError(
@@ -345,6 +441,17 @@ def _tree_from_dict(data: Mapping, num_features: int) -> Tree:
                 f"split {node} has children {left}, {right}; each must come "
                 f"after it and before {n}"
             )
+        if f >= 0:
+            for child in (left, right):
+                if has_parent[child]:
+                    raise ConfigError(
+                        f"node {child} is the child of more than one split"
+                    )
+                has_parent[child] = True
+    if not all(math.isfinite(t) for t in tree.threshold):
+        raise ConfigError("node threshold is not finite")
+    if not all(0.0 < w < math.inf for w in tree.weight):
+        raise ConfigError("node weight must be positive and finite")
     if not all(0.0 <= p <= 1.0 for p in tree.fraction):
         raise ConfigError("node fraction outside [0, 1]")
     return tree

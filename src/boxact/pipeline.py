@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .embedding import VideoEmbedding, embed_video, embedding_layout
-from .errors import BoxactError, ConfigError, ContractError
+from .errors import BoxactError, ConfigError, ContractError, check_int
 from .evaluation import PredictionSet, VideoPrediction
 from .forest import ForestModel, ForestParams, layout_fingerprint, predict_proba, train_forest
 from .phases import (
@@ -75,6 +75,7 @@ class PipelineConfig:
             )
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must lie strictly between 0 and 1")
+        check_int("seed", self.seed, 0)
 
     @property
     def scores_only(self) -> bool:

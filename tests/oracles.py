@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from boxact.errors import ContractError
+from boxact.forest import ForestParams, Tree
 from boxact.phases import Term
 from boxact.relations import (
     BOOLEAN_FEATURES,
@@ -399,3 +400,65 @@ def best_split_reference(
         if best is None or cand[0] < best[0] - 1e-12:
             best = cand
     return best
+
+
+def grow_tree_reference(
+    values: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    params: ForestParams,
+    rng: np.random.Generator,
+) -> Tree:
+    """One tree grown on its own, each child node a copy of its rows.
+
+    Nodes are grown from an explicit stack, left child first, so they are
+    numbered and draw their candidate features in pre-order.
+    """
+    m = params.resolve_features_per_split(values.shape[1])
+    nodes: list[list] = []  # one [feature, threshold, left, right, fraction, weight] each
+    # (values, labels, weights, depth, node whose right child this is or -1)
+    stack = [(values, labels, weights, 0, -1)]
+    while stack:
+        x, y, w, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][3] = len(nodes)
+        total = float(w.sum())
+        positive = y == 1
+        nodes.append([-1, 0.0, -1, -1, float(w[positive].sum()) / total, total])
+        if (
+            not 0 < np.count_nonzero(positive) < y.size
+            or y.size < params.min_samples_split
+            or (params.max_depth is not None and depth >= params.max_depth)
+        ):
+            continue
+        candidates = rng.choice(values.shape[1], size=m, replace=False)
+        found = best_split_reference(x, y, w, candidates)
+        if found is None:
+            continue
+        _, f, threshold = found
+        mask = x[:, f] <= threshold
+        if not 0 < np.count_nonzero(mask) < y.size:
+            continue  # the midpoint separates nothing
+        nodes[-1][:3] = [f, threshold, len(nodes)]
+        stack.append((x[~mask], y[~mask], w[~mask], depth + 1, len(nodes) - 1))
+        stack.append((x[mask], y[mask], w[mask], depth + 1, -1))
+    return Tree(*map(tuple, zip(*nodes)))
+
+
+def forest_trees_reference(
+    values: np.ndarray, labels: np.ndarray, params: ForestParams
+) -> tuple[Tree, ...]:
+    """The trees of a forest, grown one after another with copied samples."""
+    n = labels.size
+    if params.class_weight == "balanced":
+        n_pos = int(labels.sum())
+        weights = np.where(labels == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
+    else:
+        weights = np.ones(n)
+    trees = []
+    for stream in np.random.SeedSequence(params.seed).spawn(params.num_trees):
+        rng = np.random.default_rng(stream)
+        idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        sample = (values[idx], labels[idx], weights[idx])
+        trees.append(grow_tree_reference(*sample, params, rng))
+    return tuple(trees)

@@ -10,6 +10,7 @@ import pytest
 from boxact.cli import main
 from boxact.evaluation import load_predictions
 from boxact.forest import load_forest
+from boxact.synthetic import random_script, script_to_dict
 from boxact.tracks import load_annotation_file
 
 GEN = [
@@ -474,6 +475,37 @@ MALFORMED_INPUTS = {
         _forest_doc(trees=_stump(feature=[-2, -1, -1])),
         "feature index -2",
     ),
+    "forest-threshold-not-finite": (
+        "predict-forest",
+        _forest_doc(trees=_stump(threshold=[float("nan"), 0.0, 0.0])),
+        "threshold is not finite",
+    ),
+    "forest-weight-not-finite": (
+        "predict-forest",
+        _forest_doc(trees=_stump(weight=[-float("inf"), 1.0, 1.0])),
+        "weight must be positive and finite",
+    ),
+    "forest-weight-not-positive": (
+        "predict-forest",
+        _forest_doc(trees=_stump(weight=[2.0, 0.0, 1.0])),
+        "weight must be positive and finite",
+    ),
+    "forest-node-with-two-parents": (
+        "predict-forest",
+        _forest_doc(
+            trees=[
+                {
+                    "feature": [0, 1, -1, -1],
+                    "threshold": [0.5, 0.5, 0.0, 0.0],
+                    "left": [1, 2, -1, -1],
+                    "right": [2, 3, -1, -1],
+                    "fraction": [0.5, 0.5, 0.0, 1.0],
+                    "weight": [2.0, 2.0, 1.0, 1.0],
+                }
+            ]
+        ),
+        "node 2 is the child of more than one split",
+    ),
     "forest-without-trees": ("predict-forest", _forest_doc(trees=[]), "no trees"),
     "forest-version-1": (
         "predict-forest",
@@ -503,6 +535,16 @@ MALFORMED_INPUTS = {
         "generate",
         [{"archetype": "put-into", "num_frames": "sixty", "true_phase_centers": {}}],
         "sixty",
+    ),
+    "script-with-negative-noise-seed": (
+        "generate",
+        [{**script_to_dict(random_script("put-into", 0)), "noise": {"seed": -1}}],
+        "noise seed must be at least 0",
+    ),
+    "script-with-negative-layout-seed": (
+        "generate",
+        [{**script_to_dict(random_script("put-into", 0)), "layout_seed": -1}],
+        "layout_seed must be at least 0",
     ),
 }
 # every JSON reader rejects text that is not UTF-8 or nests past the parser's limit
@@ -551,6 +593,19 @@ def test_malformed_input_files_exit_1(workdir, tmp_path, capsys, case):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err and message in err
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+def test_negative_seed_exits_1(workdir, tmp_path, capsys, command):
+    corpus = ["--annotations", str(workdir / "ann.json"), "--models", str(_model_paths(workdir))]
+    argv = {
+        "generate": ["generate", "--out", str(tmp_path / "ann.json")],
+        "train": ["train", *corpus, "--out-dir", str(tmp_path / "forests")],
+        "sweep": ["sweep", *corpus, "--num-trees", "2"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
 
 
 def test_unknown_subcommand_is_a_usage_error():

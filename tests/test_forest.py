@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 from boxact.errors import ConfigError, ContractError
 from boxact.forest import (
     ForestParams,
-    _best_split,
+    _best_splits,
+    _search_table,
     forest_from_dict,
     forest_to_dict,
     layout_fingerprint,
@@ -21,7 +22,7 @@ from boxact.forest import (
     train_tree,
 )
 
-from oracles import best_split_reference
+from oracles import best_split_reference, forest_trees_reference
 
 SEPARABLE = (np.array([[1.0], [2.0], [8.0], [9.0]]), np.array([0, 0, 1, 1]))
 ONE_TREE = ForestParams(num_trees=1, features_per_split=1, bootstrap=False, seed=0)
@@ -35,6 +36,14 @@ def test_params_validation():
         dict(features_per_split=0),
         dict(features_per_split="cube"),
         dict(class_weight="equal"),
+        dict(num_trees=2.5),
+        dict(num_trees=True),
+        dict(max_depth=2.5),
+        dict(min_samples_split=2.5),
+        dict(features_per_split=True),
+        dict(features_per_split=2.0),
+        dict(seed=-1),
+        dict(seed=0.5),
     ):
         with pytest.raises(ConfigError):
             ForestParams(**bad)
@@ -176,7 +185,8 @@ SPLIT_VALUES = st.one_of(
 
 
 @st.composite
-def split_problems(draw):
+def split_batches(draw):
+    """One training matrix and a batch of nodes on it, of 2 to 40 rows each."""
     n = draw(st.integers(min_value=2, max_value=40))
     d = draw(st.integers(min_value=1, max_value=30))
     values = draw(hnp.arrays(np.float64, (n, d), elements=SPLIT_VALUES))
@@ -191,17 +201,45 @@ def split_problems(draw):
         weights = np.where(labels == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
     else:
         weights = np.ones(n)
-    order = draw(st.permutations(range(d)))
-    candidates = np.array(order[: draw(st.integers(min_value=1, max_value=d))])
-    return values, labels, weights, candidates
+    m = draw(st.integers(min_value=1, max_value=d))
+    # rows repeat as in a bootstrap sample; sizes differ, so most nodes are padded
+    node_rows = st.lists(st.integers(0, n - 1), min_size=2, max_size=40)
+    nodes = []
+    for rows in draw(st.lists(node_rows, min_size=2, max_size=6)):
+        candidates = draw(st.permutations(range(d)))[:m]
+        nodes.append((np.array(rows), float(weights[rows].sum()), np.array(candidates)))
+    return values, labels, weights, nodes
 
 
-@given(split_problems())
+@given(split_batches())
 @settings(max_examples=300, deadline=None)
-def test_best_split_matches_the_per_feature_loop(problem):
-    got = _best_split(*problem)
-    want = best_split_reference(*problem)
-    assert repr(got) == repr(want)  # repr also tells -0.0 from 0.0
+def test_best_split_matches_the_per_feature_loop(batch):
+    values, labels, weights, nodes = batch
+    found = _best_splits(_search_table(values, labels, weights), nodes)
+    for (rows, _, candidates), got in zip(nodes, found):
+        sample = (values[rows], labels[rows], weights[rows])
+        want = best_split_reference(*sample, candidates)
+        assert repr(got) == repr(want)  # repr also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("class_weight", [None, "balanced"])
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize(
+    "shape",
+    [{}, dict(max_depth=3, min_samples_split=5), dict(features_per_split=5)],
+)
+def test_lockstep_forest_equals_trees_grown_one_by_one(class_weight, bootstrap, shape):
+    rng = np.random.default_rng(4)
+    values = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0, 3.5], size=(40, 12))
+    values[:, 7] = values[:, 2]  # duplicated column
+    values[:, 9] = 1.0  # constant column
+    labels = (rng.uniform(size=40) < 0.35).astype(int)
+    params = ForestParams(
+        num_trees=15, seed=3, bootstrap=bootstrap, class_weight=class_weight, **shape
+    )
+    model = train_forest(values, labels, params)
+    # repr also tells -0.0 from 0.0
+    assert repr(model.trees) == repr(forest_trees_reference(values, labels, params))
 
 
 @pytest.mark.parametrize(

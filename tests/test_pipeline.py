@@ -28,6 +28,7 @@ def test_config_validation():
         dict(embedding_mode="compact"),
         dict(val_fraction=0.0),
         dict(val_fraction=1.0),
+        dict(seed=-1),
     ):
         with pytest.raises(ConfigError):
             PipelineConfig(**bad)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from boxact.errors import ContractError
+from boxact.errors import ConfigError, ContractError
 from boxact.phases import ARCHETYPES, PHASES
 from boxact.synthetic import (
     FRAME_HEIGHT,
@@ -44,6 +44,8 @@ def test_noise_validation():
         NoiseParams(copy_lag_prob=1.0)
     with pytest.raises(ContractError):
         NoiseParams(copy_lag_prob=-0.1)
+    with pytest.raises(ConfigError, match="noise seed"):
+        NoiseParams(seed=-1)
     assert NOISE_PRESETS["zero"] == NoiseParams()
 
 
@@ -56,6 +58,13 @@ def test_script_validation():
         _script(true_phase_centers=dict(CENTERS, c=15))
     with pytest.raises(ContractError, match="within"):
         _script(true_phase_centers=dict(CENTERS, e=60))
+    with pytest.raises(ConfigError, match="layout_seed"):
+        _script(layout_seed=-1)
+
+
+def test_generate_dataset_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be at least 0"):
+        generate_dataset(["put-into"], 1, seed=-1)
 
 
 def test_script_dict_round_trip():
