@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from boxact.synthetic import (
     script_to_dict,
     verify_archetype_geometry,
 )
+from boxact.tracks import serialize_annotations
 
 CENTERS = {"a": 0, "b": 15, "c": 29, "d": 44, "e": 59}
 
@@ -153,6 +157,36 @@ def test_generate_dataset():
         ["put-into", "put-behind"], per_archetype=3, seed=5, id_prefix="t"
     )
     assert tracks == again
+
+
+# sha256 of the sorted-key JSON of each generated set.  The first three are
+# the benchmark's set-ups, and equal the ``input.annotations`` digests in
+# bench/reference/*.json.
+GENERATED_DIGESTS = [
+    ("embed-long", 1, 300, "crowd-artifacts", 0,
+     "415dffc88f6ec59b474d849cb18602b5439d8e96217cf27c06676d9ad0cfb9c1"),
+    ("classify", 6, 60, "moderate", 0,
+     "d88d709279238514e9d4fe00520df934e23e9d631ba9d0263bf5389237e26d4e"),
+    ("crossval", 8, 60, "crowd-artifacts", 0,
+     "3e2290949e92ece3abb3b5681ed6ac302732c2903705fcaa3b7eb022dc0943b3"),
+    ("zero", 2, 60, "zero", 3,
+     "f8938bdb2baabd1ca9aaca0c60ecf01adc2cbdf8a9a0c5d00dcc942a0b31e9df"),
+    ("moderate", 2, 72, "moderate", 11,
+     "695804dc2841a6e8f4eed76a7fe1f896c599135f6f7238a4f69ea3fedd679253"),
+]
+
+
+@pytest.mark.parametrize(
+    "per_archetype, frames, noise, seed, digest",
+    [case[1:] for case in GENERATED_DIGESTS],
+    ids=[case[0] for case in GENERATED_DIGESTS],
+)
+def test_generated_annotations_are_pinned(per_archetype, frames, noise, seed, digest):
+    tracks, _ = generate_dataset(
+        ARCHETYPES, per_archetype, num_frames=frames, noise=NOISE_PRESETS[noise], seed=seed
+    )
+    text = json.dumps(serialize_annotations(tracks), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generate_dataset_distinct_noise_per_video():
