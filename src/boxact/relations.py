@@ -29,13 +29,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .tracks import BoundingBox, VideoTrack
+from .tracks import ROLES, VideoTrack
 
 __all__ = [
     "OVERLAP_NORMALISER",
     "RelationConfig",
-    "overlap_area",
-    "edge_gap",
     "relation_keys",
     "relation_table",
     "COLUMN",
@@ -43,7 +41,6 @@ __all__ = [
     "feature_key",
     "feature_kind",
     "validate_feature",
-    "ENTITIES",
 ]
 
 # Denominator constant from the normalised-overlap definition:
@@ -51,8 +48,7 @@ __all__ = [
 # = (x overlap * y overlap) / (OVERLAP_NORMALISER * size of the smaller box).
 OVERLAP_NORMALISER = 0.1
 
-ENTITIES = ("object1", "object2", "hand")
-_ENTITY_RANK = {e: i for i, e in enumerate(ENTITIES)}
+_ENTITY_RANK = {e: i for i, e in enumerate(ROLES)}
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class RelationConfig:
     """Pixel thresholds for the binary relations.
 
     touch_tol: max gap between nearest edges still counted as touching.
-    containment_fraction: min overlap_area/area(inner) for containment.
+    containment_fraction: min overlap area / area(inner) for containment.
     move_threshold: min offset magnitude (px per annotated-frame step) to
         count as moving.  On a track with gaps in its frame indices the step
         spans the whole gap: a hand that moves 20 px between frames 0 and 10
@@ -94,19 +90,6 @@ class RelationConfig:
 
 
 DEFAULT_CONFIG = RelationConfig()
-
-
-def overlap_area(b1: BoundingBox, b2: BoundingBox) -> float:
-    xo = max(0.0, min(b1.x2, b2.x2) - max(b1.x, b2.x))
-    yo = max(0.0, min(b1.y2, b2.y2) - max(b1.y, b2.y))
-    return xo * yo
-
-
-def edge_gap(b1: BoundingBox, b2: BoundingBox) -> float:
-    """Distance between nearest edges; 0.0 when the boxes overlap."""
-    dx = max(b1.x - b2.x2, b2.x - b1.x2, 0.0)
-    dy = max(b1.y - b2.y2, b2.y - b1.y2, 0.0)
-    return math.hypot(dx, dy)
 
 
 # --- feature catalogue -----------------------------------------------------
@@ -147,7 +130,7 @@ def validate_feature(name: str, args: tuple[str, ...]) -> None:
             f"feature {name!r} takes {_ARITY[name]} argument(s), got {list(args)}"
         )
     for a in args:
-        if a not in ENTITIES:
+        if a not in ROLES:
             raise ConfigError(f"unknown entity {a!r} in feature {name!r}")
     if name in _HAND_BOOL and args[0] == "hand":
         raise ConfigError(f"feature {name!r} expects an object argument, not 'hand'")
@@ -173,11 +156,11 @@ def relation_keys() -> tuple[str, ...]:
     """All canonical feature keys, in deterministic order."""
     keys: list[str] = []
     for name in _UNARY_REAL + _UNARY_BOOL:
-        keys.extend(feature_key(name, (e,)) for e in ENTITIES)
+        keys.extend(feature_key(name, (e,)) for e in ROLES)
     pairs = [("object1", "object2"), ("object1", "hand"), ("object2", "hand")]
     for name in _PAIR_REAL + _PAIR_BOOL_SYMMETRIC:
         keys.extend(feature_key(name, p) for p in pairs)
-    ordered = [(a, b) for a in ENTITIES for b in ENTITIES if a != b]
+    ordered = [(a, b) for a in ROLES for b in ROLES if a != b]
     for name in _PAIR_BOOL_ORDERED:
         keys.extend(feature_key(name, p) for p in ordered)
     for name in _HAND_BOOL:
@@ -201,17 +184,6 @@ def _swapped_key(key: str) -> str:
 SWAP = np.array([COLUMN[_swapped_key(key)] for key in _KEYS])
 
 
-def _box_rows(track: VideoTrack) -> np.ndarray:
-    """(x, y, w, h, present) per entity per frame, shape (5, 3, T)."""
-    absent = (0.0, 0.0, 0.0, 0.0, 0.0)
-    rows = [
-        absent if b is None else (b.x, b.y, b.w, b.h, 1.0)
-        for f in track.frames
-        for b in (f.object1, f.object2, f.hand)
-    ]
-    return np.array(rows).reshape(len(track.frames), len(ENTITIES), 5).T
-
-
 def relation_table(
     track: VideoTrack, config: RelationConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
@@ -221,8 +193,8 @@ def relation_table(
     absent entity are false; real pair features involving an absent entity
     are 0.0.
     """
-    x, y, w, h, present = _box_rows(track)
-    present = present > 0.0
+    x, y, w, h = track.boxes.T  # each (3, T)
+    present = track.present.T
     x2, y2 = x + w, y + h
     cx, cy = x + w / 2.0, y + h / 2.0
     area = w * h
@@ -234,19 +206,19 @@ def relation_table(
     speed = np.hypot(ox, oy)
     moving = present & (speed > config.move_threshold)
 
-    table = np.zeros((len(track.frames), len(_KEYS)))
+    table = np.zeros((len(track), len(_KEYS)))
 
     def put(name: str, args: tuple[int, ...], value: np.ndarray) -> None:
         # pairs come in entity order, which is canonical for symmetric features
-        table[:, COLUMN[f"{name}({','.join(ENTITIES[i] for i in args)})"]] = value
+        table[:, COLUMN[f"{name}({','.join(ROLES[i] for i in args)})"]] = value
 
-    for e in range(len(ENTITIES)):
+    for e in range(len(ROLES)):
         put("present", (e,), present[e])
         put("size", (e,), area[e])
         put("speed", (e,), speed[e])
         put("moving", (e,), moving[e])
 
-    for a, b in itertools.combinations(range(len(ENTITIES)), 2):
+    for a, b in itertools.combinations(range(len(ROLES)), 2):
         both = present[a] & present[b]
         inter = np.maximum(0.0, np.minimum(x2[a], x2[b]) - np.maximum(x[a], x[b]))
         inter *= np.maximum(0.0, np.minimum(y2[a], y2[b]) - np.maximum(y[a], y[b]))
@@ -278,7 +250,7 @@ def relation_table(
             put("centre_on_top", (i, j), above_or_below & (cy[i] < cy[j]))
             put("centre_underneath", (i, j), above_or_below & (cy[i] > cy[j]))
             put("object_move_relative", (i, j), relative & moving[i])
-        if b == ENTITIES.index("hand"):
+        if b == ROLES.index("hand"):
             # together: within touching range and not moving relative
             together = (gap <= config.touch_tol) & ~relative
             put("move_with_hand", (a,), together & moving[a] & moving[b])

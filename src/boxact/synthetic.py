@@ -16,7 +16,6 @@ copied unchanged from the previous frame and snaps back on the next one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -24,13 +23,8 @@ import numpy as np
 
 from .errors import ContractError, check_int
 from .phases import ARCHETYPES, PHASES
-from .relations import (
-    DEFAULT_CONFIG,
-    RelationConfig,
-    edge_gap,
-    overlap_area,
-)
-from .tracks import BoundingBox, FrameAnnotation, VideoTrack
+from .relations import COLUMN, DEFAULT_CONFIG, RelationConfig, relation_table
+from .tracks import ROLES, VideoTrack
 
 __all__ = [
     "FRAME_WIDTH",
@@ -193,19 +187,6 @@ def _position(segments: Sequence[_Segment], t: int) -> Point:
                 seg.p0[1] + u * (seg.p1[1] - seg.p0[1]),
             )
     return segments[-1].p1
-
-
-def _box_at(centre: Point, size: Point) -> BoundingBox:
-    return BoundingBox(
-        x=centre[0] - size[0] / 2.0,
-        y=centre[1] - size[1] / 2.0,
-        w=size[0],
-        h=size[1],
-    )
-
-
-def _visible(box: BoundingBox) -> bool:
-    return box.x < FRAME_WIDTH and box.x2 > 0 and box.y < FRAME_HEIGHT and box.y2 > 0
 
 
 # --- stage layout ------------------------------------------------------------
@@ -386,39 +367,26 @@ def _entity_segments(
 # --- generation ----------------------------------------------------------------
 
 
-def _apply_noise(
-    frames: list[dict[str, BoundingBox]], noise: NoiseParams
-) -> list[dict[str, BoundingBox]]:
+def _apply_noise(boxes: np.ndarray, present: np.ndarray, noise: NoiseParams) -> None:
+    """Jitter and copy-lag ``boxes`` in place; absent boxes stay zero."""
     rng = np.random.default_rng(noise.seed)
-    out: list[dict[str, BoundingBox]] = []
     if noise.jitter_sigma > 0:
-        for boxes in frames:
-            jittered: dict[str, BoundingBox] = {}
-            for role in ("object1", "object2", "hand"):
-                if role not in boxes:
-                    continue
-                b = boxes[role]
-                dx, dy, dw, dh = rng.normal(0.0, noise.jitter_sigma, size=4)
-                jittered[role] = BoundingBox(
-                    x=b.x + dx,
-                    y=b.y + dy,
-                    w=max(1.0, b.w + dw),
-                    h=max(1.0, b.h + dh),
-                )
-            out.append(jittered)
-    else:
-        out = [dict(boxes) for boxes in frames]
+        # one draw of four per visible box, in frame then role order
+        jittered = boxes[present] + rng.normal(
+            0.0, noise.jitter_sigma, size=(int(present.sum()), 4)
+        )
+        jittered[:, 2:] = np.maximum(1.0, jittered[:, 2:])
+        boxes[present] = jittered
     if noise.copy_lag_prob > 0:
         lagged = False
-        for t in range(1, len(out)):
+        for t in range(1, len(boxes)):
             u = rng.random()
-            same_roles = set(out[t]) == set(out[t - 1])
+            same_roles = bool((present[t] == present[t - 1]).all())
             if not lagged and same_roles and u < noise.copy_lag_prob:
-                out[t] = dict(out[t - 1])
+                boxes[t] = boxes[t - 1]
                 lagged = True
             else:
                 lagged = False
-    return out
 
 
 def generate_synthetic(script: SyntheticScript) -> tuple[VideoTrack, dict[str, int]]:
@@ -433,21 +401,23 @@ def generate_synthetic(script: SyntheticScript) -> tuple[VideoTrack, dict[str, i
         "object2": layout.o2_size,
         "hand": layout.hand_size,
     }
-    frames: list[dict[str, BoundingBox]] = []
-    for t in range(script.num_frames):
-        boxes: dict[str, BoundingBox] = {}
-        for entity, segs in segments.items():
-            box = _box_at(_position(segs, t), sizes[entity])
-            if _visible(box):
-                boxes[entity] = box
-        frames.append(boxes)
-    frames = _apply_noise(frames, script.noise)
+    n = script.num_frames
+    boxes = np.zeros((n, len(ROLES), 4))
+    present = np.zeros((n, len(ROLES)), dtype=bool)
+    for r, role in enumerate(ROLES):
+        w, h = sizes[role]
+        for t in range(n):
+            cx, cy = _position(segments[role], t)
+            x, y = cx - w / 2.0, cy - h / 2.0
+            if x < FRAME_WIDTH and x + w > 0 and y < FRAME_HEIGHT and y + h > 0:
+                boxes[t, r] = (x, y, w, h)
+                present[t, r] = True
+    _apply_noise(boxes, present, script.noise)
     track = VideoTrack(
         video_id=script.video_id,
-        frames=tuple(
-            FrameAnnotation(frame_index=t, **frames[t])
-            for t in range(script.num_frames)
-        ),
+        frames=np.arange(n, dtype=np.int64),
+        boxes=boxes,
+        present=present,
         frame_width=FRAME_WIDTH,
         frame_height=FRAME_HEIGHT,
         label=script.archetype,
@@ -533,6 +503,7 @@ def generate_dataset(
     Each video gets its own layout and noise stream, derived deterministically
     from ``seed``.
     """
+    check_int("per_archetype", per_archetype, 0)
     check_int("seed", seed, 0)
     tracks: list[VideoTrack] = []
     ground_truth: dict[str, dict[str, int]] = {}
@@ -562,10 +533,6 @@ def generate_dataset(
 # --- archetype postconditions -------------------------------------------------
 
 
-def _contained_fraction(inner: BoundingBox, outer: BoundingBox) -> float:
-    return overlap_area(inner, outer) / inner.area if inner.area > 0 else 0.0
-
-
 def verify_archetype_geometry(
     track: VideoTrack,
     script: SyntheticScript,
@@ -579,57 +546,65 @@ def verify_archetype_geometry(
     def fail(msg: str) -> None:
         raise ContractError(f"{script.archetype} ({track.video_id}): {msg}")
 
-    first, last = track.frames[0], track.frames[-1]
-    c_frame = track.frames[script.true_phase_centers["c"]]
-    if first.hand is not None:
+    table = relation_table(track, config)
+    o1 = table[:, COLUMN["present(object1)"]] > 0
+    o2 = table[:, COLUMN["present(object2)"]] > 0
+    hand = table[:, COLUMN["present(hand)"]] > 0
+    contained = table[:, COLUMN["contained(object1,object2)"]] > 0
+    overlap = table[:, COLUMN["overlap(object1,object2)"]]
+    touching = table[:, COLUMN["touching(object1,object2)"]] > 0
+    last = track.boxes[-1]
+    centre = last[:, :2] + last[:, 2:] / 2.0  # per role, in the final frame
+    c = script.true_phase_centers["c"]
+
+    if hand[0]:
         fail("hand visible in the first frame")
-    if last.hand is not None:
+    if hand[-1]:
         fail("hand visible in the last frame")
-    if first.object2 is None or last.object2 is None:
+    if not (o2[0] and o2[-1]):
         fail("object2 must be visible throughout")
 
     a = script.archetype
     if a == "put-into":
-        if first.object1 is not None:
+        if o1[0]:
             fail("object1 visible before being carried in")
-        for name, frame in (("c", c_frame), ("final", last)):
-            if frame.object1 is None or frame.object2 is None:
+        for name, t in (("c", c), ("final", -1)):
+            if not (o1[t] and o2[t]):
                 fail(f"object1/object2 missing at {name} frame")
-            if _contained_fraction(frame.object1, frame.object2) < config.containment_fraction:
+            if not contained[t]:
                 fail(f"object1 not contained in object2 at {name} frame")
-        if last.object1.centre[1] <= last.object2.centre[1]:
+        if centre[0, 1] <= centre[1, 1]:
             fail("object1 centre should sit below object2 centre at the end")
     elif a == "take-out-of":
-        if first.object1 is None:
+        if not o1[0]:
             fail("object1 must start inside object2")
-        if _contained_fraction(first.object1, first.object2) < config.containment_fraction:
+        if not contained[0]:
             fail("object1 not contained in object2 at the start")
-        if last.object1 is not None:
+        if o1[-1]:
             fail("object1 should have been carried out of the frame")
     elif a == "put-next-to":
-        if first.object1 is not None:
+        if o1[0]:
             fail("object1 visible before being carried in")
-        if last.object1 is None:
+        if not o1[-1]:
             fail("object1 missing in the final frame")
-        if overlap_area(last.object1, last.object2) > 0:
+        if overlap[-1] > 0:
             fail("object1 must not overlap object2")
-        if edge_gap(last.object1, last.object2) > config.touch_tol:
+        if not touching[-1]:
             fail("object1 must end adjacent to object2")
     elif a == "pretend-put-next-to":
-        if last.object1 is None:
+        if not o1[-1]:
             fail("object1 missing in the final frame")
-        for frame in track.frames:
-            if frame.object1 is not None and frame.object2 is not None:
-                if overlap_area(frame.object1, frame.object2) > 0:
-                    fail(f"object1 overlaps object2 at frame {frame.frame_index}")
-        if last.object1.centre[0] >= last.object2.x - 3 * config.touch_tol:
+        overlapping = np.flatnonzero(overlap > 0)
+        if overlapping.size:
+            fail(f"object1 overlaps object2 at frame {track.frames[overlapping[0]]}")
+        if centre[0, 0] >= last[1, 0] - 3 * config.touch_tol:
             fail("object1 must end back on its entry side, clear of object2")
     elif a == "put-behind":
-        if last.object1 is None:
+        if not o1[-1]:
             fail("object1 missing in the final frame")
-        if overlap_area(last.object1, last.object2) <= 0:
+        if overlap[-1] <= 0:
             fail("object1 must end overlapping object2")
-        if _contained_fraction(last.object1, last.object2) >= config.containment_fraction:
+        if contained[-1]:
             fail("object1 should only partially overlap object2")
-        if last.object1.centre[1] >= last.object2.centre[1]:
+        if centre[0, 1] >= centre[1, 1]:
             fail("object1 centre must end above object2 centre")

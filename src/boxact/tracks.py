@@ -1,4 +1,4 @@
-"""Bounding-box track containers and annotation file I/O.
+"""Bounding-box tracks and annotation file I/O.
 
 An annotation file is a single JSON document whose top level is a list of
 video records:
@@ -10,7 +10,15 @@ video records:
 
 ``label`` is optional.  Roles are restricted to ``object1``, ``object2`` and
 ``hand``; a missing box means the entity is not visible in that frame.
-Coordinates are pixels, y grows downward.
+Coordinates are pixels, y grows downward; the frame size must be finite and
+positive.
+
+A parsed video is a :class:`VideoTrack`: three read-only arrays over its
+``T`` annotated frames, sorted by frame index.  ``frames`` holds the frame
+indices, ``boxes`` the ``x, y, w, h`` of every role in :data:`ROLES` order
+(zero where the role is absent) and ``present`` which roles are visible.
+The parser checks the JSON structure; ``VideoTrack`` checks every numeric
+invariant on whole arrays.
 """
 
 from __future__ import annotations
@@ -21,13 +29,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import AnnotationError, read_json
 
 __all__ = [
     "ROLES",
     "COORDINATE_LIMIT",
-    "BoundingBox",
-    "FrameAnnotation",
     "VideoTrack",
     "parse_annotations",
     "serialize_annotations",
@@ -36,6 +44,9 @@ __all__ = [
 ]
 
 ROLES = ("object1", "object2", "hand")
+_FIELDS = ("x", "y", "w", "h")
+_ROLE_INDEX = {role: i for i, role in enumerate(ROLES)}
+_MAX_INDEX = np.iinfo(np.int64).max
 
 # Largest accepted |coordinate| and extent, in pixels.  Far beyond any real
 # frame, and small enough that every area, overlap ratio and distance the
@@ -44,194 +55,205 @@ COORDINATE_LIMIT = 1e9
 
 
 @dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in pixel coordinates (top-left corner, extent)."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise AnnotationError(f"box field {name!r} must be finite, got {v!r}")
-            if abs(v) > COORDINATE_LIMIT:
-                raise AnnotationError(
-                    f"box field {name!r} must lie within +/-{COORDINATE_LIMIT:g} px, "
-                    f"got {v!r}"
-                )
-        if self.w < 0 or self.h < 0:
-            raise AnnotationError(
-                f"box extent must be non-negative, got w={self.w}, h={self.h}"
-            )
-
-    @property
-    def x2(self) -> float:
-        return self.x + self.w
-
-    @property
-    def y2(self) -> float:
-        return self.y + self.h
-
-    @property
-    def centre(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-
-@dataclass(frozen=True)
-class FrameAnnotation:
-    """Boxes visible in one frame; any of the three roles may be absent."""
-
-    frame_index: int
-    object1: BoundingBox | None = None
-    object2: BoundingBox | None = None
-    hand: BoundingBox | None = None
-
-    def box(self, role: str) -> BoundingBox | None:
-        if role not in ROLES:
-            raise AnnotationError(f"unknown role {role!r}, expected one of {ROLES}")
-        return getattr(self, role)
-
-    def present(self, role: str) -> bool:
-        return self.box(role) is not None
-
-
-@dataclass(frozen=True)
 class VideoTrack:
-    """One video's annotation: ordered frames plus optional activity label."""
+    """One video's annotation as arrays, plus an optional activity label.
+
+    frames: int64 ``(T,)`` annotated frame indices, strictly increasing.
+    boxes: float64 ``(T, 3, 4)`` boxes ``x, y, w, h`` per role in ``ROLES``
+        order, all zero where the role is absent.
+    present: bool ``(T, 3)`` visibility of each role.
+
+    The arrays are made read-only, so a track never changes once built.
+    """
 
     video_id: str
-    frames: tuple[FrameAnnotation, ...]
+    frames: np.ndarray
+    boxes: np.ndarray
+    present: np.ndarray
     frame_width: float
     frame_height: float
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.frames:
-            raise AnnotationError(f"video {self.video_id!r}: track has no frames")
-        if self.frame_width <= 0 or self.frame_height <= 0:
-            raise AnnotationError(
-                f"video {self.video_id!r}: frame size must be positive"
-            )
-        indices = [f.frame_index for f in self.frames]
-        for a, b in zip(indices, indices[1:]):
-            if b <= a:
+        where = f"video {self.video_id!r}"
+        frames, boxes, present = self.frames, self.boxes, self.present
+        for name, array, dtype, shape in (
+            ("frames", frames, np.int64, "(T,)"),
+            ("boxes", boxes, np.float64, "(T, 3, 4)"),
+            ("present", present, np.bool_, "(T, 3)"),
+        ):
+            if not isinstance(array, np.ndarray) or array.dtype != dtype:
                 raise AnnotationError(
-                    f"video {self.video_id!r}: frame indices must be strictly "
-                    f"increasing, got {a} then {b}"
+                    f"{where}: {name} must be a {np.dtype(dtype)} array of shape {shape}"
                 )
+        count = frames.shape[0] if frames.ndim == 1 else -1
+        if boxes.shape != (count, 3, 4) or present.shape != (count, 3):
+            raise AnnotationError(
+                f"{where}: frames, boxes and present must have shapes (T,), "
+                f"(T, 3, 4) and (T, 3), got {frames.shape}, {boxes.shape} "
+                f"and {present.shape}"
+            )
+        if count == 0:
+            raise AnnotationError(f"{where}: track has no frames")
+        step = np.flatnonzero(frames[1:] <= frames[:-1])
+        if step.size:
+            t = step[0]
+            raise AnnotationError(
+                f"{where}: frame indices must be strictly increasing, got "
+                f"{frames[t]} then {frames[t + 1]}"
+            )
+        bad_value = ~(np.abs(boxes) <= COORDINATE_LIMIT)  # NaN compares false
+        bad_extent = (boxes[:, :, 2] < 0) | (boxes[:, :, 3] < 0)
+        bad_box = bad_value.any(axis=2) | bad_extent
+        if bad_box.any():
+            t, r = np.argwhere(bad_box)[0]
+            x, y, w, h = boxes[t, r].tolist()
+            at = f"{where} frame {int(frames[t])!r}"
+            for name, v in zip(_FIELDS, (x, y, w, h)):
+                if not math.isfinite(v):
+                    raise AnnotationError(f"{at}: box field {name!r} must be finite, got {v!r}")
+                if abs(v) > COORDINATE_LIMIT:
+                    raise AnnotationError(
+                        f"{at}: box field {name!r} must lie within "
+                        f"+/-{COORDINATE_LIMIT:g} px, got {v!r}"
+                    )
+            raise AnnotationError(f"{at}: box extent must be non-negative, got w={w}, h={h}")
+        absent = np.argwhere(~present & boxes.any(axis=2))
+        if absent.size:
+            t, r = absent[0]
+            raise AnnotationError(
+                f"{where} frame {int(frames[t])!r}: absent {ROLES[r]!r} must have an "
+                f"all-zero box"
+            )
+        size = (self.frame_width, self.frame_height)
+        if not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in size
+        ):
+            raise AnnotationError(
+                f"{where}: frame size must be finite, got {size[0]!r} x {size[1]!r}"
+            )
+        if size[0] <= 0 or size[1] <= 0:
+            raise AnnotationError(f"{where}: frame size must be positive")
+        for array in (frames, boxes, present):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.frames)
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise AnnotationError(message)
+def _float(value: int | float) -> float:
+    """``value`` as a float; an integer too large for one reads as +/-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
-def _parse_box(entry: object, video_id: str, idx: object) -> tuple[str, BoundingBox]:
-    where = f"video {video_id!r} frame {idx!r}"
-    _require(isinstance(entry, dict), f"{where}: box entry must be an object")
-    assert isinstance(entry, dict)
+def _parse_box(entry: object, video_id: str, idx: int) -> tuple[int, list]:
+    """Role index and the four raw numbers of one box entry."""
+    if not isinstance(entry, dict):
+        raise AnnotationError(f"video {video_id!r} frame {idx!r}: box entry must be an object")
     role = entry.get("role")
     if role not in ROLES:
         raise AnnotationError(
-            f"{where}: unknown role {role!r}, expected one of {ROLES}"
+            f"video {video_id!r} frame {idx!r}: unknown role {role!r}, expected one of {ROLES}"
         )
-    for key in ("x", "y", "w", "h"):
-        _require(key in entry, f"{where}: box for {role!r} is missing {key!r}")
-        _require(
-            isinstance(entry[key], (int, float)) and not isinstance(entry[key], bool),
-            f"{where}: box field {key!r} must be a number",
-        )
-    try:
-        box = BoundingBox(
-            float(entry["x"]), float(entry["y"]), float(entry["w"]), float(entry["h"])
-        )
-    except AnnotationError as exc:
-        raise AnnotationError(f"{where}: {exc}") from None
-    return role, box
+    values = []
+    for key in _FIELDS:
+        if key not in entry:
+            raise AnnotationError(
+                f"video {video_id!r} frame {idx!r}: box for {role!r} is missing {key!r}"
+            )
+        v = entry[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise AnnotationError(
+                f"video {video_id!r} frame {idx!r}: box field {key!r} must be a number"
+            )
+        values.append(v)
+    return _ROLE_INDEX[role], values
 
 
 def _parse_video(record: object, position: int) -> VideoTrack:
-    _require(
-        isinstance(record, dict), f"record #{position}: video record must be an object"
-    )
-    assert isinstance(record, dict)
+    if not isinstance(record, dict):
+        raise AnnotationError(f"record #{position}: video record must be an object")
     video_id = record.get("id")
-    _require(
-        isinstance(video_id, str) and bool(video_id),
-        f"record #{position}: missing or empty 'id'",
-    )
+    if not isinstance(video_id, str) or not video_id:
+        raise AnnotationError(f"record #{position}: missing or empty 'id'")
+    size = []
     for key in ("width", "height"):
-        _require(
-            isinstance(record.get(key), (int, float)),
-            f"video {video_id!r}: missing numeric {key!r}",
-        )
+        v = record.get(key)
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise AnnotationError(f"video {video_id!r}: missing numeric {key!r}")
+        size.append(_float(v))
     label = record.get("label")
-    if label is not None:
-        _require(isinstance(label, str), f"video {video_id!r}: label must be a string")
+    if label is not None and not isinstance(label, str):
+        raise AnnotationError(f"video {video_id!r}: label must be a string")
     raw_frames = record.get("frames")
-    _require(
-        isinstance(raw_frames, list) and bool(raw_frames),
-        f"video {video_id!r}: 'frames' must be a non-empty list",
-    )
-    assert isinstance(raw_frames, list)
-    frames = []
-    for frame in raw_frames:
-        _require(
-            isinstance(frame, dict), f"video {video_id!r}: frame must be an object"
-        )
+    if not isinstance(raw_frames, list) or not raw_frames:
+        raise AnnotationError(f"video {video_id!r}: 'frames' must be a non-empty list")
+    count = len(raw_frames)
+    indices = []
+    values = [0.0] * (12 * count)
+    present = [False] * (3 * count)
+    for t, frame in enumerate(raw_frames):
+        if not isinstance(frame, dict):
+            raise AnnotationError(f"video {video_id!r}: frame must be an object")
         idx = frame.get("idx")
-        _require(
-            isinstance(idx, int) and not isinstance(idx, bool) and idx >= 0,
-            f"video {video_id!r}: frame 'idx' must be a non-negative integer, "
-            f"got {idx!r}",
-        )
-        boxes = frame.get("boxes", [])
-        _require(
-            isinstance(boxes, list),
-            f"video {video_id!r} frame {idx!r}: 'boxes' must be a list",
-        )
-        by_role: dict[str, BoundingBox] = {}
-        for entry in boxes:
-            role, box = _parse_box(entry, video_id, idx)
-            _require(
-                role not in by_role,
-                f"video {video_id!r} frame {idx!r}: duplicate role {role!r}",
+        if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
+            raise AnnotationError(
+                f"video {video_id!r}: frame 'idx' must be a non-negative integer, "
+                f"got {idx!r}"
             )
-            by_role[role] = box
-        frames.append(FrameAnnotation(frame_index=idx, **by_role))
-    frames.sort(key=lambda f: f.frame_index)
-    for f1, f2 in zip(frames, frames[1:]):
-        _require(
-            f2.frame_index != f1.frame_index,
-            f"video {video_id!r}: duplicate frame index {f1.frame_index}",
+        if idx > _MAX_INDEX:
+            raise AnnotationError(
+                f"video {video_id!r}: frame 'idx' must be at most {_MAX_INDEX}, got {idx!r}"
+            )
+        boxes = frame.get("boxes", [])
+        if not isinstance(boxes, list):
+            raise AnnotationError(f"video {video_id!r} frame {idx!r}: 'boxes' must be a list")
+        for entry in boxes:
+            r, box = _parse_box(entry, video_id, idx)
+            slot = 3 * t + r
+            if present[slot]:
+                raise AnnotationError(
+                    f"video {video_id!r} frame {idx!r}: duplicate role {ROLES[r]!r}"
+                )
+            present[slot] = True
+            values[4 * slot : 4 * slot + 4] = box
+        indices.append(idx)
+    frames = np.array(indices, dtype=np.int64)
+    order = np.argsort(frames, kind="stable")
+    frames = frames[order]
+    repeated = np.flatnonzero(frames[1:] == frames[:-1])
+    if repeated.size:
+        raise AnnotationError(
+            f"video {video_id!r}: duplicate frame index {int(frames[repeated[0]])}"
         )
+    try:
+        box_array = np.array(values, dtype=np.float64)
+    except OverflowError:
+        box_array = np.array([_float(v) for v in values])
     return VideoTrack(
         video_id=video_id,
-        frames=tuple(frames),
-        frame_width=float(record["width"]),
-        frame_height=float(record["height"]),
+        frames=frames,
+        boxes=box_array.reshape(count, 3, 4)[order],
+        present=np.array(present).reshape(count, 3)[order],
+        frame_width=size[0],
+        frame_height=size[1],
         label=label,
     )
 
 
 def parse_annotations(document: object) -> list[VideoTrack]:
     """Parse an already-decoded annotation document (top-level list)."""
-    _require(isinstance(document, list), "annotation document must be a list of videos")
-    assert isinstance(document, list)
+    if not isinstance(document, list):
+        raise AnnotationError("annotation document must be a list of videos")
     tracks = [_parse_video(rec, i) for i, rec in enumerate(document)]
     seen: set[str] = set()
     for t in tracks:
-        _require(t.video_id not in seen, f"duplicate video id {t.video_id!r}")
+        if t.video_id in seen:
+            raise AnnotationError(f"duplicate video id {t.video_id!r}")
         seen.add(t.video_id)
     return tracks
 
@@ -240,16 +262,18 @@ def serialize_annotations(tracks: Iterable[VideoTrack]) -> list[dict]:
     """Inverse of :func:`parse_annotations`; round-trips exactly."""
     out = []
     for t in tracks:
-        frames = []
-        for f in t.frames:
-            boxes = []
-            for role in ROLES:
-                b = f.box(role)
-                if b is not None:
-                    boxes.append(
-                        {"role": role, "x": b.x, "y": b.y, "w": b.w, "h": b.h}
-                    )
-            frames.append({"idx": f.frame_index, "boxes": boxes})
+        boxes, present = t.boxes.tolist(), t.present.tolist()
+        frames = [
+            {
+                "idx": idx,
+                "boxes": [
+                    {"role": role, "x": x, "y": y, "w": w, "h": h}
+                    for role, (x, y, w, h), seen in zip(ROLES, boxes[i], present[i])
+                    if seen
+                ],
+            }
+            for i, idx in enumerate(t.frames.tolist())
+        ]
         record: dict = {
             "id": t.video_id,
             "width": t.frame_width,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from boxact.tracks import BoundingBox, FrameAnnotation, VideoTrack
+from boxact.tracks import VideoTrack
+
+from oracles import BoundingBox, FrameAnnotation, track_arrays
 
 
 def box(x: float, y: float, w: float = 10.0, h: float = 10.0) -> BoundingBox:
@@ -16,9 +18,12 @@ def make_track(
     height: float = 240.0,
     label: str | None = None,
 ) -> VideoTrack:
+    indices, boxes, present = track_arrays(frames)
     return VideoTrack(
         video_id=video_id,
-        frames=tuple(frames),
+        frames=indices,
+        boxes=boxes,
+        present=present,
         frame_width=width,
         frame_height=height,
         label=label,

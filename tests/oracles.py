@@ -9,25 +9,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
-from typing import NamedTuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from boxact.errors import ContractError
+from boxact.errors import AnnotationError, ContractError
 from boxact.forest import ForestParams, Tree
 from boxact.phases import Term
 from boxact.relations import (
     BOOLEAN_FEATURES,
     DEFAULT_CONFIG,
-    ENTITIES,
     OVERLAP_NORMALISER,
     RelationConfig,
-    edge_gap,
     feature_key,
-    overlap_area,
 )
-from boxact.tracks import BoundingBox, VideoTrack
+from boxact.tracks import COORDINATE_LIMIT, ROLES, VideoTrack
 
 
 def smooth_reference(series, sigma: float) -> np.ndarray:
@@ -128,6 +125,240 @@ def symmetric_unimodal_sequence(
     return v[np.abs(np.arange(t) - peak)], peak
 
 
+# --- tracks as per-box objects, and a parser that checks one box at a time -----
+
+
+@dataclass(frozen=True)
+class BoundingBox:
+    """Axis-aligned box in pixel coordinates (top-left corner, extent)."""
+
+    x: float
+    y: float
+    w: float
+    h: float
+
+    def __post_init__(self) -> None:
+        for name in ("x", "y", "w", "h"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise AnnotationError(f"box field {name!r} must be finite, got {v!r}")
+            if abs(v) > COORDINATE_LIMIT:
+                raise AnnotationError(
+                    f"box field {name!r} must lie within +/-{COORDINATE_LIMIT:g} px, "
+                    f"got {v!r}"
+                )
+        if self.w < 0 or self.h < 0:
+            raise AnnotationError(
+                f"box extent must be non-negative, got w={self.w}, h={self.h}"
+            )
+
+    @property
+    def x2(self) -> float:
+        return self.x + self.w
+
+    @property
+    def y2(self) -> float:
+        return self.y + self.h
+
+    @property
+    def centre(self) -> tuple[float, float]:
+        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
+
+    @property
+    def area(self) -> float:
+        return self.w * self.h
+
+
+@dataclass(frozen=True)
+class FrameAnnotation:
+    """Boxes visible in one frame; any of the three roles may be absent."""
+
+    frame_index: int
+    object1: BoundingBox | None = None
+    object2: BoundingBox | None = None
+    hand: BoundingBox | None = None
+
+    def box(self, role: str) -> BoundingBox | None:
+        return getattr(self, role)
+
+
+@dataclass(frozen=True)
+class ReferenceTrack:
+    """One video as a tuple of :class:`FrameAnnotation`, sorted by index."""
+
+    video_id: str
+    frames: tuple[FrameAnnotation, ...]
+    frame_width: float
+    frame_height: float
+    label: str | None = None
+
+    def __post_init__(self) -> None:
+        if not self.frames:
+            raise AnnotationError(f"video {self.video_id!r}: track has no frames")
+        size = (self.frame_width, self.frame_height)
+        if not all(math.isfinite(v) for v in size):
+            raise AnnotationError(
+                f"video {self.video_id!r}: frame size must be finite, got "
+                f"{size[0]!r} x {size[1]!r}"
+            )
+        if self.frame_width <= 0 or self.frame_height <= 0:
+            raise AnnotationError(
+                f"video {self.video_id!r}: frame size must be positive"
+            )
+        indices = [f.frame_index for f in self.frames]
+        for a, b in zip(indices, indices[1:]):
+            if b <= a:
+                raise AnnotationError(
+                    f"video {self.video_id!r}: frame indices must be strictly "
+                    f"increasing, got {a} then {b}"
+                )
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise AnnotationError(message)
+
+
+def _parse_box_reference(entry: object, video_id: str, idx: object) -> tuple[str, BoundingBox]:
+    where = f"video {video_id!r} frame {idx!r}"
+    _require(isinstance(entry, dict), f"{where}: box entry must be an object")
+    role = entry.get("role")
+    if role not in ROLES:
+        raise AnnotationError(
+            f"{where}: unknown role {role!r}, expected one of {ROLES}"
+        )
+    for key in ("x", "y", "w", "h"):
+        _require(key in entry, f"{where}: box for {role!r} is missing {key!r}")
+        _require(
+            isinstance(entry[key], (int, float)) and not isinstance(entry[key], bool),
+            f"{where}: box field {key!r} must be a number",
+        )
+    try:
+        box = BoundingBox(
+            float(entry["x"]), float(entry["y"]), float(entry["w"]), float(entry["h"])
+        )
+    except AnnotationError as exc:
+        raise AnnotationError(f"{where}: {exc}") from None
+    return role, box
+
+
+def _parse_video_reference(record: object, position: int) -> ReferenceTrack:
+    _require(
+        isinstance(record, dict), f"record #{position}: video record must be an object"
+    )
+    video_id = record.get("id")
+    _require(
+        isinstance(video_id, str) and bool(video_id),
+        f"record #{position}: missing or empty 'id'",
+    )
+    for key in ("width", "height"):
+        _require(
+            isinstance(record.get(key), (int, float))
+            and not isinstance(record.get(key), bool),
+            f"video {video_id!r}: missing numeric {key!r}",
+        )
+    label = record.get("label")
+    if label is not None:
+        _require(isinstance(label, str), f"video {video_id!r}: label must be a string")
+    raw_frames = record.get("frames")
+    _require(
+        isinstance(raw_frames, list) and bool(raw_frames),
+        f"video {video_id!r}: 'frames' must be a non-empty list",
+    )
+    frames = []
+    for frame in raw_frames:
+        _require(
+            isinstance(frame, dict), f"video {video_id!r}: frame must be an object"
+        )
+        idx = frame.get("idx")
+        _require(
+            isinstance(idx, int) and not isinstance(idx, bool) and idx >= 0,
+            f"video {video_id!r}: frame 'idx' must be a non-negative integer, "
+            f"got {idx!r}",
+        )
+        boxes = frame.get("boxes", [])
+        _require(
+            isinstance(boxes, list),
+            f"video {video_id!r} frame {idx!r}: 'boxes' must be a list",
+        )
+        by_role: dict[str, BoundingBox] = {}
+        for entry in boxes:
+            role, box = _parse_box_reference(entry, video_id, idx)
+            _require(
+                role not in by_role,
+                f"video {video_id!r} frame {idx!r}: duplicate role {role!r}",
+            )
+            by_role[role] = box
+        frames.append(FrameAnnotation(frame_index=idx, **by_role))
+    frames.sort(key=lambda f: f.frame_index)
+    for f1, f2 in zip(frames, frames[1:]):
+        _require(
+            f2.frame_index != f1.frame_index,
+            f"video {video_id!r}: duplicate frame index {f1.frame_index}",
+        )
+    return ReferenceTrack(
+        video_id=video_id,
+        frames=tuple(frames),
+        frame_width=float(record["width"]),
+        frame_height=float(record["height"]),
+        label=label,
+    )
+
+
+def parse_annotations_reference(document: object) -> list[ReferenceTrack]:
+    """The annotation parser written over per-box objects.
+
+    It checks each document in order, one box at a time, and validates box
+    values as each :class:`BoundingBox` is built.  Frame sizes must be finite
+    non-bool numbers, as in :func:`boxact.tracks.parse_annotations`.
+    """
+    _require(isinstance(document, list), "annotation document must be a list of videos")
+    tracks = [_parse_video_reference(rec, i) for i, rec in enumerate(document)]
+    seen: set[str] = set()
+    for t in tracks:
+        _require(t.video_id not in seen, f"duplicate video id {t.video_id!r}")
+        seen.add(t.video_id)
+    return tracks
+
+
+def track_arrays(
+    frames: Sequence[FrameAnnotation],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(frames, boxes, present)`` arrays of a :class:`VideoTrack`."""
+    boxes = np.zeros((len(frames), len(ROLES), 4))
+    present = np.zeros((len(frames), len(ROLES)), dtype=bool)
+    for t, frame in enumerate(frames):
+        for r, role in enumerate(ROLES):
+            b = frame.box(role)
+            if b is not None:
+                boxes[t, r] = (b.x, b.y, b.w, b.h)
+                present[t, r] = True
+    return np.array([f.frame_index for f in frames], dtype=np.int64), boxes, present
+
+
+def frame_at(track: VideoTrack, t: int) -> FrameAnnotation:
+    """Frame ``t`` of an array track as per-box objects."""
+    boxes = {
+        role: BoundingBox(*track.boxes[t, r].tolist())
+        for r, role in enumerate(ROLES)
+        if track.present[t, r]
+    }
+    return FrameAnnotation(frame_index=int(track.frames[t]), **boxes)
+
+
+def overlap_area(b1: BoundingBox, b2: BoundingBox) -> float:
+    xo = max(0.0, min(b1.x2, b2.x2) - max(b1.x, b2.x))
+    yo = max(0.0, min(b1.y2, b2.y2) - max(b1.y, b2.y))
+    return xo * yo
+
+
+def edge_gap(b1: BoundingBox, b2: BoundingBox) -> float:
+    """Distance between nearest edges; 0.0 when the boxes overlap."""
+    dx = max(b1.x - b2.x2, b2.x - b1.x2, 0.0)
+    dy = max(b1.y - b2.y2, b2.y - b1.y2, 0.0)
+    return math.hypot(dx, dy)
+
+
 # --- per-frame relations, one scalar at a time ---------------------------------
 
 
@@ -169,7 +400,7 @@ def offset(track: VideoTrack, entity: str, frame_index: int) -> tuple[float, flo
     Zero at the first frame and after an absence.  Raises
     :class:`ContractError` when the entity is absent at ``frame_index``.
     """
-    frame = track.frames[frame_index]
+    frame = frame_at(track, frame_index)
     box = frame.box(entity)
     if box is None:
         raise ContractError(
@@ -178,7 +409,7 @@ def offset(track: VideoTrack, entity: str, frame_index: int) -> tuple[float, flo
         )
     if frame_index == 0:
         return (0.0, 0.0)
-    prev = track.frames[frame_index - 1].box(entity)
+    prev = frame_at(track, frame_index - 1).box(entity)
     if prev is None:
         return (0.0, 0.0)
     return offset_between(box, prev)
@@ -227,12 +458,12 @@ def frame_relations(
     Booleans are 0.0/1.0.  Binary relations involving an absent entity are
     false; real pair features involving an absent entity are 0.0.
     """
-    frame = track.frames[frame_index]
-    prev = track.frames[frame_index - 1] if frame_index > 0 else None
-    boxes = {e: frame.box(e) for e in ENTITIES}
+    frame = frame_at(track, frame_index)
+    prev = frame_at(track, frame_index - 1) if frame_index > 0 else None
+    boxes = {e: frame.box(e) for e in ROLES}
 
     offsets: dict[str, tuple[float, float]] = {}
-    for e in ENTITIES:
+    for e in ROLES:
         box = boxes[e]
         prev_box = prev.box(e) if prev is not None else None
         if box is None or prev_box is None:
@@ -245,11 +476,11 @@ def frame_relations(
     def put(name: str, args: tuple[str, ...], value: float | bool) -> None:
         values[feature_key(name, args)] = float(value)
 
-    speed = {e: math.hypot(*offsets[e]) for e in ENTITIES}
+    speed = {e: math.hypot(*offsets[e]) for e in ROLES}
     moving = {
-        e: boxes[e] is not None and speed[e] > config.move_threshold for e in ENTITIES
+        e: boxes[e] is not None and speed[e] > config.move_threshold for e in ROLES
     }
-    for e in ENTITIES:
+    for e in ROLES:
         put("present", (e,), boxes[e] is not None)
         put("size", (e,), size(boxes[e]) if boxes[e] is not None else 0.0)
         put("speed", (e,), speed[e] if boxes[e] is not None else 0.0)
@@ -274,8 +505,8 @@ def frame_relations(
         put("offset_angle", (a, b), angle)
         put("touching", (a, b), both and edge_gap(ba, bb) <= config.touch_tol)
 
-    for a in ENTITIES:
-        for b in ENTITIES:
+    for a in ROLES:
+        for b in ROLES:
             if a == b:
                 continue
             ba, bb = boxes[a], boxes[b]
@@ -335,7 +566,7 @@ def relation_table_reference(
     track: VideoTrack, config: RelationConfig = DEFAULT_CONFIG
 ) -> list[dict[str, float]]:
     """:func:`frame_relations` for every frame of the track."""
-    return [frame_relations(track, i, config) for i in range(len(track.frames))]
+    return [frame_relations(track, i, config) for i in range(len(track))]
 
 
 def term_value(term: Term, values: dict[str, float]) -> float:
@@ -352,10 +583,8 @@ def term_value(term: Term, values: dict[str, float]) -> float:
 
 def swap_objects(track: VideoTrack) -> VideoTrack:
     """The same track with the object1 and object2 boxes exchanged."""
-    frames = tuple(
-        replace(f, object1=f.object2, object2=f.object1) for f in track.frames
-    )
-    return replace(track, frames=frames)
+    order = [1, 0, 2]
+    return replace(track, boxes=track.boxes[:, order], present=track.present[:, order])
 
 
 # --- forest split search, one candidate feature at a time ----------------------

@@ -12,25 +12,26 @@ from boxact.pipeline import assign_track
 from boxact.relations import (
     COLUMN,
     DEFAULT_CONFIG,
-    ENTITIES,
     SWAP,
     RelationConfig,
-    edge_gap,
     feature_key,
     feature_kind,
-    overlap_area,
     relation_keys,
     relation_table,
     validate_feature,
 )
-from boxact.tracks import COORDINATE_LIMIT, BoundingBox, FrameAnnotation, parse_annotations
+from boxact.tracks import COORDINATE_LIMIT, ROLES, parse_annotations
 
 from conftest import box, make_track, moving_track
 from oracles import (
+    BoundingBox,
+    FrameAnnotation,
     centre_dist,
+    edge_gap,
     offset,
     offset_angle,
     offset_dist,
+    overlap_area,
     overlap_normalised,
     relation_table_reference,
     size,
@@ -326,7 +327,7 @@ def test_offset_angle_range_and_symmetry(o1, o2):
 def test_boolean_values_are_indicator_floats(seed):
     rng = np.random.default_rng(seed)
     centres = {
-        e: [tuple(rng.uniform(0, 300, size=2)) for _ in range(4)] for e in ENTITIES
+        e: [tuple(rng.uniform(0, 300, size=2)) for _ in range(4)] for e in ROLES
     }
     table = relation_table(moving_track(centres))
     for key, column in COLUMN.items():
@@ -358,7 +359,7 @@ configs = st.sampled_from(
 def relation_tracks(draw):
     """1-8 frames with sparse indices; some entities absent throughout."""
     indices = sorted(draw(st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=8)))
-    roles = draw(st.sets(st.sampled_from(ENTITIES)))
+    roles = draw(st.sets(st.sampled_from(ROLES)))
     frames = []
     for idx in indices:
         boxes = {r: draw(st.one_of(st.none(), table_boxes)) for r in sorted(roles)}
@@ -425,7 +426,7 @@ limit_extents = st.floats(min_value=0.0, max_value=COORDINATE_LIMIT)
 def box_documents(draw):
     frames = []
     for idx in sorted(draw(st.sets(st.integers(0, 50), min_size=1, max_size=12))):
-        roles = draw(st.sets(st.sampled_from(ENTITIES)))
+        roles = draw(st.sets(st.sampled_from(ROLES)))
         boxes = [
             dict(
                 role=r,
@@ -452,7 +453,7 @@ ALL_RELATIONS = ActionModel(
     [{"id": "v", "width": 320, "height": 240, "frames": [
         {"idx": 0, "boxes": [
             {"role": r, "x": -COORDINATE_LIMIT, "y": COORDINATE_LIMIT,
-             "w": COORDINATE_LIMIT, "h": COORDINATE_LIMIT} for r in ENTITIES]},
+             "w": COORDINATE_LIMIT, "h": COORDINATE_LIMIT} for r in ROLES]},
         {"idx": 1, "boxes": [
             {"role": "object1", "x": COORDINATE_LIMIT, "y": 0.0, "w": 5e-324, "h": 1e-300},
             {"role": "hand", "x": COORDINATE_LIMIT, "y": -COORDINATE_LIMIT, "w": 0.0,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from boxact.synthetic import (
     script_to_dict,
     verify_archetype_geometry,
 )
-from boxact.tracks import serialize_annotations
+from boxact.tracks import ROLES, serialize_annotations
 
 CENTERS = {"a": 0, "b": 15, "c": 29, "d": 44, "e": 59}
 
@@ -89,7 +90,7 @@ def test_script_from_dict_rejects_unknown_fields():
 def test_generation_is_pure():
     t1, g1 = generate_synthetic(_script())
     t2, g2 = generate_synthetic(_script())
-    assert t1 == t2 and g1 == g2
+    assert serialize_annotations([t1]) == serialize_annotations([t2]) and g1 == g2
 
 
 def test_track_shape():
@@ -98,20 +99,20 @@ def test_track_shape():
     assert track.label == "put-into"
     assert (track.frame_width, track.frame_height) == (FRAME_WIDTH, FRAME_HEIGHT)
     assert truth == CENTERS
-    assert [f.frame_index for f in track.frames] == list(range(60))
+    assert track.frames.tolist() == list(range(60))
 
 
 def test_object2_stays_on_stage():
     for archetype in ARCHETYPES:
         script = random_script(archetype, seed=11)
         track, _ = generate_synthetic(script)
-        assert all(f.object2 is not None for f in track.frames), archetype
+        assert track.present[:, ROLES.index("object2")].all(), archetype
 
 
 def test_hand_presence_is_one_contiguous_run():
     for archetype in ARCHETYPES:
         track, _ = generate_synthetic(random_script(archetype, seed=4))
-        present = [f.hand is not None for f in track.frames]
+        present = track.present[:, ROLES.index("hand")].tolist()
         runs = sum(
             1 for i, p in enumerate(present) if p and (i == 0 or not present[i - 1])
         )
@@ -125,6 +126,16 @@ def test_archetype_geometry_postconditions(archetype):
         script = random_script(archetype, seed=seed)
         track, _ = generate_synthetic(script)
         verify_archetype_geometry(track, script)
+
+
+@pytest.mark.parametrize("archetype", ARCHETYPES)
+def test_archetype_geometry_rejects_the_other_archetypes(archetype):
+    script = random_script(archetype, seed=0)
+    track, _ = generate_synthetic(script)
+    for other in ARCHETYPES:
+        if other != archetype:
+            with pytest.raises(ContractError, match=f"^{other} "):
+                verify_archetype_geometry(track, replace(script, archetype=other))
 
 
 # --- random scripts ---------------------------------------------------------------
@@ -156,7 +167,7 @@ def test_generate_dataset():
     again, _ = generate_dataset(
         ["put-into", "put-behind"], per_archetype=3, seed=5, id_prefix="t"
     )
-    assert tracks == again
+    assert serialize_annotations(tracks) == serialize_annotations(again)
 
 
 # sha256 of the sorted-key JSON of each generated set.  The first three are
@@ -192,21 +203,19 @@ def test_generated_annotations_are_pinned(per_archetype, frames, noise, seed, di
 def test_generate_dataset_distinct_noise_per_video():
     noise = NoiseParams(jitter_sigma=2.0)
     tracks, _ = generate_dataset(["put-into"], per_archetype=2, noise=noise, seed=3)
-    f0 = tracks[0].frames[30].object2
-    f1 = tracks[1].frames[30].object2
-    assert f0 != f1  # same scripted stage, different jitter stream
+    object2 = ROLES.index("object2")
+    f0 = tracks[0].boxes[30, object2]
+    f1 = tracks[1].boxes[30, object2]
+    assert not np.array_equal(f0, f1)  # same scripted stage, different jitter stream
 
 
 # --- the copy-lag artifact --------------------------------------------------------
 
 
 def _lag_frames(track) -> list[int]:
-    out = []
-    for prev, cur in zip(track.frames, track.frames[1:]):
-        same = all(prev.box(r) == cur.box(r) for r in ("object1", "object2", "hand"))
-        if same:
-            out.append(cur.frame_index)
-    return out
+    same_boxes = (track.boxes[1:] == track.boxes[:-1]).all(axis=(1, 2))
+    same_roles = (track.present[1:] == track.present[:-1]).all(axis=1)
+    return track.frames[1:][same_boxes & same_roles].tolist()
 
 
 def test_copy_lag_produces_exact_repeats_under_jitter():
@@ -230,9 +239,9 @@ def test_lagged_frame_offset_is_exactly_zero_then_snaps():
     lags = _lag_frames(track)
     assert lags
     t = lags[0]
-    met = track.frames[t].object2.centre
-    prev = track.frames[t - 1].object2.centre
-    nxt = track.frames[t + 1].object2.centre
+    x, y, w, h = track.boxes[:, ROLES.index("object2")].T
+    cx, cy = x + w / 2.0, y + h / 2.0
+    met, prev, nxt = ((cx[i], cy[i]) for i in (t, t - 1, t + 1))
     assert met == prev
     # the snap-back step is visibly larger than a plain jitter step
     assert np.hypot(nxt[0] - met[0], nxt[1] - met[1]) > 0.0

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-import math
+import copy
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,14 +10,15 @@ from boxact.errors import AnnotationError
 from boxact.tracks import (
     COORDINATE_LIMIT,
     ROLES,
-    BoundingBox,
-    FrameAnnotation,
     VideoTrack,
     parse_annotations,
     serialize_annotations,
     load_annotation_file,
     write_annotation_file,
 )
+
+from conftest import make_track
+from oracles import BoundingBox, FrameAnnotation, parse_annotations_reference, track_arrays
 
 DOC = [
     {
@@ -51,9 +53,14 @@ def test_parse_basic_document():
     assert t.label == "put-into"
     assert (t.frame_width, t.frame_height) == (320.0, 240.0)
     assert len(t) == 2
-    assert t.frames[0].object1 is None
-    assert t.frames[0].present("object2")
-    assert t.frames[1].hand == BoundingBox(0.0, 90.0, 30.0, 25.0)
+    assert t.frames.dtype == np.int64 and t.frames.tolist() == [0, 1]
+    assert t.present.tolist() == [[False, True, False], [False, True, True]]
+    assert t.boxes.dtype == np.float64
+    assert t.boxes[1, ROLES.index("hand")].tolist() == [0.0, 90.0, 30.0, 25.0]
+    assert not t.boxes[0, ROLES.index("hand")].any()
+    for array in (t.frames, t.boxes, t.present):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_label_is_optional():
@@ -65,7 +72,8 @@ def test_label_is_optional():
 def test_out_of_order_frames_come_back_sorted():
     doc = [dict(DOC[0], frames=list(reversed(DOC[0]["frames"])))]
     t = parse_annotations(doc)[0]
-    assert [f.frame_index for f in t.frames] == [0, 1]
+    assert t.frames.tolist() == [0, 1]
+    assert t.present.tolist() == [[False, True, False], [False, True, True]]
 
 
 @pytest.mark.parametrize(
@@ -76,6 +84,10 @@ def test_out_of_order_frames_come_back_sorted():
         (lambda d: d.pop("width"), "missing numeric"),
         (lambda d: d.update(frames=[]), "non-empty list"),
         (lambda d: d.update(label=3), "label must be a string"),
+        (lambda d: d.update(width=float("nan")), "frame size must be finite"),
+        (lambda d: d.update(height=float("inf")), "frame size must be finite"),
+        (lambda d: d.update(width=True), "missing numeric 'width'"),
+        (lambda d: d.update(height=-1), "frame size must be positive"),
     ],
 )
 def test_bad_video_records(mutate, message):
@@ -114,19 +126,23 @@ def test_unknown_role_rejected():
         parse_annotations([dict(DOC[0], frames=[frame])])
 
 
-@pytest.mark.parametrize("bad", [{"w": -1}, {"x": float("nan")}, {"h": float("inf")}])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"w": -1}, {"h": -0.5}, {"x": float("nan")}, {"h": float("inf")},
+        {"y": float("-inf")}, {"x": 2e9}, {"w": -1e300}, {"y": True}, {"x": "1"},
+    ],
+)
 def test_bad_box_values_rejected(bad):
     entry = {"role": "hand", "x": 0.0, "y": 0.0, "w": 1.0, "h": 1.0}
     entry.update(bad)
-    with pytest.raises(AnnotationError):
-        parse_annotations([dict(DOC[0], frames=[{"idx": 0, "boxes": [entry]}])])
-
-
-def test_box_properties():
-    b = BoundingBox(2.0, 3.0, 10.0, 20.0)
-    assert b.x2 == 12.0 and b.y2 == 23.0
-    assert b.centre == (7.0, 13.0)
-    assert b.area == 200.0
+    frames = [DOC[0]["frames"][1], {"idx": 4, "boxes": [entry]}, DOC[0]["frames"][0]]
+    document = [dict(DOC[0], frames=frames)]
+    with pytest.raises(AnnotationError) as expected:
+        parse_annotations_reference(document)
+    with pytest.raises(AnnotationError) as got:
+        parse_annotations(document)
+    assert str(got.value) == str(expected.value)
 
 
 def test_huge_box_values_rejected():
@@ -135,14 +151,71 @@ def test_huge_box_values_rejected():
         entry = {"role": "hand", "x": 0.0, "y": 0.0, "w": 1.0, "h": 1.0, **bad}
         with pytest.raises(AnnotationError, match="must lie within"):
             parse_annotations([dict(DOC[0], frames=[{"idx": 0, "boxes": [entry]}])])
-    edge = BoundingBox(-COORDINATE_LIMIT, COORDINATE_LIMIT, COORDINATE_LIMIT, 0.0)
-    assert edge.x == -COORDINATE_LIMIT
+    edge = make_track(
+        [FrameAnnotation(0, hand=BoundingBox(-COORDINATE_LIMIT, COORDINATE_LIMIT, COORDINATE_LIMIT, 0.0))]
+    )
+    assert edge.boxes[0, ROLES.index("hand")].tolist() == [
+        -COORDINATE_LIMIT, COORDINATE_LIMIT, COORDINATE_LIMIT, 0.0
+    ]
+
+
+def test_integers_too_large_for_a_float_are_rejected():
+    # float() of such an integer raises OverflowError, which escaped the parser
+    big = 10**400
+    entry = {"role": "hand", "x": big, "y": 0, "w": 1, "h": 1}
+    with pytest.raises(AnnotationError, match="frame 0: box field 'x' must be finite"):
+        parse_annotations([dict(DOC[0], frames=[{"idx": 0, "boxes": [entry]}])])
+    with pytest.raises(AnnotationError, match="frame size must be finite"):
+        parse_annotations([dict(DOC[0], width=-big)])
+    with pytest.raises(AnnotationError, match="frame 'idx' must be at most"):
+        parse_annotations([dict(DOC[0], frames=[{"idx": 2**63, "boxes": []}])])
+    last = parse_annotations([dict(DOC[0], frames=[{"idx": 2**63 - 1, "boxes": []}])])[0]
+    assert last.frames.tolist() == [2**63 - 1]
+
+
+def _arrays(count: int = 2):
+    return (
+        np.arange(count, dtype=np.int64),
+        np.zeros((count, 3, 4)),
+        np.zeros((count, 3), dtype=bool),
+    )
 
 
 def test_track_requires_increasing_indices():
-    f = FrameAnnotation(frame_index=0)
-    with pytest.raises(AnnotationError, match="strictly increasing"):
-        VideoTrack("v", (f, f), 10.0, 10.0)
+    frames, boxes, present = _arrays()
+    with pytest.raises(AnnotationError, match="strictly increasing, got 0 then 0"):
+        VideoTrack("v", np.zeros(2, dtype=np.int64), boxes, present, 10.0, 10.0)
+    with pytest.raises(AnnotationError, match="strictly increasing, got 1 then 0"):
+        VideoTrack("v", frames[::-1].copy(), boxes, present, 10.0, 10.0)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda a: a.update(frames=a["frames"].astype(np.int32)), "frames must be a int64 array"),
+        (lambda a: a.update(frames=[0, 1]), "frames must be a int64 array"),
+        (lambda a: a.update(boxes=a["boxes"].astype(np.float32)), "boxes must be a float64 array"),
+        (lambda a: a.update(present=a["present"].astype(np.int64)), "present must be a bool array"),
+        (lambda a: a.update(boxes=np.zeros((2, 3, 5))), r"shapes \(T,\), \(T, 3, 4\)"),
+        (lambda a: a.update(present=np.zeros((3, 3), dtype=bool)), "must have shapes"),
+        (lambda a: a.update(frames=np.zeros((2, 1), dtype=np.int64)), "must have shapes"),
+        (lambda a: a.update(**dict(zip(("frames", "boxes", "present"), _arrays(0)))), "no frames"),
+        (lambda a: a["boxes"].__setitem__((1, 2, 0), 5.0), "frame 1: absent 'hand' must have an all-zero box"),
+        (lambda a: a["boxes"].__setitem__((1, 0, 1), np.nan), "frame 1: box field 'y' must be finite, got nan"),
+        (lambda a: a["boxes"].__setitem__((0, 1, 3), -np.inf), "frame 0: box field 'h' must be finite, got -inf"),
+        (lambda a: a["boxes"].__setitem__((0, 2, 2), -0.5), "frame 0: box extent must be non-negative, got w=-0.5, h=0.0"),
+        (lambda a: a.update(frame_width=0.0), "frame size must be positive"),
+        (lambda a: a.update(frame_height=float("nan")), "frame size must be finite"),
+        (lambda a: a.update(frame_height="240"), "frame size must be finite"),
+    ],
+)
+def test_track_invariants(change, message):
+    frames, boxes, present = _arrays()
+    present[:, :2] = True
+    args = dict(frames=frames, boxes=boxes, present=present, frame_width=320.0, frame_height=240.0)
+    change(args)
+    with pytest.raises(AnnotationError, match=message):
+        VideoTrack("v", **args)
 
 
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False).map(
@@ -167,13 +240,7 @@ def video_tracks(draw):
             )
         )
     label = draw(st.one_of(st.none(), st.sampled_from(["x", "put-into"])))
-    return VideoTrack(
-        video_id=draw(st.text(min_size=1, max_size=8)),
-        frames=tuple(frames),
-        frame_width=320.0,
-        frame_height=240.0,
-        label=label,
-    )
+    return make_track(frames, video_id=draw(st.text(min_size=1, max_size=8)), label=label)
 
 
 @given(st.lists(video_tracks(), max_size=4))
@@ -182,17 +249,25 @@ def test_parse_serialize_round_trip(tracks):
     ids = [t.video_id for t in tracks]
     if len(set(ids)) != len(ids):
         tracks = [
-            VideoTrack(f"v{i}", t.frames, t.frame_width, t.frame_height, t.label)
+            VideoTrack(
+                f"v{i}", t.frames, t.boxes, t.present, t.frame_width, t.frame_height, t.label
+            )
             for i, t in enumerate(tracks)
         ]
-    assert parse_annotations(serialize_annotations(tracks)) == list(tracks)
+    document = serialize_annotations(tracks)
+    parsed = parse_annotations(document)
+    assert serialize_annotations(parsed) == document
+    for got, want in zip(parsed, tracks):
+        for name in ("frames", "boxes", "present"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_file_round_trip(tmp_path):
     tracks = parse_annotations(DOC)
     path = tmp_path / "ann.json"
     write_annotation_file(path, tracks)
-    assert load_annotation_file(path) == tracks
+    assert serialize_annotations(load_annotation_file(path)) == serialize_annotations(tracks)
+    assert serialize_annotations(tracks) == DOC
 
 
 def test_invalid_json_file(tmp_path):
@@ -205,3 +280,142 @@ def test_invalid_json_file(tmp_path):
 def test_non_list_document_rejected():
     with pytest.raises(AnnotationError, match="must be a list"):
         parse_annotations({"id": "v0"})
+
+
+# --- the parser against the per-box reference parser -----------------------------
+
+numbers = st.one_of(st.integers(-300, 300), st.floats(-300, 300))
+sizes = st.one_of(st.integers(0, 100), st.floats(0, 100))
+# values a mutation puts in place of a valid one
+BAD_VALUES = [None, True, False, "1", [], {}, -1, 1.5, 7, "", "foot", *ROLES]
+BAD_NUMBERS = [
+    float("nan"), float("inf"), float("-inf"), True, -1, -0.5, -1e300, 2 * COORDINATE_LIMIT,
+    -COORDINATE_LIMIT, -0.0,
+]
+VIDEO_KEYS = ("id", "width", "height", "label", "frames")
+FRAME_KEYS = ("idx", "boxes")
+BOX_KEYS = ("role", "x", "y", "w", "h")
+MUTATIONS = [
+    "box-value", "box-value", "box-value", "frame-size", "video", "frame", "box",
+    "not-an-object", "duplicate-role", "duplicate-index", "duplicate-video", "no-frames",
+    "shuffle", "not-a-list",
+]
+
+
+@st.composite
+def annotation_documents(draw):
+    """A valid document: 1-3 videos of 1-5 frames, frames in any order."""
+    videos = []
+    for v in range(draw(st.integers(1, 3))):
+        frames = []
+        for idx in draw(st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True)):
+            roles = draw(st.lists(st.sampled_from(ROLES), unique=True))
+            frames.append({
+                "idx": idx,
+                "boxes": [
+                    {"role": r, "x": draw(numbers), "y": draw(numbers),
+                     "w": draw(sizes), "h": draw(sizes)}
+                    for r in roles
+                ],
+            })
+        record = {"id": f"v{v}", "width": draw(st.sampled_from([320, 320.0, 0.5])),
+                  "height": 240, "frames": frames}
+        if draw(st.booleans()):
+            record["label"] = "put-into"
+        videos.append(record)
+    return videos
+
+
+def _mutate(draw, document: list):
+    """``document`` with one thing changed; lists and dicts change in place."""
+    video = draw(st.sampled_from(document))
+    frame = draw(st.sampled_from(video["frames"]))
+    entries = frame.get("boxes", [])
+    all_entries = [e for f in video["frames"] for e in f.get("boxes", [])]
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "box-value" and all_entries:
+        entry = draw(st.sampled_from(all_entries))
+        entry[draw(st.sampled_from("xywh"))] = draw(st.sampled_from(BAD_NUMBERS))
+    elif kind == "frame-size":
+        video[draw(st.sampled_from(["width", "height"]))] = draw(
+            st.sampled_from(BAD_NUMBERS + ["320", None])
+        )
+    elif kind in ("video", "frame", "box"):
+        target, keys = {
+            "video": (video, VIDEO_KEYS),
+            "frame": (frame, FRAME_KEYS),
+            "box": (draw(st.sampled_from(entries)) if entries else frame, BOX_KEYS),
+        }[kind]
+        key = draw(st.sampled_from(keys))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(st.sampled_from(BAD_VALUES))
+    elif kind == "not-an-object":
+        holder = draw(st.sampled_from([document, video["frames"]] + ([entries] if entries else [])))
+        holder[draw(st.integers(0, len(holder) - 1))] = draw(st.sampled_from([1, "x", None, []]))
+    elif kind == "duplicate-role" and entries:
+        entries.append(dict(draw(st.sampled_from(entries))))
+    elif kind == "duplicate-index":
+        frame["idx"] = draw(st.sampled_from(video["frames"])).get("idx", 0)
+    elif kind == "duplicate-video":
+        document.append(copy.deepcopy(video))
+    elif kind == "no-frames":
+        video["frames"] = []
+    elif kind == "shuffle":
+        video["frames"] = draw(st.permutations(video["frames"]))
+    elif kind == "not-a-list":
+        return {"videos": document}
+    return document
+
+
+def _mutable(document) -> bool:
+    """Whether ``document`` still has the shape that :func:`_mutate` walks."""
+    return isinstance(document, list) and all(
+        isinstance(v, dict)
+        and isinstance(v.get("frames"), list)
+        and v["frames"]
+        and all(isinstance(f, dict) and isinstance(f.get("boxes", []), list) for f in v["frames"])
+        for v in document
+    )
+
+
+@st.composite
+def mutated_documents(draw):
+    """A document and how many mutations it went through (0-3)."""
+    document = draw(annotation_documents())
+    wanted, mutations = draw(st.sampled_from([1, 1, 1, 2, 3, 0])), 0
+    while mutations < wanted and _mutable(document):
+        document = _mutate(draw, document)
+        mutations += 1
+    return document, mutations
+
+
+def _outcome(parse, document):
+    try:
+        return parse(copy.deepcopy(document)), None
+    except Exception as exc:  # noqa: BLE001 - the error class is compared
+        return None, exc
+
+
+@given(mutated_documents())
+@settings(max_examples=400, deadline=None)
+def test_parser_agrees_with_the_reference_parser(case):
+    document, mutations = case
+    expected, expected_error = _outcome(parse_annotations_reference, document)
+    got, error = _outcome(parse_annotations, document)
+    assert (error is None) == (expected_error is None), (error, expected_error)
+    if error is not None:
+        assert type(error) is type(expected_error) is AnnotationError
+        if mutations <= 1:  # a single fault: the same first offender
+            assert str(error) == str(expected_error)
+        return
+    assert len(got) == len(expected)
+    for track, reference in zip(got, expected):
+        frames, boxes, present = track_arrays(reference.frames)
+        assert np.array_equal(track.frames, frames)
+        assert np.array_equal(track.boxes, boxes, equal_nan=False)
+        assert np.array_equal(track.present, present)
+        assert (track.video_id, track.label, track.frame_width, track.frame_height) == (
+            reference.video_id, reference.label, reference.frame_width, reference.frame_height
+        )
