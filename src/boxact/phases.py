@@ -243,8 +243,8 @@ def builtin_models() -> dict[str, ActionModel]:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalised Gaussian taps truncated at +/- 3 sigma."""
-    if sigma <= 0:
-        raise ContractError(f"sigma must be positive, got {sigma}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ContractError(f"sigma must be finite and positive, got {sigma}")
     radius = max(1, int(3.0 * sigma + 0.5))
     x = np.arange(-radius, radius + 1, dtype=float)
     k = np.exp(-0.5 * (x / sigma) ** 2)

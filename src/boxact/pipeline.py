@@ -66,8 +66,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ConfigError("window half-width n must be non-negative")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}")
         if self.embedding_mode not in EMBEDDING_MODES:
             raise ConfigError(
                 f"embedding_mode must be one of {EMBEDDING_MODES}, "

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boxact.cli import main
 from boxact.evaluation import load_predictions
 from boxact.forest import load_forest
+from boxact.phases import ARCHETYPES
 from boxact.synthetic import random_script, script_to_dict
-from boxact.tracks import load_annotation_file
+from boxact.tracks import COORDINATE_LIMIT, ROLES, load_annotation_file
 
 GEN = [
     "generate",
@@ -608,6 +614,32 @@ def test_negative_seed_exits_1(workdir, tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["assign", "--sigma", "nan"],
+        ["assign", "--sigma", "inf"],
+        ["sweep", "--num-trees", "2", "--sigmas", "nan"],
+    ],
+    ids=["assign-nan", "assign-inf", "sweep-nan"],
+)
+def test_non_finite_sigma_exits_1(workdir, tmp_path, capsys, argv):
+    # the kernel radius int(3 * sigma + 0.5) raised ValueError or OverflowError
+    command, *flags = argv
+    out = ["--out", str(tmp_path / "out.json")] if command == "assign" else []
+    capsys.readouterr()
+    assert main([command, "--annotations", str(workdir / "ann.json"), *out, *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: sigma must be finite and positive")
+
+
+def test_generate_negative_count_exits_1(tmp_path, capsys):
+    out = tmp_path / "ann.json"
+    capsys.readouterr()
+    assert main(["generate", "--out", str(out), "--count", "-1"]) == 1
+    assert capsys.readouterr().err == "error: per_archetype must be at least 0, got -1\n"
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["dance"])
@@ -640,3 +672,73 @@ def test_sweep_writes_a_grid(workdir, tmp_path, capsys):
     row = doc["rows"][0]
     assert set(row) >= {"sigma", "n", "accuracy", "weighted_map"}
     assert "accuracy" in capsys.readouterr().out
+
+
+# --- every accepted document runs through train, predict and eval -------------------
+
+limit_boxes = st.builds(
+    lambda x, y, w, h: {"x": x, "y": y, "w": w, "h": h},
+    st.sampled_from([-COORDINATE_LIMIT, 0.0, 37.5, COORDINATE_LIMIT]),
+    st.sampled_from([-COORDINATE_LIMIT, 0.0, 12.0, COORDINATE_LIMIT]),
+    st.sampled_from([0.0, 5e-324, 20.0, COORDINATE_LIMIT]),
+    st.sampled_from([0.0, 15.0, COORDINATE_LIMIT]),
+)
+plain_boxes = st.fixed_dictionaries(
+    {k: st.floats(0, 300) for k in "xy"} | {k: st.floats(0, 60) for k in "wh"}
+)
+
+
+@st.composite
+def corpus_documents(draw):
+    """2-8 videos of 1-8 frames at sparse indices, some roles absent throughout.
+
+    Labels cycle through one class or all five; a quarter of the documents
+    leave the first video unlabelled.
+    """
+    classes = draw(st.sampled_from([ARCHETYPES[:1], ARCHETYPES, ARCHETYPES]))
+    unlabelled = draw(st.sampled_from([None, None, None, "v0"]))
+    videos = []
+    for v in range(draw(st.integers(2, 8))):
+        roles = draw(st.lists(st.sampled_from(ROLES), unique=True))
+        frames = []
+        for idx in sorted(draw(st.sets(st.integers(0, 10_000), min_size=1, max_size=8))):
+            boxes = [
+                {"role": r, **draw(st.one_of(plain_boxes, limit_boxes))}
+                for r in roles
+                if draw(st.booleans())
+            ]
+            frames.append({"idx": idx, "boxes": boxes})
+        record = {"id": f"v{v}", "width": 320, "height": 240, "frames": frames}
+        if record["id"] != unlabelled:
+            record["label"] = classes[v % len(classes)]
+        videos.append(record)
+    return videos
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # single-class actions also warn
+            code = main(argv)
+    return code, err.getvalue()
+
+
+@given(corpus_documents())
+@settings(max_examples=25, deadline=None)
+def test_accepted_documents_run_through_train_predict_and_eval(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ann, forests, preds = root / "ann.json", root / "forests", root / "preds.json"
+        ann.write_text(json.dumps(document))
+        for argv in (
+            ["train", "--annotations", str(ann), "--out-dir", str(forests), "--num-trees", "5"],
+            ["predict", "--annotations", str(ann), "--forest-dir", str(forests),
+             "--split", str(forests / "split.json"), "--subset", "all", "--out", str(preds)],
+            ["eval", "--predictions", str(preds)],
+        ):
+            code, err = _run(argv)
+            assert code == 0 or (
+                code == 1
+                and (err.startswith("error: ") or err.startswith("warning: skipped single-class"))
+            ), (argv[0], code, err)

@@ -66,9 +66,10 @@ def test_kernel_radius():
     assert gaussian_kernel(1.0).sum() == pytest.approx(1.0)
 
 
-def test_kernel_rejects_non_positive_sigma():
-    with pytest.raises(ContractError):
-        gaussian_kernel(0.0)
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+def test_kernel_rejects_sigma_that_is_not_finite_and_positive(sigma):
+    with pytest.raises(ContractError, match="finite and positive"):
+        gaussian_kernel(sigma)
 
 
 def test_interior_impulse_response_is_the_kernel():

@@ -25,6 +25,8 @@ def test_config_validation():
     for bad in (
         dict(n=-1),
         dict(sigma=0.0),
+        dict(sigma=float("nan")),
+        dict(sigma=float("inf")),
         dict(embedding_mode="compact"),
         dict(val_fraction=0.0),
         dict(val_fraction=1.0),
