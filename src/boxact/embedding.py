@@ -8,12 +8,18 @@ layout never changes shape for a given model.
 
 A ``scores_only`` switch drops the per-feature blocks and keeps just the
 score statistics and flags.
+
+``embed_windows`` embeds a track under many models in one pass: it reduces
+every chosen window of every model together, one block per window length,
+and writes the statistics straight into one preallocated buffer.
+``embed_video`` is its one-model call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -21,42 +27,19 @@ import numpy as np
 
 from .errors import AnnotationError, ContractError, read_json
 from .phases import PHASES, ActionModel, PhaseAssignment, PhaseScoreMatrix
-from .relations import COLUMN
 from .tracks import VideoTrack
 
 __all__ = [
     "STAT_NAMES",
-    "PhaseFeature",
     "VideoEmbedding",
-    "phase_feature",
     "embedding_layout",
+    "embed_windows",
     "embed_video",
     "dump_embeddings",
     "load_embeddings",
 ]
 
 STAT_NAMES = ("mean", "med", "max", "min")
-
-
-@dataclass(frozen=True)
-class PhaseFeature:
-    """One phase's statistics block: score stats, per-feature stats, flag.
-
-    ``feature_stats`` has one row per feature of the model's feature list and
-    one column per entry of ``STAT_NAMES``.
-    """
-
-    phase: str
-    score_stats: tuple[float, float, float, float]
-    feature_stats: np.ndarray
-    assigned: bool
-
-    def flat(self, scores_only: bool) -> list[float]:
-        out = list(self.score_stats)
-        if not scores_only:
-            out.extend(self.feature_stats.ravel().tolist())
-        out.append(1.0 if self.assigned else 0.0)
-        return out
 
 
 @dataclass(frozen=True)
@@ -84,55 +67,105 @@ class VideoEmbedding:
         return {p: bool(self.values[idx[f"{p}:assigned"]]) for p in PHASES}
 
 
-def phase_feature(
-    phase: str,
-    scores: np.ndarray | Sequence[float],
-    window: np.ndarray,
-) -> PhaseFeature:
-    """Statistics of one phase's scores and features over its window.
-
-    ``window`` holds one row per window frame and one column per feature.
-    An empty window is the unassigned path: all statistics zero, flag down.
-    """
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        return PhaseFeature(
-            phase=phase,
-            score_stats=(0.0, 0.0, 0.0, 0.0),
-            feature_stats=np.zeros((window.shape[1], len(STAT_NAMES))),
-            assigned=False,
-        )
-    if scores.size != window.shape[0]:
-        raise ContractError(
-            f"phase {phase!r}: {scores.size} scores but "
-            f"{window.shape[0]} frames of relations"
-        )
-    # one contiguous row per series, so each reduction runs as on a 1-D array
-    series = np.vstack([scores, window.T])
-    high, low = series.max(axis=1), series.min(axis=1)
-    # rounding can push the mean of equal values one ulp past them
-    mean = np.clip(series.mean(axis=1), low, high)
-    stats = np.column_stack([mean, np.median(series, axis=1), high, low])
-    return PhaseFeature(
-        phase=phase,
-        score_stats=tuple(stats[0].tolist()),
-        feature_stats=stats[1:],
-        assigned=True,
-    )
-
-
-def embedding_layout(model: ActionModel, scores_only: bool = False) -> tuple[str, ...]:
-    """Dimension names, a pure function of the action model."""
+@lru_cache(maxsize=64)
+def _layout(feature_list: tuple[str, ...], scores_only: bool) -> tuple[str, ...]:
     names: list[str] = []
     for p in PHASES:
         for stat in STAT_NAMES:
             names.append(f"{p}:score:{stat}")
         if not scores_only:
-            for key in model.feature_list:
+            for key in feature_list:
                 for stat in STAT_NAMES:
                     names.append(f"{p}:{key}:{stat}")
         names.append(f"{p}:assigned")
     return tuple(names)
+
+
+def embedding_layout(model: ActionModel, scores_only: bool = False) -> tuple[str, ...]:
+    """Dimension names, a pure function of the action model."""
+    return _layout(model.feature_list, scores_only)
+
+
+def _write_stats(
+    out: np.ndarray,
+    source: np.ndarray,
+    row: np.ndarray,
+    lo: np.ndarray,
+    length: np.ndarray,
+    dest: np.ndarray,
+) -> None:
+    """Write mean, median, max and min of ``source[row, lo:lo+length]`` at ``out[dest:dest+4]``.
+
+    One entry of the index arrays per statistics row.  Rows of equal window
+    length are reduced together, each along its own contiguous last axis,
+    which gives the bits of reducing it alone.
+    """
+    for size in np.unique(length):
+        pick = np.flatnonzero(length == size)
+        block = source[row[pick, None], lo[pick, None] + np.arange(size)]
+        high, low = block.max(axis=1), block.min(axis=1)
+        # rounding can push the mean of equal values one ulp past them
+        mean = np.clip(block.mean(axis=1), low, high)
+        stats = np.stack([mean, np.median(block, axis=1), high, low], axis=1)
+        out[dest[pick, None] + np.arange(len(STAT_NAMES))] = stats
+
+
+def embed_windows(
+    video_id: str,
+    models: Sequence[ActionModel],
+    assignments: Sequence[PhaseAssignment],
+    source: np.ndarray,
+    score_rows: Sequence[np.ndarray],
+    feature_rows: Sequence[np.ndarray],
+    scores_only: bool = False,
+) -> list[VideoEmbedding]:
+    """Embeddings of one track under several models in one pass.
+
+    ``source`` holds one row per frame series, shape (S, T).  For model
+    ``i``, ``score_rows[i]`` names the rows of its five raw phase scores and
+    ``feature_rows[i]`` those of its ``feature_list``, both in the object
+    order of ``assignments[i]``.
+    """
+    layouts = [embedding_layout(m, scores_only) for m in models]
+    offsets = np.cumsum([0] + [len(layout) for layout in layouts])
+    values = np.zeros(offsets[-1])
+    parts: list[tuple[np.ndarray, ...]] = []
+    flags = []
+    for start, assignment, phase_rows, features in zip(
+        offsets, assignments, score_rows, feature_rows
+    ):
+        if scores_only:
+            features = features[:0]
+        block = len(STAT_NAMES) * (1 + features.size) + 1
+        placed = [i for i, p in enumerate(PHASES) if assignment.windows[p] is not None]
+        if not placed:
+            continue
+        lo, hi = np.array([assignment.windows[PHASES[i]] for i in placed]).T
+        at = start + block * np.array(placed)
+        flags.append(at + block - 1)
+        # statistics rows of one phase: its score, then its features
+        rows = np.empty((len(placed), 1 + features.size), dtype=np.intp)
+        rows[:, 0] = np.asarray(phase_rows)[placed]
+        rows[:, 1:] = features
+        per_phase = rows.shape[1]
+        parts.append((
+            rows.ravel(),
+            np.repeat(lo, per_phase),
+            np.repeat(hi - lo + 1, per_phase),
+            (at[:, None] + len(STAT_NAMES) * np.arange(per_phase)).ravel(),
+        ))
+    if parts:
+        _write_stats(values, source, *(np.concatenate(column) for column in zip(*parts)))
+        values[np.concatenate(flags)] = 1.0
+    return [
+        VideoEmbedding(
+            action_id=model.action_id,
+            video_id=video_id,
+            values=values[start:end],
+            layout=layout,
+        )
+        for model, layout, start, end in zip(models, layouts, offsets, offsets[1:])
+    ]
 
 
 def embed_video(
@@ -164,23 +197,17 @@ def embed_video(
             f"{track.video_id!r}: {relations.shape[0]} relation frames vs "
             f"{matrix.num_frames} score frames"
         )
-    columns = [COLUMN[key] for key in model.feature_list]
-    values: list[float] = []
-    for p in PHASES:
-        window = assignment.windows[p]
-        if window is None:
-            block = phase_feature(p, np.empty(0), np.empty((0, len(columns))))
-        else:
-            lo, hi = window
-            scores = matrix.row(p, kind="raw")[lo : hi + 1]
-            block = phase_feature(p, scores, relations[lo : hi + 1, columns])
-        values.extend(block.flat(scores_only))
-    return VideoEmbedding(
-        action_id=model.action_id,
-        video_id=track.video_id,
-        values=np.asarray(values),
-        layout=embedding_layout(model, scores_only),
-    )
+    source = np.vstack([matrix.raw, relations.T])
+    phases = len(PHASES)
+    return embed_windows(
+        track.video_id,
+        [model],
+        [assignment],
+        source,
+        [np.arange(phases)],
+        [phases + model.feature_columns],
+        scores_only,
+    )[0]
 
 
 def dump_embeddings(
@@ -190,14 +217,13 @@ def dump_embeddings(
 ) -> None:
     records = []
     for e in embeddings:
+        flags = e.assigned_flags()
         records.append(
             {
                 "video_id": e.video_id,
                 "action_id": e.action_id,
                 "values": [float(v) for v in e.values],
-                "assigned_flags": [
-                    1 if e.assigned_flags()[p] else 0 for p in PHASES
-                ],
+                "assigned_flags": [1 if flags[p] else 0 for p in PHASES],
                 "layout": list(e.layout),
             }
         )

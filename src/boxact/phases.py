@@ -17,13 +17,22 @@ and re-evaluation with the two annotated objects swapped.  The best of the
 four resulting alternatives wins by total score; because score scales differ
 between phases, totals are compared on per-phase standardised (z-scored)
 rows while raw rows are kept for the embedding stage.
+
+The work is done by array kernels over many score rows at once:
+``score_rows`` scores the rows of any set of compiled ``TermArrays`` (the
+pipeline passes every model of a threshold set in both object orders), and
+``assign_batch`` ranks the four alternatives of every model together.  Each
+row keeps the bits of a row computed alone: terms are added in term order,
+every row has its own convolution, and reductions run along the contiguous
+last axis.  ``score_frames``, ``assign_phases``, ``second_best_b`` and
+``assign_with_alternatives`` are one-model calls of the same kernels.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -35,6 +44,7 @@ from .relations import (
     COLUMN,
     DEFAULT_CONFIG,
     BOOLEAN_FEATURES,
+    SWAP,
     RelationConfig,
     feature_key,
     relation_table,
@@ -46,6 +56,7 @@ __all__ = [
     "GREEDY_ORDER",
     "ARCHETYPES",
     "Term",
+    "TermArrays",
     "ActionModel",
     "PhaseScoreMatrix",
     "PhaseAssignment",
@@ -56,9 +67,11 @@ __all__ = [
     "gaussian_kernel",
     "smooth",
     "relation_sequence",
+    "score_rows",
     "score_frames",
     "standardized_rows",
     "second_best_b",
+    "assign_batch",
     "assign_phases",
     "assign_with_alternatives",
 ]
@@ -99,14 +112,8 @@ class Term:
 
     def series(self, values: np.ndarray) -> np.ndarray:
         """The term's weighted contribution at every frame of a feature column."""
-        v = values
-        boolean = self.feature in BOOLEAN_FEATURES
-        if self.threshold is not None:
-            v = (v > self.threshold).astype(float)
-            boolean = True
-        if self.negate:
-            v = 1.0 - v if boolean else -v
-        return self.weight * v
+        values = np.asarray(values, dtype=float)
+        return _term_series(TermArrays.of([(self,)]), values[None])[0]
 
 
 @dataclass(frozen=True)
@@ -138,6 +145,16 @@ class ActionModel:
         keys = {t.key for terms in self.phases.values() for t in terms}
         keys.update(self.extra_features)
         return tuple(sorted(keys))
+
+    @cached_property
+    def feature_columns(self) -> np.ndarray:
+        """Relation-table column of each entry of ``feature_list``."""
+        return np.array([COLUMN[key] for key in self.feature_list], dtype=np.intp)
+
+    @cached_property
+    def term_arrays(self) -> TermArrays:
+        """The phases' terms compiled once, one score row per phase."""
+        return TermArrays.of([self.phases[p] for p in PHASES])
 
 
 def _term_from_dict(entry: Mapping, action_id: str) -> Term:
@@ -238,17 +255,137 @@ def builtin_models() -> dict[str, ActionModel]:
     return {a: builtin_model(a) for a in ARCHETYPES}
 
 
+# --- compiled terms -------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class TermArrays:
+    """Terms of one or more models as parallel arrays, plus the rows they score.
+
+    ``slots[r]`` lists the terms added into score row ``r``, in the phase's
+    term order; ``-1`` pads a shorter row and reads the zero row that
+    :func:`_term_series` appends.
+    """
+
+    column: np.ndarray  # relation-table column of each term
+    weight: np.ndarray
+    thresholded: np.ndarray
+    threshold: np.ndarray  # 0.0 where a term has none
+    complement: np.ndarray  # negated boolean or indicator: 1 - v
+    flip: np.ndarray  # negated real feature: -v
+    slots: np.ndarray
+
+    @classmethod
+    def of(cls, rows: Sequence[Sequence[Term]]) -> TermArrays:
+        terms = [t for row in rows for t in row]
+        slots = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
+        start = 0
+        for r, row in enumerate(rows):
+            slots[r, : len(row)] = np.arange(start, start + len(row))
+            start += len(row)
+        thresholded = np.array([t.threshold is not None for t in terms], dtype=bool)
+        boolean = thresholded | np.array([t.feature in BOOLEAN_FEATURES for t in terms], dtype=bool)
+        negate = np.array([t.negate for t in terms], dtype=bool)
+        return cls(
+            column=np.array([COLUMN[t.key] for t in terms], dtype=np.intp),
+            weight=np.array([t.weight for t in terms], dtype=float),
+            thresholded=thresholded,
+            threshold=np.array([t.threshold or 0.0 for t in terms], dtype=float),
+            complement=negate & boolean,
+            flip=negate & ~boolean,
+            slots=slots,
+        )
+
+    @cached_property
+    def swapped(self) -> TermArrays:
+        """The same terms read from the table with the two objects swapped."""
+        return replace(self, column=SWAP[self.column])
+
+    @staticmethod
+    @lru_cache(maxsize=16)
+    def concat(parts: tuple[TermArrays, ...]) -> TermArrays:
+        """All parts' terms in order; their rows are stacked in the same order.
+
+        Cached on the parts themselves, which compare by identity: a model
+        compiles its terms once, so a model set concatenates them once.
+        """
+        depth = max(p.slots.shape[1] for p in parts)
+        slots = np.full((sum(p.slots.shape[0] for p in parts), depth), -1, dtype=np.intp)
+        row = term = 0
+        for p in parts:
+            rows, width = p.slots.shape
+            slots[row : row + rows, :width] = np.where(p.slots >= 0, p.slots + term, -1)
+            row += rows
+            term += p.column.size
+        arrays = {
+            name: np.concatenate([getattr(p, name) for p in parts])
+            for name in ("column", "weight", "thresholded", "threshold", "complement", "flip")
+        }
+        return TermArrays(**arrays, slots=slots)
+
+
+def _term_series(terms: TermArrays, values: np.ndarray) -> np.ndarray:
+    """Each term's weighted contribution per frame, then one row of zeros.
+
+    ``values`` holds one row per term: its feature column.  Every step is
+    element-wise, so each entry has the bits of a one-term computation.
+    """
+    v = np.where(terms.thresholded[:, None], values > terms.threshold[:, None], values)
+    v = np.where(terms.complement[:, None], 1.0 - v, v)
+    v = np.where(terms.flip[:, None], -v, v)
+    out = np.zeros((v.shape[0] + 1, v.shape[1]))
+    np.multiply(terms.weight[:, None], v, out=out[:-1])
+    return out
+
+
 # --- smoothing ---------------------------------------------------------------
+
+MAX_SIGMA = 1000.0  # 6,001 taps, longer than any clip
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalised Gaussian taps truncated at +/- 3 sigma."""
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ContractError(f"sigma must be finite and positive, got {sigma}")
+    if not (np.isfinite(sigma) and 0 < sigma <= MAX_SIGMA):
+        raise ContractError(
+            f"sigma must be finite and positive, at most {MAX_SIGMA:g}, got {sigma}"
+        )
     radius = max(1, int(3.0 * sigma + 0.5))
     x = np.arange(-radius, radius + 1, dtype=float)
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
+
+
+@lru_cache(maxsize=64)
+def _smoothing(num_frames: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel and the boundary normaliser for one series length, read-only."""
+    kernel = gaussian_kernel(sigma)
+    radius = kernel.size // 2
+    den = np.convolve(np.ones(num_frames), kernel, mode="full")[radius : radius + num_frames]
+    den = den.copy()
+    kernel.flags.writeable = den.flags.writeable = False
+    return kernel, den
+
+
+def _smooth_rows(rows: np.ndarray, sigma: float) -> np.ndarray:
+    """Smooth each row of a 2-D array, renormalising at the boundaries.
+
+    Each row gets its own ``np.convolve``: one convolution over several rows
+    would group the products differently and change the bits.
+    """
+    t = rows.shape[1]
+    if t == 0:
+        gaussian_kernel(sigma)
+        return rows.copy()
+    kernel, den = _smoothing(t, sigma)
+    radius = kernel.size // 2
+    out = np.empty_like(rows)
+    for i, row in enumerate(rows):
+        # mode="same" would return the kernel's length for series shorter
+        # than the kernel; slicing the full convolution keeps the output
+        # aligned with the input at every length
+        out[i] = np.convolve(row, kernel, mode="full")[radius : radius + t]
+    out /= den
+    return out
 
 
 def smooth(series: Sequence[float] | np.ndarray, sigma: float) -> np.ndarray:
@@ -257,19 +394,10 @@ def smooth(series: Sequence[float] | np.ndarray, sigma: float) -> np.ndarray:
     Renormalisation makes the output an average of in-range samples only, so
     a constant series comes back unchanged, boundaries included.
     """
-    kernel = gaussian_kernel(sigma)
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ContractError("smooth expects a one-dimensional series")
-    if x.size == 0:
-        return x.copy()
-    # mode="same" would return the kernel's length for series shorter than
-    # the kernel; slicing the full convolution keeps the output aligned with
-    # the input at every length
-    radius = kernel.size // 2
-    num = np.convolve(x, kernel, mode="full")[radius : radius + x.size]
-    den = np.convolve(np.ones_like(x), kernel, mode="full")[radius : radius + x.size]
-    return num / den
+    return _smooth_rows(x[None], sigma)[0]
 
 
 # --- scoring -----------------------------------------------------------------
@@ -304,6 +432,22 @@ def relation_sequence(
     return relation_table(track, config)
 
 
+def score_rows(
+    terms: TermArrays, table: np.ndarray, sigma: float = DEFAULT_SIGMA
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and smoothed score rows, one per row of ``terms.slots``, shape (R, T).
+
+    A row adds its terms slot by slot in term order, starting from +0.0, so
+    it has the bits of adding them one at a time; a padding slot adds +0.0,
+    which leaves a sum that started at +0.0 unchanged.
+    """
+    series = _term_series(terms, table[:, terms.column].T)
+    raw = np.zeros((terms.slots.shape[0], table.shape[0]))
+    for slot in terms.slots.T:
+        raw += series[slot]
+    return raw, _smooth_rows(raw, sigma)
+
+
 def score_frames(
     track: VideoTrack,
     model: ActionModel,
@@ -320,11 +464,7 @@ def score_frames(
             f"{track.video_id!r}: {relations.shape[0]} relation frames for "
             f"{len(track)} track frames"
         )
-    raw = np.zeros((len(PHASES), relations.shape[0]))
-    for pi, phase in enumerate(PHASES):
-        for t in model.phases[phase]:
-            raw[pi] += t.series(relations[:, COLUMN[t.key]])
-    smoothed = np.vstack([smooth(row, sigma) for row in raw])
+    raw, smoothed = score_rows(model.term_arrays, relations, sigma)
     return PhaseScoreMatrix(
         action_id=model.action_id,
         object_order=object_order,
@@ -334,6 +474,14 @@ def score_frames(
     )
 
 
+def _standardize(rows: np.ndarray) -> np.ndarray:
+    """Z-score along the last axis; rows with no spread become zeros."""
+    mean = rows.mean(axis=-1, keepdims=True)
+    std = rows.std(axis=-1, keepdims=True)
+    flat = std < 1e-12
+    return np.where(flat, 0.0, (rows - mean) / np.where(flat, 1.0, std))
+
+
 def standardized_rows(matrix: PhaseScoreMatrix) -> np.ndarray:
     """Z-score each smoothed row over the video; constant rows become zeros.
 
@@ -341,13 +489,7 @@ def standardized_rows(matrix: PhaseScoreMatrix) -> np.ndarray:
     phases (the alternative-selection total) uses these rows instead of the
     raw ones.
     """
-    rows = matrix.smoothed
-    mean = rows.mean(axis=1, keepdims=True)
-    std = rows.std(axis=1, keepdims=True)
-    safe = np.where(std < 1e-12, 1.0, std)
-    z = (rows - mean) / safe
-    z[(std < 1e-12).ravel()] = 0.0
-    return z
+    return _standardize(matrix.smoothed)
 
 
 # --- assignment ---------------------------------------------------------------
@@ -377,29 +519,73 @@ class PhaseAssignment:
         return tuple(p for p in PHASES if self.centers[p] is not None)
 
 
-def _restricted_argmax(row: np.ndarray, lo: int, hi: int) -> int | None:
-    """Index of the maximum of row[lo:hi]; ties go to the lowest index."""
-    lo = max(lo, 0)
-    hi = min(hi, row.size)
-    if lo >= hi:
-        return None
-    return lo + int(np.argmax(row[lo:hi]))
+B_CHOICES = ("best", "second_best")
 
 
-def _greedy_centers(smoothed: np.ndarray, f_b: int) -> dict[str, int | None]:
-    t = smoothed.shape[1]
-    row = {p: smoothed[PHASES.index(p)] for p in PHASES}
-    centers: dict[str, int | None] = {"b": f_b}
-    centers["a"] = _restricted_argmax(row["a"], 0, f_b)
-    centers["d"] = _restricted_argmax(row["d"], f_b + 1, t)
-    c_hi = centers["d"] if centers["d"] is not None else t
-    centers["c"] = _restricted_argmax(row["c"], f_b + 1, c_hi)
+def _restricted_argmax(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, the index of the maximum of ``row[lo:hi]``; -1 for an empty range.
+
+    An argmax over the row with -inf outside the range: ties go to the
+    lowest index, and a range of nothing but -inf gives its first frame.
+    """
+    t = rows.shape[1]
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, t)
+    frames = np.arange(t)
+    inside = (frames >= lo[:, None]) & (frames < hi[:, None])
+    masked = np.where(inside, rows, -np.inf)
+    best = masked.argmax(axis=1)
+    best = np.where(masked[np.arange(best.size), best] == -np.inf, lo, best)
+    return np.where(lo < hi, best, -1)
+
+
+def _greedy_centers(smoothed: np.ndarray, f_b: np.ndarray) -> np.ndarray:
+    """Centres placed in the order b, a, d, c, e; shape (N, 5), -1 if unplaced."""
+    t = smoothed.shape[2]
+    a_row, _, c_row, d_row, e_row = smoothed.transpose(1, 0, 2)
+    start, end = np.zeros_like(f_b), np.full_like(f_b, t)
+    a = _restricted_argmax(a_row, start, f_b)
+    d = _restricted_argmax(d_row, f_b + 1, end)
+    c = _restricted_argmax(c_row, f_b + 1, np.where(d >= 0, d, t))
     # e follows its nearest already-placed predecessor when d is unassigned
-    e_lo = next(
-        (centers[p] for p in ("d", "c") if centers[p] is not None), f_b
-    )
-    centers["e"] = _restricted_argmax(row["e"], e_lo + 1, t)
-    return centers
+    e_lo = np.where(d >= 0, d, np.where(c >= 0, c, f_b))
+    e = _restricted_argmax(e_row, e_lo + 1, end)
+    return np.stack([a, f_b, c, d, e], axis=1)
+
+
+def _b_candidates(b_rows: np.ndarray) -> np.ndarray:
+    """Best and runner-up phase-b centre per row, shape (N, 2).
+
+    The runner-up is the best after masking the best +/- 3 frames; it is -1
+    when the mask leaves nothing (tracks of up to 7 frames around a central
+    best-b cannot produce a second candidate).
+    """
+    best = b_rows.argmax(axis=1)
+    second = np.full_like(best, -1)
+    if b_rows.shape[1] > 2 * SECOND_B_EXCLUSION + 1:
+        near = np.abs(np.arange(b_rows.shape[1]) - best[:, None]) <= SECOND_B_EXCLUSION
+        masked = np.where(near, -np.inf, b_rows)
+        second = np.where(np.isfinite(masked).any(axis=1), masked.argmax(axis=1), -1)
+    return np.stack([best, second], axis=1)
+
+
+def _alternatives(smoothed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (N, 2, 5) and totals (N, 2) from the best and second-best b.
+
+    ``smoothed`` holds N score matrices, shape (N, 5, T).  A total adds the
+    z-scored rows at the centres, phases a..e in order, 0.0 for an unplaced
+    phase; it is -inf where there is no second-best b.
+    """
+    n = smoothed.shape[0]
+    b = _b_candidates(smoothed[:, PHASES.index("b")])
+    both = np.concatenate([smoothed, smoothed])
+    centres = _greedy_centers(both, np.concatenate([b[:, 0], np.maximum(b[:, 1], 0)]))
+    z = _standardize(both)
+    at = np.take_along_axis(z, np.maximum(centres, 0)[:, :, None], axis=2)[:, :, 0]
+    totals = np.zeros(2 * n)
+    for p in range(len(PHASES)):
+        totals += np.where(centres[:, p] >= 0, at[:, p], 0.0)
+    totals[n:][b[:, 1] < 0] = -np.inf
+    return centres.reshape(2, n, len(PHASES)).swapaxes(0, 1), totals.reshape(2, n).T
 
 
 def _windows(
@@ -425,41 +611,72 @@ def _windows(
     return windows
 
 
+def _check_assignable(num_frames: int, n: int) -> None:
+    if num_frames == 0:
+        raise ContractError("cannot assign phases on an empty track")
+    if n < 0:
+        raise ContractError(f"window half-width must be non-negative, got {n}")
+
+
+def _assignment(
+    action_id: str,
+    object_order: str,
+    b_choice: str,
+    centres: Sequence[int],
+    total: float,
+    t: int,
+    n: int,
+) -> PhaseAssignment:
+    placed = dict(zip(PHASES, centres))
+    centers = {p: placed[p] if placed[p] >= 0 else None for p in GREEDY_ORDER}
+    return PhaseAssignment(
+        action_id=action_id,
+        object_order=object_order,
+        b_choice=b_choice,
+        centers=centers,
+        windows=_windows(centers, t, n),
+        total_score=float(total),
+        n=n,
+    )
+
+
+def assign_batch(
+    smoothed: np.ndarray,
+    action_ids: Sequence[str],
+    object_orders: Sequence[str],
+    n: int = DEFAULT_WINDOW_HALF_WIDTH,
+) -> list[PhaseAssignment]:
+    """The winning alternative of each model, from smoothed rows (M, O, 5, T).
+
+    Axis 1 runs over ``object_orders``.  A model's candidates are ranked
+    best-b before second-best-b, and by object order within each; the first
+    strictly highest total wins, so ties keep the earlier candidate.
+    """
+    m, o, _, t = smoothed.shape
+    _check_assignable(t, n)
+    centres, totals = _alternatives(smoothed.reshape(m * o, len(PHASES), t))
+    # (model, order, b choice) -> (model, b choice, order)
+    centres = centres.reshape(m, o, 2, len(PHASES)).swapaxes(1, 2).reshape(m, 2 * o, -1)
+    totals = totals.reshape(m, o, 2).swapaxes(1, 2).reshape(m, 2 * o)
+    out = []
+    for action_id, cands, scores in zip(action_ids, centres.tolist(), totals.tolist()):
+        k = 0
+        for i in range(1, len(scores)):
+            if scores[i] > scores[k]:
+                k = i
+        order, b_choice = object_orders[k % o], B_CHOICES[k // o]
+        out.append(_assignment(action_id, order, b_choice, cands[k], scores[k], t, n))
+    return out
+
+
 def second_best_b(matrix: PhaseScoreMatrix) -> int | None:
     """Runner-up phase-b centre after masking the best one +/- 3 frames.
 
     Returns None when the mask leaves nothing (tracks of up to 7 frames
     around a central best-b cannot produce a second candidate).
     """
-    row = matrix.row("b")
-    t = row.size
-    if t <= 2 * SECOND_B_EXCLUSION + 1:
-        return None
-    f_b = int(np.argmax(row))
-    masked = row.copy()
-    masked[max(0, f_b - SECOND_B_EXCLUSION) : f_b + SECOND_B_EXCLUSION + 1] = -np.inf
-    if not np.isfinite(masked).any():
-        return None
-    return int(np.argmax(masked))
-
-
-def _assign_from_b(
-    matrix: PhaseScoreMatrix, f_b: int, b_choice: str, n: int
-) -> PhaseAssignment:
-    centers = _greedy_centers(matrix.smoothed, f_b)
-    z = standardized_rows(matrix)
-    total = sum(
-        z[PHASES.index(p), centers[p]] for p in PHASES if centers[p] is not None
-    )
-    return PhaseAssignment(
-        action_id=matrix.action_id,
-        object_order=matrix.object_order,
-        b_choice=b_choice,
-        centers=centers,
-        windows=_windows(centers, matrix.num_frames, n),
-        total_score=float(total),
-        n=n,
-    )
+    second = int(_b_candidates(matrix.row("b")[None])[0, 1])
+    return None if second < 0 else second
 
 
 def assign_phases(
@@ -470,12 +687,17 @@ def assign_phases(
     Phases whose restricted range is empty stay unassigned; short tracks
     therefore come back flagged degenerate rather than failing.
     """
-    if matrix.num_frames == 0:
-        raise ContractError("cannot assign phases on an empty track")
-    if n < 0:
-        raise ContractError(f"window half-width must be non-negative, got {n}")
-    f_b = int(np.argmax(matrix.row("b")))
-    return _assign_from_b(matrix, f_b, "best", n)
+    _check_assignable(matrix.num_frames, n)
+    centres, totals = _alternatives(np.asarray(matrix.smoothed, dtype=float)[None])
+    return _assignment(
+        matrix.action_id,
+        matrix.object_order,
+        "best",
+        centres[0, 0].tolist(),
+        totals[0, 0],
+        matrix.num_frames,
+        n,
+    )
 
 
 def assign_with_alternatives(
@@ -488,17 +710,16 @@ def assign_with_alternatives(
     Ties resolve in the order best/as-annotated, best/swapped,
     second/as-annotated, second/swapped.
     """
-    candidates: list[PhaseAssignment] = []
-    for b_choice in ("best", "second_best"):
-        for matrix in (matrix_annotated, matrix_swapped):
-            if b_choice == "best":
-                candidates.append(assign_phases(matrix, n))
-            else:
-                f_b = second_best_b(matrix)
-                if f_b is not None:
-                    candidates.append(_assign_from_b(matrix, f_b, "second_best", n))
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.total_score > best.total_score:
-            best = cand
-    return best
+    matrices = (matrix_annotated, matrix_swapped)
+    if matrix_annotated.smoothed.shape != matrix_swapped.smoothed.shape:
+        raise ContractError(
+            f"score matrices of shapes {matrix_annotated.smoothed.shape} and "
+            f"{matrix_swapped.smoothed.shape} do not belong to one track"
+        )
+    smoothed = np.stack([np.asarray(m.smoothed, dtype=float) for m in matrices])
+    return assign_batch(
+        smoothed[None],
+        [matrix_annotated.action_id],
+        [m.object_order for m in matrices],
+        n,
+    )[0]

@@ -18,24 +18,32 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .embedding import VideoEmbedding, embed_video, embedding_layout
+from .embedding import VideoEmbedding, embed_windows, embedding_layout
 from .errors import BoxactError, ConfigError, ContractError, check_int
 from .evaluation import PredictionSet, VideoPrediction
 from .forest import ForestModel, ForestParams, layout_fingerprint, predict_proba, train_forest
 from .phases import (
     DEFAULT_SIGMA,
     DEFAULT_WINDOW_HALF_WIDTH,
+    MAX_SIGMA,
     OBJECT_ORDERS,
+    PHASES,
     ActionModel,
     PhaseAssignment,
-    assign_with_alternatives,
+    TermArrays,
+    assign_batch,
     builtin_models,
     load_action_model,
     relation_sequence,
-    score_frames,
+    score_rows,
 )
 from .relations import SWAP, RelationConfig
 from .tracks import VideoTrack
+
+# Not called here: the benchmark's trace probes patch these names in this
+# module, and need them until the pipeline records its own spans.
+from .embedding import embed_video  # noqa: F401
+from .phases import assign_with_alternatives, score_frames  # noqa: F401
 
 __all__ = [
     "PipelineConfig",
@@ -66,8 +74,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ConfigError("window half-width n must be non-negative")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and 0 < self.sigma <= MAX_SIGMA):
+            raise ConfigError(
+                f"sigma must be finite and positive, at most {MAX_SIGMA:g}, got {self.sigma}"
+            )
         if self.embedding_mode not in EMBEDDING_MODES:
             raise ConfigError(
                 f"embedding_mode must be one of {EMBEDDING_MODES}, "
@@ -147,35 +157,43 @@ def assign_track(
     """Score, assign and embed one track under every action model.
 
     This is the one path from a track to its assignments and embeddings.
-    The relation table is computed once per track and threshold set rather
-    than once per model (all reference models use the same thresholds;
-    models with custom thresholds get their own pass).  The swapped object
-    order is a column permutation of it.
+    Models that share a threshold set share one relation table and one array
+    pass over both object orders: score every phase row of every model,
+    rank every model's four alternatives, then write every chosen window's
+    statistics.  All reference models use the same thresholds; models with
+    custom thresholds get a pass of their own.  The swapped object order is
+    a column permutation of the table.
     """
-    tables: dict[RelationConfig, dict[str, np.ndarray]] = {}
-    out: dict[str, tuple[VideoEmbedding, PhaseAssignment]] = {}
+    by_thresholds: dict[RelationConfig, list[str]] = {}
     for action in sorted(models):
-        model = models[action]
-        if model.thresholds not in tables:
-            table = relation_sequence(track, model.thresholds)
-            tables[model.thresholds] = {
-                "as_annotated": table,
-                "swapped": table[:, SWAP],
-            }
-        rels = tables[model.thresholds]
-        matrices = {
-            order: score_frames(track, model, rels[order], order, sigma)
-            for order in OBJECT_ORDERS
-        }
-        assignment = assign_with_alternatives(
-            matrices["as_annotated"], matrices["swapped"], n=n
+        by_thresholds.setdefault(models[action].thresholds, []).append(action)
+    out: dict[str, tuple[VideoEmbedding, PhaseAssignment]] = {}
+    for thresholds, actions in by_thresholds.items():
+        batch = [models[action] for action in actions]
+        table = relation_sequence(track, thresholds)
+        terms = TermArrays.concat(
+            tuple(t for m in batch for t in (m.term_arrays, m.term_arrays.swapped))
         )
-        order = assignment.object_order
-        embedding = embed_video(
-            track, assignment, matrices[order], model, rels[order], scores_only
+        raw, smoothed = score_rows(terms, table, sigma)
+        # score rows run over (model, object order, phase)
+        shape = (len(batch), len(OBJECT_ORDERS), len(PHASES), len(track))
+        assignments = assign_batch(smoothed.reshape(shape), actions, OBJECT_ORDERS, n)
+        orders = [OBJECT_ORDERS.index(a.object_order) for a in assignments]
+        score_index = np.arange(raw.shape[0]).reshape(shape[:3])
+        features = [
+            SWAP[m.feature_columns] if o else m.feature_columns for m, o in zip(batch, orders)
+        ]
+        embeddings = embed_windows(
+            track.video_id,
+            batch,
+            assignments,
+            np.vstack([raw, table.T]),  # every score row, then every relation
+            [score_index[i, o] for i, o in enumerate(orders)],
+            [raw.shape[0] + f for f in features],
+            scores_only,
         )
-        out[action] = (embedding, assignment)
-    return out
+        out.update(zip(actions, zip(embeddings, assignments)))
+    return {action: out[action] for action in sorted(models)}
 
 
 def embed_all(

@@ -16,9 +16,10 @@ import numpy as np
 
 from boxact.errors import AnnotationError, ContractError
 from boxact.forest import ForestParams, Tree
-from boxact.phases import Term
+from boxact.phases import PHASES, ActionModel, PhaseAssignment, PhaseScoreMatrix, Term
 from boxact.relations import (
     BOOLEAN_FEATURES,
+    COLUMN,
     DEFAULT_CONFIG,
     OVERLAP_NORMALISER,
     RelationConfig,
@@ -585,6 +586,170 @@ def swap_objects(track: VideoTrack) -> VideoTrack:
     """The same track with the object1 and object2 boxes exchanged."""
     order = [1, 0, 2]
     return replace(track, boxes=track.boxes[:, order], present=track.present[:, order])
+
+
+# --- per-model scoring, assignment and embedding -------------------------------
+#
+# The package scores, assigns and embeds every model of a track in one array
+# pass.  These are the per-model functions it replaced, kept call for call:
+# the one-pass code must reproduce their results bit for bit.
+
+
+def _term_series_reference(term: Term, values: np.ndarray) -> np.ndarray:
+    v = values
+    boolean = term.feature in BOOLEAN_FEATURES
+    if term.threshold is not None:
+        v = (v > term.threshold).astype(float)
+        boolean = True
+    if term.negate:
+        v = 1.0 - v if boolean else -v
+    return term.weight * v
+
+
+def _smooth_row_reference(x: np.ndarray, sigma: float) -> np.ndarray:
+    radius = max(1, int(3.0 * sigma + 0.5))
+    taps = np.arange(-radius, radius + 1, dtype=float)
+    kernel = np.exp(-0.5 * (taps / sigma) ** 2)
+    kernel = kernel / kernel.sum()
+    num = np.convolve(x, kernel, mode="full")[radius : radius + x.size]
+    den = np.convolve(np.ones_like(x), kernel, mode="full")[radius : radius + x.size]
+    return num / den
+
+
+def score_frames_reference(
+    model: ActionModel, relations: np.ndarray, object_order: str, sigma: float
+) -> PhaseScoreMatrix:
+    """Raw rows summed term by term, each row smoothed on its own."""
+    raw = np.zeros((len(PHASES), relations.shape[0]))
+    for pi, phase in enumerate(PHASES):
+        for t in model.phases[phase]:
+            raw[pi] += _term_series_reference(t, relations[:, COLUMN[t.key]])
+    smoothed = np.vstack([_smooth_row_reference(row, sigma) for row in raw])
+    return PhaseScoreMatrix(model.action_id, object_order, raw, smoothed, sigma)
+
+
+def _standardized_reference(matrix: PhaseScoreMatrix) -> np.ndarray:
+    rows = matrix.smoothed
+    mean = rows.mean(axis=1, keepdims=True)
+    std = rows.std(axis=1, keepdims=True)
+    safe = np.where(std < 1e-12, 1.0, std)
+    z = (rows - mean) / safe
+    z[(std < 1e-12).ravel()] = 0.0
+    return z
+
+
+def _restricted_argmax_reference(row: np.ndarray, lo: int, hi: int) -> int | None:
+    lo = max(lo, 0)
+    hi = min(hi, row.size)
+    if lo >= hi:
+        return None
+    return lo + int(np.argmax(row[lo:hi]))
+
+
+def _greedy_centers_reference(smoothed: np.ndarray, f_b: int) -> dict[str, int | None]:
+    t = smoothed.shape[1]
+    row = {p: smoothed[PHASES.index(p)] for p in PHASES}
+    centers: dict[str, int | None] = {"b": f_b}
+    centers["a"] = _restricted_argmax_reference(row["a"], 0, f_b)
+    centers["d"] = _restricted_argmax_reference(row["d"], f_b + 1, t)
+    c_hi = centers["d"] if centers["d"] is not None else t
+    centers["c"] = _restricted_argmax_reference(row["c"], f_b + 1, c_hi)
+    e_lo = next((centers[p] for p in ("d", "c") if centers[p] is not None), f_b)
+    centers["e"] = _restricted_argmax_reference(row["e"], e_lo + 1, t)
+    return centers
+
+
+def _windows_reference(
+    centers: dict[str, int | None], t: int, n: int
+) -> dict[str, tuple[int, int] | None]:
+    windows: dict[str, tuple[int, int] | None] = {p: None for p in PHASES}
+    assigned = [p for p in PHASES if centers[p] is not None]
+    spans = {p: [max(0, centers[p] - n), min(t - 1, centers[p] + n)] for p in assigned}
+    for p1, p2 in zip(assigned, assigned[1:]):
+        if spans[p1][1] >= spans[p2][0]:
+            mid = (centers[p1] + centers[p2]) // 2
+            spans[p1][1] = min(spans[p1][1], mid)
+            spans[p2][0] = max(spans[p2][0], mid + 1)
+    for p in assigned:
+        windows[p] = (spans[p][0], spans[p][1])
+    return windows
+
+
+def _second_best_b_reference(matrix: PhaseScoreMatrix) -> int | None:
+    row = matrix.row("b")
+    if row.size <= 7:
+        return None
+    f_b = int(np.argmax(row))
+    masked = row.copy()
+    masked[max(0, f_b - 3) : f_b + 4] = -np.inf
+    if not np.isfinite(masked).any():
+        return None
+    return int(np.argmax(masked))
+
+
+def _assign_from_b_reference(
+    matrix: PhaseScoreMatrix, f_b: int, b_choice: str, n: int
+) -> PhaseAssignment:
+    centers = _greedy_centers_reference(matrix.smoothed, f_b)
+    z = _standardized_reference(matrix)
+    total = sum(z[PHASES.index(p), centers[p]] for p in PHASES if centers[p] is not None)
+    return PhaseAssignment(
+        action_id=matrix.action_id,
+        object_order=matrix.object_order,
+        b_choice=b_choice,
+        centers=centers,
+        windows=_windows_reference(centers, matrix.num_frames, n),
+        total_score=float(total),
+        n=n,
+    )
+
+
+def assign_with_alternatives_reference(
+    matrix_annotated: PhaseScoreMatrix, matrix_swapped: PhaseScoreMatrix, n: int
+) -> PhaseAssignment:
+    """Build each available alternative, keep the first strictly highest total."""
+    candidates = []
+    for b_choice in ("best", "second_best"):
+        for matrix in (matrix_annotated, matrix_swapped):
+            f_b = (
+                int(np.argmax(matrix.row("b")))
+                if b_choice == "best"
+                else _second_best_b_reference(matrix)
+            )
+            if f_b is not None:
+                candidates.append(_assign_from_b_reference(matrix, f_b, b_choice, n))
+    best = candidates[0]
+    for cand in candidates[1:]:
+        if cand.total_score > best.total_score:
+            best = cand
+    return best
+
+
+def embed_video_reference(
+    assignment: PhaseAssignment,
+    matrix: PhaseScoreMatrix,
+    model: ActionModel,
+    relations: np.ndarray,
+    scores_only: bool,
+) -> np.ndarray:
+    """Per phase: mean, median, max, min of each window series, then the flag."""
+    columns = [COLUMN[key] for key in model.feature_list]
+    values: list[float] = []
+    for p in PHASES:
+        window = assignment.windows[p]
+        if window is None:
+            width = 1 if scores_only else 1 + len(columns)
+            values.extend([0.0] * 4 * width + [0.0])
+            continue
+        lo, hi = window
+        scores = matrix.row(p, kind="raw")[lo : hi + 1]
+        series = np.vstack([scores, relations[lo : hi + 1, columns].T])
+        high, low = series.max(axis=1), series.min(axis=1)
+        mean = np.clip(series.mean(axis=1), low, high)
+        stats = np.column_stack([mean, np.median(series, axis=1), high, low])
+        values.extend(stats[:1].ravel().tolist() if scores_only else stats.ravel().tolist())
+        values.append(1.0)
+    return np.asarray(values)
 
 
 # --- forest split search, one candidate feature at a time ----------------------

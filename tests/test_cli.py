@@ -620,11 +620,14 @@ def test_negative_seed_exits_1(workdir, tmp_path, capsys, command):
         ["assign", "--sigma", "nan"],
         ["assign", "--sigma", "inf"],
         ["sweep", "--num-trees", "2", "--sigmas", "nan"],
+        ["assign", "--sigma", "1e300"],
+        ["sweep", "--num-trees", "2", "--sigmas", "1e300"],
     ],
-    ids=["assign-nan", "assign-inf", "sweep-nan"],
+    ids=["assign-nan", "assign-inf", "sweep-nan", "assign-1e300", "sweep-1e300"],
 )
 def test_non_finite_sigma_exits_1(workdir, tmp_path, capsys, argv):
-    # the kernel radius int(3 * sigma + 0.5) raised ValueError or OverflowError
+    # the kernel radius int(3 * sigma + 0.5) raised ValueError or OverflowError,
+    # and a huge finite sigma "Maximum allowed size exceeded" from np.arange
     command, *flags = argv
     out = ["--out", str(tmp_path / "out.json")] if command == "assign" else []
     capsys.readouterr()

@@ -11,14 +11,15 @@ from boxact.embedding import (
     VideoEmbedding,
     dump_embeddings,
     embed_video,
+    embed_windows,
     embedding_layout,
     load_embeddings,
-    phase_feature,
 )
 from boxact.errors import AnnotationError, ContractError
 from boxact.phases import (
     PHASES,
     ActionModel,
+    PhaseAssignment,
     Term,
     builtin_model,
     relation_sequence,
@@ -71,25 +72,45 @@ def _clean_video():
 # --- statistics blocks ----------------------------------------------------------
 
 
-def test_phase_feature_frozen_stats():
-    window = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 7.0], [1.0, -3.0]])
-    block = phase_feature("b", np.array([2.0, 3.0, 4.0, 5.0]), window)
-    assert block.score_stats == (3.5, 3.5, 5.0, 2.0)
-    assert block.feature_stats.tolist() == [[0.75, 1.0, 1.0, 0.0], [1.5, 1.0, 7.0, -3.0]]
-    assert block.assigned
+def _window_model() -> ActionModel:
+    """A model whose feature list is present(hand), present(object1)."""
+    terms = (Term("present", ("hand",)), Term("present", ("object1",)))
+    return ActionModel(action_id="two", phases={p: terms for p in PHASES})
 
 
-def test_phase_feature_empty_window_is_the_unassigned_path():
-    block = phase_feature("c", np.empty(0), np.empty((0, 1)))
-    assert not block.assigned
-    assert block.score_stats == (0.0, 0.0, 0.0, 0.0)
-    assert block.feature_stats.tolist() == [[0.0, 0.0, 0.0, 0.0]]
-    assert block.flat(scores_only=False) == [0.0] * 9
+def _placed(windows: dict) -> PhaseAssignment:
+    """An assignment with the given windows and the centres at their starts."""
+    windows = {p: windows.get(p) for p in PHASES}
+    centers = {p: w[0] if w else None for p, w in windows.items()}
+    return PhaseAssignment("two", "as_annotated", "best", centers, windows, 0.0)
 
 
-def test_phase_feature_length_mismatch():
-    with pytest.raises(ContractError, match="2 scores but 1 frames"):
-        phase_feature("b", np.array([1.0, 2.0]), np.empty((1, 0)))
+def _stats(source, windows, scores_only=False):
+    """Embedding of one model whose phase scores all read row 0 of ``source``."""
+    return embed_windows(
+        "v", [_window_model()], [_placed(windows)], np.asarray(source, dtype=float),
+        [np.zeros(len(PHASES), dtype=int)], [np.array([1, 2])], scores_only,
+    )[0]
+
+
+def test_window_stats_frozen_values():
+    source = [[9.0, 2.0, 3.0, 4.0, 5.0], [9.0, 0.0, 1.0, 1.0, 1.0], [9.0, 1.0, 1.0, 7.0, -3.0]]
+    emb = _stats(source, {"b": (1, 4)})
+    block = 4 * 3 + 1
+    b = PHASES.index("b")
+    assert emb.values[b * block : (b + 1) * block].tolist() == [
+        3.5, 3.5, 5.0, 2.0,  # score: mean, median, max, min
+        0.75, 1.0, 1.0, 0.0,  # present(hand)
+        1.5, 1.0, 7.0, -3.0,  # present(object1)
+        1.0,  # assigned
+    ]
+    assert emb.assigned_flags() == {p: p == "b" for p in PHASES}
+
+
+def test_unplaced_window_is_a_zero_block():
+    emb = _stats(np.ones((3, 4)), {})
+    assert emb.values.tolist() == [0.0] * (5 * (4 * 3 + 1))
+    assert not any(emb.assigned_flags().values())
 
 
 @given(
@@ -102,8 +123,8 @@ def test_phase_feature_length_mismatch():
 @example([51.54009046733276] * 5)  # the plain mean of these rounds one ulp high
 @settings(max_examples=100, deadline=None)
 def test_stat_ordering(scores):
-    block = phase_feature("a", np.array(scores), np.empty((len(scores), 0)))
-    mean, med, mx, mn = block.score_stats
+    emb = _stats([scores], {"a": (0, len(scores) - 1)}, scores_only=True)
+    mean, med, mx, mn = emb.values[:4]
     assert mn <= med <= mx
     assert mn <= mean <= mx
 

@@ -73,6 +73,14 @@ def test_kernel_rejects_non_positive_sigma():
             gaussian_kernel(sigma)
 
 
+def test_kernel_rejects_sigma_above_1000():
+    # a huge finite sigma made np.arange raise "Maximum allowed size exceeded"
+    for sigma in (1000.5, 1e7, 1e300):
+        with pytest.raises(ContractError, match="at most 1000"):
+            gaussian_kernel(sigma)
+    assert gaussian_kernel(1000.0).size == 6001
+
+
 def test_interior_impulse_response_is_the_kernel():
     x = np.zeros(15)
     x[7] = 1.0

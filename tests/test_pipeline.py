@@ -27,6 +27,8 @@ def test_config_validation():
         dict(sigma=0.0),
         dict(sigma=float("nan")),
         dict(sigma=float("inf")),
+        dict(sigma=1e300),
+        dict(sigma=1000.5),
         dict(embedding_mode="compact"),
         dict(val_fraction=0.0),
         dict(val_fraction=1.0),
@@ -35,6 +37,7 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             PipelineConfig(**bad)
     assert PipelineConfig(embedding_mode="scores_only").scores_only
+    assert PipelineConfig(sigma=1000.0).sigma == 1000.0
     assert not PipelineConfig().scores_only
 
 
