@@ -290,7 +290,7 @@ class TermArrays:
             column=np.array([COLUMN[t.key] for t in terms], dtype=np.intp),
             weight=np.array([t.weight for t in terms], dtype=float),
             thresholded=thresholded,
-            threshold=np.array([t.threshold or 0.0 for t in terms], dtype=float),
+            threshold=np.array([0.0 if t.threshold is None else t.threshold for t in terms], dtype=float),
             complement=negate & boolean,
             flip=negate & ~boolean,
             slots=slots,
@@ -577,10 +577,11 @@ def _alternatives(smoothed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = smoothed.shape[0]
     b = _b_candidates(smoothed[:, PHASES.index("b")])
-    both = np.concatenate([smoothed, smoothed])
-    centres = _greedy_centers(both, np.concatenate([b[:, 0], np.maximum(b[:, 1], 0)]))
-    z = _standardize(both)
-    at = np.take_along_axis(z, np.maximum(centres, 0)[:, :, None], axis=2)[:, :, 0]
+    # the first n rows start from the best b, the next n from the second best
+    matrix = np.tile(np.arange(n), 2)
+    centres = _greedy_centers(smoothed[matrix], np.concatenate([b[:, 0], np.maximum(b[:, 1], 0)]))
+    z = _standardize(smoothed)
+    at = z[matrix[:, None], np.arange(len(PHASES)), np.maximum(centres, 0)]
     totals = np.zeros(2 * n)
     for p in range(len(PHASES)):
         totals += np.where(centres[:, p] >= 0, at[:, p], 0.0)
