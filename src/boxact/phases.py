@@ -284,13 +284,16 @@ class TermArrays:
             slots[r, : len(row)] = np.arange(start, start + len(row))
             start += len(row)
         thresholded = np.array([t.threshold is not None for t in terms], dtype=bool)
-        boolean = thresholded | np.array([t.feature in BOOLEAN_FEATURES for t in terms], dtype=bool)
+        boolean = thresholded | np.array(
+            [t.feature in BOOLEAN_FEATURES for t in terms], dtype=bool
+        )
         negate = np.array([t.negate for t in terms], dtype=bool)
+        threshold = [0.0 if t.threshold is None else t.threshold for t in terms]
         return cls(
             column=np.array([COLUMN[t.key] for t in terms], dtype=np.intp),
             weight=np.array([t.weight for t in terms], dtype=float),
             thresholded=thresholded,
-            threshold=np.array([0.0 if t.threshold is None else t.threshold for t in terms], dtype=float),
+            threshold=np.array(threshold, dtype=float),
             complement=negate & boolean,
             flip=negate & ~boolean,
             slots=slots,
