@@ -1,17 +1,23 @@
 """Command-line pipeline: generate, assign, embed, train, predict, eval, fuse, sweep.
 
+Pipeline and forest flags have no defaults of their own: a flag left out
+keeps the default of the :class:`PipelineConfig` or :class:`ForestParams`
+field it sets (``sweep --num-trees`` alone defaults to 50).  Every command
+creates missing output directories.
+
 Exit codes: 0 success, 1 validation/data errors, 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from argparse import SUPPRESS
+from dataclasses import fields
 from pathlib import Path
 
 from .embedding import dump_embeddings
-from .errors import BoxactError, ConfigError, read_json
+from .errors import BoxactError, ConfigError, read_json, write_json
 from .evaluation import (
     confusion_csv,
     evaluate,
@@ -22,7 +28,7 @@ from .evaluation import (
     save_predictions,
 )
 from .forest import ForestParams, load_forest, save_forest
-from .phases import ARCHETYPES, DEFAULT_SIGMA, DEFAULT_WINDOW_HALF_WIDTH, PHASES
+from .phases import ARCHETYPES, PHASES
 from .pipeline import (
     EMBEDDING_MODES,
     PipelineConfig,
@@ -45,41 +51,31 @@ from .tracks import load_annotation_file, write_annotation_file
 FOREST_FILE_PREFIX = "forest_"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _features_per_split(raw: str) -> str | int:
+    if raw == "sqrt":
+        return raw
+    try:
+        return int(raw)
+    except ValueError:
+        raise BoxactError(
+            f"--features-per-split must be 'sqrt' or an integer, got {raw!r}"
+        ) from None
 
 
-def _features_per_split(raw: str | int) -> str | int:
-    if isinstance(raw, str) and raw != "sqrt":
-        try:
-            return int(raw)
-        except ValueError:
-            raise BoxactError(
-                f"--features-per-split must be 'sqrt' or an integer, got {raw!r}"
-            ) from None
-    return raw
+def _config_from_args(args: argparse.Namespace, **overrides) -> PipelineConfig:
+    """The config set by the flags given; a field without a flag keeps its default.
 
+    Flag destinations are field names; ``--seed`` sets both seeds.
+    """
+    given = {**vars(args), **overrides}
+    if "features_per_split" in given:
+        given["features_per_split"] = _features_per_split(given["features_per_split"])
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    forest = ForestParams(
-        num_trees=getattr(args, "num_trees", 200),
-        max_depth=getattr(args, "max_depth", None),
-        min_samples_split=getattr(args, "min_samples_split", 2),
-        features_per_split=_features_per_split(
-            getattr(args, "features_per_split", "sqrt")
-        ),
-        bootstrap=not getattr(args, "no_bootstrap", False),
-        seed=getattr(args, "seed", 0),
-        class_weight=getattr(args, "class_weight", None),
-    )
+    def fields_given(cls) -> dict:
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
     return PipelineConfig(
-        n=getattr(args, "n", DEFAULT_WINDOW_HALF_WIDTH),
-        sigma=getattr(args, "sigma", DEFAULT_SIGMA),
-        embedding_mode=getattr(args, "mode", "full"),
-        forest=forest,
-        val_fraction=getattr(args, "val_fraction", 0.25),
-        seed=getattr(args, "seed", 0),
+        forest=ForestParams(**fields_given(ForestParams)), **fields_given(PipelineConfig)
     )
 
 
@@ -88,19 +84,17 @@ def _labels_of(tracks) -> dict[str, str]:
 
 
 def _noise_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> NoiseParams:
-    if args.noise is not None:
-        if args.jitter is not None or args.lag is not None:
-            parser.error("--noise preset and --jitter/--lag are mutually exclusive")
-        if args.noise not in NOISE_PRESETS:
-            parser.error(
-                f"unknown noise preset {args.noise!r}; "
-                f"choose from {sorted(NOISE_PRESETS)}"
-            )
-        return NOISE_PRESETS[args.noise]
-    return NoiseParams(
-        jitter_sigma=args.jitter if args.jitter is not None else 0.0,
-        copy_lag_prob=args.lag if args.lag is not None else 0.0,
-    )
+    given = {k: v for k, v in vars(args).items() if k in ("jitter_sigma", "copy_lag_prob")}
+    if args.noise is None:
+        return NoiseParams(**given)
+    if given:
+        parser.error("--noise preset and --jitter/--lag are mutually exclusive")
+    if args.noise not in NOISE_PRESETS:
+        parser.error(
+            f"unknown noise preset {args.noise!r}; "
+            f"choose from {sorted(NOISE_PRESETS)}"
+        )
+    return NOISE_PRESETS[args.noise]
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -134,18 +128,17 @@ def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             per_archetype=args.count,
             num_frames=args.frames,
             noise=noise,
-            seed=args.seed,
+            seed=_config_from_args(args).seed,
             id_prefix=args.id_prefix,
         )
     write_annotation_file(args.out, tracks)
     if args.truth:
-        config = _config_from_args(args)
-        _write_json(
-            Path(args.truth),
+        write_json(
+            args.truth,
             {
                 "format": "boxact-ground-truth",
                 "version": 1,
-                "provenance": make_provenance(config, "generate"),
+                "provenance": make_provenance(_config_from_args(args), "generate"),
                 "videos": {vid: centers for vid, centers in sorted(truth.items())},
             },
         )
@@ -179,8 +172,8 @@ def cmd_assign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                     "degenerate": assignment.degenerate,
                 }
             )
-    _write_json(
-        Path(args.out),
+    write_json(
+        args.out,
         {
             "format": "boxact-assignments",
             "version": 1,
@@ -203,7 +196,6 @@ def cmd_embed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for video_id in sorted(embeds)
         for action in sorted(embeds[video_id])
     ]
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     dump_embeddings(flat, args.out, provenance=make_provenance(config, "embed"))
     print(f"wrote {len(flat)} embeddings to {args.out}")
     return 0
@@ -228,7 +220,7 @@ def cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for action, forest in sorted(forests.items()):
         save_forest(forest, out_dir / f"{FOREST_FILE_PREFIX}{action}.json")
     provenance = make_provenance(config, "train")
-    _write_json(
+    write_json(
         out_dir / "split.json",
         {
             "format": "boxact-split",
@@ -238,7 +230,7 @@ def cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "val": val_ids,
         },
     )
-    _write_json(
+    write_json(
         out_dir / "train_log.json",
         {
             "format": "boxact-train-log",
@@ -271,7 +263,7 @@ def _load_forest_dir(path: str) -> dict:
 
 
 def _subset_ids(args: argparse.Namespace) -> list[str] | None:
-    if not getattr(args, "split", None):
+    if not args.split:
         return None
     doc = read_json(args.split, ConfigError)
     if not isinstance(doc, dict) or doc.get("format") != "boxact-split":
@@ -300,7 +292,6 @@ def cmd_predict(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         tracks = [t for t in tracks if t.video_id in set(subset)]
     embeds = embed_all(tracks, models, config)
     preds = predict_set(embeds, labels, forests, models, config, sorted(embeds))
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_predictions(preds, args.out, provenance=make_provenance(config, "predict"))
     print(f"wrote predictions for {len(preds)} videos to {args.out}")
     return 0
@@ -312,8 +303,7 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     print(report_table(report))
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(
+        write_json(
             out_dir / "report.json",
             {
                 "format": "boxact-report",
@@ -331,7 +321,6 @@ def cmd_fuse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ours = load_predictions(args.predictions)
     external = load_predictions(args.external)
     fused = fuse(ours, external)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_predictions(fused, args.out)
     print(f"wrote fused predictions for {len(fused)} videos to {args.out}")
     return 0
@@ -350,14 +339,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     rows = []
     for sigma in sigmas:
         for n in ns:
-            config = PipelineConfig(
-                n=n,
-                sigma=sigma,
-                embedding_mode=args.mode,
-                forest=ForestParams(num_trees=args.num_trees, seed=args.seed),
-                val_fraction=args.val_fraction,
-                seed=args.seed,
-            )
+            config = _config_from_args(args, n=n, sigma=sigma)
             train_ids, val_ids = stratified_split(labels, config.val_fraction, config.seed)
             embeds = embed_all(tracks, models, config)
             forests, skipped, _ = train_forests(embeds, labels, models, config, train_ids)
@@ -378,35 +360,41 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 f"weighted mAP={report.weighted_map:.4f}"
             )
     if args.out:
-        _write_json(
-            Path(args.out),
-            {"format": "boxact-sweep", "version": 1, "rows": rows},
-        )
+        write_json(args.out, {"format": "boxact-sweep", "version": 1, "rows": rows})
         print(f"sweep grid written to {args.out}")
     return 0
 
 
 # --- parser wiring ----------------------------------------------------------------
+#
+# Every subcommand parser leaves out a flag that was not given and has no
+# default of its own, so _config_from_args passes only the fields given.
+
+
+def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--annotations", required=True)
+    p.add_argument("--models", default="builtin")
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=DEFAULT_WINDOW_HALF_WIDTH,
-                   help="phase window half-width")
-    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA,
-                   help="Gaussian smoothing width")
-    p.add_argument("--mode", choices=EMBEDDING_MODES, default="full",
+    p.add_argument("--n", type=int, help="phase window half-width")
+    p.add_argument("--sigma", type=float, help="Gaussian smoothing width")
+    _add_mode_and_seed_flags(p)
+
+
+def _add_mode_and_seed_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", dest="embedding_mode", choices=EMBEDDING_MODES,
                    help="embedding layout")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
 
 
 def _add_forest_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--num-trees", type=int, default=200)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-samples-split", type=int, default=2)
-    p.add_argument("--features-per-split", default="sqrt",
-                   help="'sqrt' or an integer")
-    p.add_argument("--no-bootstrap", action="store_true")
-    p.add_argument("--class-weight", choices=["balanced"], default=None)
+    p.add_argument("--num-trees", type=int)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--min-samples-split", type=int)
+    p.add_argument("--features-per-split", help="'sqrt' or an integer")
+    p.add_argument("--no-bootstrap", dest="bootstrap", action="store_false")
+    p.add_argument("--class-weight", choices=["balanced"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic annotation file")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, argument_default=SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", cmd_generate, "write a synthetic annotation file")
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="ground-truth phase centres file")
     p.add_argument("--archetypes", default="all")
@@ -424,69 +417,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=60)
     p.add_argument("--noise", default=None,
                    help=f"preset: {', '.join(sorted(NOISE_PRESETS))}")
-    p.add_argument("--jitter", type=float, default=None)
-    p.add_argument("--lag", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jitter", dest="jitter_sigma", metavar="JITTER", type=float)
+    p.add_argument("--lag", dest="copy_lag_prob", metavar="LAG", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--id-prefix", default="syn")
     p.add_argument("--from-scripts", default=None,
                    help="JSON list of script records to realise instead")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("assign", help="phase assignments per video and action")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--models", default="builtin")
+    p = command("assign", cmd_assign, "phase assignments per video and action")
+    _add_corpus_flags(p)
     p.add_argument("--out", required=True)
     _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_assign)
 
-    p = sub.add_parser("embed", help="dump per-video per-action embeddings")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--models", default="builtin")
+    p = command("embed", cmd_embed, "dump per-video per-action embeddings")
+    _add_corpus_flags(p)
     p.add_argument("--out", required=True)
     _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("train", help="train one forest per action")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--models", default="builtin")
+    p = command("train", cmd_train, "train one forest per action")
+    _add_corpus_flags(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--val-fraction", type=float, default=0.25)
+    p.add_argument("--val-fraction", type=float)
     _add_pipeline_flags(p)
     _add_forest_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="probabilities for every video")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--models", default="builtin")
+    p = command("predict", cmd_predict, "probabilities for every video")
+    _add_corpus_flags(p)
     p.add_argument("--forest-dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default=None, help="split file from train")
     p.add_argument("--subset", choices=["train", "val", "all"], default="val")
     _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="AP table, mAP, confusion matrix")
+    p = command("eval", cmd_eval, "AP table, mAP, confusion matrix")
     p.add_argument("--predictions", required=True)
     p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("fuse", help="sum probabilities with an external file")
+    p = command("fuse", cmd_fuse, "sum probabilities with an external file")
     p.add_argument("--predictions", required=True)
     p.add_argument("--external", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("sweep", help="grid over sigma and n")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--models", default="builtin")
+    p = command("sweep", cmd_sweep, "grid over sigma and n")
+    _add_corpus_flags(p)
     p.add_argument("--sigmas", default="1,2,3")
     p.add_argument("--ns", default="2,3,5")
-    p.add_argument("--val-fraction", type=float, default=0.25)
+    p.add_argument("--val-fraction", type=float)
     p.add_argument("--num-trees", type=int, default=50)
-    p.add_argument("--mode", choices=EMBEDDING_MODES, default="full")
-    p.add_argument("--seed", type=int, default=0)
+    _add_mode_and_seed_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 

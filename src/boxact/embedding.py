@@ -17,7 +17,6 @@ and writes the statistics straight into one preallocated buffer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, ContractError, read_json
+from .errors import AnnotationError, ContractError, read_json, write_json
 from .phases import PHASES, ActionModel, PhaseAssignment, PhaseScoreMatrix
 from .tracks import VideoTrack
 
@@ -230,7 +229,7 @@ def dump_embeddings(
     doc = {"format": "boxact-embeddings", "version": 1, "records": records}
     if provenance is not None:
         doc["provenance"] = dict(provenance)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_embeddings(path: str | Path) -> list[VideoEmbedding]:

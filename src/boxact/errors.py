@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from numbers import Integral
+import math
+from numbers import Integral, Real
 from pathlib import Path
 
 __all__ = [
@@ -11,8 +12,10 @@ __all__ = [
     "AnnotationError",
     "ConfigError",
     "ContractError",
+    "check_finite",
     "check_int",
     "read_json",
+    "write_json",
 ]
 
 
@@ -44,6 +47,17 @@ def read_json(path: str | Path, error_cls: type[BoxactError]):
         raise error_cls(f"{path}: not valid JSON: {exc}") from None
 
 
+def write_json(path: str | Path, document) -> None:
+    """Write ``document`` as a JSON artifact, creating the parent directory.
+
+    Every JSON file boxact writes, except the compact forest files, has
+    this format: two-space indent, sorted keys and a final newline.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
 def check_int(name: str, value, minimum: int) -> None:
     """Raise :class:`ConfigError` unless ``value`` is an integer >= ``minimum``.
 
@@ -53,3 +67,13 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+
+
+def check_finite(name: str, value) -> float:
+    """Return ``value`` as a float; raise :class:`ConfigError` unless it is a finite number.
+
+    A bool is not a number here, and neither are JSON's ``NaN`` and ``Infinity``.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)

@@ -7,7 +7,6 @@ Mean AP is support-weighted; the unweighted macro mean is reported alongside.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, ContractError, read_json
+from .errors import AnnotationError, ContractError, read_json, write_json
 
 __all__ = [
     "VideoPrediction",
@@ -257,7 +256,7 @@ def save_predictions(
     }
     if provenance is not None:
         doc["provenance"] = dict(provenance)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_predictions(path: str | Path) -> PredictionSet:

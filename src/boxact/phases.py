@@ -31,7 +31,7 @@ last axis.  ``score_frames``, ``assign_phases``, ``second_best_b`` and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, read_json
+from .errors import ConfigError, ContractError, check_finite, read_json, write_json
 from .relations import (
     COLUMN,
     DEFAULT_CONFIG,
@@ -157,20 +157,28 @@ class ActionModel:
         return TermArrays.of([self.phases[p] for p in PHASES])
 
 
-def _term_from_dict(entry: Mapping, action_id: str) -> Term:
+def _term_from_dict(entry, action_id: str) -> Term:
+    if not isinstance(entry, Mapping):
+        raise ConfigError(f"model {action_id!r}: a term must be an object, got {entry!r}")
     unknown = set(entry) - {"feature", "args", "weight", "negate", "threshold"}
     if unknown:
         raise ConfigError(
             f"model {action_id!r}: unknown term fields {sorted(unknown)}"
         )
+    where = f"model {action_id!r}: term {entry.get('feature')!r}"
+    if not isinstance(entry.get("args", []), list):
+        raise ConfigError(f"{where}: args must be a list, got {entry['args']!r}")
+    if not isinstance(entry.get("negate", False), bool):
+        raise ConfigError(f"{where}: negate must be true or false, got {entry['negate']!r}")
+    threshold = entry.get("threshold")
     try:
         term = Term(
             feature=entry["feature"],
             args=tuple(entry["args"]),
-            weight=float(entry.get("weight", 1.0)),
-            negate=bool(entry.get("negate", False)),
+            weight=check_finite(f"{where}: weight", entry.get("weight", 1.0)),
+            negate=entry.get("negate", False),
             threshold=(
-                float(entry["threshold"]) if entry.get("threshold") is not None else None
+                None if threshold is None else check_finite(f"{where}: threshold", threshold)
             ),
         )
     except KeyError as exc:
@@ -179,33 +187,32 @@ def _term_from_dict(entry: Mapping, action_id: str) -> Term:
     return term
 
 
-def model_from_dict(data: Mapping) -> ActionModel:
+def model_from_dict(data) -> ActionModel:
+    if not isinstance(data, Mapping):
+        raise ConfigError("action model config must be an object")
     action_id = data.get("action_id")
     if not isinstance(action_id, str) or not action_id:
         raise ConfigError("action model config needs a string 'action_id'")
     raw_phases = data.get("phases")
     if not isinstance(raw_phases, Mapping):
         raise ConfigError(f"model {action_id!r}: 'phases' must be a mapping")
-    phases = {
-        p: tuple(_term_from_dict(t, action_id) for t in terms)
-        for p, terms in raw_phases.items()
-    }
-    thresholds = (
-        RelationConfig.from_dict(data["thresholds"])
-        if "thresholds" in data
-        else DEFAULT_CONFIG
-    )
-    extra = tuple(data.get("features", ()))
-    model = ActionModel(
+    phases = {}
+    for p, terms in raw_phases.items():
+        if not isinstance(terms, list):
+            raise ConfigError(f"model {action_id!r}: phase {p!r} must be a list of terms")
+        phases[p] = tuple(_term_from_dict(t, action_id) for t in terms)
+    extra = data.get("features", [])
+    if not isinstance(extra, list) or not all(isinstance(k, str) and k in COLUMN for k in extra):
+        raise ConfigError(
+            f"model {action_id!r}: 'features' must be a list of canonical feature keys "
+            f"such as 'touching(object1,hand)', got {extra!r}"
+        )
+    return ActionModel(
         action_id=action_id,
         phases=phases,
-        thresholds=thresholds,
-        extra_features=extra,
+        thresholds=RelationConfig.from_dict(data.get("thresholds", {})),
+        extra_features=tuple(extra),
     )
-    for key in extra:
-        name, _, rest = key.partition("(")
-        feature_key(name, tuple(rest.rstrip(")").split(",")))
-    return model
 
 
 def model_to_dict(model: ActionModel) -> dict:
@@ -221,23 +228,22 @@ def model_to_dict(model: ActionModel) -> dict:
             phases[p].append(entry)
     data: dict = {"action_id": model.action_id, "phases": phases}
     if model.thresholds != DEFAULT_CONFIG:
-        data["thresholds"] = {
-            "touch_tol": model.thresholds.touch_tol,
-            "containment_fraction": model.thresholds.containment_fraction,
-            "move_threshold": model.thresholds.move_threshold,
-            "move_with_hand_tol": model.thresholds.move_with_hand_tol,
-        }
+        data["thresholds"] = asdict(model.thresholds)
     if model.extra_features:
         data["features"] = list(model.extra_features)
     return data
 
 
 def load_action_model(path: str | Path) -> ActionModel:
-    return model_from_dict(read_json(path, ConfigError))
+    data = read_json(path, ConfigError)
+    try:
+        return model_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_action_model(model: ActionModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    write_json(path, model_to_dict(model))
 
 
 def builtin_model(archetype: str) -> ActionModel:

@@ -91,20 +91,10 @@ class PipelineConfig:
     def scores_only(self) -> bool:
         return self.embedding_mode == "scores_only"
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sigma": self.sigma,
-            "embedding_mode": self.embedding_mode,
-            "forest": asdict(self.forest),
-            "val_fraction": self.val_fraction,
-            "seed": self.seed,
-        }
-
 
 def make_provenance(config: PipelineConfig, stage: str) -> dict:
     """Deterministic provenance block: fingerprint and seed, no timestamps."""
-    canonical = json.dumps(config.to_dict(), sort_keys=True)
+    canonical = json.dumps(asdict(config), sort_keys=True)
     fingerprint = hashlib.sha256(canonical.encode()).hexdigest()[:16]
     return {
         "tool": "boxact",

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .tracks import ROLES, VideoTrack
 
 __all__ = [
@@ -71,6 +71,8 @@ class RelationConfig:
     move_with_hand_tol: float = 4.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            check_finite(f.name, getattr(self, f.name))
         if self.touch_tol < 0 or self.move_threshold < 0 or self.move_with_hand_tol < 0:
             raise ConfigError("relation thresholds must be non-negative")
         if not 0.0 < self.containment_fraction <= 1.0:
@@ -78,12 +80,9 @@ class RelationConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "RelationConfig":
-        unknown = set(data) - {
-            "touch_tol",
-            "containment_fraction",
-            "move_threshold",
-            "move_with_hand_tol",
-        }
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"thresholds must be an object, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown threshold fields: {sorted(unknown)}")
         return replace(cls(), **dict(data))
@@ -119,11 +118,10 @@ BOOLEAN_FEATURES = (
 )
 _ARITY = {name: 1 for name in _UNARY_REAL + _UNARY_BOOL + _HAND_BOOL}
 _ARITY.update({name: 2 for name in _PAIR_REAL + _PAIR_BOOL_SYMMETRIC + _PAIR_BOOL_ORDERED})
-FEATURE_NAMES = tuple(sorted(_ARITY))
 
 
 def validate_feature(name: str, args: tuple[str, ...]) -> None:
-    if name not in _ARITY:
+    if not isinstance(name, str) or name not in _ARITY:
         raise ConfigError(f"unknown feature {name!r}")
     if len(args) != _ARITY[name]:
         raise ConfigError(
@@ -183,6 +181,13 @@ def _swapped_key(key: str) -> str:
 # annotated table.
 SWAP = np.array([COLUMN[_swapped_key(key)] for key in _KEYS])
 
+# Column of each (feature name, role indices) pair that relation_table writes;
+# its symmetric pairs come in entity order, which is their canonical order.
+_COLUMN_OF = {
+    (name, tuple(ROLES.index(a) for a in rest[:-1].split(","))): i
+    for i, (name, _, rest) in enumerate(key.partition("(") for key in _KEYS)
+}
+
 
 def relation_table(
     track: VideoTrack, config: RelationConfig = DEFAULT_CONFIG
@@ -209,8 +214,7 @@ def relation_table(
     table = np.zeros((len(track), len(_KEYS)))
 
     def put(name: str, args: tuple[int, ...], value: np.ndarray) -> None:
-        # pairs come in entity order, which is canonical for symmetric features
-        table[:, COLUMN[f"{name}({','.join(ROLES[i] for i in args)})"]] = value
+        table[:, _COLUMN_OF[name, args]] = value
 
     for e in range(len(ROLES)):
         put("present", (e,), present[e])

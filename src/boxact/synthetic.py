@@ -16,7 +16,7 @@ copied unchanged from the previous frame and snaps back on the next one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -147,11 +147,7 @@ def script_to_dict(script: SyntheticScript) -> dict:
         "archetype": script.archetype,
         "num_frames": script.num_frames,
         "true_phase_centers": dict(script.true_phase_centers),
-        "noise": {
-            "jitter_sigma": script.noise.jitter_sigma,
-            "copy_lag_prob": script.noise.copy_lag_prob,
-            "seed": script.noise.seed,
-        },
+        "noise": asdict(script.noise),
         "video_id": script.video_id,
         "layout_seed": script.layout_seed,
     }

@@ -23,7 +23,6 @@ invariant on whole arrays.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, read_json
+from .errors import AnnotationError, read_json, write_json
 
 __all__ = [
     "ROLES",
@@ -291,5 +290,4 @@ def load_annotation_file(path: str | Path) -> list[VideoTrack]:
 
 
 def write_annotation_file(path: str | Path, tracks: Sequence[VideoTrack]) -> None:
-    document = serialize_annotations(tracks)
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    write_json(path, serialize_annotations(tracks))

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from boxact.cli import main
 from boxact.evaluation import load_predictions
 from boxact.forest import load_forest
-from boxact.phases import ARCHETYPES
+from boxact.phases import ARCHETYPES, builtin_model, model_to_dict
 from boxact.synthetic import random_script, script_to_dict
 from boxact.tracks import COORDINATE_LIMIT, ROLES, load_annotation_file
 
@@ -106,6 +106,15 @@ def test_generate_count_zero_is_a_valid_empty_file(tmp_path):
     out = tmp_path / "empty.json"
     assert main(["generate", "--out", str(out), "--count", "0"]) == 0
     assert load_annotation_file(out) == []
+
+
+def test_generate_creates_missing_output_directories(tmp_path):
+    out, truth = tmp_path / "new" / "ann.json", tmp_path / "other" / "truth.json"
+    assert main(["generate", "--out", str(out), "--truth", str(truth), "--count", "1"]) == 0
+    assert len(load_annotation_file(out)) == len(ARCHETYPES)
+    assert set(json.loads(truth.read_text())["videos"]) == {
+        t.video_id for t in load_annotation_file(out)
+    }
 
 
 def test_generate_rejects_unknown_archetype(tmp_path):
@@ -420,6 +429,18 @@ def _stump(**columns) -> list[dict]:
     return [{**STUMP, **columns}]
 
 
+def _model_doc(**changes) -> dict:
+    """The builtin put-into model with top-level fields replaced."""
+    return {**model_to_dict(builtin_model("put-into")), **changes}
+
+
+def _model_with_term(**changes) -> dict:
+    """The builtin put-into model with fields of its first phase-b term replaced."""
+    doc = _model_doc()
+    doc["phases"]["b"][0].update(changes)
+    return doc
+
+
 # (command reading the file, file content, part of the expected message)
 MALFORMED_INPUTS = {
     "split-not-json": ("predict-split", "{not json", "not valid JSON"),
@@ -536,6 +557,97 @@ MALFORMED_INPUTS = {
         },
         "high",
     ),
+    "model-not-an-object": ("assign-models", [], "must be an object"),
+    "model-weight-nan": (
+        "assign-models",
+        _model_with_term(weight=float("nan")),
+        "weight must be a finite number, got nan",
+    ),
+    "model-weight-infinity": (
+        "assign-models",
+        _model_with_term(weight=float("inf")),
+        "weight must be a finite number, got inf",
+    ),
+    "model-weight-text": (
+        "assign-models",
+        _model_with_term(weight="x"),
+        "weight must be a finite number, got 'x'",
+    ),
+    "model-weight-bool": (
+        "assign-models",
+        _model_with_term(weight=True),
+        "weight must be a finite number, got True",
+    ),
+    "model-term-threshold-nan": (
+        "assign-models",
+        _model_with_term(threshold=float("nan")),
+        "threshold must be a finite number, got nan",
+    ),
+    "model-term-threshold-bool": (
+        "assign-models",
+        _model_with_term(threshold=False),
+        "threshold must be a finite number, got False",
+    ),
+    "model-negate-text": (
+        "assign-models",
+        _model_with_term(negate="no"),
+        "negate must be true or false, got 'no'",
+    ),
+    "model-terms-not-a-list": (
+        "assign-models",
+        _model_doc(phases={**_model_doc()["phases"], "b": 5}),
+        "phase 'b' must be a list of terms",
+    ),
+    "model-term-not-an-object": (
+        "assign-models",
+        _model_doc(phases={**_model_doc()["phases"], "b": [5]}),
+        "a term must be an object, got 5",
+    ),
+    "model-args-not-a-list": (
+        "assign-models",
+        _model_with_term(args=5),
+        "args must be a list, got 5",
+    ),
+    "model-args-not-strings": (
+        "assign-models",
+        _model_with_term(args=[1]),
+        "unknown entity 1",
+    ),
+    "model-feature-not-a-string": (
+        "assign-models",
+        _model_with_term(feature=["present"]),
+        "unknown feature ['present']",
+    ),
+    "model-thresholds-not-an-object": (
+        "assign-models",
+        _model_doc(thresholds=5),
+        "thresholds must be an object, got 5",
+    ),
+    "model-touch-tol-text": (
+        "assign-models",
+        _model_doc(thresholds={"touch_tol": "x"}),
+        "touch_tol must be a finite number, got 'x'",
+    ),
+    "model-touch-tol-nan": (
+        "assign-models",
+        _model_doc(thresholds={"touch_tol": float("nan")}),
+        "touch_tol must be a finite number, got nan",
+    ),
+    "model-extra-feature-not-a-string": (
+        "assign-models",
+        _model_doc(features=[5]),
+        "canonical feature keys",
+    ),
+    "model-extra-feature-not-canonical": (
+        "assign-models",
+        _model_doc(features=["touching(hand,object1)"]),
+        "canonical feature keys",
+    ),
+    "model-extra-feature-unclosed": (
+        "assign-models",
+        _model_doc(features=["present(object1"]),
+        "canonical feature keys",
+    ),
     "scripts-not-json": ("generate", "[{", "not valid JSON"),
     "script-with-bad-frame-count": (
         "generate",
@@ -594,6 +706,15 @@ def test_malformed_input_files_exit_1(workdir, tmp_path, capsys, case):
         "eval": ["eval", "--predictions", str(bad)],
         "generate": ["generate", "--out", str(tmp_path / "ann.json"), "--from-scripts", str(bad)],
         "assign": ["assign", "--annotations", str(bad), "--out", str(tmp_path / "out.json")],
+        "assign-models": [
+            "assign",
+            "--annotations",
+            str(workdir / "ann.json"),
+            "--models",
+            str(bad),
+            "--out",
+            str(tmp_path / "out.json"),
+        ],
     }[command]
     capsys.readouterr()
     assert main(argv) == 1

@@ -225,6 +225,9 @@ def test_config_validation():
         RelationConfig(touch_tol=-1)
     with pytest.raises(ConfigError):
         RelationConfig(containment_fraction=0.0)
+    for value in (float("nan"), float("inf"), "5", True, None):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            RelationConfig(move_threshold=value)
     with pytest.raises(ConfigError):
         RelationConfig.from_dict({"touch_tol": 2, "bogus": 1})
     assert RelationConfig.from_dict({"touch_tol": 2.0}).touch_tol == 2.0
