@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from argparse import SUPPRESS
 from dataclasses import fields
 from pathlib import Path
 
@@ -405,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help, argument_default=SUPPRESS)
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         p.set_defaults(func=func)
         return p
 

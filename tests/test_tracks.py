@@ -375,7 +375,12 @@ def _mutable(document) -> bool:
         isinstance(v, dict)
         and isinstance(v.get("frames"), list)
         and v["frames"]
-        and all(isinstance(f, dict) and isinstance(f.get("boxes", []), list) for f in v["frames"])
+        and all(
+            isinstance(f, dict)
+            and isinstance(f.get("boxes", []), list)
+            and all(isinstance(b, dict) for b in f.get("boxes", []))
+            for f in v["frames"]
+        )
         for v in document
     )
 
