@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .embedding import dump_embeddings
-from .errors import BoxactError, ConfigError, read_json, write_json
+from .errors import BoxactError, ConfigError, read_artifact, read_json, write_json
 from .evaluation import (
     confusion_csv,
     evaluate,
@@ -264,9 +264,7 @@ def _load_forest_dir(path: str) -> dict:
 def _subset_ids(args: argparse.Namespace) -> list[str] | None:
     if not args.split:
         return None
-    doc = read_json(args.split, ConfigError)
-    if not isinstance(doc, dict) or doc.get("format") != "boxact-split":
-        raise ConfigError(f"{args.split}: not a split file")
+    doc = read_artifact(args.split, "boxact-split", "a split file", ConfigError)
     ids: list[str] = []
     for subset in ("train", "val") if args.subset == "all" else (args.subset,):
         part = doc.get(subset)
@@ -326,15 +324,18 @@ def cmd_fuse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    try:
+        sigmas = [float(s) for s in args.sigmas.split(",") if s]
+        ns = [int(n) for n in args.ns.split(",") if n]
+    except ValueError as exc:
+        parser.error(f"--sigmas takes numbers and --ns integers: {exc}")
+    if not sigmas or not ns:
+        parser.error("--sigmas and --ns must be non-empty comma lists")
     tracks = load_annotation_file(args.annotations)
     labels = _labels_of(tracks)
     if len(labels) != len(tracks):
         raise BoxactError("sweep needs labels on every video")
     models = load_models(args.models)
-    sigmas = [float(s) for s in args.sigmas.split(",") if s]
-    ns = [int(n) for n in args.ns.split(",") if n]
-    if not sigmas or not ns:
-        parser.error("--sigmas and --ns must be non-empty comma lists")
     rows = []
     for sigma in sigmas:
         for n in ns:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, ContractError, read_json, write_json
+from .errors import AnnotationError, ContractError, read_artifact, write_json
 from .phases import PHASES, ActionModel, PhaseAssignment, PhaseScoreMatrix
 from .tracks import VideoTrack
 
@@ -233,9 +233,7 @@ def dump_embeddings(
 
 
 def load_embeddings(path: str | Path) -> list[VideoEmbedding]:
-    doc = read_json(path, AnnotationError)
-    if not isinstance(doc, dict) or doc.get("format") != "boxact-embeddings":
-        raise AnnotationError(f"{path}: not an embedding dump")
+    doc = read_artifact(path, "boxact-embeddings", "an embedding dump", AnnotationError)
     try:
         return [_embedding_from_record(rec) for rec in doc.get("records", [])]
     except KeyError as exc:

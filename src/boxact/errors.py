@@ -14,6 +14,7 @@ __all__ = [
     "ContractError",
     "check_finite",
     "check_int",
+    "read_artifact",
     "read_json",
     "write_json",
 ]
@@ -45,6 +46,22 @@ def read_json(path: str | Path, error_cls: type[BoxactError]):
         return json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:
         raise error_cls(f"{path}: not valid JSON: {exc}") from None
+
+
+def read_artifact(path: str | Path, fmt: str, what: str, error_cls: type[BoxactError]) -> dict:
+    """Read a version-1 JSON artifact; raise ``error_cls`` naming the file otherwise.
+
+    ``what`` names the artifact in the error for a document of another format.
+    """
+    doc = read_json(path, error_cls)
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise error_cls(f"{path}: not {what}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != 1:  # JSON true is not version 1
+        raise error_cls(
+            f"{path}: unsupported {fmt} version {version!r} (this boxact reads version 1)"
+        )
+    return doc
 
 
 def write_json(path: str | Path, document) -> None:

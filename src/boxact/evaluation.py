@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, ContractError, read_json, write_json
+from .errors import AnnotationError, ContractError, read_artifact, write_json
 
 __all__ = [
     "VideoPrediction",
@@ -260,9 +260,7 @@ def save_predictions(
 
 
 def load_predictions(path: str | Path) -> PredictionSet:
-    doc = read_json(path, AnnotationError)
-    if not isinstance(doc, dict) or doc.get("format") != PREDICTIONS_FORMAT:
-        raise AnnotationError(f"{path}: not a predictions file")
+    doc = read_artifact(path, PREDICTIONS_FORMAT, "a predictions file", AnnotationError)
     try:
         videos = tuple(
             VideoPrediction(

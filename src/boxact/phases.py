@@ -193,6 +193,9 @@ def model_from_dict(data) -> ActionModel:
     action_id = data.get("action_id")
     if not isinstance(action_id, str) or not action_id:
         raise ConfigError("action model config needs a string 'action_id'")
+    unknown = set(data) - {"action_id", "phases", "thresholds", "features"}
+    if unknown:
+        raise ConfigError(f"model {action_id!r}: unknown fields {sorted(unknown)}")
     raw_phases = data.get("phases")
     if not isinstance(raw_phases, Mapping):
         raise ConfigError(f"model {action_id!r}: 'phases' must be a mapping")

@@ -1,13 +1,15 @@
 """Synthetic bounding-box videos for five manipulation archetypes.
 
-Each archetype is realised as a piecewise trajectory over a fixed stage:
-object2 sits still, object1 and the hand enter from the left, manipulate,
-and leave.  Motion segments use smoothstep easing, so the speed profile is a
-symmetric bell whose peak falls on the segment midpoint; segment boundaries
-are derived from the scripted phase centres (b = approach midpoint,
-c = manipulation-dwell midpoint, d = exit midpoint, a = 0, e = last frame).
-The hand clears the frame edge eight frames before the end so the
-result-evident plateau stays short.
+Each archetype is realised as keyframe paths over a fixed stage: object2
+sits still, object1 and the hand enter from the left, manipulate, and leave.
+A path is a list of ``(frame, centre)`` keyframes from frame 0 to the last
+frame.  Motion between keyframes eases with smoothstep, so the speed profile
+is a symmetric bell whose peak falls on the segment midpoint, and every path
+is evaluated for all frames at once.  Keyframe frames are derived from the
+scripted phase centres (b = approach midpoint, c = manipulation-dwell
+midpoint, d = exit midpoint, a = 0, e = last frame).  The hand clears the
+frame edge eight frames before the end so the result-evident plateau stays
+short.
 
 Noise models annotation artifacts: per-frame Gaussian jitter of box
 coordinates, and a copy-lag artifact where a whole frame's annotation is
@@ -21,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, check_int
+from .errors import ContractError, check_finite, check_int
 from .phases import ARCHETYPES, PHASES
 from .relations import COLUMN, DEFAULT_CONFIG, RelationConfig, relation_table
 from .tracks import ROLES, VideoTrack
@@ -60,6 +62,8 @@ class NoiseParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite("jitter_sigma", self.jitter_sigma)
+        check_finite("copy_lag_prob", self.copy_lag_prob)
         if self.jitter_sigma < 0:
             raise ContractError("jitter_sigma must be non-negative")
         if not 0.0 <= self.copy_lag_prob < 1.0:
@@ -153,36 +157,25 @@ def script_to_dict(script: SyntheticScript) -> dict:
     }
 
 
-# --- trajectory machinery ----------------------------------------------------
+# --- keyframe paths ---------------------------------------------------------------
 
 Point = tuple[float, float]
+Keyframes = list[tuple[int, Point]]  # (frame, centre), from frame 0 to the last
 
 
-@dataclass(frozen=True)
-class _Segment:
-    t0: int
-    t1: int
-    p0: Point
-    p1: Point
+def _path(keyframes: Keyframes, n: int) -> np.ndarray:
+    """Centres of frames ``0..n-1`` along a path, shape ``(n, 2)``.
 
-
-def _smoothstep(u: float) -> float:
-    return u * u * (3.0 - 2.0 * u)
-
-
-def _position(segments: Sequence[_Segment], t: int) -> Point:
-    if t <= segments[0].t0:
-        return segments[0].p0
-    for seg in segments:
-        if seg.t0 <= t <= seg.t1:
-            if seg.t1 == seg.t0:
-                return seg.p1
-            u = _smoothstep((t - seg.t0) / (seg.t1 - seg.t0))
-            return (
-                seg.p0[0] + u * (seg.p1[0] - seg.p0[0]),
-                seg.p0[1] + u * (seg.p1[1] - seg.p0[1]),
-            )
-    return segments[-1].p1
+    A frame takes the first segment that ends at or after it, so a frame on
+    a keyframe sits at the end of the segment before it.
+    """
+    frames = np.array([f for f, _ in keyframes])
+    points = np.array([p for _, p in keyframes])
+    t = np.arange(n)
+    k = np.maximum(np.searchsorted(frames, t), 1)
+    s = (t - frames[k - 1]) / (frames[k] - frames[k - 1])
+    u = (s * s * (3.0 - 2.0 * s))[:, None]  # smoothstep
+    return points[k - 1] + u * (points[k] - points[k - 1])
 
 
 # --- stage layout ------------------------------------------------------------
@@ -246,11 +239,7 @@ def _hand_exit(layout: _Layout, y: float) -> Point:
     return (-(layout.hand_size[0] / 2.0) - 2.0, y)
 
 
-def _shift(p: Point, d: Point) -> Point:
-    return (p[0] + d[0], p[1] + d[1])
-
-
-# --- segment derivation from phase centres -----------------------------------
+# --- keyframes from phase centres ---------------------------------------------
 
 
 def _carry_boundaries(script: SyntheticScript) -> tuple[int, int, int, int]:
@@ -291,32 +280,18 @@ def _pretend_boundaries(script: SyntheticScript) -> tuple[int, int, int, int, in
     return t1, h0, h1, r1, x0, te
 
 
-def _entity_segments(
-    script: SyntheticScript, layout: _Layout
-) -> dict[str, list[_Segment]]:
+def _entity_paths(script: SyntheticScript, layout: _Layout) -> dict[str, Keyframes]:
     n = script.num_frames
     target = layout.o1_target
-    grip_at = lambda p: _shift(p, layout.grip)  # noqa: E731 - tiny local helper
+    grip_at = lambda p: (p[0] + layout.grip[0], p[1] + layout.grip[1])  # noqa: E731
+    o1_entry = (_hand_entry(layout, target[1])[0] - layout.grip[0], target[1])
     if script.archetype == "pretend-put-next-to":
         t1, h0, h1, r1, x0, te = _pretend_boundaries(script)
-        o1_entry = _shift(_hand_entry(layout, target[1]), (-layout.grip[0], 0.0))
-        o1_entry = (o1_entry[0], target[1])
-        o1 = [
-            _Segment(0, t1, o1_entry, o1_entry),
-            _Segment(t1, h0, o1_entry, target),
-            _Segment(h0, h1, target, target),
-            _Segment(h1, r1, target, layout.rest),
-            _Segment(r1, n - 1, layout.rest, layout.rest),
-        ]
-        hand = [
-            _Segment(0, t1, grip_at(o1_entry), grip_at(o1_entry)),
-            _Segment(t1, h0, grip_at(o1_entry), grip_at(target)),
-            _Segment(h0, h1, grip_at(target), grip_at(target)),
-            _Segment(h1, r1, grip_at(target), grip_at(layout.rest)),
-            _Segment(r1, x0, grip_at(layout.rest), grip_at(layout.rest)),
-            _Segment(x0, te, grip_at(layout.rest), _hand_exit(layout, target[1])),
-            _Segment(te, n - 1, _hand_exit(layout, target[1]), _hand_exit(layout, target[1])),
-        ]
+        o1 = [(0, o1_entry), (t1, o1_entry), (h0, target), (h1, target),
+              (r1, layout.rest), (n - 1, layout.rest)]
+        hand_exit = _hand_exit(layout, target[1])
+        hand = [(f, grip_at(p)) for f, p in o1[:-1]] + [
+            (x0, grip_at(layout.rest)), (te, hand_exit), (n - 1, hand_exit)]
     elif script.archetype == "take-out-of":
         t1, t2, t3, te = _carry_boundaries(script)
         hand_entry = _hand_entry(layout, grip_at(target)[1])
@@ -326,37 +301,17 @@ def _entity_segments(
             layout.hand_size[0] / 2.0, -layout.grip[0] + layout.o1_size[0] / 2.0
         )
         hand_exit = (-2.0 - trailing_half, grip_at(target)[1])
-        o1_exit = _shift(hand_exit, (-layout.grip[0], -layout.grip[1]))
-        o1 = [
-            _Segment(0, t3, target, target),
-            _Segment(t3, te, target, o1_exit),
-            _Segment(te, n - 1, o1_exit, o1_exit),
-        ]
-        hand = [
-            _Segment(0, t1, hand_entry, hand_entry),
-            _Segment(t1, t2, hand_entry, grip_at(target)),
-            _Segment(t2, t3, grip_at(target), grip_at(target)),
-            _Segment(t3, te, grip_at(target), hand_exit),
-            _Segment(te, n - 1, hand_exit, hand_exit),
-        ]
+        o1_exit = (hand_exit[0] - layout.grip[0], hand_exit[1] - layout.grip[1])
+        o1 = [(0, target), (t3, target), (te, o1_exit), (n - 1, o1_exit)]
+        hand = [(0, hand_entry), (t1, hand_entry), (t2, grip_at(target)),
+                (t3, grip_at(target)), (te, hand_exit), (n - 1, hand_exit)]
     else:  # put-into / put-next-to / put-behind share the carry-in shape
         t1, t2, t3, te = _carry_boundaries(script)
-        o1_entry = _shift(_hand_entry(layout, target[1]), (-layout.grip[0], 0.0))
-        o1_entry = (o1_entry[0], target[1])
+        o1 = [(0, o1_entry), (t1, o1_entry), (t2, target), (n - 1, target)]
         hand_exit = _hand_exit(layout, grip_at(target)[1])
-        o1 = [
-            _Segment(0, t1, o1_entry, o1_entry),
-            _Segment(t1, t2, o1_entry, target),
-            _Segment(t2, n - 1, target, target),
-        ]
-        hand = [
-            _Segment(0, t1, grip_at(o1_entry), grip_at(o1_entry)),
-            _Segment(t1, t2, grip_at(o1_entry), grip_at(target)),
-            _Segment(t2, t3, grip_at(target), grip_at(target)),
-            _Segment(t3, te, grip_at(target), hand_exit),
-            _Segment(te, n - 1, hand_exit, hand_exit),
-        ]
-    o2 = [_Segment(0, n - 1, layout.o2_centre, layout.o2_centre)]
+        hand = [(f, grip_at(p)) for f, p in o1[:-1]] + [
+            (t3, grip_at(target)), (te, hand_exit), (n - 1, hand_exit)]
+    o2 = [(0, layout.o2_centre), (n - 1, layout.o2_centre)]
     return {"object1": o1, "object2": o2, "hand": hand}
 
 
@@ -374,15 +329,16 @@ def _apply_noise(boxes: np.ndarray, present: np.ndarray, noise: NoiseParams) -> 
         jittered[:, 2:] = np.maximum(1.0, jittered[:, 2:])
         boxes[present] = jittered
     if noise.copy_lag_prob > 0:
-        lagged = False
-        for t in range(1, len(boxes)):
-            u = rng.random()
-            same_roles = bool((present[t] == present[t - 1]).all())
-            if not lagged and same_roles and u < noise.copy_lag_prob:
-                boxes[t] = boxes[t - 1]
-                lagged = True
-            else:
-                lagged = False
+        # one uniform per frame after the first; a frame whose roles match the
+        # previous frame's lags on a low draw, unless the previous frame lagged
+        candidate = (rng.random(len(boxes) - 1) < noise.copy_lag_prob) & (
+            present[1:] == present[:-1]
+        ).all(axis=1)
+        lagged = [False]
+        for c in candidate.tolist():
+            lagged.append(c and not lagged[-1])
+        t = np.flatnonzero(lagged)
+        boxes[t] = boxes[t - 1]  # no copy reads a lagged frame
 
 
 def generate_synthetic(script: SyntheticScript) -> tuple[VideoTrack, dict[str, int]]:
@@ -391,23 +347,14 @@ def generate_synthetic(script: SyntheticScript) -> tuple[VideoTrack, dict[str, i
     Pure: the same script always yields the same track.
     """
     layout = _draw_layout(script.archetype, np.random.default_rng(script.layout_seed))
-    segments = _entity_segments(script, layout)
-    sizes = {
-        "object1": layout.o1_size,
-        "object2": layout.o2_size,
-        "hand": layout.hand_size,
-    }
+    paths = _entity_paths(script, layout)
+    sizes = {"object1": layout.o1_size, "object2": layout.o2_size, "hand": layout.hand_size}
     n = script.num_frames
-    boxes = np.zeros((n, len(ROLES), 4))
-    present = np.zeros((n, len(ROLES)), dtype=bool)
-    for r, role in enumerate(ROLES):
-        w, h = sizes[role]
-        for t in range(n):
-            cx, cy = _position(segments[role], t)
-            x, y = cx - w / 2.0, cy - h / 2.0
-            if x < FRAME_WIDTH and x + w > 0 and y < FRAME_HEIGHT and y + h > 0:
-                boxes[t, r] = (x, y, w, h)
-                present[t, r] = True
+    size = np.array([sizes[role] for role in ROLES])
+    corner = np.stack([_path(paths[role], n) for role in ROLES], axis=1) - size / 2.0
+    present = ((corner < (FRAME_WIDTH, FRAME_HEIGHT)) & (corner + size > 0)).all(axis=2)
+    boxes = np.concatenate([corner, np.broadcast_to(size, corner.shape)], axis=2)
+    boxes[~present] = 0.0
     _apply_noise(boxes, present, script.noise)
     track = VideoTrack(
         video_id=script.video_id,

@@ -25,6 +25,17 @@ from boxact.relations import (
     RelationConfig,
     feature_key,
 )
+from boxact.synthetic import (
+    FRAME_HEIGHT,
+    FRAME_WIDTH,
+    NoiseParams,
+    SyntheticScript,
+    _carry_boundaries,
+    _draw_layout,
+    _hand_entry,
+    _hand_exit,
+    _pretend_boundaries,
+)
 from boxact.tracks import COORDINATE_LIMIT, ROLES, VideoTrack
 
 
@@ -856,3 +867,141 @@ def forest_trees_reference(
         sample = (values[idx], labels[idx], weights[idx])
         trees.append(grow_tree_reference(*sample, params, rng))
     return tuple(trees)
+
+
+# --- synthetic tracks built one frame and one role at a time -------------------
+
+
+@dataclass(frozen=True)
+class _Segment:
+    t0: int
+    t1: int
+    p0: tuple[float, float]
+    p1: tuple[float, float]
+
+
+def _position(segments: Sequence[_Segment], t: int) -> tuple[float, float]:
+    """Centre at frame ``t``: the first segment holding ``t`` eases with smoothstep."""
+    if t <= segments[0].t0:
+        return segments[0].p0
+    for seg in segments:
+        if seg.t0 <= t <= seg.t1:
+            if seg.t1 == seg.t0:
+                return seg.p1
+            u = (t - seg.t0) / (seg.t1 - seg.t0)
+            u = u * u * (3.0 - 2.0 * u)
+            return (
+                seg.p0[0] + u * (seg.p1[0] - seg.p0[0]),
+                seg.p0[1] + u * (seg.p1[1] - seg.p0[1]),
+            )
+    return segments[-1].p1
+
+
+def _shift(p: tuple[float, float], d: tuple[float, float]) -> tuple[float, float]:
+    return (p[0] + d[0], p[1] + d[1])
+
+
+def _entity_segments_reference(script: SyntheticScript, layout) -> dict[str, list[_Segment]]:
+    n = script.num_frames
+    target = layout.o1_target
+    grip_at = lambda p: _shift(p, layout.grip)  # noqa: E731 - tiny local helper
+    if script.archetype == "pretend-put-next-to":
+        t1, h0, h1, r1, x0, te = _pretend_boundaries(script)
+        o1_entry = _shift(_hand_entry(layout, target[1]), (-layout.grip[0], 0.0))
+        o1_entry = (o1_entry[0], target[1])
+        o1 = [
+            _Segment(0, t1, o1_entry, o1_entry),
+            _Segment(t1, h0, o1_entry, target),
+            _Segment(h0, h1, target, target),
+            _Segment(h1, r1, target, layout.rest),
+            _Segment(r1, n - 1, layout.rest, layout.rest),
+        ]
+        hand = [
+            _Segment(0, t1, grip_at(o1_entry), grip_at(o1_entry)),
+            _Segment(t1, h0, grip_at(o1_entry), grip_at(target)),
+            _Segment(h0, h1, grip_at(target), grip_at(target)),
+            _Segment(h1, r1, grip_at(target), grip_at(layout.rest)),
+            _Segment(r1, x0, grip_at(layout.rest), grip_at(layout.rest)),
+            _Segment(x0, te, grip_at(layout.rest), _hand_exit(layout, target[1])),
+            _Segment(te, n - 1, _hand_exit(layout, target[1]), _hand_exit(layout, target[1])),
+        ]
+    elif script.archetype == "take-out-of":
+        t1, t2, t3, te = _carry_boundaries(script)
+        hand_entry = _hand_entry(layout, grip_at(target)[1])
+        trailing_half = max(
+            layout.hand_size[0] / 2.0, -layout.grip[0] + layout.o1_size[0] / 2.0
+        )
+        hand_exit = (-2.0 - trailing_half, grip_at(target)[1])
+        o1_exit = _shift(hand_exit, (-layout.grip[0], -layout.grip[1]))
+        o1 = [
+            _Segment(0, t3, target, target),
+            _Segment(t3, te, target, o1_exit),
+            _Segment(te, n - 1, o1_exit, o1_exit),
+        ]
+        hand = [
+            _Segment(0, t1, hand_entry, hand_entry),
+            _Segment(t1, t2, hand_entry, grip_at(target)),
+            _Segment(t2, t3, grip_at(target), grip_at(target)),
+            _Segment(t3, te, grip_at(target), hand_exit),
+            _Segment(te, n - 1, hand_exit, hand_exit),
+        ]
+    else:
+        t1, t2, t3, te = _carry_boundaries(script)
+        o1_entry = _shift(_hand_entry(layout, target[1]), (-layout.grip[0], 0.0))
+        o1_entry = (o1_entry[0], target[1])
+        hand_exit = _hand_exit(layout, grip_at(target)[1])
+        o1 = [
+            _Segment(0, t1, o1_entry, o1_entry),
+            _Segment(t1, t2, o1_entry, target),
+            _Segment(t2, n - 1, target, target),
+        ]
+        hand = [
+            _Segment(0, t1, grip_at(o1_entry), grip_at(o1_entry)),
+            _Segment(t1, t2, grip_at(o1_entry), grip_at(target)),
+            _Segment(t2, t3, grip_at(target), grip_at(target)),
+            _Segment(t3, te, grip_at(target), hand_exit),
+            _Segment(te, n - 1, hand_exit, hand_exit),
+        ]
+    o2 = [_Segment(0, n - 1, layout.o2_centre, layout.o2_centre)]
+    return {"object1": o1, "object2": o2, "hand": hand}
+
+
+def _apply_noise_reference(boxes: np.ndarray, present: np.ndarray, noise: NoiseParams) -> None:
+    """Jitter, then one uniform per frame after the first for the copy-lag."""
+    rng = np.random.default_rng(noise.seed)
+    if noise.jitter_sigma > 0:
+        jittered = boxes[present] + rng.normal(
+            0.0, noise.jitter_sigma, size=(int(present.sum()), 4)
+        )
+        jittered[:, 2:] = np.maximum(1.0, jittered[:, 2:])
+        boxes[present] = jittered
+    if noise.copy_lag_prob > 0:
+        lagged = False
+        for t in range(1, len(boxes)):
+            u = rng.random()
+            same_roles = bool((present[t] == present[t - 1]).all())
+            if not lagged and same_roles and u < noise.copy_lag_prob:
+                boxes[t] = boxes[t - 1]
+                lagged = True
+            else:
+                lagged = False
+
+
+def generate_synthetic_reference(script: SyntheticScript) -> tuple[np.ndarray, np.ndarray]:
+    """``(boxes, present)`` of a script, positions looked up per frame and role."""
+    layout = _draw_layout(script.archetype, np.random.default_rng(script.layout_seed))
+    segments = _entity_segments_reference(script, layout)
+    sizes = {"object1": layout.o1_size, "object2": layout.o2_size, "hand": layout.hand_size}
+    n = script.num_frames
+    boxes = np.zeros((n, len(ROLES), 4))
+    present = np.zeros((n, len(ROLES)), dtype=bool)
+    for r, role in enumerate(ROLES):
+        w, h = sizes[role]
+        for t in range(n):
+            cx, cy = _position(segments[role], t)
+            x, y = cx - w / 2.0, cy - h / 2.0
+            if x < FRAME_WIDTH and x + w > 0 and y < FRAME_HEIGHT and y + h > 0:
+                boxes[t, r] = (x, y, w, h)
+                present[t, r] = True
+    _apply_noise_reference(boxes, present, script.noise)
+    return boxes, present

@@ -446,13 +446,23 @@ MALFORMED_INPUTS = {
     "split-not-json": ("predict-split", "{not json", "not valid JSON"),
     "split-without-val": (
         "predict-split",
-        {"format": "boxact-split", "train": []},
+        {"format": "boxact-split", "version": 1, "train": []},
         "val",
     ),
     "split-ids-not-a-list": (
         "predict-split",
-        {"format": "boxact-split", "train": [], "val": 5},
+        {"format": "boxact-split", "version": 1, "train": [], "val": 5},
         "val",
+    ),
+    "split-version-7": (
+        "predict-split",
+        {"format": "boxact-split", "version": 7, "train": [], "val": []},
+        "unsupported boxact-split version 7",
+    ),
+    "split-without-version": (
+        "predict-split",
+        {"format": "boxact-split", "train": [], "val": []},
+        "unsupported boxact-split version None",
     ),
     "forest-not-an-object": ("predict-forest", [], "not a serialized forest"),
     "forest-unknown-param": (
@@ -543,6 +553,7 @@ MALFORMED_INPUTS = {
         "eval",
         {
             "format": "boxact-predictions",
+            "version": 1,
             "records": [{"video_id": "v", "probabilities": {"put-into": 0.5}}],
         },
         "true_label",
@@ -551,13 +562,29 @@ MALFORMED_INPUTS = {
         "eval",
         {
             "format": "boxact-predictions",
+            "version": 1,
             "records": [
                 {"video_id": "v", "true_label": "x", "probabilities": {"x": "high"}}
             ],
         },
         "high",
     ),
+    "predictions-version-7": (
+        "eval",
+        {"format": "boxact-predictions", "version": 7, "records": []},
+        "unsupported boxact-predictions version 7",
+    ),
+    "predictions-version-true": (
+        "eval",
+        {"format": "boxact-predictions", "version": True, "records": []},
+        "unsupported boxact-predictions version True",
+    ),
     "model-not-an-object": ("assign-models", [], "must be an object"),
+    "model-misspelt-field": (
+        "assign-models",
+        _model_doc(treshholds={"touch_tol": 50.0}),
+        "model 'put-into': unknown fields ['treshholds']",
+    ),
     "model-weight-nan": (
         "assign-models",
         _model_with_term(weight=float("nan")),
@@ -659,6 +686,16 @@ MALFORMED_INPUTS = {
         [{**script_to_dict(random_script("put-into", 0)), "noise": {"seed": -1}}],
         "noise seed must be at least 0",
     ),
+    "script-with-nan-jitter": (
+        "generate",
+        [
+            {
+                **script_to_dict(random_script("put-into", 0)),
+                "noise": {"jitter_sigma": float("nan")},
+            }
+        ],
+        "jitter_sigma must be a finite number, got nan",
+    ),
     "script-with-negative-layout-seed": (
         "generate",
         [{**script_to_dict(random_script("put-into", 0)), "layout_seed": -1}],
@@ -754,6 +791,35 @@ def test_non_finite_sigma_exits_1(workdir, tmp_path, capsys, argv):
     capsys.readouterr()
     assert main([command, "--annotations", str(workdir / "ann.json"), *out, *flags]) == 1
     assert capsys.readouterr().err.startswith("error: sigma must be finite and positive")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--jitter", "nan"], "jitter_sigma must be a finite number, got nan"),
+        (["--jitter", "inf"], "jitter_sigma must be a finite number, got inf"),
+        (["--lag", "nan"], "copy_lag_prob must be a finite number, got nan"),
+    ],
+    ids=["jitter-nan", "jitter-inf", "lag-nan"],
+)
+def test_non_finite_noise_exits_1(tmp_path, capsys, flags, message):
+    # a NaN jitter compared false with 0 and gave a noise-free file with exit 0
+    out = tmp_path / "ann.json"
+    capsys.readouterr()
+    assert main(["generate", "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--sigmas", "1,x"], ["--ns", "2.5"]], ids=["sigma-text", "n-fraction"]
+)
+def test_sweep_rejects_malformed_lists_as_usage_errors(workdir, capsys, flags):
+    # float() / int() on the list items used to end in a ValueError traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--annotations", str(workdir / "ann.json"), *flags])
+    assert exc.value.code == 2
+    assert "--sigmas takes numbers and --ns integers" in capsys.readouterr().err
 
 
 def test_generate_negative_count_exits_1(tmp_path, capsys):

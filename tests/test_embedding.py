@@ -253,6 +253,15 @@ def test_load_rejects_other_files(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize("version", [None, 2, 7])
+def test_load_rejects_other_versions(tmp_path, version):
+    path = tmp_path / "later.json"
+    doc = {"format": "boxact-embeddings", "version": version, "records": []}
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    with pytest.raises(AnnotationError, match=f"unsupported boxact-embeddings version {version}"):
+        load_embeddings(path)
+
+
 GOOD_RECORD = {"action_id": "a", "video_id": "v", "values": [1.0], "layout": ["x"]}
 
 
@@ -272,7 +281,9 @@ GOOD_RECORD = {"action_id": "a", "video_id": "v", "values": [1.0], "layout": ["x
 )
 def test_load_rejects_malformed_records(tmp_path, records, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"format": "boxact-embeddings", "records": records}))
+    path.write_text(
+        json.dumps({"format": "boxact-embeddings", "version": 1, "records": records})
+    )
     with pytest.raises(AnnotationError, match=message) as info:
         load_embeddings(path)
     assert str(info.value).startswith(f"{path}: ")

@@ -251,6 +251,14 @@ def test_builtin_model_unknown_archetype():
         builtin_model("juggle")
 
 
+def test_model_from_dict_rejects_unknown_top_level_fields():
+    # a misspelt "thresholds" used to load silently with the default thresholds
+    data = model_to_dict(_tiny_model())
+    data["treshholds"] = {"touch_tol": 50.0}
+    with pytest.raises(ConfigError, match=r"model 'tiny': unknown fields \['treshholds'\]"):
+        model_from_dict(data)
+
+
 def test_model_from_dict_rejects_unknown_term_fields():
     data = model_to_dict(_tiny_model())
     data["phases"]["a"][0]["oops"] = 1

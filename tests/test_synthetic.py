@@ -51,6 +51,11 @@ def test_noise_validation():
         NoiseParams(copy_lag_prob=-0.1)
     with pytest.raises(ConfigError, match="noise seed"):
         NoiseParams(seed=-1)
+    # NaN compares false with every bound, so it used to pass as "no jitter"
+    for field_name in ("jitter_sigma", "copy_lag_prob"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=f"{field_name} must be a finite number"):
+                NoiseParams(**{field_name: value})
     assert NOISE_PRESETS["zero"] == NoiseParams()
 
 
