@@ -271,6 +271,12 @@ def _subset_ids(args: argparse.Namespace) -> list[str] | None:
         if not isinstance(part, list) or not all(isinstance(v, str) for v in part):
             raise ConfigError(f"{args.split}: {subset!r} must be a list of video ids")
         ids.extend(sorted(part))
+    if not ids:
+        raise ConfigError(
+            f"{args.split}: the {args.subset!r} subset lists no videos; train "
+            f"splits off validation videos only where --val-fraction times a "
+            f"class's size rounds to at least one"
+        )
     return ids
 
 
@@ -336,11 +342,18 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if len(labels) != len(tracks):
         raise BoxactError("sweep needs labels on every video")
     models = load_models(args.models)
+    # the split depends on neither sigma nor n
+    config = _config_from_args(args)
+    train_ids, val_ids = stratified_split(labels, config.val_fraction, config.seed)
+    if not val_ids:
+        raise ConfigError(
+            f"--val-fraction {config.val_fraction:g} rounds to no validation video "
+            f"in any class of {len(labels)} videos; raise it or add videos"
+        )
     rows = []
     for sigma in sigmas:
         for n in ns:
             config = _config_from_args(args, n=n, sigma=sigma)
-            train_ids, val_ids = stratified_split(labels, config.val_fraction, config.seed)
             embeds = embed_all(tracks, models, config)
             forests, skipped, _ = train_forests(embeds, labels, models, config, train_ids)
             preds = predict_set(embeds, labels, forests, models, config, val_ids)

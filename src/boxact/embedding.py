@@ -9,10 +9,10 @@ layout never changes shape for a given model.
 A ``scores_only`` switch drops the per-feature blocks and keeps just the
 score statistics and flags.
 
-``embed_windows`` embeds a track under many models in one pass: it reduces
-every chosen window of every model together, one block per window length,
-and writes the statistics straight into one preallocated buffer.
-``embed_video`` is its one-model call.
+``embed_windows`` embeds a batch of tracks under many models in one pass:
+it reduces every chosen window of every (track, model) pair together, one
+block per window length, and writes the statistics straight into one
+preallocated buffer.  ``embed_video`` is its one-track, one-model call.
 """
 
 from __future__ import annotations
@@ -110,28 +110,33 @@ def _write_stats(
 
 
 def embed_windows(
-    video_id: str,
+    video_ids: Sequence[str],
     models: Sequence[ActionModel],
     assignments: Sequence[PhaseAssignment],
     source: np.ndarray,
     score_rows: Sequence[np.ndarray],
     feature_rows: Sequence[np.ndarray],
     scores_only: bool = False,
+    columns: Sequence[int] | None = None,
 ) -> list[VideoEmbedding]:
-    """Embeddings of one track under several models in one pass.
+    """Embeddings of (track, model) pairs in one pass, one per entry.
 
-    ``source`` holds one row per frame series, shape (S, T).  For model
-    ``i``, ``score_rows[i]`` names the rows of its five raw phase scores and
-    ``feature_rows[i]`` those of its ``feature_list``, both in the object
-    order of ``assignments[i]``.
+    ``source`` holds one row per frame series, shape (S, T); several tracks
+    may lie end to end along its columns.  Entry ``i`` embeds track
+    ``video_ids[i]``, whose frame 0 is column ``columns[i]`` (0 by default),
+    under ``models[i]``: ``score_rows[i]`` names the rows of its five raw
+    phase scores and ``feature_rows[i]`` those of its ``feature_list``, both
+    in the object order of ``assignments[i]``.
     """
     layouts = [embedding_layout(m, scores_only) for m in models]
     offsets = np.cumsum([0] + [len(layout) for layout in layouts])
     values = np.zeros(offsets[-1])
     parts: list[tuple[np.ndarray, ...]] = []
     flags = []
-    for start, assignment, phase_rows, features in zip(
-        offsets, assignments, score_rows, feature_rows
+    if columns is None:
+        columns = [0] * len(models)
+    for start, assignment, phase_rows, features, column in zip(
+        offsets, assignments, score_rows, feature_rows, columns
     ):
         if scores_only:
             features = features[:0]
@@ -149,7 +154,7 @@ def embed_windows(
         per_phase = rows.shape[1]
         parts.append((
             rows.ravel(),
-            np.repeat(lo, per_phase),
+            np.repeat(column + lo, per_phase),
             np.repeat(hi - lo + 1, per_phase),
             (at[:, None] + len(STAT_NAMES) * np.arange(per_phase)).ravel(),
         ))
@@ -163,7 +168,9 @@ def embed_windows(
             values=values[start:end],
             layout=layout,
         )
-        for model, layout, start, end in zip(models, layouts, offsets, offsets[1:])
+        for video_id, model, layout, start, end in zip(
+            video_ids, models, layouts, offsets, offsets[1:]
+        )
     ]
 
 
@@ -199,7 +206,7 @@ def embed_video(
     source = np.vstack([matrix.raw, relations.T])
     phases = len(PHASES)
     return embed_windows(
-        track.video_id,
+        [track.video_id],
         [model],
         [assignment],
         source,

@@ -19,17 +19,20 @@ between phases, totals are compared on per-phase standardised (z-scored)
 rows while raw rows are kept for the embedding stage.
 
 The work is done by array kernels over many score rows at once:
-``score_rows`` scores the rows of any set of compiled ``TermArrays`` (the
-pipeline passes every model of a threshold set in both object orders), and
-``assign_batch`` ranks the four alternatives of every model together.  Each
-row keeps the bits of a row computed alone: terms are added in term order,
-every row has its own convolution, and reductions run along the contiguous
-last axis.  ``score_frames``, ``assign_phases``, ``second_best_b`` and
-``assign_with_alternatives`` are one-model calls of the same kernels.
+``score_rows`` scores the rows of any set of compiled ``TermArrays`` over
+the relation table of one track or of a batch of tracks laid end to end
+(the pipeline passes every model of a threshold set in both object orders),
+and ``assign_batch`` ranks the four alternatives of every model together.
+Each row keeps the bits of a row computed alone: terms are added in term
+order, every row of every track has its own convolution, and reductions run
+along the contiguous last axis.  ``score_frames``, ``assign_phases``,
+``second_best_b`` and ``assign_with_alternatives`` are one-model calls of the
+same kernels.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
@@ -112,8 +115,9 @@ class Term:
 
     def series(self, values: np.ndarray) -> np.ndarray:
         """The term's weighted contribution at every frame of a feature column."""
-        values = np.asarray(values, dtype=float)
-        return _term_series(TermArrays.of([(self,)]), values[None])[0]
+        values = np.array(values, dtype=float)[None]
+        _term_series(TermArrays.of([(self,)]), np.zeros(1, dtype=np.intp), values)
+        return values[0]
 
 
 @dataclass(frozen=True)
@@ -272,8 +276,7 @@ class TermArrays:
     """Terms of one or more models as parallel arrays, plus the rows they score.
 
     ``slots[r]`` lists the terms added into score row ``r``, in the phase's
-    term order; ``-1`` pads a shorter row and reads the zero row that
-    :func:`_term_series` appends.
+    term order; ``-1`` pads a shorter row and adds zeros.
     """
 
     column: np.ndarray  # relation-table column of each term
@@ -336,18 +339,21 @@ class TermArrays:
         return TermArrays(**arrays, slots=slots)
 
 
-def _term_series(terms: TermArrays, values: np.ndarray) -> np.ndarray:
-    """Each term's weighted contribution per frame, then one row of zeros.
+def _term_series(terms: TermArrays, index: np.ndarray, values: np.ndarray) -> None:
+    """Turn feature columns into weighted term contributions, in place.
 
-    ``values`` holds one row per term: its feature column.  Every step is
-    element-wise, so each entry has the bits of a one-term computation.
+    Row ``i`` of ``values`` holds the feature column of term ``index[i]`` and
+    becomes that term's contribution per frame; a row whose index is -1
+    becomes zeros.  Every step is element-wise, so each entry has the bits of
+    a one-term computation.
     """
-    v = np.where(terms.thresholded[:, None], values > terms.threshold[:, None], values)
-    v = np.where(terms.complement[:, None], 1.0 - v, v)
-    v = np.where(terms.flip[:, None], -v, v)
-    out = np.zeros((v.shape[0] + 1, v.shape[1]))
-    np.multiply(terms.weight[:, None], v, out=out[:-1])
-    return out
+    live = index >= 0
+    term = np.where(live, index, 0)[:, None]
+    np.greater(values, terms.threshold[term], out=values, where=terms.thresholded[term])
+    np.subtract(1.0, values, out=values, where=terms.complement[term])
+    np.negative(values, out=values, where=terms.flip[term])
+    np.multiply(terms.weight[term], values, out=values)
+    values[~live] = 0.0
 
 
 # --- smoothing ---------------------------------------------------------------
@@ -363,7 +369,10 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
         )
     radius = max(1, int(3.0 * sigma + 0.5))
     x = np.arange(-radius, radius + 1, dtype=float)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
+    # below sigma ~1e-154 the outer taps' exponent overflows to -inf, and
+    # exp(-inf) is the exact 0.0 they round to anyway
+    with np.errstate(over="ignore"):
+        k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
 
 
@@ -378,25 +387,30 @@ def _smoothing(num_frames: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return kernel, den
 
 
-def _smooth_rows(rows: np.ndarray, sigma: float) -> np.ndarray:
+def _smooth_rows(
+    rows: np.ndarray, sigma: float, bounds: Sequence[int] | None = None
+) -> np.ndarray:
     """Smooth each row of a 2-D array, renormalising at the boundaries.
 
-    Each row gets its own ``np.convolve``: one convolution over several rows
+    ``bounds`` splits the columns into series, ``rows[:, bounds[k]:bounds[k+1]]``
+    (one series by default), and each is smoothed on its own.  Each row of a
+    series gets its own ``np.convolve``: one convolution over several rows
     would group the products differently and change the bits.
     """
-    t = rows.shape[1]
-    if t == 0:
+    if rows.shape[1] == 0:
         gaussian_kernel(sigma)
         return rows.copy()
-    kernel, den = _smoothing(t, sigma)
-    radius = kernel.size // 2
     out = np.empty_like(rows)
-    for i, row in enumerate(rows):
-        # mode="same" would return the kernel's length for series shorter
-        # than the kernel; slicing the full convolution keeps the output
-        # aligned with the input at every length
-        out[i] = np.convolve(row, kernel, mode="full")[radius : radius + t]
-    out /= den
+    for start, end in itertools.pairwise((0, rows.shape[1]) if bounds is None else bounds):
+        t = end - start
+        kernel, den = _smoothing(t, sigma)
+        radius = kernel.size // 2
+        for row, series in zip(out[:, start:end], rows[:, start:end]):
+            # mode="same" would return the kernel's length for series shorter
+            # than the kernel; slicing the full convolution keeps the output
+            # aligned with the input at every length
+            row[:] = np.convolve(series, kernel, mode="full")[radius : radius + t]
+        out[:, start:end] /= den
     return out
 
 
@@ -438,26 +452,36 @@ OBJECT_ORDERS = ("as_annotated", "swapped")
 
 
 def relation_sequence(
-    track: VideoTrack, config: RelationConfig = DEFAULT_CONFIG
+    tracks: VideoTrack | Sequence[VideoTrack], config: RelationConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """The track's relation table as annotated; ``[:, SWAP]`` gives the swapped order."""
-    return relation_table(track, config)
+    """The relation table as annotated, of one track or a batch of tracks.
+
+    ``[:, SWAP]`` gives the swapped order.
+    """
+    return relation_table(tracks, config)
 
 
 def score_rows(
-    terms: TermArrays, table: np.ndarray, sigma: float = DEFAULT_SIGMA
+    terms: TermArrays,
+    table: np.ndarray,
+    sigma: float = DEFAULT_SIGMA,
+    bounds: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw and smoothed score rows, one per row of ``terms.slots``, shape (R, T).
 
-    A row adds its terms slot by slot in term order, starting from +0.0, so
-    it has the bits of adding them one at a time; a padding slot adds +0.0,
-    which leaves a sum that started at +0.0 unchanged.
+    ``table`` may hold several tracks' rows, ``table[bounds[k]:bounds[k+1]]``
+    for track ``k``; each track's rows are smoothed on their own.  A row adds
+    its terms slot by slot in term order, starting from +0.0, so it has the
+    bits of adding them one at a time; a padding slot adds +0.0, which leaves
+    a sum that started at +0.0 unchanged.  One slot's contributions are
+    built at a time, so the transient memory is one (R, T) array.
     """
-    series = _term_series(terms, table[:, terms.column].T)
     raw = np.zeros((terms.slots.shape[0], table.shape[0]))
     for slot in terms.slots.T:
-        raw += series[slot]
-    return raw, _smooth_rows(raw, sigma)
+        series = table[:, terms.column[slot]].T
+        _term_series(terms, slot, series)
+        raw += series
+    return raw, _smooth_rows(raw, sigma, bounds)
 
 
 def score_frames(

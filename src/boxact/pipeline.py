@@ -13,7 +13,7 @@ import json
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -137,6 +137,115 @@ def load_models(source: str) -> dict[str, ActionModel]:
 # --- assignment and embedding ---------------------------------------------------
 
 
+# Frames in one batch of embed_all's array pass.  A batch pays a fixed cost
+# per call and per track, and its transient arrays grow by about 2.6 KiB per
+# frame under the builtin models.  Past about 1,500 frames the cost per frame
+# hardly falls further while the memory keeps growing, so batches stop there;
+# a longer track forms a batch of its own.
+_BATCH_FRAMES = 1500
+
+
+def _batches(tracks: Sequence[VideoTrack]) -> Iterator[list[VideoTrack]]:
+    """Runs of consecutive tracks of at most ``_BATCH_FRAMES`` frames in all."""
+    batch: list[VideoTrack] = []
+    frames = 0
+    for track in tracks:
+        if batch and frames + len(track) > _BATCH_FRAMES:
+            yield batch
+            batch, frames = [], 0
+        batch.append(track)
+        frames += len(track)
+    if batch:
+        yield batch
+
+
+def _rank(
+    smoothed: np.ndarray,
+    bounds: np.ndarray,
+    actions: Sequence[str],
+    n: int,
+) -> list[PhaseAssignment]:
+    """The winning alternative of every (track, model) pair, track by track.
+
+    ``smoothed`` holds a batch's score rows, (model, object order, phase) by
+    frame, with track ``k`` in columns ``bounds[k]:bounds[k+1]``.  Tracks of
+    one length rank together, (track, model) on the model axis.
+    """
+    m = len(actions)
+    by_length: dict[int, list[int]] = {}
+    for k, length in enumerate(np.diff(bounds).tolist()):
+        by_length.setdefault(length, []).append(k)
+    per_track: dict[int, list[PhaseAssignment]] = {}
+    for length, group in by_length.items():
+        rows = np.stack([smoothed[:, bounds[k] : bounds[k] + length] for k in group])
+        won = assign_batch(
+            rows.reshape(len(group) * m, len(OBJECT_ORDERS), len(PHASES), length),
+            list(actions) * len(group),
+            OBJECT_ORDERS,
+            n,
+        )
+        for g, k in enumerate(group):
+            per_track[k] = won[g * m : (g + 1) * m]
+    return [a for k in range(len(per_track)) for a in per_track[k]]
+
+
+def _assign_tracks(
+    tracks: Sequence[VideoTrack],
+    models: Mapping[str, ActionModel],
+    n: int,
+    sigma: float,
+    scores_only: bool,
+) -> list[dict[str, tuple[VideoEmbedding, PhaseAssignment]]]:
+    """Score, assign and embed a batch of tracks under every action model.
+
+    Models that share a threshold set share one relation table over all the
+    batch's frames, laid end to end, and one array pass over both object
+    orders: score every phase row of every model, rank every (track, model)
+    pair's four alternatives, then write every chosen window's statistics.
+    All reference models use the same thresholds; models with custom
+    thresholds get a pass of their own.  The swapped object order is a
+    column permutation of the table.
+    """
+    by_thresholds: dict[RelationConfig, list[str]] = {}
+    for action in sorted(models):
+        by_thresholds.setdefault(models[action].thresholds, []).append(action)
+    bounds = np.cumsum([0] + [len(track) for track in tracks])
+    out: list[dict[str, tuple[VideoEmbedding, PhaseAssignment]]] = [{} for _ in tracks]
+    for thresholds, actions in by_thresholds.items():
+        set_models = [models[action] for action in actions]
+        table = relation_sequence(tracks, thresholds)
+        terms = TermArrays.concat(
+            tuple(t for model in set_models for t in (model.term_arrays, model.term_arrays.swapped))
+        )
+        raw, smoothed = score_rows(terms, table, sigma, bounds)
+        assignments = _rank(smoothed, bounds, actions, n)
+        source = np.vstack([raw, table.T])  # every score row, then every relation
+        del raw, smoothed, table  # the batch's largest arrays; source holds what is left
+        # entry j is track j // m under model j % m; score rows run over
+        # (model, object order, phase)
+        m = len(set_models)
+        score_index = np.arange(terms.slots.shape[0]).reshape(m, len(OBJECT_ORDERS), -1)
+        orders = [OBJECT_ORDERS.index(a.object_order) for a in assignments]
+        features = [
+            SWAP[model.feature_columns] if o else model.feature_columns
+            for model, o in zip(set_models * len(tracks), orders)
+        ]
+        embeddings = embed_windows(
+            [track.video_id for track in tracks for _ in set_models],
+            set_models * len(tracks),
+            assignments,
+            source,
+            [score_index[j % m, o] for j, o in enumerate(orders)],
+            [score_index.size + f for f in features],
+            scores_only,
+            np.repeat(bounds[:-1], m),
+        )
+        for k, per_track in enumerate(out):
+            pairs = zip(embeddings[k * m : (k + 1) * m], assignments[k * m : (k + 1) * m])
+            per_track.update(zip(actions, pairs))
+    return [{action: per_track[action] for action in sorted(models)} for per_track in out]
+
+
 def assign_track(
     track: VideoTrack,
     models: Mapping[str, ActionModel],
@@ -146,44 +255,9 @@ def assign_track(
 ) -> dict[str, tuple[VideoEmbedding, PhaseAssignment]]:
     """Score, assign and embed one track under every action model.
 
-    This is the one path from a track to its assignments and embeddings.
-    Models that share a threshold set share one relation table and one array
-    pass over both object orders: score every phase row of every model,
-    rank every model's four alternatives, then write every chosen window's
-    statistics.  All reference models use the same thresholds; models with
-    custom thresholds get a pass of their own.  The swapped object order is
-    a column permutation of the table.
+    The one-track call of the batch pass that :func:`embed_all` runs.
     """
-    by_thresholds: dict[RelationConfig, list[str]] = {}
-    for action in sorted(models):
-        by_thresholds.setdefault(models[action].thresholds, []).append(action)
-    out: dict[str, tuple[VideoEmbedding, PhaseAssignment]] = {}
-    for thresholds, actions in by_thresholds.items():
-        batch = [models[action] for action in actions]
-        table = relation_sequence(track, thresholds)
-        terms = TermArrays.concat(
-            tuple(t for m in batch for t in (m.term_arrays, m.term_arrays.swapped))
-        )
-        raw, smoothed = score_rows(terms, table, sigma)
-        # score rows run over (model, object order, phase)
-        shape = (len(batch), len(OBJECT_ORDERS), len(PHASES), len(track))
-        assignments = assign_batch(smoothed.reshape(shape), actions, OBJECT_ORDERS, n)
-        orders = [OBJECT_ORDERS.index(a.object_order) for a in assignments]
-        score_index = np.arange(raw.shape[0]).reshape(shape[:3])
-        features = [
-            SWAP[m.feature_columns] if o else m.feature_columns for m, o in zip(batch, orders)
-        ]
-        embeddings = embed_windows(
-            track.video_id,
-            batch,
-            assignments,
-            np.vstack([raw, table.T]),  # every score row, then every relation
-            [score_index[i, o] for i, o in enumerate(orders)],
-            [raw.shape[0] + f for f in features],
-            scores_only,
-        )
-        out.update(zip(actions, zip(embeddings, assignments)))
-    return {action: out[action] for action in sorted(models)}
+    return _assign_tracks([track], models, n, sigma, scores_only)[0]
 
 
 def embed_all(
@@ -191,18 +265,23 @@ def embed_all(
     models: Mapping[str, ActionModel],
     config: PipelineConfig,
 ) -> dict[str, dict[str, tuple[VideoEmbedding, PhaseAssignment]]]:
-    """Per-video, per-action embeddings and assignments."""
+    """Per-video, per-action embeddings and assignments.
+
+    Tracks go through the array pass in batches of consecutive tracks; the
+    results are those of :func:`assign_track` on each track alone.
+    """
     ids = [t.video_id for t in tracks]
     if len(set(ids)) != len(ids):
         raise ContractError("duplicate video ids in track list")
     results: dict[str, dict[str, tuple[VideoEmbedding, PhaseAssignment]]] = {}
-    for track in tracks:
+    for batch in _batches(tracks):
         try:
-            results[track.video_id] = assign_track(
-                track, models, config.n, config.sigma, config.scores_only
+            per_track = _assign_tracks(
+                batch, models, config.n, config.sigma, config.scores_only
             )
         except BoxactError as exc:
-            raise type(exc)(f"video {track.video_id!r}: {exc}") from None
+            raise type(exc)(f"video {batch[0].video_id!r}: {exc}") from None
+        results.update(zip((t.video_id for t in batch), per_track))
     return results
 
 

@@ -11,9 +11,11 @@ previous frame, yield a zero offset.
 
 :func:`relation_table` computes every feature for every frame of a track in
 one pass: a ``(T, 55)`` float64 table whose columns follow
-:func:`relation_keys`, booleans stored as 0.0/1.0.  Exchanging the two
-objects only permutes columns, so the table of the object-swapped track is
-``table[:, SWAP]``.
+:func:`relation_keys`, booleans stored as 0.0/1.0.  Given a batch of tracks
+it makes the same pass over all their frames laid end to end, and offsets
+reset at each track's first frame, so the batch table is the per-track
+tables stacked.  Exchanging the two objects only permutes columns, so the
+table of the object-swapped track is ``table[:, SWAP]``.
 
 All thresholds live in :class:`RelationConfig` so they can be overridden from
 configuration files; the 0.1 overlap normaliser is a named constant.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -190,28 +192,33 @@ _COLUMN_OF = {
 
 
 def relation_table(
-    track: VideoTrack, config: RelationConfig = DEFAULT_CONFIG
+    tracks: VideoTrack | Sequence[VideoTrack], config: RelationConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
     """Every catalogued feature for every frame of a track, shape (T, 55).
 
-    Columns follow :func:`relation_keys`.  Binary relations involving an
-    absent entity are false; real pair features involving an absent entity
-    are 0.0.
+    Given a sequence of tracks, the rows of every track in turn, shape
+    (sum of T, 55): each track's rows are its own table.  Columns follow
+    :func:`relation_keys`.  Binary relations involving an absent entity are
+    false; real pair features involving an absent entity are 0.0.
     """
-    x, y, w, h = track.boxes.T  # each (3, T)
-    present = track.present.T
+    if isinstance(tracks, VideoTrack):
+        tracks = (tracks,)
+    x, y, w, h = np.concatenate([t.boxes for t in tracks]).T  # each (3, T)
+    present = np.concatenate([t.present for t in tracks]).T
     x2, y2 = x + w, y + h
     cx, cy = x + w / 2.0, y + h / 2.0
     area = w * h
-    # offsets against the previous annotated frame, zero after an absence
+    # offsets against the previous annotated frame of the same track, zero
+    # after an absence
     step = present[:, 1:] & present[:, :-1]
+    step[:, np.cumsum([len(t) for t in tracks], dtype=np.intp)[:-1] - 1] = False
     ox, oy = np.zeros_like(cx), np.zeros_like(cy)
     ox[:, 1:] = np.where(step, np.diff(cx), 0.0)
     oy[:, 1:] = np.where(step, np.diff(cy), 0.0)
     speed = np.hypot(ox, oy)
     moving = present & (speed > config.move_threshold)
 
-    table = np.zeros((len(track), len(_KEYS)))
+    table = np.zeros((present.shape[1], len(_KEYS)))
 
     def put(name: str, args: tuple[int, ...], value: np.ndarray) -> None:
         table[:, _COLUMN_OF[name, args]] = value

@@ -864,6 +864,53 @@ def test_sweep_writes_a_grid(workdir, tmp_path, capsys):
     assert "accuracy" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def no_val_split(tmp_path_factory) -> Path:
+    """Two videos per class: --val-fraction 0.25 rounds to no validation video."""
+    root = tmp_path_factory.mktemp("no-val")
+    ann = root / "ann.json"
+    assert main(["generate", "--out", str(ann), "--count", "2"]) == 0
+    train = ["train", "--annotations", str(ann), "--out-dir", str(root / "forests")]
+    assert main(train + ["--num-trees", "2"]) == 0
+    assert json.loads((root / "forests" / "split.json").read_text())["val"] == []
+    return root
+
+
+def test_predict_on_an_empty_subset_names_the_split(no_val_split, tmp_path, capsys):
+    # predict used to embed nothing and fail with "prediction set is empty"
+    split = no_val_split / "forests" / "split.json"
+    capsys.readouterr()
+    code = main([
+        "predict", "--annotations", str(no_val_split / "ann.json"),
+        "--forest-dir", str(no_val_split / "forests"), "--split", str(split),
+        "--subset", "val", "--out", str(tmp_path / "preds.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {split}: the 'val' subset lists no videos; "
+    )
+    assert not (tmp_path / "preds.json").exists()
+
+
+def test_sweep_without_validation_videos_fails_before_embedding(
+    no_val_split, capsys, monkeypatch
+):
+    # sweep used to embed and train the first cell, then fail in evaluate
+    import boxact.cli
+
+    def embed_all(*args, **kwargs):
+        raise AssertionError("sweep embedded before checking its split")
+
+    monkeypatch.setattr(boxact.cli, "embed_all", embed_all)
+    capsys.readouterr()
+    code = main(["sweep", "--annotations", str(no_val_split / "ann.json"), "--num-trees", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: --val-fraction 0.25 rounds to no validation video in any class "
+        "of 10 videos; raise it or add videos\n"
+    )
+
+
 # --- every accepted document runs through train, predict and eval -------------------
 
 limit_boxes = st.builds(

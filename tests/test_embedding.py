@@ -88,7 +88,7 @@ def _placed(windows: dict) -> PhaseAssignment:
 def _stats(source, windows, scores_only=False):
     """Embedding of one model whose phase scores all read row 0 of ``source``."""
     return embed_windows(
-        "v", [_window_model()], [_placed(windows)], np.asarray(source, dtype=float),
+        ["v"], [_window_model()], [_placed(windows)], np.asarray(source, dtype=float),
         [np.zeros(len(PHASES), dtype=int)], [np.array([1, 2])], scores_only,
     )[0]
 

@@ -7,6 +7,8 @@ known by construction.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +81,17 @@ def test_kernel_rejects_sigma_above_1000():
         with pytest.raises(ContractError, match="at most 1000"):
             gaussian_kernel(sigma)
     assert gaussian_kernel(1000.0).size == 6001
+
+
+@pytest.mark.parametrize("sigma", [1e-154, 1e-300, 5e-324])
+def test_kernel_of_a_tiny_sigma_is_exact_and_quiet(sigma):
+    # (x / sigma) ** 2 overflowed with a RuntimeWarning below about 1e-154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = gaussian_kernel(sigma)
+        smoothed = smooth([1.0, 5.0, 2.0], sigma)
+    assert k.tolist() == [0.0, 1.0, 0.0]
+    assert smoothed.tolist() == [1.0, 5.0, 2.0]
 
 
 def test_interior_impulse_response_is_the_kernel():

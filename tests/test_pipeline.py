@@ -128,6 +128,17 @@ def test_embed_all_rejects_duplicate_ids():
         embed_all([tracks[0], tracks[0]], models, config)
 
 
+def test_an_error_in_embed_all_names_a_video():
+    # a batch's error names the batch's first video, the one the error would
+    # have reached first when every track ran alone
+    tracks, _, models = _tiny_corpus(per_archetype=1)
+    config = PipelineConfig()
+    object.__setattr__(config, "sigma", float("nan"))  # past the config's own check
+    with pytest.raises(ContractError) as exc:
+        embed_all(tracks, models, config)
+    assert str(exc.value).startswith(f"video {tracks[0].video_id!r}: sigma must be finite")
+
+
 def test_train_and_predict_round():
     tracks, labels, models = _tiny_corpus()
     config = PipelineConfig(forest=FAST_FOREST)
