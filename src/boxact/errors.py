@@ -12,6 +12,7 @@ __all__ = [
     "AnnotationError",
     "ConfigError",
     "ContractError",
+    "all_instances",
     "check_finite",
     "check_int",
     "read_artifact",
@@ -73,6 +74,15 @@ def write_json(path: str | Path, document) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def all_instances(values, kind: type | tuple[type, ...], exclude: type | tuple = ()) -> bool:
+    """Whether every value is a ``kind`` and no ``exclude``, checked once per distinct type.
+
+    ``issubclass`` keeps the rule of ``isinstance``: a float subclass such as
+    ``np.float64`` is a float, and a bool is an int that ``exclude`` can bar.
+    """
+    return all(issubclass(t, kind) and not issubclass(t, exclude) for t in set(map(type, values)))
 
 
 def check_int(name: str, value, minimum: int) -> None:

@@ -14,21 +14,24 @@ copy.  Each step takes the next node of every tree and searches all their
 candidate features in one sorted pass over a padded
 ``(nodes, m, rows)`` block.  Each tree is stored as flat pre-order node
 columns (:class:`Tree`), so growing, predicting and (de)serializing never
-recurse.
+recurse.  The reader checks the columns of all trees of a file together,
+laid end to end.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_int, read_json
+from .errors import ConfigError, ContractError, all_instances, check_int, read_json
 
 __all__ = [
     "ForestParams",
@@ -415,46 +418,107 @@ def predict_proba(model: ForestModel, values: np.ndarray) -> float:
 # --- serialization -------------------------------------------------------------
 
 
-def _tree_from_dict(data: Mapping, num_features: int) -> Tree:
-    lengths = {len(data[name]) for name in TREE_COLUMNS}
-    if len(lengths) != 1 or 0 in lengths:
-        raise ConfigError("tree columns must be non-empty and of equal length")
-    tree = Tree(
-        feature=tuple(map(int, data["feature"])),
-        threshold=tuple(map(float, data["threshold"])),
-        left=tuple(map(int, data["left"])),
-        right=tuple(map(int, data["right"])),
-        fraction=tuple(map(float, data["fraction"])),
-        weight=tuple(map(float, data["weight"])),
-    )
-    n = len(tree.feature)
+_TREE_FIELDS = operator.itemgetter(*TREE_COLUMNS)
+_INT_COLUMNS = ("feature", "left", "right")
+
+
+def _column(name: str, lists: list[list]) -> np.ndarray:
+    """One node column of every tree, end to end, with its values' type checked.
+
+    An int too large for a float raises OverflowError, as ``float()`` does.
+    """
+    values = list(itertools.chain.from_iterable(lists))
+    kind, what = (int, "an integer") if name in _INT_COLUMNS else ((int, float), "a number")
+    if not all_instances(values, kind, bool):
+        bad = next(v for v in values if isinstance(v, bool) or not isinstance(v, kind))
+        raise ConfigError(f"node {name} must be {what}, got {bad!r}")
+    if name not in _INT_COLUMNS:
+        return np.array(values, dtype=np.float64)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # kept exact: the range checks compare Python ints
+        return np.array(values, dtype=object)
+
+
+def _tree_fault(columns: Sequence[list], num_features: int) -> str | None:
+    """The message for the first rule one tree's columns break, in node order."""
+    feature, threshold, left, right, fraction, weight = columns
+    n = len(feature)
     has_parent = [False] * n
-    for node, (f, left, right) in enumerate(zip(tree.feature, tree.left, tree.right)):
+    for node, (f, lo, hi) in enumerate(zip(feature, left, right)):
         if not -1 <= f < num_features:
-            raise ConfigError(
-                f"node feature index {f} outside embedding length {num_features}"
-            )
-        if f == -1 and (left, right) != (-1, -1):
-            raise ConfigError(f"leaf {node} has children {left}, {right}")
-        if f >= 0 and not (node < left < n and node < right < n):
-            raise ConfigError(
-                f"split {node} has children {left}, {right}; each must come "
-                f"after it and before {n}"
-            )
+            return f"node feature index {f} outside embedding length {num_features}"
+        if f == -1 and (lo, hi) != (-1, -1):
+            return f"leaf {node} has children {lo}, {hi}"
+        if f >= 0 and not (node < lo < n and node < hi < n):
+            return f"split {node} has children {lo}, {hi}; each must come after it and before {n}"
         if f >= 0:
-            for child in (left, right):
+            for child in (lo, hi):
                 if has_parent[child]:
-                    raise ConfigError(
-                        f"node {child} is the child of more than one split"
-                    )
+                    return f"node {child} is the child of more than one split"
                 has_parent[child] = True
-    if not all(math.isfinite(t) for t in tree.threshold):
-        raise ConfigError("node threshold is not finite")
-    if not all(0.0 < w < math.inf for w in tree.weight):
-        raise ConfigError("node weight must be positive and finite")
-    if not all(0.0 <= p <= 1.0 for p in tree.fraction):
-        raise ConfigError("node fraction outside [0, 1]")
-    return tree
+    if not all(math.isfinite(t) for t in threshold):
+        return "node threshold is not finite"
+    if not all(0.0 < w < math.inf for w in weight):
+        return "node weight must be positive and finite"
+    if not all(0.0 <= p <= 1.0 for p in fraction):
+        return "node fraction outside [0, 1]"
+    return None
+
+
+def _trees_from_dicts(trees, num_features: int) -> tuple[Tree, ...]:
+    """Check the node columns of all trees together, then split them into trees.
+
+    Each rule runs once over the trees' columns laid end to end.  When one
+    fails, the first tree that breaks a rule is walked node by node to name
+    its first fault.
+    """
+    if not isinstance(trees, list):
+        raise ConfigError(f"trees must be a list, got {type(trees).__name__}")
+    if not trees:
+        raise ConfigError("forest has no trees")
+    per_tree = list(map(_TREE_FIELDS, trees))
+    lists = list(itertools.chain.from_iterable(per_tree))  # tree by tree, column by column
+    step = len(TREE_COLUMNS)
+    if not all_instances(lists, list):
+        i = next(i for i, c in enumerate(lists) if not isinstance(c, list))
+        raise ConfigError(
+            f"tree column {TREE_COLUMNS[i % step]!r} must be a list, "
+            f"got {type(lists[i]).__name__}"
+        )
+    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists)).reshape(-1, step)
+    sizes = lengths[:, 0]
+    if (lengths != sizes[:, None]).any() or not sizes.all():
+        raise ConfigError("tree columns must be non-empty and of equal length")
+    columns = {name: _column(name, lists[j::step]) for j, name in enumerate(TREE_COLUMNS)}
+    feature, left, right = columns["feature"], columns["left"], columns["right"]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    first = np.repeat(starts, sizes)  # each node's tree's first node
+    size = np.repeat(sizes, sizes)
+    local = np.arange(ends[-1]) - first
+    split = feature >= 0
+    bad = (feature < -1) | (feature >= num_features)
+    bad |= ~split & ((left != -1) | (right != -1))
+    linked = (local < left) & (left < size) & (local < right) & (right < size)
+    bad |= split & ~linked
+    parents = split & linked
+    children = np.concatenate([left[parents], right[parents]]).astype(np.intp)
+    children += np.concatenate([first[parents]] * 2)
+    bad |= np.bincount(children, minlength=bad.size) > 1
+    bad |= ~np.isfinite(columns["threshold"])
+    weight, fraction = columns["weight"], columns["fraction"]
+    bad |= ~((weight > 0.0) & (weight < np.inf))
+    bad |= ~((fraction >= 0.0) & (fraction <= 1.0))
+    if bad.any():
+        tree = int(np.searchsorted(ends, np.argmax(bad), side="right"))
+        raise ConfigError(_tree_fault(per_tree[tree], num_features))
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    split_columns = []
+    for name in TREE_COLUMNS:
+        values = columns[name].tolist()
+        split_columns.append([tuple(values[lo:hi]) for lo, hi in bounds])
+    return tuple(itertools.starmap(Tree, zip(*split_columns)))
 
 
 def forest_to_dict(model: ForestModel) -> dict:
@@ -482,16 +546,20 @@ def forest_from_dict(data: Mapping) -> ForestModel:
         )
     try:
         params = ForestParams(**data["params"])
-        num_features = int(data["num_features"])
-        trees = tuple(_tree_from_dict(t, num_features) for t in data["trees"])
-        if not trees:
-            raise ConfigError("forest has no trees")
+        num_features = data["num_features"]
+        if isinstance(num_features, bool) or not isinstance(num_features, int):
+            raise ConfigError(f"num_features must be an integer, got {num_features!r}")
+        trees = _trees_from_dicts(data["trees"], num_features)
+        action_id, fingerprint = data["action_id"], data.get("fingerprint", "")
+        for name, value in (("action_id", action_id), ("fingerprint", fingerprint)):
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         return ForestModel(
-            action_id=str(data["action_id"]),
+            action_id=action_id,
             trees=trees,
             params=params,
             num_features=num_features,
-            fingerprint=str(data.get("fingerprint", "")),
+            fingerprint=fingerprint,
         )
     except KeyError as exc:
         raise ConfigError(f"malformed forest: missing field {exc}") from None

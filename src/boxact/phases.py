@@ -35,9 +35,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -130,6 +131,8 @@ class ActionModel:
     extra_features: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # read-only, so that one model can be shared, as builtin_model's are
+        object.__setattr__(self, "phases", MappingProxyType(dict(self.phases)))
         if not self.action_id:
             raise ConfigError("action model needs a non-empty action_id")
         missing = [p for p in PHASES if p not in self.phases or not self.phases[p]]
@@ -253,8 +256,13 @@ def save_action_model(model: ActionModel, path: str | Path) -> None:
     write_json(path, model_to_dict(model))
 
 
+@cache
 def builtin_model(archetype: str) -> ActionModel:
-    """Load one of the reference models shipped with the package."""
+    """One of the reference models shipped with the package, read once per process.
+
+    Every call returns the same model, so its compiled terms and their
+    concatenation (:meth:`TermArrays.concat`) are built once too.
+    """
     if archetype not in ARCHETYPES:
         raise ConfigError(
             f"unknown archetype {archetype!r}, expected one of {ARCHETYPES}"

@@ -17,20 +17,25 @@ A parsed video is a :class:`VideoTrack`: three read-only arrays over its
 ``T`` annotated frames, sorted by frame index.  ``frames`` holds the frame
 indices, ``boxes`` the ``x, y, w, h`` of every role in :data:`ROLES` order
 (zero where the role is absent) and ``present`` which roles are visible.
-The parser checks the JSON structure; ``VideoTrack`` checks every numeric
-invariant on whole arrays.
+The parser checks each video's JSON structure on whole lists, one pass over
+its frames and one over all their box entries, and builds the arrays with
+one ``np.fromiter``; only when a check fails does it walk the video in
+document order, to name the first offending frame or box.  ``VideoTrack``
+checks every numeric invariant on whole arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, read_json, write_json
+from .errors import AnnotationError, all_instances, read_json, write_json
 
 __all__ = [
     "ROLES",
@@ -149,28 +154,93 @@ def _float(value: int | float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _parse_box(entry: object, video_id: str, idx: int) -> tuple[int, list]:
-    """Role index and the four raw numbers of one box entry."""
-    if not isinstance(entry, dict):
-        raise AnnotationError(f"video {video_id!r} frame {idx!r}: box entry must be an object")
-    role = entry.get("role")
-    if role not in ROLES:
-        raise AnnotationError(
-            f"video {video_id!r} frame {idx!r}: unknown role {role!r}, expected one of {ROLES}"
+_INDEX = operator.itemgetter("idx")
+_ROLE = operator.itemgetter("role")
+_BOX_VALUES = operator.itemgetter(*_FIELDS)
+
+
+def _frame_arrays(raw_frames: list) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Frame indices, boxes and presence of a video's frames in document order.
+
+    The structure is checked on whole lists, one pass over the frames and
+    one over all their box entries; None means some frame or box breaks a
+    rule, and :func:`_first_offender` names it.  Box values are only
+    converted here: :class:`VideoTrack` checks them.
+    """
+    if not all_instances(raw_frames, dict):
+        return None
+    try:
+        indices = list(map(_INDEX, raw_frames))
+        if not all_instances(indices, int, bool):
+            return None
+        frames = np.array(indices, dtype=np.int64)
+    except (KeyError, OverflowError):  # a missing or a non-int64 index
+        return None
+    box_lists = [frame.get("boxes", []) for frame in raw_frames]
+    if frames.min() < 0 or not all_instances(box_lists, list):
+        return None
+    entries = list(itertools.chain.from_iterable(box_lists))
+    if not all_instances(entries, dict):
+        return None
+    try:
+        roles = np.array(list(map(_ROLE_INDEX.__getitem__, map(_ROLE, entries))), dtype=np.intp)
+        values = list(map(_BOX_VALUES, entries))
+    except (KeyError, TypeError):  # a missing field, or a role that is not a name in ROLES
+        return None
+    if not all_instances(itertools.chain.from_iterable(values), (int, float), bool):
+        return None
+    count = len(raw_frames)
+    slots = 3 * np.repeat(np.arange(count), list(map(len, box_lists))) + roles
+    taken = np.bincount(slots, minlength=3 * count)
+    if taken.max() > 1:  # a duplicate role
+        return None
+    try:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(values), dtype=np.float64, count=4 * len(entries)
         )
-    values = []
-    for key in _FIELDS:
-        if key not in entry:
-            raise AnnotationError(
-                f"video {video_id!r} frame {idx!r}: box for {role!r} is missing {key!r}"
+    except OverflowError:
+        flat = np.array([_float(v) for v in itertools.chain.from_iterable(values)])
+    boxes = np.zeros((3 * count, 4))
+    boxes[slots] = flat.reshape(-1, 4)
+    return frames, boxes.reshape(count, 3, 4), taken.reshape(count, 3) > 0
+
+
+def _first_offender(video_id: str, raw_frames: list) -> AnnotationError:
+    """The error for the first frame or box, in document order, that breaks a rule."""
+    for frame in raw_frames:
+        if not isinstance(frame, dict):
+            return AnnotationError(f"video {video_id!r}: frame must be an object")
+        idx = frame.get("idx")
+        if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
+            return AnnotationError(
+                f"video {video_id!r}: frame 'idx' must be a non-negative integer, "
+                f"got {idx!r}"
             )
-        v = entry[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise AnnotationError(
-                f"video {video_id!r} frame {idx!r}: box field {key!r} must be a number"
+        if idx > _MAX_INDEX:
+            return AnnotationError(
+                f"video {video_id!r}: frame 'idx' must be at most {_MAX_INDEX}, got {idx!r}"
             )
-        values.append(v)
-    return _ROLE_INDEX[role], values
+        where = f"video {video_id!r} frame {idx!r}"
+        boxes = frame.get("boxes", [])
+        if not isinstance(boxes, list):
+            return AnnotationError(f"{where}: 'boxes' must be a list")
+        seen = set()
+        for entry in boxes:
+            if not isinstance(entry, dict):
+                return AnnotationError(f"{where}: box entry must be an object")
+            role = entry.get("role")
+            if role not in ROLES:
+                return AnnotationError(f"{where}: unknown role {role!r}, expected one of {ROLES}")
+            for key in _FIELDS:
+                if key not in entry:
+                    return AnnotationError(f"{where}: box for {role!r} is missing {key!r}")
+                if isinstance(entry[key], bool) or not isinstance(entry[key], (int, float)):
+                    return AnnotationError(f"{where}: box field {key!r} must be a number")
+            if role in seen:
+                return AnnotationError(f"{where}: duplicate role {role!r}")
+            seen.add(role)
+    # only a container type that breaks the rules of dict or list gets here
+    return AnnotationError(f"video {video_id!r}: frames are not JSON objects and lists")
 
 
 def _parse_video(record: object, position: int) -> VideoTrack:
@@ -191,37 +261,10 @@ def _parse_video(record: object, position: int) -> VideoTrack:
     raw_frames = record.get("frames")
     if not isinstance(raw_frames, list) or not raw_frames:
         raise AnnotationError(f"video {video_id!r}: 'frames' must be a non-empty list")
-    count = len(raw_frames)
-    indices = []
-    values = [0.0] * (12 * count)
-    present = [False] * (3 * count)
-    for t, frame in enumerate(raw_frames):
-        if not isinstance(frame, dict):
-            raise AnnotationError(f"video {video_id!r}: frame must be an object")
-        idx = frame.get("idx")
-        if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
-            raise AnnotationError(
-                f"video {video_id!r}: frame 'idx' must be a non-negative integer, "
-                f"got {idx!r}"
-            )
-        if idx > _MAX_INDEX:
-            raise AnnotationError(
-                f"video {video_id!r}: frame 'idx' must be at most {_MAX_INDEX}, got {idx!r}"
-            )
-        boxes = frame.get("boxes", [])
-        if not isinstance(boxes, list):
-            raise AnnotationError(f"video {video_id!r} frame {idx!r}: 'boxes' must be a list")
-        for entry in boxes:
-            r, box = _parse_box(entry, video_id, idx)
-            slot = 3 * t + r
-            if present[slot]:
-                raise AnnotationError(
-                    f"video {video_id!r} frame {idx!r}: duplicate role {ROLES[r]!r}"
-                )
-            present[slot] = True
-            values[4 * slot : 4 * slot + 4] = box
-        indices.append(idx)
-    frames = np.array(indices, dtype=np.int64)
+    arrays = _frame_arrays(raw_frames)
+    if arrays is None:
+        raise _first_offender(video_id, raw_frames)
+    frames, boxes, present = arrays
     order = np.argsort(frames, kind="stable")
     frames = frames[order]
     repeated = np.flatnonzero(frames[1:] == frames[:-1])
@@ -229,15 +272,11 @@ def _parse_video(record: object, position: int) -> VideoTrack:
         raise AnnotationError(
             f"video {video_id!r}: duplicate frame index {int(frames[repeated[0]])}"
         )
-    try:
-        box_array = np.array(values, dtype=np.float64)
-    except OverflowError:
-        box_array = np.array([_float(v) for v in values])
     return VideoTrack(
         video_id=video_id,
         frames=frames,
-        boxes=box_array.reshape(count, 3, 4)[order],
-        present=np.array(present).reshape(count, 3)[order],
+        boxes=boxes[order],
+        present=present[order],
         frame_width=size[0],
         frame_height=size[1],
         label=label,

@@ -10,12 +10,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from boxact.errors import AnnotationError, ContractError
-from boxact.forest import ForestParams, Tree
+from boxact.errors import AnnotationError, ConfigError, ContractError
+from boxact.forest import (
+    FOREST_FORMAT,
+    FOREST_VERSION,
+    TREE_COLUMNS,
+    ForestModel,
+    ForestParams,
+    Tree,
+)
 from boxact.phases import PHASES, ActionModel, PhaseAssignment, PhaseScoreMatrix, Term
 from boxact.relations import (
     BOOLEAN_FEATURES,
@@ -226,6 +233,14 @@ class ReferenceTrack:
                 )
 
 
+def _as_float(value: int | float) -> float:
+    """``float(value)``, with an int too large for a float read as +/-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise AnnotationError(message)
@@ -246,9 +261,7 @@ def _parse_box_reference(entry: object, video_id: str, idx: object) -> tuple[str
             f"{where}: box field {key!r} must be a number",
         )
     try:
-        box = BoundingBox(
-            float(entry["x"]), float(entry["y"]), float(entry["w"]), float(entry["h"])
-        )
+        box = BoundingBox(*(_as_float(entry[key]) for key in ("x", "y", "w", "h")))
     except AnnotationError as exc:
         raise AnnotationError(f"{where}: {exc}") from None
     return role, box
@@ -311,8 +324,8 @@ def _parse_video_reference(record: object, position: int) -> ReferenceTrack:
     return ReferenceTrack(
         video_id=video_id,
         frames=tuple(frames),
-        frame_width=float(record["width"]),
-        frame_height=float(record["height"]),
+        frame_width=_as_float(record["width"]),
+        frame_height=_as_float(record["height"]),
         label=label,
     )
 
@@ -867,6 +880,84 @@ def forest_trees_reference(
         sample = (values[idx], labels[idx], weights[idx])
         trees.append(grow_tree_reference(*sample, params, rng))
     return tuple(trees)
+
+
+# --- the forest reader, one tree and one node at a time -------------------------
+
+
+def _tree_from_dict_reference(data: Mapping, num_features: int) -> Tree:
+    lengths = {len(data[name]) for name in TREE_COLUMNS}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ConfigError("tree columns must be non-empty and of equal length")
+    tree = Tree(
+        feature=tuple(map(int, data["feature"])),
+        threshold=tuple(map(float, data["threshold"])),
+        left=tuple(map(int, data["left"])),
+        right=tuple(map(int, data["right"])),
+        fraction=tuple(map(float, data["fraction"])),
+        weight=tuple(map(float, data["weight"])),
+    )
+    n = len(tree.feature)
+    has_parent = [False] * n
+    for node, (f, left, right) in enumerate(zip(tree.feature, tree.left, tree.right)):
+        if not -1 <= f < num_features:
+            raise ConfigError(
+                f"node feature index {f} outside embedding length {num_features}"
+            )
+        if f == -1 and (left, right) != (-1, -1):
+            raise ConfigError(f"leaf {node} has children {left}, {right}")
+        if f >= 0 and not (node < left < n and node < right < n):
+            raise ConfigError(
+                f"split {node} has children {left}, {right}; each must come "
+                f"after it and before {n}"
+            )
+        if f >= 0:
+            for child in (left, right):
+                if has_parent[child]:
+                    raise ConfigError(
+                        f"node {child} is the child of more than one split"
+                    )
+                has_parent[child] = True
+    if not all(math.isfinite(t) for t in tree.threshold):
+        raise ConfigError("node threshold is not finite")
+    if not all(0.0 < w < math.inf for w in tree.weight):
+        raise ConfigError("node weight must be positive and finite")
+    if not all(0.0 <= p <= 1.0 for p in tree.fraction):
+        raise ConfigError("node fraction outside [0, 1]")
+    return tree
+
+
+def forest_from_dict_reference(data: Mapping) -> ForestModel:
+    """The forest reader that checks one tree at a time and converts with int()/float().
+
+    It takes any value that ``int()``/``float()``/``str()`` accept, so it
+    agrees with :func:`boxact.forest.forest_from_dict` only on documents
+    whose fields have the types the forest format names.
+    """
+    if not isinstance(data, Mapping) or data.get("format") != FOREST_FORMAT:
+        raise ConfigError("not a serialized forest model")
+    if data.get("version") != FOREST_VERSION:
+        raise ConfigError(
+            f"unsupported forest version {data.get('version')!r} (this boxact "
+            f"reads version {FOREST_VERSION}); re-run `boxact train` to rebuild it"
+        )
+    try:
+        params = ForestParams(**data["params"])
+        num_features = int(data["num_features"])
+        trees = tuple(_tree_from_dict_reference(t, num_features) for t in data["trees"])
+        if not trees:
+            raise ConfigError("forest has no trees")
+        return ForestModel(
+            action_id=str(data["action_id"]),
+            trees=trees,
+            params=params,
+            num_features=num_features,
+            fingerprint=str(data.get("fingerprint", "")),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"malformed forest: missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed forest: {exc}") from None
 
 
 # --- synthetic tracks built one frame and one role at a time -------------------

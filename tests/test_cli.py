@@ -544,6 +544,72 @@ MALFORMED_INPUTS = {
         "node 2 is the child of more than one split",
     ),
     "forest-without-trees": ("predict-forest", _forest_doc(trees=[]), "no trees"),
+    # int() and float() took these, and a fractional feature silently became 0
+    "forest-feature-text": (
+        "predict-forest",
+        _forest_doc(trees=_stump(feature=["0", -1, -1])),
+        "node feature must be an integer, got '0'",
+    ),
+    "forest-feature-bool": (
+        "predict-forest",
+        _forest_doc(trees=_stump(feature=[True, -1, -1])),
+        "node feature must be an integer, got True",
+    ),
+    "forest-feature-fractional": (
+        "predict-forest",
+        _forest_doc(trees=_stump(feature=[0.7, -1, -1])),
+        "node feature must be an integer, got 0.7",
+    ),
+    "forest-child-float": (
+        "predict-forest",
+        _forest_doc(trees=_stump(left=[1.0, -1, -1])),
+        "node left must be an integer, got 1.0",
+    ),
+    "forest-child-null": (
+        "predict-forest",
+        _forest_doc(trees=_stump(right=[2, None, -1])),
+        "node right must be an integer, got None",
+    ),
+    "forest-threshold-bool": (
+        "predict-forest",
+        _forest_doc(trees=_stump(threshold=[False, 0.0, 0.0])),
+        "node threshold must be a number, got False",
+    ),
+    "forest-weight-text": (
+        "predict-forest",
+        _forest_doc(trees=_stump(weight=["2", 1.0, 1.0])),
+        "node weight must be a number, got '2'",
+    ),
+    "forest-fraction-column-text": (
+        "predict-forest",
+        _forest_doc(trees=_stump(fraction="000")),
+        "tree column 'fraction' must be a list, got str",
+    ),
+    "forest-trees-not-a-list": (
+        "predict-forest",
+        _forest_doc(trees={"0": STUMP}),
+        "trees must be a list, got dict",
+    ),
+    "forest-num-features-fractional": (
+        "predict-forest",
+        _forest_doc(num_features=40.9),
+        "num_features must be an integer, got 40.9",
+    ),
+    "forest-num-features-bool": (
+        "predict-forest",
+        _forest_doc(num_features=True),
+        "num_features must be an integer, got True",
+    ),
+    "forest-action-id-number": (
+        "predict-forest",
+        _forest_doc(action_id=5),
+        "action_id must be a string, got 5",
+    ),
+    "forest-fingerprint-null": (
+        "predict-forest",
+        _forest_doc(fingerprint=None),
+        "fingerprint must be a string, got None",
+    ),
     "forest-version-1": (
         "predict-forest",
         _forest_doc(version=1, trees=[{"fraction": 0.5, "weight": 1.0}]),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,9 @@ from hypothesis.extra import numpy as hnp
 
 from boxact.errors import ConfigError, ContractError
 from boxact.forest import (
+    FOREST_FORMAT,
+    FOREST_VERSION,
+    TREE_COLUMNS,
     ForestParams,
     _best_splits,
     _search_table,
@@ -22,7 +27,7 @@ from boxact.forest import (
     train_tree,
 )
 
-from oracles import best_split_reference, forest_trees_reference
+from oracles import best_split_reference, forest_from_dict_reference, forest_trees_reference
 
 SEPARABLE = (np.array([[1.0], [2.0], [8.0], [9.0]]), np.array([0, 0, 1, 1]))
 ONE_TREE = ForestParams(num_trees=1, features_per_split=1, bootstrap=False, seed=0)
@@ -321,3 +326,211 @@ def test_probabilities_stay_in_range(seed):
     model = train_forest(values, labels, ForestParams(num_trees=5, seed=seed))
     for v in rng.uniform(size=(10, 3)):
         assert 0.0 <= predict_proba(model, v) <= 1.0
+
+
+STUMP = {
+    "feature": [0, -1, -1],
+    "threshold": [0.5, 0.0, 0.0],
+    "left": [1, -1, -1],
+    "right": [2, -1, -1],
+    "fraction": [0.5, 0.0, 1.0],
+    "weight": [2.0, 1.0, 1.0],
+}
+
+
+def _forest_doc(*trees: dict, num_features: int = 2) -> dict:
+    return {
+        "format": FOREST_FORMAT,
+        "version": FOREST_VERSION,
+        "action_id": "a",
+        "num_features": num_features,
+        "params": {"num_trees": 1},
+        "trees": list(trees),
+    }
+
+
+def test_reader_names_the_first_fault_in_tree_and_node_order():
+    leaf_with_child = {**STUMP, "left": [1, 2, -1]}
+    late_child = {**STUMP, "right": [3, -1, -1], "weight": [0.0, 1.0, 1.0]}
+    bad_weight = {**STUMP, "weight": [2.0, 1.0, -1.0]}
+    for trees, message in [
+        (
+            (STUMP, late_child, leaf_with_child),
+            "split 0 has children 1, 3; each must come after it and before 3",
+        ),
+        ((STUMP, leaf_with_child, late_child), "leaf 1 has children 2, -1"),
+        ((bad_weight, leaf_with_child), "node weight must be positive and finite"),
+    ]:
+        with pytest.raises(ConfigError) as got:
+            forest_from_dict(_forest_doc(*trees))
+        assert str(got.value) == message
+        with pytest.raises(ConfigError) as expected:
+            forest_from_dict_reference(_forest_doc(*trees))
+        assert str(expected.value) == message
+
+
+def test_reader_keeps_integers_past_int64_exact():
+    big = 10**30
+    with pytest.raises(ConfigError, match=f"node feature index {big} outside embedding length 2"):
+        forest_from_dict(_forest_doc(STUMP, {**STUMP, "feature": [big, -1, -1]}))
+    with pytest.raises(ConfigError, match=f"split 0 has children 1, {big}"):
+        forest_from_dict(_forest_doc({**STUMP, "right": [big, -1, -1]}))
+    wide = forest_from_dict(_forest_doc({**STUMP, "feature": [big, -1, -1]}, num_features=2 * big))
+    assert wide.trees[0].feature == (big, -1, -1) and wide.num_features == 2 * big
+    with pytest.raises(ConfigError, match="malformed forest: int too large to convert to float"):
+        forest_from_dict(_forest_doc({**STUMP, "threshold": [10**400, 0.0, 0.0]}))
+
+
+# --- the reader against the one-tree-at-a-time reference reader -------------------
+
+BIG = 10**30  # past int64
+TOO_BIG = 10**400  # past float64
+
+
+@st.composite
+def tree_dicts(draw, num_features: int) -> dict:
+    """One valid tree of up to depth 3 as pre-order columns, grown from a stack."""
+    nodes: list[list] = []  # [feature, threshold, left, right, fraction, weight] each
+    stack = [(0, -1)]  # (depth, node whose right child this is or -1)
+    while stack:
+        depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][3] = len(nodes)
+        fraction = draw(st.sampled_from([0, 1, 0.0, 0.25, 1.0]) | st.floats(0, 1))
+        weight = draw(st.sampled_from([1, 2.0, 1e-300]) | st.floats(1e-3, 1e3))
+        if depth < 3 and draw(st.integers(0, 3)):  # a split, three times in four
+            threshold = draw(st.sampled_from([0, -0.0, 1e308]) | st.floats(-10, 10))
+            feature = draw(st.integers(0, num_features - 1))
+            nodes.append([feature, threshold, len(nodes) + 1, None, fraction, weight])
+            stack.append((depth + 1, len(nodes) - 1))
+            stack.append((depth + 1, -1))
+        else:
+            nodes.append([-1, draw(st.sampled_from([0.0, 0])), -1, -1, fraction, weight])
+    return dict(zip(TREE_COLUMNS, map(list, zip(*nodes))))
+
+
+@st.composite
+def forest_documents(draw) -> dict:
+    num_features = draw(st.integers(1, 5))
+    document = {
+        "format": FOREST_FORMAT,
+        "version": FOREST_VERSION,
+        "action_id": "put-into",
+        "num_features": num_features,
+        "params": {"num_trees": 3, "seed": 2},
+        "trees": draw(st.lists(tree_dicts(num_features), min_size=1, max_size=4)),
+    }
+    if draw(st.booleans()):
+        document["fingerprint"] = "0123abcd"
+    return document
+
+
+# values of the column's own type: the reader's type rules differ from the
+# reference's on purpose, so no mutation changes a type
+NODE_VALUES = {
+    "feature": [-2, -1, 0, 1, 4, 5, BIG, -BIG],
+    "left": [-2, -1, 0, 1, 2, 3, 6, BIG, -BIG],
+    "threshold": [float("nan"), float("inf"), float("-inf"), TOO_BIG, -0.0, 1e308, 3],
+    "fraction": [-0.1, 0, 1, 1.5, float("nan"), -0.0, TOO_BIG],
+    "weight": [0, -1.0, 0.0, float("inf"), float("nan"), 1e-300, TOO_BIG, 3],
+}
+NODE_VALUES["right"] = NODE_VALUES["left"]
+FOREST_MUTATIONS = [
+    *["node-value"] * 8, "relink", "relink", "drop-node-value",
+    "add-node-value", "empty-tree", "drop-column", "drop-field", "num-features",
+    "no-trees", "drop-tree", "copy-tree", "header",
+]
+
+
+def _mutate_forest(draw, document: dict) -> dict:
+    """``document`` with one thing changed; lists and dicts change in place."""
+    trees = document["trees"]
+    tree = draw(st.sampled_from(trees)) if trees else {}
+    columns = [name for name in TREE_COLUMNS if name in tree]
+    kind = draw(st.sampled_from(FOREST_MUTATIONS))
+    if kind in ("node-value", "drop-node-value", "add-node-value") and columns:
+        name = draw(st.sampled_from(columns))
+        column = tree[name]
+        if kind == "add-node-value":
+            column.append(draw(st.sampled_from(NODE_VALUES[name])))
+        elif column:
+            node = draw(st.integers(0, len(column) - 1))
+            if kind == "drop-node-value":
+                del column[node]
+            else:
+                column[node] = draw(st.sampled_from(NODE_VALUES[name] + [node, node + 1]))
+    elif kind == "relink" and {"feature", "left", "right"} <= set(columns):
+        # a split's child becomes another node's child: two parents, or a
+        # child before its parent
+        splits = [node for node, f in enumerate(tree["feature"]) if f >= 0]
+        children = [c for c in tree["left"] + tree["right"] if c >= 0]
+        if splits and children:
+            column = tree[draw(st.sampled_from(["left", "right"]))]
+            node = draw(st.sampled_from(splits))
+            if node < len(column):
+                column[node] = draw(st.sampled_from(children))
+    elif kind == "empty-tree" and trees:
+        for name in columns:
+            tree[name] = []
+    elif kind == "drop-column" and columns:
+        del tree[draw(st.sampled_from(columns))]
+    elif kind == "drop-field":
+        document.pop(draw(st.sampled_from(sorted(document))))
+    elif kind == "num-features":
+        document["num_features"] = draw(st.sampled_from([-1, 0, 1, 2, 6, BIG, -BIG]))
+    elif kind == "no-trees":
+        document["trees"] = []
+    elif kind == "drop-tree" and trees:
+        trees.remove(tree)
+    elif kind == "copy-tree" and trees:
+        trees.append(copy.deepcopy(tree))
+    elif kind == "header":
+        key, value = draw(st.sampled_from([
+            ("version", 1), ("version", 3), ("format", "boxact-split"),
+            ("params", {"num_trees": 0}), ("params", {"depth": 3}),
+        ]))
+        document[key] = value
+    return document
+
+
+def _forest_mutable(document: dict) -> bool:
+    """Whether ``document`` still has the shape that :func:`_mutate_forest` walks."""
+    trees = document.get("trees")
+    return isinstance(trees, list) and all(
+        isinstance(t, dict) and all(isinstance(c, list) for c in t.values()) for t in trees
+    )
+
+
+@st.composite
+def mutated_forest_documents(draw):
+    """A forest document and how many mutations it went through (0-3)."""
+    document = draw(forest_documents())
+    wanted, mutations = draw(st.sampled_from([1, 1, 1, 2, 3, 0])), 0
+    while mutations < wanted and _forest_mutable(document):
+        document = _mutate_forest(draw, document)
+        mutations += 1
+    return document, mutations
+
+
+def _outcome(read, document):
+    try:
+        return read(copy.deepcopy(document)), None
+    except Exception as exc:  # noqa: BLE001 - the error class is compared
+        return None, exc
+
+
+@given(mutated_forest_documents())
+@settings(max_examples=400, deadline=None)
+def test_forest_reader_agrees_with_the_reference_reader(case):
+    document, mutations = case
+    expected, expected_error = _outcome(forest_from_dict_reference, document)
+    got, error = _outcome(forest_from_dict, document)
+    assert (error is None) == (expected_error is None), (error, expected_error)
+    if error is not None:
+        assert type(error) is type(expected_error) is ConfigError
+        if mutations <= 1:  # a single fault: the same first offender
+            assert str(error) == str(expected_error)
+        return
+    assert got == expected
+    # the same values of the same types: 1 and 1.0 compare equal but print apart
+    assert json.dumps(forest_to_dict(got)) == json.dumps(forest_to_dict(expected))

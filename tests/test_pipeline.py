@@ -5,7 +5,15 @@ import pytest
 
 from boxact.errors import ConfigError, ContractError
 from boxact.forest import ForestParams
-from boxact.phases import ARCHETYPES, builtin_models, save_action_model
+from boxact.phases import (
+    ARCHETYPES,
+    TermArrays,
+    builtin_model,
+    builtin_models,
+    model_from_dict,
+    model_to_dict,
+    save_action_model,
+)
 from boxact.pipeline import (
     PipelineConfig,
     assign_track,
@@ -66,6 +74,25 @@ def test_load_models_builtin_and_files(tmp_path):
     assert set(from_dir) == {"put-into", "put-behind"}
     one = load_models(str(tmp_path / "a.json"))
     assert set(one) == {"put-into"}
+
+
+def test_builtin_models_are_read_once_and_read_only():
+    first, second = load_models("builtin"), load_models("builtin")
+    assert first is not second  # each caller gets its own dict
+    assert all(first[a] is second[a] for a in ARCHETYPES)
+    model = first["put-into"]
+    with pytest.raises(TypeError):
+        model.phases["a"] = ()
+    with pytest.raises(TypeError):
+        del model.phases["b"]
+    assert model_from_dict(model_to_dict(model)) == model
+    assert model_to_dict(model) == model_to_dict(builtin_model("put-into"))
+    # the same models compile and concatenate their terms once
+    tracks, _ = generate_dataset(["put-into"], 1, seed=2)
+    embed_all(tracks, load_models("builtin"), PipelineConfig())
+    hits = TermArrays.concat.cache_info().hits
+    embed_all(tracks, load_models("builtin"), PipelineConfig())
+    assert TermArrays.concat.cache_info().hits > hits
 
 
 def test_load_models_errors(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -173,6 +174,22 @@ def test_integers_too_large_for_a_float_are_rejected():
     assert last.frames.tolist() == [2**63 - 1]
 
 
+def test_subclasses_of_dict_and_float_parse_like_their_base_types():
+    document = copy.deepcopy(DOC)
+    frame = document[0]["frames"][1] = OrderedDict(document[0]["frames"][1])
+    frame["boxes"][1] = OrderedDict(frame["boxes"][1], x=np.float64(0.0))
+    assert serialize_annotations(parse_annotations(document)) == DOC
+
+
+def test_a_frame_that_breaks_the_rules_of_dict_fails_with_an_annotation_error():
+    class Lying(dict):
+        def get(self, key, default=None):
+            return 0 if key == "idx" else super().get(key, default)
+
+    with pytest.raises(AnnotationError, match="frames are not JSON objects and lists"):
+        parse_annotations([dict(DOC[0], frames=[Lying(boxes=[])])])
+
+
 def _arrays(count: int = 2):
     return (
         np.arange(count, dtype=np.int64),
@@ -284,13 +301,16 @@ def test_non_list_document_rejected():
 
 # --- the parser against the per-box reference parser -----------------------------
 
-numbers = st.one_of(st.integers(-300, 300), st.floats(-300, 300))
-sizes = st.one_of(st.integers(0, 100), st.floats(0, 100))
+# np.float64 is a float subclass: the parser checks types with issubclass
+numbers = st.one_of(
+    st.integers(-300, 300), st.floats(-300, 300), st.floats(-300, 300).map(np.float64)
+)
+sizes = st.one_of(st.integers(0, 100), st.floats(0, 100), st.floats(0, 100).map(np.float64))
 # values a mutation puts in place of a valid one
 BAD_VALUES = [None, True, False, "1", [], {}, -1, 1.5, 7, "", "foot", *ROLES]
 BAD_NUMBERS = [
     float("nan"), float("inf"), float("-inf"), True, -1, -0.5, -1e300, 2 * COORDINATE_LIMIT,
-    -COORDINATE_LIMIT, -0.0,
+    -COORDINATE_LIMIT, -0.0, 10**400,  # an int too large for a float
 ]
 VIDEO_KEYS = ("id", "width", "height", "label", "frames")
 FRAME_KEYS = ("idx", "boxes")
@@ -310,14 +330,14 @@ def annotation_documents(draw):
         frames = []
         for idx in draw(st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True)):
             roles = draw(st.lists(st.sampled_from(ROLES), unique=True))
-            frames.append({
-                "idx": idx,
-                "boxes": [
+            frame = {"idx": idx}
+            if roles or draw(st.booleans()):  # "boxes" may be left out when empty
+                frame["boxes"] = [
                     {"role": r, "x": draw(numbers), "y": draw(numbers),
                      "w": draw(sizes), "h": draw(sizes)}
                     for r in roles
-                ],
-            })
+                ]
+            frames.append(frame)
         record = {"id": f"v{v}", "width": draw(st.sampled_from([320, 320.0, 0.5])),
                   "height": 240, "frames": frames}
         if draw(st.booleans()):
