@@ -85,15 +85,17 @@ def all_instances(values, kind: type | tuple[type, ...], exclude: type | tuple =
     return all(issubclass(t, kind) and not issubclass(t, exclude) for t in set(map(type, values)))
 
 
-def check_int(name: str, value, minimum: int) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is an integer >= ``minimum``.
+def check_int(name: str, value, minimum: int) -> int:
+    """Return ``value`` as an ``int``; raise :class:`ConfigError` unless it is an integer >= ``minimum``.
 
-    A bool is not an integer here, although Python treats it as one.
+    A bool is not an integer here, although Python treats it as one.  A numpy
+    integer passes and comes back as a plain ``int``, which JSON can write.
     """
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def check_finite(name: str, value) -> float:

@@ -8,14 +8,18 @@ good splits break toward the lowest feature index, then the lowest
 threshold, which makes training independent of sample order.
 
 All trees of a forest grow in lockstep.  Each tree draws from its own random
-stream and keeps its own stack, so its nodes come in pre-order, and a node
-holds the indices of its rows into the forest's one training matrix, never a
-copy.  Each step takes the next node of every tree and searches all their
-candidate features in one sorted pass over a padded
-``(nodes, m, rows)`` block.  Each tree is stored as flat pre-order node
-columns (:class:`Tree`), so growing, predicting and (de)serializing never
-recurse.  The reader checks the columns of all trees of a file together,
-laid end to end.
+stream and grows left child first, so its nodes come in pre-order.  A node
+is a run of indices into the forest's one training matrix, kept in one
+shared pool, never a copy of the rows.  Each step holds the next node of
+every live tree in flat arrays and does its bookkeeping for all of them in a
+fixed number of array operations; it searches all their candidate features
+in one sorted pass over a padded ``(nodes, m, rows)`` block.  Pending right
+children wait in per-tree array stacks.  A node's weight and positive weight
+are summed with the nodes of equal length, as the rows of one matrix, which
+keeps numpy's pairwise order and so every bit of summing each node alone.
+Each tree is stored as flat pre-order node columns (:class:`Tree`), so
+growing, predicting and (de)serializing never recurse.  The reader checks
+the columns of all trees of a file together, laid end to end.
 """
 
 from __future__ import annotations
@@ -62,17 +66,19 @@ class ForestParams:
     class_weight: str | None = None  # None or "balanced"
 
     def __post_init__(self) -> None:
-        check_int("num_trees", self.num_trees, 1)
+        def store(name: str, minimum: int) -> None:
+            # a plain int, so that a numpy integer writes to JSON
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
+
+        store("num_trees", 1)
         if self.max_depth is not None:
-            check_int("max_depth", self.max_depth, 1)
-        check_int("min_samples_split", self.min_samples_split, 2)
-        if self.features_per_split != "sqrt":
-            if isinstance(self.features_per_split, str):
-                raise ConfigError(
-                    "features_per_split must be a positive integer or 'sqrt'"
-                )
-            check_int("features_per_split", self.features_per_split, 1)
-        check_int("seed", self.seed, 0)
+            store("max_depth", 1)
+        store("min_samples_split", 2)
+        if not isinstance(self.features_per_split, str):
+            store("features_per_split", 1)
+        elif self.features_per_split != "sqrt":
+            raise ConfigError("features_per_split must be a positive integer or 'sqrt'")
+        store("seed", 0)
         if self.class_weight not in (None, "balanced"):
             raise ConfigError("class_weight must be None or 'balanced'")
 
@@ -101,6 +107,17 @@ class Tree:
 
 
 TREE_COLUMNS = tuple(f.name for f in fields(Tree))
+
+
+def _trees_from_columns(columns: Sequence[np.ndarray], sizes: np.ndarray) -> tuple[Tree, ...]:
+    """Split node columns laid end to end, tree by tree, into trees of ``sizes`` nodes."""
+    ends = np.cumsum(sizes).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    split_columns = []
+    for column in columns:
+        values = column.tolist()
+        split_columns.append([tuple(values[lo:hi]) for lo, hi in bounds])
+    return tuple(itertools.starmap(Tree, zip(*split_columns)))
 
 
 class _SearchTable(NamedTuple):
@@ -136,25 +153,29 @@ def _search_table(
 
 
 def _best_splits(
-    table: _SearchTable, nodes: Sequence[tuple[np.ndarray, float, np.ndarray]]
-) -> list[tuple[float, int, float] | None]:
+    table: _SearchTable,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    totals: np.ndarray,
+    candidates: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lowest weighted-Gini split of each node, all searched in one batch.
 
-    A node is (row indices into ``table``, total weight, candidate features);
-    every node draws the same number of candidates.  Each lane of one
-    candidate feature of one node is padded to the largest node's row count
-    with the table's padding row, which sorts last and weighs nothing, and
-    split positions at or after a node's last real row are masked.  So each
-    node gets the result it would get searched alone.  Returns (impurity,
-    feature, threshold) per node, or None when every candidate feature is
-    constant on that node.
+    Node i owns the next ``sizes[i]`` row indices into ``table`` of ``rows``,
+    weighs ``totals[i]`` and searches the candidate features
+    ``candidates[i]``; every node draws the same number of candidates.  Each
+    lane of one candidate feature of one node is padded to the largest
+    node's row count with the table's padding row, which sorts last and
+    weighs nothing, and split positions at or after a node's last real row
+    are masked.  So each node gets the result it would get searched alone.  Returns the arrays
+    (impurity, feature, threshold) over the nodes; the feature is -1, and the
+    other two are meaningless, where every candidate feature is constant on
+    that node.
     """
-    rows, totals, candidates = zip(*nodes)
-    sizes = np.array([r.size for r in rows])
     count, width = sizes.size, int(sizes.max())
     index = np.full((count, width), table.values.shape[0])
-    index[np.arange(width) < sizes[:, None]] = np.concatenate(rows)
-    features = np.sort(np.array(candidates), axis=1)
+    index[np.arange(width) < sizes[:, None]] = rows
+    features = np.sort(candidates, axis=1)
     # lane (node, feature) keys each row by (rank, position); the keys are
     # distinct, so sorting them gives the stable order of the values
     shift = width.bit_length()
@@ -177,7 +198,7 @@ def _best_splits(
     np.cumsum(cw, axis=2, out=cw)
     cwp = table.positive_weights.take(ordered)
     np.cumsum(cwp, axis=2, out=cwp)
-    total = np.array(totals)[:, None, None]
+    total = totals[:, None, None]
     wl = cw[:, :, :-1]
     wpl = cwp[:, :, :-1]
     wpr = cwp[np.arange(count), :, sizes - 1][:, :, None] - wpl
@@ -223,11 +244,11 @@ def _best_splits(
     high = table.values[ordered[split, j, r + 1], f]
     with np.errstate(over="ignore"):
         thresholds = (low + high) / 2.0
-    found: list[tuple[float, int, float] | None] = [None] * count
-    results = zip(best[split].tolist(), f.tolist(), thresholds.tolist())
-    for i, result in zip(split.tolist(), results):
-        found[i] = result
-    return found
+    feature = np.full(count, -1)
+    feature[split] = f
+    threshold = np.zeros(count)
+    threshold[split] = thresholds
+    return best, feature, threshold
 
 
 def _training_input(
@@ -274,6 +295,39 @@ def train_tree(
     return _grow_trees(values, labels, weights, params, [rng], bootstrap=False)[0]
 
 
+def _runs(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``flat[start:start + size]`` of each run, laid end to end."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if ends.size else 0
+    return flat[np.arange(total) + np.repeat(starts - ends + sizes, sizes)]
+
+
+def _run_sums(
+    values: np.ndarray, flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """``values[flat[start:start + size]].sum()`` of each run, bit for bit.
+
+    numpy sums each row of a C-contiguous matrix along its last axis in the
+    pairwise order it uses for that row alone, so the runs of one length are
+    summed together as the rows of one matrix.  Padding runs to one length,
+    or ``np.add.reduceat``, would regroup the sums and change their bits.
+    """
+    order = np.argsort(sizes, kind="stable")
+    by_size = sizes[order]
+    gathered = values[_runs(flat, starts[order], by_size)]
+    lengths, counts = np.unique(by_size, return_counts=True)
+    ordered = np.empty(sizes.size)
+    row = at = 0
+    for size, count in zip(lengths.tolist(), counts.tolist()):
+        block = gathered[at : at + size * count].reshape(count, size)
+        np.add.reduce(block, axis=1, out=ordered[row : row + count])
+        row += count
+        at += size * count
+    sums = np.empty_like(ordered)
+    sums[order] = ordered
+    return sums
+
+
 def _grow_trees(
     values: np.ndarray,
     labels: np.ndarray,
@@ -281,65 +335,120 @@ def _grow_trees(
     params: ForestParams,
     rngs: Sequence[np.random.Generator],
     bootstrap: bool,
-) -> list[Tree]:
+) -> tuple[Tree, ...]:
     """Grow one tree per generator from checked inputs, all in lockstep.
 
     A tree with ``bootstrap`` first draws its rows with replacement.  Each
-    tree grows from its own stack, left child first, so its nodes are
-    numbered and draw their candidate features in pre-order.  A node holds
-    the indices of its rows in ``values``, never a copy of them.  Each step
-    pops the next node of every tree that has one, and searches the splits
-    of all of them in one batch.
+    step makes the next node of every tree that has one, so node k of a tree
+    is made at step k.  A node is a run of row indices in one shared pool.
+    A tree whose node splits goes on with its left child and pushes its
+    right child on the tree's stack; any other tree pops its last pending
+    right child.  Each step searches the splits of all its nodes in one
+    batch, with the total weight of each node searched; every node's weight
+    and positive weight come from one grouped pass at the end.
     """
     n, d = values.shape
     m = params.resolve_features_per_split(d)
-    max_depth = math.inf if params.max_depth is None else params.max_depth
+    # a node at depth k holds at least k + 1 rows, so the bounds act as given
+    max_depth = n if params.max_depth is None else min(params.max_depth, n)
+    min_split = min(params.min_samples_split, n + 1)
     positive = labels == 1
     table = _search_table(values, labels, weights)
-    # per tree: one [feature, threshold, left, right, fraction, weight] per node
-    nodes: list[list[list]] = [[] for _ in rngs]
-    # per tree: (rows, depth, node whose right child this is or -1)
-    stacks = [
-        [(rng.integers(0, n, size=n) if bootstrap else np.arange(n), 0, -1)]
-        for rng in rngs
-    ]
-    live = range(len(rngs))
-    while live:
-        pending = []  # (tree, rows, depth) of the nodes that may split
-        searches = []  # (rows, total weight, candidate features) of the same
-        for t in live:
-            rows, depth, parent = stacks[t].pop()
-            tree = nodes[t]
-            if parent >= 0:
-                tree[parent][3] = len(tree)
-            w = weights[rows]
-            total = float(w.sum())
-            pos = positive[rows]
-            tree.append([-1, 0.0, -1, -1, float(w[pos].sum()) / total, total])
-            if (
-                0 < np.count_nonzero(pos) < rows.size
-                and rows.size >= params.min_samples_split
-                and depth < max_depth
-            ):
-                pending.append((t, rows, depth))
-                searches.append((rows, total, rngs[t].choice(d, size=m, replace=False)))
-        if searches:
-            found = _best_splits(table, searches)
-            for (t, rows, depth), split in zip(pending, found):
-                if split is None:
-                    continue
-                _, f, threshold = split
-                mask = values[rows, f] <= threshold
-                if not 0 < np.count_nonzero(mask) < rows.size:
-                    # the midpoint rounded onto the largest value or overflowed
-                    # to +-inf; a split that separates nothing would repeat forever
-                    continue
-                tree = nodes[t]
-                tree[-1][:3] = [f, threshold, len(tree)]
-                stacks[t].append((rows[~mask], depth + 1, len(tree) - 1))
-                stacks[t].append((rows[mask], depth + 1, -1))
-        live = [t for t in live if stacks[t]]
-    return [Tree(*map(tuple, zip(*tree))) for tree in nodes]
+    count = len(rngs)
+    pool = np.concatenate(
+        [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
+    )
+    end = pool.size
+    live = np.arange(count)
+    state = np.zeros((count, 3), dtype=np.intp)  # (start, size, depth) per live tree
+    state[:, 0] = live * n
+    state[:, 1] = n
+    # per tree: its pending right children, (start, size, depth, parent node id)
+    stack = np.empty((count, 8, 4), dtype=np.intp)
+    height = np.zeros(count, dtype=np.intp)
+    made = []  # per step: the tree, start and size of each node made, by id
+    splits = []  # per step: (node ids, features, thresholds)
+    rights = []  # per step: (parent node ids, their right children's index)
+    first = 0  # the id of the step's first node
+    while live.size:
+        starts, sizes, depth = state.T
+        made.append((live, starts, sizes))
+        rows = _runs(pool, starts, sizes)
+        node = np.repeat(np.arange(live.size), sizes)
+        npos = np.bincount(node[positive[rows]], minlength=live.size)
+        searched = (0 < npos) & (npos < sizes) & (sizes >= min_split) & (depth < max_depth)
+        search = np.flatnonzero(searched)
+        following = np.empty_like(state)  # each tree's next (start, size, depth)
+        goes_on = np.zeros(live.size, dtype=bool)
+        if search.size:
+            candidates = np.array(
+                [rngs[t].choice(d, size=m, replace=False) for t in live[search].tolist()]
+            )
+            rows = rows[searched[node]]
+            node = np.repeat(np.arange(search.size), sizes[search])
+            totals = _run_sums(weights, pool, starts[search], sizes[search])
+            _, feature, threshold = _best_splits(
+                table, rows, sizes[search], totals, candidates
+            )
+            goes_left = values[rows, feature[node]] <= threshold[node]
+            n_left = np.bincount(node[goes_left], minlength=search.size)
+            # a midpoint that rounded onto the largest value or overflowed to
+            # +-inf separates nothing, and splitting on it would repeat forever
+            found = (feature >= 0) & (0 < n_left) & (n_left < sizes[search])
+            split = search[found]
+            splits.append((first + split, feature[found], threshold[found]))
+            n_left = n_left[found]
+            n_right = sizes[split] - n_left
+            kept = found[node]
+            children = np.concatenate([rows[kept & goes_left], rows[kept & ~goes_left]])
+            if end + children.size > pool.size:
+                spare = np.empty(max(end, children.size), dtype=pool.dtype)
+                pool = np.concatenate([pool[:end], spare])
+            pool[end : end + children.size] = children
+            left_starts = end + np.cumsum(n_left) - n_left
+            right_starts = end + n_left.sum() + np.cumsum(n_right) - n_right
+            end += children.size
+            following[split] = np.column_stack((left_starts, n_left, depth[split] + 1))
+            goes_on[split] = True
+            t = live[split]
+            if height[t].max(initial=0) == stack.shape[1]:
+                stack = np.concatenate([stack, np.empty_like(stack)], axis=1)
+            right = (right_starts, n_right, depth[split] + 1, first + split)
+            stack[t, height[t]] = np.column_stack(right)
+            height[t] += 1
+        pops = np.flatnonzero(~goes_on)
+        pops = pops[height[live[pops]] > 0]
+        t = live[pops]
+        height[t] -= 1
+        popped = stack[t, height[t]]
+        rights.append((popped[:, 3], len(made)))
+        following[pops] = popped[:, :3]
+        goes_on[pops] = True
+        first += live.size
+        live, state = live[goes_on], following[goes_on]
+    trees, starts, sizes = map(np.concatenate, zip(*made))
+    # node k of a tree was made at step k: a split's left child is made next
+    index = np.repeat(np.arange(len(made)), [t.size for t, _, _ in made])
+    feature = np.full(first, -1)
+    threshold = np.zeros(first)
+    left = np.full(first, -1)
+    right = np.full(first, -1)
+    for ids, f, cut in splits:
+        feature[ids] = f
+        threshold[ids] = cut
+        left[ids] = index[ids] + 1
+    for ids, step in rights:
+        right[ids] = step
+    weight = _run_sums(weights, pool, starts, sizes)
+    pool = pool[:end]
+    is_positive = positive[pool]
+    before = np.concatenate(([0], np.cumsum(is_positive)))
+    n_positive = before[starts + sizes] - before[starts]
+    fraction = _run_sums(weights, pool[is_positive], before[starts], n_positive)
+    fraction /= weight
+    order = np.argsort(trees, kind="stable")
+    columns = [c[order] for c in (feature, threshold, left, right, fraction, weight)]
+    return _trees_from_columns(columns, np.bincount(trees, minlength=count))
 
 
 @dataclass(frozen=True)
@@ -513,12 +622,7 @@ def _trees_from_dicts(trees, num_features: int) -> tuple[Tree, ...]:
     if bad.any():
         tree = int(np.searchsorted(ends, np.argmax(bad), side="right"))
         raise ConfigError(_tree_fault(per_tree[tree], num_features))
-    bounds = list(zip(starts.tolist(), ends.tolist()))
-    split_columns = []
-    for name in TREE_COLUMNS:
-        values = columns[name].tolist()
-        split_columns.append([tuple(values[lo:hi]) for lo, hi in bounds])
-    return tuple(itertools.starmap(Tree, zip(*split_columns)))
+    return _trees_from_columns([columns[name] for name in TREE_COLUMNS], sizes)
 
 
 def forest_to_dict(model: ForestModel) -> dict:

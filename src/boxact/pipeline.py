@@ -72,8 +72,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ConfigError("window half-width n must be non-negative")
+        object.__setattr__(self, "n", check_int("window half-width n", self.n, 0))
         if not (np.isfinite(self.sigma) and 0 < self.sigma <= MAX_SIGMA):
             raise ConfigError(
                 f"sigma must be finite and positive, at most {MAX_SIGMA:g}, got {self.sigma}"
@@ -85,7 +84,7 @@ class PipelineConfig:
             )
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must lie strictly between 0 and 1")
-        check_int("seed", self.seed, 0)
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
     @property
     def scores_only(self) -> bool:

@@ -68,7 +68,7 @@ class NoiseParams:
             raise ContractError("jitter_sigma must be non-negative")
         if not 0.0 <= self.copy_lag_prob < 1.0:
             raise ContractError("copy_lag_prob must lie in [0, 1)")
-        check_int("noise seed", self.seed, 0)
+        object.__setattr__(self, "seed", check_int("noise seed", self.seed, 0))
 
 
 NOISE_PRESETS: dict[str, NoiseParams] = {
@@ -94,7 +94,7 @@ class SyntheticScript:
             raise ContractError(
                 f"unknown archetype {self.archetype!r}, expected one of {ARCHETYPES}"
             )
-        check_int("layout_seed", self.layout_seed, 0)
+        object.__setattr__(self, "layout_seed", check_int("layout_seed", self.layout_seed, 0))
         missing = [p for p in PHASES if p not in self.true_phase_centers]
         if missing:
             raise ContractError(f"true_phase_centers is missing phases {missing}")
@@ -446,8 +446,8 @@ def generate_dataset(
     Each video gets its own layout and noise stream, derived deterministically
     from ``seed``.
     """
-    check_int("per_archetype", per_archetype, 0)
-    check_int("seed", seed, 0)
+    per_archetype = check_int("per_archetype", per_archetype, 0)
+    seed = check_int("seed", seed, 0)
     tracks: list[VideoTrack] = []
     ground_truth: dict[str, dict[str, int]] = {}
     counter = 0

@@ -16,6 +16,7 @@ from boxact.forest import (
     TREE_COLUMNS,
     ForestParams,
     _best_splits,
+    _run_sums,
     _search_table,
     forest_from_dict,
     forest_to_dict,
@@ -27,7 +28,12 @@ from boxact.forest import (
     train_tree,
 )
 
-from oracles import best_split_reference, forest_from_dict_reference, forest_trees_reference
+from oracles import (
+    best_split_reference,
+    forest_from_dict_reference,
+    forest_trees_reference,
+    grow_tree_reference,
+)
 
 SEPARABLE = (np.array([[1.0], [2.0], [8.0], [9.0]]), np.array([0, 0, 1, 1]))
 ONE_TREE = ForestParams(num_trees=1, features_per_split=1, bootstrap=False, seed=0)
@@ -52,6 +58,24 @@ def test_params_validation():
     ):
         with pytest.raises(ConfigError):
             ForestParams(**bad)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_numpy_integer_params_act_as_python_ints(tmp_path, kind):
+    rng = np.random.default_rng(5)
+    values = rng.choice([0.0, 1.0, 2.5], size=(30, 6))
+    labels = (rng.uniform(size=30) < 0.4).astype(int)
+    fields = dict(num_trees=3, max_depth=4, min_samples_split=3, features_per_split=2, seed=5)
+    plain = ForestParams(**fields)
+    params = ForestParams(**{name: kind(value) for name, value in fields.items()})
+    assert params == plain and all(type(getattr(params, name)) is int for name in fields)
+    want = train_forest(values, labels, plain, "a")
+    got = train_forest(values, labels, params, "a")
+    assert repr(got) == repr(want)
+    save_forest(want, tmp_path / "want.json")
+    save_forest(got, tmp_path / "got.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert load_forest(tmp_path / "got.json") == want
 
 
 def test_resolve_features_per_split():
@@ -220,8 +244,18 @@ def split_batches(draw):
 @settings(max_examples=300, deadline=None)
 def test_best_split_matches_the_per_feature_loop(batch):
     values, labels, weights, nodes = batch
-    found = _best_splits(_search_table(values, labels, weights), nodes)
-    for (rows, _, candidates), got in zip(nodes, found):
+    rows, totals, candidates = zip(*nodes)
+    impurity, feature, threshold = _best_splits(
+        _search_table(values, labels, weights),
+        np.concatenate(rows),
+        np.array([r.size for r in rows]),
+        np.array(totals),
+        np.array(candidates),
+    )
+    for i, (rows, _, candidates) in enumerate(nodes):
+        got = None
+        if feature[i] >= 0:
+            got = (float(impurity[i]), int(feature[i]), float(threshold[i]))
         sample = (values[rows], labels[rows], weights[rows])
         want = best_split_reference(*sample, candidates)
         assert repr(got) == repr(want)  # repr also tells -0.0 from 0.0
@@ -245,6 +279,65 @@ def test_lockstep_forest_equals_trees_grown_one_by_one(class_weight, bootstrap, 
     model = train_forest(values, labels, params)
     # repr also tells -0.0 from 0.0
     assert repr(model.trees) == repr(forest_trees_reference(values, labels, params))
+
+
+@st.composite
+def growth_cases(draw):
+    """A training set, forest parameters and arbitrary positive row weights."""
+    n = draw(st.integers(min_value=2, max_value=160))  # 128 rows fill one pairwise block
+    d = draw(st.integers(min_value=1, max_value=8))
+    values = draw(hnp.arrays(np.float64, (n, d), elements=SPLIT_VALUES))
+    column = st.integers(0, d - 1)
+    for col in draw(st.lists(column, max_size=2)):
+        values[:, col] = values[0, col]
+    for src, dst in draw(st.lists(st.tuples(column, column), max_size=2)):
+        values[:, dst] = values[:, src]
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    labels[draw(st.integers(1, n - 1))] = 1 - labels[0]  # both classes
+    integer = lambda lo, hi: st.integers(lo, hi) | st.integers(lo, hi).map(np.int64)
+    params = ForestParams(
+        num_trees=draw(integer(1, 20)),
+        max_depth=draw(st.none() | integer(1, 8) | st.just(BIG)),
+        min_samples_split=draw(integer(2, 30) | st.just(BIG)),
+        features_per_split=draw(st.just("sqrt") | integer(1, d + 2) | st.just(BIG)),
+        bootstrap=draw(st.booleans()),
+        seed=draw(integer(0, 2**32)),
+        class_weight=draw(st.sampled_from([None, "balanced"])),
+    )
+    weight = st.sampled_from([0.1, 1.0, 1.0 / 3.0, 7.0]) | st.floats(1e-3, 1e3)
+    weights = draw(hnp.arrays(np.float64, n, elements=weight))
+    return values, labels, params, weights
+
+
+@given(growth_cases())
+@settings(max_examples=60, deadline=None)
+def test_grower_equals_trees_grown_one_by_one(case):
+    values, labels, params, weights = case
+    model = train_forest(values, labels, params)
+    # repr also tells -0.0 from 0.0
+    assert repr(model.trees) == repr(forest_trees_reference(values, labels, params))
+    tree = train_tree(values, labels, params, np.random.default_rng(params.seed), weights)
+    want = grow_tree_reference(values, labels, weights, params, np.random.default_rng(params.seed))
+    assert repr(tree) == repr(want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grouped_run_sums_keep_numpys_pairwise_order(seed):
+    # the grower sums the runs of one length as the rows of one matrix; this
+    # holds only while numpy sums each row in the order it sums a 1-D array
+    rng = np.random.default_rng(seed)
+    n = 500
+    labels = rng.uniform(size=n) < 0.3
+    balanced = np.where(labels, n / (2.0 * labels.sum()), n / (2.0 * (n - labels.sum())))
+    arbitrary = rng.uniform(1e-3, 1e3, size=n) * 10.0 ** rng.integers(-6, 6, size=n)
+    sizes = rng.integers(1, 301, size=400)
+    sizes[:200] = rng.choice(sizes[:5], size=200)  # many runs of one length
+    flat = rng.integers(0, n, size=1000)
+    starts = rng.integers(0, flat.size - sizes + 1)
+    for weights in (balanced, arbitrary):
+        got = _run_sums(weights, flat, starts, sizes)
+        want = [weights[flat[a : a + k]].sum() for a, k in zip(starts, sizes)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,8 @@ FAST_FOREST = ForestParams(num_trees=4, seed=0)
 def test_config_validation():
     for bad in (
         dict(n=-1),
+        dict(n=2.5),
+        dict(n=True),
         dict(sigma=0.0),
         dict(sigma=float("nan")),
         dict(sigma=float("inf")),
@@ -54,6 +56,15 @@ def test_provenance_fingerprint_is_pinned():
     fp = lambda c: make_provenance(c, "train")["config_fingerprint"]
     assert fp(PipelineConfig()) == "5d1b7e3e205b7071"
     assert fp(PipelineConfig(sigma=3.0, embedding_mode="scores_only")) == "746566f19b817a55"
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_numpy_integer_fields_fingerprint_as_python_ints(kind):
+    plain = PipelineConfig(n=3, seed=7, forest=ForestParams(num_trees=8, max_depth=5, seed=2))
+    forest = ForestParams(num_trees=kind(8), max_depth=kind(5), seed=kind(2))
+    config = PipelineConfig(n=kind(3), seed=kind(7), forest=forest)
+    assert type(config.n) is int and type(config.seed) is int
+    assert make_provenance(config, "train") == make_provenance(plain, "train")
 
 
 def test_provenance_shape():
