@@ -10,8 +10,9 @@ A ``scores_only`` switch drops the per-feature blocks and keeps just the
 score statistics and flags.
 
 ``embed_windows`` embeds a batch of tracks under many models in one pass:
-it reduces every chosen window of every (track, model) pair together, one
-block per window length, and writes the statistics straight into one
+it takes every (track, model) pair's windows as one (N, 5, 2) array, as
+the assignment stage ranks them, reduces every window together, one block
+per window length, and writes the statistics and flags straight into one
 preallocated buffer.  ``embed_video`` is its one-track, one-model call.
 """
 
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, ContractError, read_artifact, write_json
+from .errors import ContractError, write_json
 from .phases import PHASES, ActionModel, PhaseAssignment, PhaseScoreMatrix
 from .tracks import VideoTrack
 
@@ -35,7 +36,6 @@ __all__ = [
     "embed_windows",
     "embed_video",
     "dump_embeddings",
-    "load_embeddings",
 ]
 
 STAT_NAMES = ("mean", "med", "max", "min")
@@ -112,55 +112,42 @@ def _write_stats(
 def embed_windows(
     video_ids: Sequence[str],
     models: Sequence[ActionModel],
-    assignments: Sequence[PhaseAssignment],
+    windows: np.ndarray,
     source: np.ndarray,
-    score_rows: Sequence[np.ndarray],
-    feature_rows: Sequence[np.ndarray],
+    score_rows: np.ndarray,
+    feature_rows: np.ndarray,
     scores_only: bool = False,
-    columns: Sequence[int] | None = None,
+    columns: np.ndarray | None = None,
 ) -> list[VideoEmbedding]:
-    """Embeddings of (track, model) pairs in one pass, one per entry.
+    """Embeddings of N (track, model) pairs in one pass, one per entry.
 
     ``source`` holds one row per frame series, shape (S, T); several tracks
     may lie end to end along its columns.  Entry ``i`` embeds track
     ``video_ids[i]``, whose frame 0 is column ``columns[i]`` (0 by default),
-    under ``models[i]``: ``score_rows[i]`` names the rows of its five raw
-    phase scores and ``feature_rows[i]`` those of its ``feature_list``, both
-    in the object order of ``assignments[i]``.
+    under ``models[i]``.  ``windows[i]`` holds its five phase windows, shape
+    (5, 2), ``(-1, -1)`` for an unplaced phase; ``score_rows[i]`` names the
+    rows of its five raw phase scores and ``feature_rows[i]`` those of its
+    ``feature_list``, padded with -1 to the longest list.
     """
     layouts = [embedding_layout(m, scores_only) for m in models]
     offsets = np.cumsum([0] + [len(layout) for layout in layouts])
     values = np.zeros(offsets[-1])
-    parts: list[tuple[np.ndarray, ...]] = []
-    flags = []
-    if columns is None:
-        columns = [0] * len(models)
-    for start, assignment, phase_rows, features, column in zip(
-        offsets, assignments, score_rows, feature_rows, columns
-    ):
-        if scores_only:
-            features = features[:0]
-        block = len(STAT_NAMES) * (1 + features.size) + 1
-        placed = [i for i, p in enumerate(PHASES) if assignment.windows[p] is not None]
-        if not placed:
-            continue
-        lo, hi = np.array([assignment.windows[PHASES[i]] for i in placed]).T
-        at = start + block * np.array(placed)
-        flags.append(at + block - 1)
-        # statistics rows of one phase: its score, then its features
-        rows = np.empty((len(placed), 1 + features.size), dtype=np.intp)
-        rows[:, 0] = np.asarray(phase_rows)[placed]
-        rows[:, 1:] = features
-        per_phase = rows.shape[1]
-        parts.append((
-            rows.ravel(),
-            np.repeat(column + lo, per_phase),
-            np.repeat(hi - lo + 1, per_phase),
-            (at[:, None] + len(STAT_NAMES) * np.arange(per_phase)).ravel(),
-        ))
-    if parts:
-        _write_stats(values, source, *(np.concatenate(column) for column in zip(*parts)))
-        values[np.concatenate(flags)] = 1.0
+    if scores_only:
+        feature_rows = feature_rows[:, :0]
+    lo, hi = windows.transpose(2, 0, 1)
+    placed = lo >= 0
+    block = np.diff(offsets)[:, None] // len(PHASES)
+    at = offsets[:-1, None] + block * np.arange(len(PHASES))  # each phase's block
+    values[(at + block - 1)[placed]] = 1.0
+    # statistics rows of one phase: its score, then its features
+    rows = np.empty(placed.shape + (1 + feature_rows.shape[1],), dtype=np.intp)
+    rows[:, :, 0] = score_rows
+    rows[:, :, 1:] = feature_rows[:, None]
+    used = placed[:, :, None] & (rows >= 0)
+    entry, phase, _ = np.nonzero(used)
+    start = lo[entry, phase] + (0 if columns is None else columns[entry])
+    dest = at[:, :, None] + len(STAT_NAMES) * np.arange(rows.shape[2])
+    _write_stats(values, source, rows[used], start, (hi - lo + 1)[entry, phase], dest[used])
     return [
         VideoEmbedding(
             action_id=model.action_id,
@@ -203,15 +190,15 @@ def embed_video(
             f"{track.video_id!r}: {relations.shape[0]} relation frames vs "
             f"{matrix.num_frames} score frames"
         )
-    source = np.vstack([matrix.raw, relations.T])
+    windows = [assignment.windows[p] or (-1, -1) for p in PHASES]
     phases = len(PHASES)
     return embed_windows(
         [track.video_id],
         [model],
-        [assignment],
-        source,
-        [np.arange(phases)],
-        [phases + model.feature_columns],
+        np.array([windows]),
+        np.vstack([matrix.raw, relations.T]),
+        np.arange(phases)[None],
+        (phases + model.feature_columns)[None],
         scores_only,
     )[0]
 
@@ -237,26 +224,3 @@ def dump_embeddings(
     if provenance is not None:
         doc["provenance"] = dict(provenance)
     write_json(path, doc)
-
-
-def load_embeddings(path: str | Path) -> list[VideoEmbedding]:
-    doc = read_artifact(path, "boxact-embeddings", "an embedding dump", AnnotationError)
-    try:
-        return [_embedding_from_record(rec) for rec in doc.get("records", [])]
-    except KeyError as exc:
-        raise AnnotationError(f"{path}: record without field {exc}") from None
-    except (TypeError, ValueError, ContractError) as exc:
-        raise AnnotationError(f"{path}: malformed record: {exc}") from None
-
-
-def _embedding_from_record(rec: Mapping) -> VideoEmbedding:
-    values = np.asarray(rec["values"], dtype=float)
-    ids = (rec["action_id"], rec["video_id"])
-    layout = rec["layout"]
-    if values.ndim != 1:
-        raise ValueError("values must be a flat list of numbers")
-    if not isinstance(layout, list) or not all(
-        isinstance(name, str) for name in (*ids, *layout)
-    ):
-        raise ValueError("ids and layout must be strings")
-    return VideoEmbedding(*ids, values, tuple(layout))

@@ -13,10 +13,11 @@ is a run of indices into the forest's one training matrix, kept in one
 shared pool, never a copy of the rows.  Each step holds the next node of
 every live tree in flat arrays and does its bookkeeping for all of them in a
 fixed number of array operations; it searches all their candidate features
-in one sorted pass over a padded ``(nodes, m, rows)`` block.  Pending right
-children wait in per-tree array stacks.  A node's weight and positive weight
-are summed with the nodes of equal length, as the rows of one matrix, which
-keeps numpy's pairwise order and so every bit of summing each node alone.
+in sorted passes over padded ``(nodes, m, rows)`` blocks of bounded size.
+Pending right children wait in per-tree array stacks.  A node's weight and
+positive weight are summed with the nodes of equal length, as the rows of
+one matrix, which keeps numpy's pairwise order and so every bit of summing
+each node alone.
 Each tree is stored as flat pre-order node columns (:class:`Tree`), so
 growing, predicting and (de)serializing never recurse.  The reader checks
 the columns of all trees of a file together, laid end to end.
@@ -150,6 +151,12 @@ def _search_table(
     weights = np.append(weights, 0.0)
     positive_weights = np.where(np.append(labels == 1, False), weights, 0.0)
     return _SearchTable(values, ranks, weights, positive_weights)
+
+
+# Most (node, candidate feature, row) entries in one batch of the split
+# search.  A batch holds a few arrays of that many 8-byte entries at once,
+# about 20 MiB in all, however many rows and trees a forest has.
+_SEARCH_ENTRIES = 1 << 19
 
 
 def _best_splits(
@@ -343,9 +350,9 @@ def _grow_trees(
     is made at step k.  A node is a run of row indices in one shared pool.
     A tree whose node splits goes on with its left child and pushes its
     right child on the tree's stack; any other tree pops its last pending
-    right child.  Each step searches the splits of all its nodes in one
-    batch, with the total weight of each node searched; every node's weight
-    and positive weight come from one grouped pass at the end.
+    right child.  Each step searches the splits of all its nodes in batches
+    of bounded size, with the total weight of each node searched; every
+    node's weight and positive weight come from one grouped pass at the end.
     """
     n, d = values.shape
     m = params.resolve_features_per_split(d)
@@ -387,9 +394,17 @@ def _grow_trees(
             rows = rows[searched[node]]
             node = np.repeat(np.arange(search.size), sizes[search])
             totals = _run_sums(weights, pool, starts[search], sizes[search])
-            _, feature, threshold = _best_splits(
-                table, rows, sizes[search], totals, candidates
-            )
+            # nodes are searched in batches of at most _SEARCH_ENTRIES, or one node
+            per_batch = max(1, _SEARCH_ENTRIES // (m * int(sizes[search].max())))
+            ends = np.concatenate(([0], np.cumsum(sizes[search])))
+            feature = np.empty(search.size, dtype=np.intp)
+            threshold = np.empty(search.size)
+            for lo in range(0, search.size, per_batch):
+                hi = min(lo + per_batch, search.size)
+                _, feature[lo:hi], threshold[lo:hi] = _best_splits(
+                    table, rows[ends[lo] : ends[hi]], sizes[search[lo:hi]],
+                    totals[lo:hi], candidates[lo:hi],
+                )
             goes_left = values[rows, feature[node]] <= threshold[node]
             n_left = np.bincount(node[goes_left], minlength=search.size)
             # a midpoint that rounded onto the largest value or overflowed to

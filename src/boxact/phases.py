@@ -23,11 +23,14 @@ The work is done by array kernels over many score rows at once:
 the relation table of one track or of a batch of tracks laid end to end
 (the pipeline passes every model of a threshold set in both object orders),
 and ``assign_batch`` ranks the four alternatives of every model together.
-Each row keeps the bits of a row computed alone: terms are added in term
-order, every row of every track has its own convolution, and reductions run
-along the contiguous last axis.  ``score_frames``, ``assign_phases``,
-``second_best_b`` and ``assign_with_alternatives`` are one-model calls of the
-same kernels.
+It returns each winner as arrays: its choice, centres (N, 5), windows
+(N, 5, 2), with (-1, -1) for an unplaced phase, and total (N,), which the
+embedding stage reads as they are; ``phase_assignments`` turns them into
+:class:`PhaseAssignment` objects.  Each row keeps the bits of a row computed
+alone: terms are added in term order, every row of every track has its own
+convolution, and reductions run along the contiguous last axis.
+``score_frames``, ``assign_phases``, ``second_best_b`` and
+``assign_with_alternatives`` are one-model calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ __all__ = [
     "standardized_rows",
     "second_best_b",
     "assign_batch",
+    "phase_assignments",
     "assign_phases",
     "assign_with_alternatives",
 ]
@@ -93,6 +97,15 @@ ARCHETYPES = (
 DEFAULT_SIGMA = 2.0
 DEFAULT_WINDOW_HALF_WIDTH = 3
 SECOND_B_EXCLUSION = 3  # frames masked on each side of the best phase-b centre
+
+# Largest accepted |weight| of a term in a model file.  No relation value
+# exceeds COORDINATE_LIMIT ** 2 = 1e18 in magnitude (a box area; distances
+# and speeds stay under 1e10, the rest are flags, angles and overlap ratios),
+# so a term adds at most 1e118 per frame and a phase row of fewer than 1e20
+# terms stays under 1e138.  Smoothing averages a row, and z-scoring sums its
+# squared deviations, each under 4e276, over the frames: every raw, smoothed
+# and z-scored row stays finite on any track shorter than 1e31 frames.
+MAX_TERM_WEIGHT = 1e100
 
 
 @dataclass(frozen=True)
@@ -113,12 +126,6 @@ class Term:
     @cached_property
     def key(self) -> str:
         return feature_key(self.feature, self.args)
-
-    def series(self, values: np.ndarray) -> np.ndarray:
-        """The term's weighted contribution at every frame of a feature column."""
-        values = np.array(values, dtype=float)[None]
-        _term_series(TermArrays.of([(self,)]), np.zeros(1, dtype=np.intp), values)
-        return values[0]
 
 
 @dataclass(frozen=True)
@@ -190,6 +197,11 @@ def _term_from_dict(entry, action_id: str) -> Term:
         )
     except KeyError as exc:
         raise ConfigError(f"model {action_id!r}: term missing {exc}") from None
+    if abs(term.weight) > MAX_TERM_WEIGHT:
+        raise ConfigError(
+            f"{where}: weight must be at most {MAX_TERM_WEIGHT:g} in magnitude, "
+            f"got {term.weight!r}"
+        )
     term.key  # validates feature name, arity and entities
     return term
 
@@ -520,6 +532,8 @@ def score_frames(
 
 def _standardize(rows: np.ndarray) -> np.ndarray:
     """Z-score along the last axis; rows with no spread become zeros."""
+    # a row's mean and deviation have its own bits only when it is contiguous
+    rows = np.ascontiguousarray(rows)
     mean = rows.mean(axis=-1, keepdims=True)
     std = rows.std(axis=-1, keepdims=True)
     flat = std < 1e-12
@@ -633,26 +647,29 @@ def _alternatives(smoothed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centres.reshape(2, n, len(PHASES)).swapaxes(0, 1), totals.reshape(2, n).T
 
 
-def _windows(
-    centers: Mapping[str, int | None], t: int, n: int
-) -> dict[str, tuple[int, int] | None]:
-    """Centre +/- n windows, clipped at frame bounds and between neighbours.
+def _windows(centres: np.ndarray, t: int, n: int) -> np.ndarray:
+    """Centre +/- n windows, shape (N, 5, 2); (-1, -1) for an unplaced phase.
 
-    Overlapping adjacent windows stop at the midpoint of their centres: the
-    earlier phase keeps the midpoint frame, the later one starts just after.
+    Windows are clipped at the frame bounds and between neighbours: where
+    the windows of two consecutive placed phases overlap, they stop at the
+    midpoint of their centres, the earlier phase keeping the midpoint frame
+    and the later one starting just after.
     """
-    windows: dict[str, tuple[int, int] | None] = {p: None for p in PHASES}
-    assigned = [p for p in PHASES if centers[p] is not None]
-    spans = {
-        p: [max(0, centers[p] - n), min(t - 1, centers[p] + n)] for p in assigned
-    }
-    for p1, p2 in zip(assigned, assigned[1:]):
-        if spans[p1][1] >= spans[p2][0]:
-            mid = (centers[p1] + centers[p2]) // 2
-            spans[p1][1] = min(spans[p1][1], mid)
-            spans[p2][0] = max(spans[p2][0], mid + 1)
-    for p in assigned:
-        windows[p] = (spans[p][0], spans[p][1])
+    placed = centres >= 0
+    n = min(n, t)  # a wider window is clipped to the same frames
+    lo = np.maximum(centres - n, 0)
+    hi = np.minimum(centres + n, t - 1)
+    # pair each placed phase after the first with the last placed phase before it
+    earlier = np.maximum.accumulate(np.where(placed, np.arange(len(PHASES)), -1), axis=1)[:, :-1]
+    before = np.maximum(earlier, 0)
+    overlap = placed[:, 1:] & (earlier >= 0) & (np.take_along_axis(hi, before, 1) >= lo[:, 1:])
+    mid = (np.take_along_axis(centres, before, 1) + centres[:, 1:]) // 2
+    windows = np.stack([lo, hi], axis=2)
+    windows[:, 1:, 0] = np.where(overlap, np.maximum(lo[:, 1:], mid + 1), lo[:, 1:])
+    entry, later = np.nonzero(overlap)  # a placed phase is the earlier one of one pair at most
+    first = before[entry, later]
+    windows[entry, first, 1] = np.minimum(hi[entry, first], mid[entry, later])
+    windows[~placed] = -1
     return windows
 
 
@@ -663,39 +680,43 @@ def _check_assignable(num_frames: int, n: int) -> None:
         raise ContractError(f"window half-width must be non-negative, got {n}")
 
 
-def _assignment(
-    action_id: str,
-    object_order: str,
-    b_choice: str,
-    centres: Sequence[int],
-    total: float,
-    t: int,
+def phase_assignments(
+    action_ids: Sequence[str],
+    object_orders: Sequence[str],
+    choice: np.ndarray,
+    centres: np.ndarray,
+    windows: np.ndarray,
+    totals: np.ndarray,
     n: int,
-) -> PhaseAssignment:
-    placed = dict(zip(PHASES, centres))
-    centers = {p: placed[p] if placed[p] >= 0 else None for p in GREEDY_ORDER}
-    return PhaseAssignment(
-        action_id=action_id,
-        object_order=object_order,
-        b_choice=b_choice,
-        centers=centers,
-        windows=_windows(centers, t, n),
-        total_score=float(total),
-        n=n,
-    )
+) -> list[PhaseAssignment]:
+    """One :class:`PhaseAssignment` per row of :func:`assign_batch`'s arrays."""
+    o = len(object_orders)
+    return [
+        PhaseAssignment(
+            action_id=action_id,
+            object_order=object_orders[k % o],
+            b_choice=B_CHOICES[k // o],
+            centers={p: c if c >= 0 else None for p, c in zip(PHASES, placed)},
+            windows={p: (lo, hi) if lo >= 0 else None for p, (lo, hi) in zip(PHASES, spans)},
+            total_score=total,
+            n=n,
+        )
+        for action_id, k, placed, spans, total in zip(
+            action_ids, choice.tolist(), centres.tolist(), windows.tolist(), totals.tolist()
+        )
+    ]
 
 
 def assign_batch(
-    smoothed: np.ndarray,
-    action_ids: Sequence[str],
-    object_orders: Sequence[str],
-    n: int = DEFAULT_WINDOW_HALF_WIDTH,
-) -> list[PhaseAssignment]:
-    """The winning alternative of each model, from smoothed rows (M, O, 5, T).
+    smoothed: np.ndarray, n: int = DEFAULT_WINDOW_HALF_WIDTH
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The winning alternative of each of M models, from smoothed rows (M, O, 5, T).
 
-    Axis 1 runs over ``object_orders``.  A model's candidates are ranked
+    Axis 1 runs over the object orders.  A model's candidates are ranked
     best-b before second-best-b, and by object order within each; the first
     strictly highest total wins, so ties keep the earlier candidate.
+    Returns the winner's choice (object order + O x b choice, ``B_CHOICES``
+    order), centres (M, 5), windows (M, 5, 2) and total (M,).
     """
     m, o, _, t = smoothed.shape
     _check_assignable(t, n)
@@ -703,15 +724,13 @@ def assign_batch(
     # (model, order, b choice) -> (model, b choice, order)
     centres = centres.reshape(m, o, 2, len(PHASES)).swapaxes(1, 2).reshape(m, 2 * o, -1)
     totals = totals.reshape(m, o, 2).swapaxes(1, 2).reshape(m, 2 * o)
-    out = []
-    for action_id, cands, scores in zip(action_ids, centres.tolist(), totals.tolist()):
-        k = 0
-        for i in range(1, len(scores)):
-            if scores[i] > scores[k]:
-                k = i
-        order, b_choice = object_orders[k % o], B_CHOICES[k // o]
-        out.append(_assignment(action_id, order, b_choice, cands[k], scores[k], t, n))
-    return out
+    # argmax keeps the first of equal totals; no total is greater than a NaN,
+    # so a NaN never wins, unless it comes first and nothing can replace it
+    choice = np.where(np.isnan(totals), -np.inf, totals).argmax(axis=1)
+    choice[np.isnan(totals[:, 0])] = 0
+    won = np.arange(m)
+    centres = centres[won, choice]
+    return choice, centres, _windows(centres, t, n), totals[won, choice]
 
 
 def second_best_b(matrix: PhaseScoreMatrix) -> int | None:
@@ -734,15 +753,11 @@ def assign_phases(
     """
     _check_assignable(matrix.num_frames, n)
     centres, totals = _alternatives(np.asarray(matrix.smoothed, dtype=float)[None])
-    return _assignment(
-        matrix.action_id,
-        matrix.object_order,
-        "best",
-        centres[0, 0].tolist(),
-        totals[0, 0],
-        matrix.num_frames,
-        n,
-    )
+    best = centres[:, 0]
+    return phase_assignments(
+        [matrix.action_id], [matrix.object_order], np.zeros(1, dtype=np.intp),
+        best, _windows(best, matrix.num_frames, n), totals[:, 0], n,
+    )[0]
 
 
 def assign_with_alternatives(
@@ -762,9 +777,9 @@ def assign_with_alternatives(
             f"{matrix_swapped.smoothed.shape} do not belong to one track"
         )
     smoothed = np.stack([np.asarray(m.smoothed, dtype=float) for m in matrices])
-    return assign_batch(
-        smoothed[None],
+    return phase_assignments(
         [matrix_annotated.action_id],
         [m.object_order for m in matrices],
+        *assign_batch(smoothed[None], n),
         n,
     )[0]

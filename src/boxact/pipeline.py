@@ -34,6 +34,7 @@ from .phases import (
     assign_batch,
     builtin_models,
     load_action_model,
+    phase_assignments,
     relation_sequence,
     score_rows,
 )
@@ -159,33 +160,31 @@ def _batches(tracks: Sequence[VideoTrack]) -> Iterator[list[VideoTrack]]:
 
 
 def _rank(
-    smoothed: np.ndarray,
-    bounds: np.ndarray,
-    actions: Sequence[str],
-    n: int,
-) -> list[PhaseAssignment]:
-    """The winning alternative of every (track, model) pair, track by track.
+    smoothed: np.ndarray, bounds: np.ndarray, m: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The winning alternative of every (track, model) pair, as arrays.
 
     ``smoothed`` holds a batch's score rows, (model, object order, phase) by
     frame, with track ``k`` in columns ``bounds[k]:bounds[k+1]``.  Tracks of
-    one length rank together, (track, model) on the model axis.
+    one length rank together.  Entry ``k * m + i`` is track ``k`` under model
+    ``i``; the arrays are those of :func:`assign_batch`.
     """
-    m = len(actions)
-    by_length: dict[int, list[int]] = {}
-    for k, length in enumerate(np.diff(bounds).tolist()):
-        by_length.setdefault(length, []).append(k)
-    per_track: dict[int, list[PhaseAssignment]] = {}
-    for length, group in by_length.items():
-        rows = np.stack([smoothed[:, bounds[k] : bounds[k] + length] for k in group])
-        won = assign_batch(
-            rows.reshape(len(group) * m, len(OBJECT_ORDERS), len(PHASES), length),
-            list(actions) * len(group),
-            OBJECT_ORDERS,
-            n,
-        )
-        for g, k in enumerate(group):
-            per_track[k] = won[g * m : (g + 1) * m]
-    return [a for k in range(len(per_track)) for a in per_track[k]]
+    lengths = np.diff(bounds)
+    entries, phases = lengths.size * m, len(PHASES)
+    won = (
+        np.empty(entries, dtype=np.intp),
+        np.empty((entries, phases), dtype=np.intp),
+        np.empty((entries, phases, 2), dtype=np.intp),
+        np.empty(entries),
+    )
+    for length in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == length)
+        frames = bounds[group, None, None] + np.arange(length)
+        rows = smoothed[np.arange(smoothed.shape[0])[:, None], frames]  # (track, row, frame)
+        ranked = assign_batch(rows.reshape(-1, len(OBJECT_ORDERS), phases, length), n)
+        for column, part in zip(won, ranked):
+            column[(group[:, None] * m + np.arange(m)).ravel()] = part
+    return won
 
 
 def _assign_tracks(
@@ -212,32 +211,37 @@ def _assign_tracks(
     out: list[dict[str, tuple[VideoEmbedding, PhaseAssignment]]] = [{} for _ in tracks]
     for thresholds, actions in by_thresholds.items():
         set_models = [models[action] for action in actions]
+        m = len(set_models)
         table = relation_sequence(tracks, thresholds)
         terms = TermArrays.concat(
             tuple(t for model in set_models for t in (model.term_arrays, model.term_arrays.swapped))
         )
         raw, smoothed = score_rows(terms, table, sigma, bounds)
-        assignments = _rank(smoothed, bounds, actions, n)
+        choice, centres, windows, totals = _rank(smoothed, bounds, m, n)
         source = np.vstack([raw, table.T])  # every score row, then every relation
         del raw, smoothed, table  # the batch's largest arrays; source holds what is left
-        # entry j is track j // m under model j % m; score rows run over
-        # (model, object order, phase)
-        m = len(set_models)
+        # score rows run over (model, object order, phase); the relations follow
         score_index = np.arange(terms.slots.shape[0]).reshape(m, len(OBJECT_ORDERS), -1)
-        orders = [OBJECT_ORDERS.index(a.object_order) for a in assignments]
-        features = [
-            SWAP[model.feature_columns] if o else model.feature_columns
-            for model, o in zip(set_models * len(tracks), orders)
-        ]
+        width = max(model.feature_columns.size for model in set_models)
+        feature_index = np.full((m, len(OBJECT_ORDERS), width), -1)
+        for i, columns in enumerate(model.feature_columns for model in set_models):
+            feature_index[i, :, : columns.size] = np.stack([columns, SWAP[columns]])
+        feature_index[feature_index >= 0] += score_index.size
+        # entry j is track j // m under model j % m
+        model_of = np.tile(np.arange(m), len(tracks))
+        order = choice % len(OBJECT_ORDERS)
         embeddings = embed_windows(
             [track.video_id for track in tracks for _ in set_models],
             set_models * len(tracks),
-            assignments,
+            windows,
             source,
-            [score_index[j % m, o] for j, o in enumerate(orders)],
-            [score_index.size + f for f in features],
+            score_index[model_of, order],
+            feature_index[model_of, order],
             scores_only,
             np.repeat(bounds[:-1], m),
+        )
+        assignments = phase_assignments(
+            actions * len(tracks), OBJECT_ORDERS, choice, centres, windows, totals, n
         )
         for k, per_track in enumerate(out):
             pairs = zip(embeddings[k * m : (k + 1) * m], assignments[k * m : (k + 1) * m])

@@ -656,6 +656,11 @@ MALFORMED_INPUTS = {
         _model_with_term(weight=float("nan")),
         "weight must be a finite number, got nan",
     ),
+    "model-weight-too-large": (
+        "assign-models",
+        _model_with_term(weight=1e306),
+        "weight must be at most 1e+100 in magnitude, got 1e+306",
+    ),
     "model-weight-infinity": (
         "assign-models",
         _model_with_term(weight=float("inf")),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from boxact import forest
 from boxact.errors import ConfigError, ContractError
 from boxact.forest import (
     FOREST_FORMAT,
@@ -279,6 +280,20 @@ def test_lockstep_forest_equals_trees_grown_one_by_one(class_weight, bootstrap, 
     model = train_forest(values, labels, params)
     # repr also tells -0.0 from 0.0
     assert repr(model.trees) == repr(forest_trees_reference(values, labels, params))
+
+
+@pytest.mark.parametrize("lanes", [1, 200])
+def test_split_search_in_small_batches_grows_the_same_forest(monkeypatch, lanes):
+    # 1 searches every node alone; 200 splits the roots one per batch and
+    # groups the smaller nodes of later steps
+    rng = np.random.default_rng(7)
+    values = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0, 3.5], size=(60, 10))
+    labels = (rng.uniform(size=60) < 0.4).astype(int)
+    params = ForestParams(num_trees=12, seed=1, class_weight="balanced")
+    want = train_forest(values, labels, params)
+    assert max(len(t.feature) for t in want.trees) > 3  # several steps
+    monkeypatch.setattr(forest, "_SEARCH_ENTRIES", lanes)
+    assert repr(train_forest(values, labels, params).trees) == repr(want.trees)
 
 
 @st.composite

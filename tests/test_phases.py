@@ -7,20 +7,25 @@ known by construction.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from boxact.errors import ConfigError, ContractError
 from boxact.phases import (
     ARCHETYPES,
     GREEDY_ORDER,
+    MAX_TERM_WEIGHT,
     PHASES,
     ActionModel,
     PhaseScoreMatrix,
     Term,
+    TermArrays,
+    _windows,
     assign_phases,
     assign_with_alternatives,
     builtin_model,
@@ -30,6 +35,7 @@ from boxact.phases import (
     relation_sequence,
     save_action_model,
     score_frames,
+    score_rows,
     second_best_b,
     smooth,
     standardized_rows,
@@ -38,10 +44,17 @@ from boxact.phases import model_from_dict, model_to_dict
 from boxact.pipeline import assign_track
 from boxact.synthetic import SyntheticScript, generate_synthetic
 
-from boxact.relations import COLUMN, SWAP
+from boxact.relations import SWAP
+from boxact.tracks import COORDINATE_LIMIT, ROLES, VideoTrack
 
 from conftest import moving_track
-from oracles import relation_table_reference, smooth_reference, term_value
+from oracles import (
+    _windows_reference,
+    assign_with_alternatives_reference,
+    relation_table_reference,
+    smooth_reference,
+    term_value,
+)
 
 # --- smoothing ----------------------------------------------------------------
 
@@ -147,9 +160,15 @@ def test_asymmetric_peak_can_shift():
 # --- terms and models -----------------------------------------------------------
 
 
+def _term_series(term, table):
+    """The term's contribution at every frame: its raw score row alone."""
+    raw, _ = score_rows(TermArrays.of([(term,)]), table)
+    return raw[0]
+
+
 def _term_at(term, track, index):
     """The term's contribution at one frame, read from the relation table."""
-    return term.series(relation_sequence(track)[:, COLUMN[term.key]])[index]
+    return _term_series(term, relation_sequence(track))[index]
 
 
 def test_term_weight_and_negate_on_booleans():
@@ -190,7 +209,7 @@ def test_term_series_agrees_with_value():
     ]
     for term in terms:
         assert np.allclose(
-            term.series(table[:, COLUMN[term.key]]), [term_value(term, r) for r in rels]
+            _term_series(term, table), [term_value(term, r) for r in rels]
         )
 
 
@@ -279,6 +298,35 @@ def test_model_from_dict_rejects_unknown_term_fields():
         model_from_dict(data)
 
 
+def test_the_largest_accepted_weight_keeps_every_row_finite():
+    # boxes at the coordinate limit; the area alternates between 0 and 1e18
+    t = 30
+    boxes = np.zeros((t, len(ROLES), 4))
+    boxes[:, :, 0] = np.where(np.arange(t) % 3 == 0, COORDINATE_LIMIT, -COORDINATE_LIMIT)[:, None]
+    boxes[:, :, 1] = -COORDINATE_LIMIT
+    boxes[:, :, 2] = np.where(np.arange(t) % 2 == 0, COORDINATE_LIMIT, 0.0)[:, None]
+    boxes[:, :, 3] = COORDINATE_LIMIT
+    track = VideoTrack("v", np.arange(t), boxes, np.ones((t, len(ROLES)), dtype=bool), 1.0, 1.0)
+    data = model_to_dict(_tiny_model())
+    for p, sign in zip(PHASES, (1, -1, 1, -1, 1)):
+        data["phases"][p] = [
+            {"feature": name, "args": args, "weight": sign * MAX_TERM_WEIGHT}
+            for name, args in [("size", ["object1"]), ("size", ["hand"]), ("speed", ["hand"]),
+                               ("centre_dist", ["object1", "hand"])] * 3
+        ]
+    model = model_from_dict(data)
+    table = relation_sequence(track)
+    assert np.abs(table).max() <= COORDINATE_LIMIT**2
+    raw, smoothed = score_rows(model.term_arrays, table)
+    assert np.isfinite(raw).all() and np.isfinite(smoothed).all()
+    assert np.isfinite(standardized_rows(_matrix(smoothed))).all()
+    embedding, assignment = assign_track(track, {"tiny": model})["tiny"]
+    assert np.isfinite(embedding.values).all() and np.isfinite(assignment.total_score)
+    data["phases"]["a"][0]["weight"] = -np.nextafter(MAX_TERM_WEIGHT, np.inf)
+    with pytest.raises(ConfigError, match="weight must be at most 1e[+]100 in magnitude"):
+        model_from_dict(data)
+
+
 # --- scoring --------------------------------------------------------------------
 
 
@@ -325,6 +373,18 @@ def test_standardized_rows():
     assert np.allclose(z[:4].std(axis=1), 1.0)
     assert np.all(z[4] == 0.0)  # constant row stays zero, not NaN
 
+
+
+def test_a_strided_score_matrix_ranks_like_its_contiguous_copy():
+    # numpy reduces a strided row in another order than a contiguous one
+    rng = np.random.default_rng(1)
+    for t in (20, 61, 199):
+        view = rng.normal(size=(t, len(PHASES))).T
+        copy = np.ascontiguousarray(view)
+        strided, contiguous = _matrix(view), _matrix(copy)
+        assert standardized_rows(strided).tobytes() == standardized_rows(contiguous).tobytes()
+        got, want = assign_phases(strided), assign_phases(contiguous)
+        assert repr(got) == repr(want)
 
 # --- assignment -----------------------------------------------------------------
 
@@ -486,6 +546,52 @@ def test_assignment_invariants(rows, n):
     for p in PHASES:
         if res.centers[p] is None:
             assert res.windows[p] is None
+
+
+def test_windows_match_the_reference_on_every_placement():
+    # every subset of placed phases at increasing centres, on tracks of 1-12
+    # frames, and a width past any track
+    for t in range(1, 13):
+        rows = []
+        for k in range(len(PHASES) + 1):
+            for phases in itertools.combinations(range(len(PHASES)), k):
+                for centres in itertools.combinations(range(t), k):
+                    row = [-1] * len(PHASES)
+                    for p, c in zip(phases, centres):
+                        row[p] = c
+                    rows.append(row)
+        for n in (0, 1, 2, 3, 4, 10**30):
+            got = _windows(np.array(rows), t, n)
+            for row, windows in zip(rows, got.tolist()):
+                centers = {p: c if c >= 0 else None for p, c in zip(PHASES, row)}
+                want = _windows_reference(centers, t, n)
+                assert [tuple(w) if w[0] >= 0 else None for w in windows] == [
+                    want[p] for p in PHASES
+                ], (t, n, row)
+
+
+# few distinct values, so that totals tie; an infinite row z-scores to NaN
+tie_rows = st.integers(min_value=1, max_value=12).flatmap(
+    lambda t: hnp.arrays(
+        np.float64,
+        (2, len(PHASES), t),
+        elements=st.sampled_from([0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan]),
+    )
+)
+
+
+@given(tie_rows, st.integers(min_value=0, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_the_first_strictly_highest_total_wins(rows, n):
+    # a later candidate wins only on a strictly greater total: a NaN total
+    # never wins, and one that comes first is never replaced
+    matrices = (_matrix(rows[0]), _matrix(rows[1], "swapped"))
+    with np.errstate(invalid="ignore"):
+        got = assign_with_alternatives(*matrices, n=n)
+        want = assign_with_alternatives_reference(*matrices, n=n)
+    assert (got.object_order, got.b_choice) == (want.object_order, want.b_choice)
+    assert (got.centers, got.windows) == (want.centers, want.windows)
+    assert repr(got.total_score) == repr(want.total_score)
 
 
 # --- end to end on one clean synthetic video -------------------------------------
