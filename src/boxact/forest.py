@@ -7,10 +7,14 @@ midpoints between consecutive distinct feature values.  Ties between equally
 good splits break toward the lowest feature index, then the lowest
 threshold, which makes training independent of sample order.
 
-All trees of a forest grow in lockstep.  Each tree draws from its own random
-stream and grows left child first, so its nodes come in pre-order.  A node
-is a run of indices into the forest's one training matrix, kept in one
-shared pool, never a copy of the rows.  Each step holds the next node of
+The trees of several forests grow in lockstep (:func:`grow_forests`;
+:func:`train_forest` and :func:`train_tree` grow one).  Each tree draws from
+its own generator on its own seed stream, tree k of every forest on stream
+k, and grows left child first, so its nodes come in pre-order.  The forests'
+training rows are stacked into one search table, and a node is a run of
+indices into it, kept in one shared pool, never a copy of the rows.  Trees
+that draw fewer candidate features than others pad their draws with a
+constant column, which never splits.  Each step holds the next node of
 every live tree in flat arrays and does its bookkeeping for all of them in a
 fixed number of array operations; it searches all their candidate features
 in sorted passes over padded ``(nodes, m, rows)`` blocks of bounded size.
@@ -45,6 +49,7 @@ __all__ = [
     "layout_fingerprint",
     "train_tree",
     "train_forest",
+    "grow_forests",
     "predict_proba",
     "forest_to_dict",
     "forest_from_dict",
@@ -122,7 +127,7 @@ def _trees_from_columns(columns: Sequence[np.ndarray], sizes: np.ndarray) -> tup
 
 
 class _SearchTable(NamedTuple):
-    """Checked training rows, prepared once per forest for :func:`_best_splits`.
+    """Checked training rows, prepared once per growth pass for :func:`_best_splits`.
 
     ``ranks`` holds, per column, each row's rank among the column's distinct
     values: equal exactly where the values are equal (``-0.0 == 0.0``), so
@@ -155,8 +160,9 @@ def _search_table(
 
 # Most (node, candidate feature, row) entries in one batch of the split
 # search.  A batch holds a few arrays of that many 8-byte entries at once,
-# about 20 MiB in all, however many rows and trees a forest has.
-_SEARCH_ENTRIES = 1 << 19
+# about 3 MiB in all, however many rows, trees and forests a pass grows.
+# Larger batches grew the crossval benchmark's five forests no faster.
+_SEARCH_ENTRIES = 1 << 16
 
 
 def _best_splits(
@@ -299,7 +305,7 @@ def train_tree(
         total = weights.sum()
     if not (np.isfinite(total) and (weights > 0).all()):
         raise ContractError("train_tree expects weights > 0 with a finite sum")
-    return _grow_trees(values, labels, weights, params, [rng], bootstrap=False)[0]
+    return _grow_trees([(values, labels, weights)], params, [[rng]], bootstrap=False)[0][0]
 
 
 def _runs(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -336,14 +342,19 @@ def _run_sums(
 
 
 def _grow_trees(
-    values: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
+    blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     params: ForestParams,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[Sequence[np.random.Generator]],
     bootstrap: bool,
-) -> tuple[Tree, ...]:
-    """Grow one tree per generator from checked inputs, all in lockstep.
+) -> list[tuple[Tree, ...]]:
+    """Grow the trees of several forests from checked inputs, all in lockstep.
+
+    ``blocks`` holds each forest's (values, labels, weights) and ``rngs``
+    its trees' generators, one tree per generator.  The blocks' rows are
+    stacked into one search table, and each tree keeps its block's row
+    offset, row count, feature count and candidate count.  A tree that draws
+    fewer candidates than the most of any tree pads its draw with a constant
+    sentinel column, which never has a split, so the search passes over it.
 
     A tree with ``bootstrap`` first draws its rows with replacement.  Each
     step makes the next node of every tree that has one, so node k of a tree
@@ -353,23 +364,52 @@ def _grow_trees(
     right child.  Each step searches the splits of all its nodes in batches
     of bounded size, with the total weight of each node searched; every
     node's weight and positive weight come from one grouped pass at the end.
+    Returns the trees of each block.
     """
-    n, d = values.shape
-    m = params.resolve_features_per_split(d)
-    # a node at depth k holds at least k + 1 rows, so the bounds act as given
-    max_depth = n if params.max_depth is None else min(params.max_depth, n)
-    min_split = min(params.min_samples_split, n + 1)
+    block_rows = [labels.size for _, labels, _ in blocks]
+    block_features = [values.shape[1] for values, _, _ in blocks]
+    offsets = np.cumsum([0] + block_rows[:-1]).tolist()
+    sentinel = max(block_features)
+    values = np.zeros((sum(block_rows), sentinel + 1))
+    for (block, _, _), at, n, d in zip(blocks, offsets, block_rows, block_features):
+        values[at : at + n, :d] = block
+    labels = np.concatenate([labels for _, labels, _ in blocks])
+    weights = np.concatenate([weights for _, _, weights in blocks])
     positive = labels == 1
     table = _search_table(values, labels, weights)
+    # each tree's block: row offset, rows, features, candidates and the growth
+    # bounds; a node at depth k holds at least k + 1 rows, so the bounds act as given
+    per_block = [
+        (
+            at,
+            n,
+            d,
+            params.resolve_features_per_split(d),
+            n if params.max_depth is None else min(params.max_depth, n),
+            min(params.min_samples_split, n + 1),
+        )
+        for at, n, d in zip(offsets, block_rows, block_features)
+    ]
+    trees_per_block = [len(r) for r in rngs]
+    block = np.repeat(np.arange(len(blocks)), trees_per_block)
+    offset, n_rows, n_features, m, max_depth, min_split = (
+        np.array(column, dtype=np.intp)[block] for column in zip(*per_block)
+    )
+    width = int(m.max())
+    rngs = list(itertools.chain.from_iterable(rngs))
+    draws = list(zip(rngs, n_features.tolist(), m.tolist()))
     count = len(rngs)
     pool = np.concatenate(
-        [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
+        [
+            rng.integers(0, n, size=n) + at if bootstrap else np.arange(at, at + n)
+            for rng, at, n in zip(rngs, offset.tolist(), n_rows.tolist())
+        ]
     )
     end = pool.size
     live = np.arange(count)
     state = np.zeros((count, 3), dtype=np.intp)  # (start, size, depth) per live tree
-    state[:, 0] = live * n
-    state[:, 1] = n
+    state[:, 0] = np.cumsum(n_rows) - n_rows
+    state[:, 1] = n_rows
     # per tree: its pending right children, (start, size, depth, parent node id)
     stack = np.empty((count, 8, 4), dtype=np.intp)
     height = np.zeros(count, dtype=np.intp)
@@ -383,19 +423,24 @@ def _grow_trees(
         rows = _runs(pool, starts, sizes)
         node = np.repeat(np.arange(live.size), sizes)
         npos = np.bincount(node[positive[rows]], minlength=live.size)
-        searched = (0 < npos) & (npos < sizes) & (sizes >= min_split) & (depth < max_depth)
+        searched = (0 < npos) & (npos < sizes)
+        searched &= (sizes >= min_split[live]) & (depth < max_depth[live])
         search = np.flatnonzero(searched)
         following = np.empty_like(state)  # each tree's next (start, size, depth)
         goes_on = np.zeros(live.size, dtype=bool)
         if search.size:
-            candidates = np.array(
-                [rngs[t].choice(d, size=m, replace=False) for t in live[search].tolist()]
-            )
+            t = live[search]
+            drawn = [
+                rng.choice(d, size=k, replace=False)
+                for rng, d, k in map(draws.__getitem__, t.tolist())
+            ]
+            candidates = np.full((search.size, width), sentinel)
+            candidates[np.arange(width) < m[t][:, None]] = np.concatenate(drawn)
             rows = rows[searched[node]]
             node = np.repeat(np.arange(search.size), sizes[search])
             totals = _run_sums(weights, pool, starts[search], sizes[search])
             # nodes are searched in batches of at most _SEARCH_ENTRIES, or one node
-            per_batch = max(1, _SEARCH_ENTRIES // (m * int(sizes[search].max())))
+            per_batch = max(1, _SEARCH_ENTRIES // (width * int(sizes[search].max())))
             ends = np.concatenate(([0], np.cumsum(sizes[search])))
             feature = np.empty(search.size, dtype=np.intp)
             threshold = np.empty(search.size)
@@ -463,7 +508,9 @@ def _grow_trees(
     fraction /= weight
     order = np.argsort(trees, kind="stable")
     columns = [c[order] for c in (feature, threshold, left, right, fraction, weight)]
-    return _trees_from_columns(columns, np.bincount(trees, minlength=count))
+    grown = _trees_from_columns(columns, np.bincount(trees, minlength=count))
+    bounds = np.cumsum([0] + trees_per_block).tolist()
+    return [grown[lo:hi] for lo, hi in itertools.pairwise(bounds)]
 
 
 @dataclass(frozen=True)
@@ -487,32 +534,58 @@ def train_forest(
     action_id: str = "",
     fingerprint: str = "",
 ) -> ForestModel:
-    """Train ``num_trees`` trees on deterministic per-tree random sub-streams."""
-    values, labels = _training_input(values, labels, "train_forest")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise ContractError(
-            f"forest {action_id or '(unnamed)'}: training data has "
-            f"{n_pos} positive and {n_neg} negative samples; a binary "
-            "detector needs both classes"
-        )
-    n = labels.size
-    if params.class_weight == "balanced":
-        per_class = {0: n / (2.0 * n_neg), 1: n / (2.0 * n_pos)}
-        weights = np.array([per_class[int(y)] for y in labels])
-    else:
-        weights = np.ones(n)
+    """Train ``num_trees`` trees on deterministic per-tree random sub-streams.
+
+    The one-forest call of :func:`grow_forests`.
+    """
+    samples = {action_id: (values, labels)}
+    return grow_forests(samples, params, {action_id: fingerprint})[action_id]
+
+
+def grow_forests(
+    samples: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    params: ForestParams = ForestParams(),
+    fingerprints: Mapping[str, str] | None = None,
+) -> dict[str, ForestModel]:
+    """One forest per action of ``samples``, all grown in one lockstep pass.
+
+    Each forest equals :func:`train_forest` on its (values, labels) alone:
+    every forest's tree k draws from a generator of its own on the same
+    stream k of ``SeedSequence(params.seed)``.
+    """
+    blocks = []
+    for action_id, (values, labels) in samples.items():
+        values, labels = _training_input(values, labels, "train_forest")
+        n_pos = int((labels == 1).sum())
+        n_neg = int((labels == 0).sum())
+        if n_pos == 0 or n_neg == 0:
+            raise ContractError(
+                f"forest {action_id or '(unnamed)'}: training data has "
+                f"{n_pos} positive and {n_neg} negative samples; a binary "
+                "detector needs both classes"
+            )
+        n = labels.size
+        if params.class_weight == "balanced":
+            weights = np.where(labels == 1, n / (2.0 * n_pos), n / (2.0 * n_neg))
+        else:
+            weights = np.ones(n)
+        blocks.append((values, labels, weights))
+    if not blocks:
+        return {}
     streams = np.random.SeedSequence(params.seed).spawn(params.num_trees)
-    rngs = [np.random.default_rng(stream) for stream in streams]
-    trees = _grow_trees(values, labels, weights, params, rngs, params.bootstrap)
-    return ForestModel(
-        action_id=action_id,
-        trees=tuple(trees),
-        params=params,
-        num_features=values.shape[1],
-        fingerprint=fingerprint,
-    )
+    rngs = [[np.random.default_rng(stream) for stream in streams] for _ in blocks]
+    grown = _grow_trees(blocks, params, rngs, params.bootstrap)
+    fingerprints = fingerprints or {}
+    return {
+        action_id: ForestModel(
+            action_id=action_id,
+            trees=trees,
+            params=params,
+            num_features=values.shape[1],
+            fingerprint=fingerprints.get(action_id, ""),
+        )
+        for action_id, trees, (values, _, _) in zip(samples, grown, blocks)
+    }
 
 
 def _leaf_fraction(tree: Tree, v: list[float]) -> float:

@@ -27,8 +27,8 @@ It returns each winner as arrays: its choice, centres (N, 5), windows
 (N, 5, 2), with (-1, -1) for an unplaced phase, and total (N,), which the
 embedding stage reads as they are; ``phase_assignments`` turns them into
 :class:`PhaseAssignment` objects.  Each row keeps the bits of a row computed
-alone: terms are added in term order, every row of every track has its own
-convolution, and reductions run along the contiguous last axis.
+alone: terms are added in term order, every track is smoothed tap by tap
+over its own zero padding, and reductions run along the contiguous last axis.
 ``score_frames``, ``assign_phases``, ``second_best_b`` and
 ``assign_with_alternatives`` are one-model calls of the same kernels.
 """
@@ -98,7 +98,7 @@ DEFAULT_SIGMA = 2.0
 DEFAULT_WINDOW_HALF_WIDTH = 3
 SECOND_B_EXCLUSION = 3  # frames masked on each side of the best phase-b centre
 
-# Largest accepted |weight| of a term in a model file.  No relation value
+# Largest accepted |weight| of a term.  No relation value
 # exceeds COORDINATE_LIMIT ** 2 = 1e18 in magnitude (a box area; distances
 # and speeds stay under 1e10, the rest are flags, angles and overlap ratios),
 # so a term adds at most 1e118 per frame and a phase row of fewer than 1e20
@@ -122,6 +122,13 @@ class Term:
     weight: float = 1.0
     negate: bool = False
     threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        if not abs(self.weight) <= MAX_TERM_WEIGHT:
+            raise ConfigError(
+                f"term {self.feature!r}: weight must be at most {MAX_TERM_WEIGHT:g} "
+                f"in magnitude, got {self.weight!r}"
+            )
 
     @cached_property
     def key(self) -> str:
@@ -184,24 +191,18 @@ def _term_from_dict(entry, action_id: str) -> Term:
         raise ConfigError(f"{where}: args must be a list, got {entry['args']!r}")
     if not isinstance(entry.get("negate", False), bool):
         raise ConfigError(f"{where}: negate must be true or false, got {entry['negate']!r}")
-    threshold = entry.get("threshold")
     try:
-        term = Term(
-            feature=entry["feature"],
-            args=tuple(entry["args"]),
-            weight=check_finite(f"{where}: weight", entry.get("weight", 1.0)),
-            negate=entry.get("negate", False),
-            threshold=(
-                None if threshold is None else check_finite(f"{where}: threshold", threshold)
-            ),
-        )
+        feature, args = entry["feature"], tuple(entry["args"])
     except KeyError as exc:
         raise ConfigError(f"model {action_id!r}: term missing {exc}") from None
-    if abs(term.weight) > MAX_TERM_WEIGHT:
-        raise ConfigError(
-            f"{where}: weight must be at most {MAX_TERM_WEIGHT:g} in magnitude, "
-            f"got {term.weight!r}"
-        )
+    weight = check_finite(f"{where}: weight", entry.get("weight", 1.0))
+    threshold = entry.get("threshold")
+    if threshold is not None:
+        threshold = check_finite(f"{where}: threshold", threshold)
+    try:
+        term = Term(feature, args, weight, entry.get("negate", False), threshold)
+    except ConfigError as exc:  # the weight bound, which Term checks itself
+        raise ConfigError(f"model {action_id!r}: {exc}") from None
     term.key  # validates feature name, arity and entities
     return term
 
@@ -396,15 +397,9 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-@lru_cache(maxsize=64)
-def _smoothing(num_frames: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel and the boundary normaliser for one series length, read-only."""
-    kernel = gaussian_kernel(sigma)
-    radius = kernel.size // 2
-    den = np.convolve(np.ones(num_frames), kernel, mode="full")[radius : radius + num_frames]
-    den = den.copy()
-    kernel.flags.writeable = den.flags.writeable = False
-    return kernel, den
+# Most samples smoothed per pass over the taps: every array of one pass
+# stays in a core's cache, which beats whole-array passes by 15-20%.
+_SMOOTH_CHUNK = 1 << 14
 
 
 def _smooth_rows(
@@ -413,24 +408,46 @@ def _smooth_rows(
     """Smooth each row of a 2-D array, renormalising at the boundaries.
 
     ``bounds`` splits the columns into series, ``rows[:, bounds[k]:bounds[k+1]]``
-    (one series by default), and each is smoothed on its own.  Each row of a
-    series gets its own ``np.convolve``: one convolution over several rows
-    would group the products differently and change the bits.
+    (one series by default), and each is smoothed on its own.  A smoothed
+    value is a sum of tap x sample products, added in tap order to +0.0 over
+    its series zero-padded at both ends, divided by the same sum over ones.
+    The order is fixed here, not by a BLAS kernel chosen for the CPU, so the
+    bits are the same on every machine.
+
+    Every series of every row, and a row of ones, is laid out on one line
+    with gaps of zeros between them, and the line is summed one tap at a
+    time.  A tap that reaches past the longest series only adds zeros, which
+    leave such a sum unchanged, so those taps are skipped.
     """
-    if rows.shape[1] == 0:
-        gaussian_kernel(sigma)
+    kernel = gaussian_kernel(sigma)
+    count, width = rows.shape
+    if width == 0:
         return rows.copy()
+    series = list(itertools.pairwise((0, width) if bounds is None else bounds))
+    radius = kernel.size // 2
+    reach = min(radius, max(end - start for start, end in series) - 1)
+    taps = kernel[radius - reach : radius + reach + 1].tolist()
+    # row by row: reach zeros, then each series followed by reach zeros
+    line = np.zeros((count + 1, width + (len(series) + 1) * reach))
+    places = [start + (k + 1) * reach for k, (start, _) in enumerate(series)]
+    for at, (start, end) in zip(places, series):
+        line[:count, at : at + end - start] = rows[:, start:end]
+        line[count, at : at + end - start] = 1.0
+    flat = line.ravel()
+    span = flat.size - 2 * reach
+    sums = np.zeros(flat.size)  # centred on each sample of the line
+    product = np.empty(min(span, _SMOOTH_CHUNK))
+    for lo in range(0, span, _SMOOTH_CHUNK):
+        hi = min(lo + _SMOOTH_CHUNK, span)
+        total, term = sums[reach + lo : reach + hi], product[: hi - lo]
+        for offset, tap in enumerate(taps):
+            np.multiply(flat[lo + offset : hi + offset], tap, out=term)
+            total += term
+    sums = sums.reshape(line.shape)
     out = np.empty_like(rows)
-    for start, end in itertools.pairwise((0, rows.shape[1]) if bounds is None else bounds):
+    for at, (start, end) in zip(places, series):
         t = end - start
-        kernel, den = _smoothing(t, sigma)
-        radius = kernel.size // 2
-        for row, series in zip(out[:, start:end], rows[:, start:end]):
-            # mode="same" would return the kernel's length for series shorter
-            # than the kernel; slicing the full convolution keeps the output
-            # aligned with the input at every length
-            row[:] = np.convolve(series, kernel, mode="full")[radius : radius + t]
-        out[:, start:end] /= den
+        np.divide(sums[:count, at : at + t], sums[count, at : at + t], out=out[:, start:end])
     return out
 
 

@@ -21,7 +21,7 @@ from . import __version__ as _pkg_version
 from .embedding import VideoEmbedding, embed_windows, embedding_layout
 from .errors import BoxactError, ConfigError, ContractError, check_int
 from .evaluation import PredictionSet, VideoPrediction
-from .forest import ForestModel, ForestParams, layout_fingerprint, predict_proba, train_forest
+from .forest import ForestModel, ForestParams, grow_forests, layout_fingerprint, predict_proba
 from .phases import (
     DEFAULT_SIGMA,
     DEFAULT_WINDOW_HALF_WIDTH,
@@ -44,6 +44,7 @@ from .tracks import VideoTrack
 # Not called here: the benchmark's trace probes patch these names in this
 # module, and need them until the pipeline records its own spans.
 from .embedding import embed_video  # noqa: F401
+from .forest import train_forest  # noqa: F401
 from .phases import assign_with_alternatives, score_frames  # noqa: F401
 
 __all__ = [
@@ -323,7 +324,8 @@ def train_forests(
     config: PipelineConfig,
     video_ids: Sequence[str] | None = None,
 ) -> tuple[dict[str, ForestModel], list[str], dict[str, dict[str, int]]]:
-    """One-vs-rest forest per action; single-class actions skipped with warning.
+    """One-vs-rest forest per action, all grown together; single-class actions
+    are skipped with a warning.
 
     Returns (forests, skipped actions, per-action sample counts).
     """
@@ -331,13 +333,11 @@ def train_forests(
     missing = [v for v in ids if v not in embeddings]
     if missing:
         raise ContractError(f"no embeddings for videos {missing}")
-    forests: dict[str, ForestModel] = {}
+    samples: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    fingerprints: dict[str, str] = {}
     skipped: list[str] = []
     counts: dict[str, dict[str, int]] = {}
     for action in sorted(models):
-        fingerprint = layout_fingerprint(
-            embedding_layout(models[action], config.scores_only)
-        )
         values = np.array([embeddings[v][action][0].values for v in ids])
         binary = np.array([1 if labels[v] == action else 0 for v in ids])
         counts[action] = {
@@ -352,13 +352,11 @@ def train_forests(
             )
             skipped.append(action)
             continue
-        forests[action] = train_forest(
-            values,
-            binary,
-            params=config.forest,
-            action_id=action,
-            fingerprint=fingerprint,
+        samples[action] = (values, binary)
+        fingerprints[action] = layout_fingerprint(
+            embedding_layout(models[action], config.scores_only)
         )
+    forests = grow_forests(samples, config.forest, fingerprints)
     return forests, skipped, counts
 
 

@@ -631,13 +631,23 @@ def _term_series_reference(term: Term, values: np.ndarray) -> np.ndarray:
 
 
 def _smooth_row_reference(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Each value a sum of tap x sample products in tap order, element by element.
+
+    Samples past either end count as zero; their products are left out, as
+    adding a zero leaves a sum that started at +0.0 unchanged.
+    """
     radius = max(1, int(3.0 * sigma + 0.5))
     taps = np.arange(-radius, radius + 1, dtype=float)
     kernel = np.exp(-0.5 * (taps / sigma) ** 2)
-    kernel = kernel / kernel.sum()
-    num = np.convolve(x, kernel, mode="full")[radius : radius + x.size]
-    den = np.convolve(np.ones_like(x), kernel, mode="full")[radius : radius + x.size]
-    return num / den
+    kernel = (kernel / kernel.sum()).tolist()
+    out = np.empty_like(x)
+    for i in range(x.size):
+        num = den = 0.0
+        for j in range(max(0, i - radius), min(x.size, i + radius + 1)):
+            num += kernel[j - i + radius] * float(x[j])
+            den += kernel[j - i + radius]
+        out[i] = num / den
+    return out
 
 
 def score_frames_reference(

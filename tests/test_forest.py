@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import copy
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from boxact import forest
@@ -21,6 +22,7 @@ from boxact.forest import (
     _search_table,
     forest_from_dict,
     forest_to_dict,
+    grow_forests,
     layout_fingerprint,
     load_forest,
     predict_proba,
@@ -296,11 +298,8 @@ def test_split_search_in_small_batches_grows_the_same_forest(monkeypatch, lanes)
     assert repr(train_forest(values, labels, params).trees) == repr(want.trees)
 
 
-@st.composite
-def growth_cases(draw):
-    """A training set, forest parameters and arbitrary positive row weights."""
-    n = draw(st.integers(min_value=2, max_value=160))  # 128 rows fill one pairwise block
-    d = draw(st.integers(min_value=1, max_value=8))
+def _draw_training_set(draw, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d) values with constant and duplicated columns; labels of both classes."""
     values = draw(hnp.arrays(np.float64, (n, d), elements=SPLIT_VALUES))
     column = st.integers(0, d - 1)
     for col in draw(st.lists(column, max_size=2)):
@@ -309,19 +308,48 @@ def growth_cases(draw):
         values[:, dst] = values[:, src]
     labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
     labels[draw(st.integers(1, n - 1))] = 1 - labels[0]  # both classes
+    return values, labels
+
+
+def _draw_params(draw, max_features: int) -> ForestParams:
     integer = lambda lo, hi: st.integers(lo, hi) | st.integers(lo, hi).map(np.int64)
-    params = ForestParams(
+    return ForestParams(
         num_trees=draw(integer(1, 20)),
         max_depth=draw(st.none() | integer(1, 8) | st.just(BIG)),
         min_samples_split=draw(integer(2, 30) | st.just(BIG)),
-        features_per_split=draw(st.just("sqrt") | integer(1, d + 2) | st.just(BIG)),
+        features_per_split=draw(st.just("sqrt") | integer(1, max_features + 2) | st.just(BIG)),
         bootstrap=draw(st.booleans()),
         seed=draw(integer(0, 2**32)),
         class_weight=draw(st.sampled_from([None, "balanced"])),
     )
+
+
+@st.composite
+def growth_cases(draw):
+    """A training set, forest parameters and arbitrary positive row weights."""
+    n = draw(st.integers(min_value=2, max_value=160))  # 128 rows fill one pairwise block
+    d = draw(st.integers(min_value=1, max_value=8))
+    values, labels = _draw_training_set(draw, n, d)
+    params = _draw_params(draw, d)
     weight = st.sampled_from([0.1, 1.0, 1.0 / 3.0, 7.0]) | st.floats(1e-3, 1e3)
     weights = draw(hnp.arrays(np.float64, n, elements=weight))
     return values, labels, params, weights
+
+
+@st.composite
+def joint_growth_cases(draw):
+    """1 to 5 training sets of their own sizes, and one set of forest parameters.
+
+    The feature counts give 1 to 5 candidates per split under "sqrt", so
+    forests grown together mostly draw unequal numbers of them.
+    """
+    shapes = st.tuples(st.integers(2, 60), st.sampled_from([1, 2, 4, 5, 9, 16, 20, 30]))
+    samples = {
+        f"action{i}": _draw_training_set(draw, *draw(shapes))
+        for i in range(draw(st.integers(1, 5)))
+    }
+    params = _draw_params(draw, max(v.shape[1] for v, _ in samples.values()))
+    return samples, params
 
 
 @given(growth_cases())
@@ -334,6 +362,52 @@ def test_grower_equals_trees_grown_one_by_one(case):
     tree = train_tree(values, labels, params, np.random.default_rng(params.seed), weights)
     want = grow_tree_reference(values, labels, weights, params, np.random.default_rng(params.seed))
     assert repr(tree) == repr(want)
+
+
+def _unequal_candidates_case():
+    """Four forests drawing 2, 3, 4 and 5 candidates per split, all of which split."""
+    rng = np.random.default_rng(1)
+    samples = {
+        f"action{d}": (
+            rng.choice([-1.0, 0.0, 0.5, 2.0], size=(40, d)),
+            (rng.uniform(size=40) < 0.4).astype(int),
+        )
+        for d in (4, 9, 16, 25)
+    }
+    return samples, ForestParams(num_trees=5, seed=0)
+
+
+@given(joint_growth_cases())
+@example(_unequal_candidates_case())
+@settings(max_examples=60, deadline=None)
+def test_forests_grown_together_equal_forests_grown_one_by_one(case):
+    samples, params = case
+    grown = grow_forests(samples, params)
+    assert list(grown) == list(samples)
+    for action, (values, labels) in samples.items():
+        assert grown[action].num_features == values.shape[1]
+        # repr also tells -0.0 from 0.0
+        assert repr(grown[action].trees) == repr(forest_trees_reference(values, labels, params))
+
+
+def test_search_memory_stays_bounded_as_forests_are_added():
+    # the search of a step's root nodes is batched, so growing five forests
+    # together adds only the rows and their indices; one batch over all 1,000
+    # roots would hold several (1000, 14, 1500) arrays, hundreds of MiB more
+    rng = np.random.default_rng(0)
+    samples = {
+        str(k): (rng.normal(size=(1500, 205)), (rng.uniform(size=1500) < 0.3).astype(int))
+        for k in range(5)
+    }
+    params = ForestParams(num_trees=200, max_depth=1)
+    tracemalloc.start()
+    try:
+        grown = grow_forests(samples, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(len(model.trees) == 200 for model in grown.values())
+    assert peak < 160 * 2**20
 
 
 @pytest.mark.parametrize("seed", range(4))

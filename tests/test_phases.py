@@ -327,6 +327,26 @@ def test_the_largest_accepted_weight_keeps_every_row_finite():
         model_from_dict(data)
 
 
+def _size_model(weight: float) -> ActionModel:
+    term = Term("size", ("object1",), weight=weight)
+    return ActionModel("put-into", {p: (term,) for p in PHASES})
+
+
+@pytest.mark.parametrize("weight", [MAX_TERM_WEIGHT, -MAX_TERM_WEIGHT])
+def test_a_term_built_in_code_takes_weights_up_to_the_bound(weight):
+    centres = {"a": 0, "b": 15, "c": 29, "d": 44, "e": 59}
+    track, _ = generate_synthetic(SyntheticScript("put-into", 60, centres))
+    embedding, assignment = assign_track(track, {"put-into": _size_model(weight)})["put-into"]
+    assert np.isfinite(embedding.values).all() and np.isfinite(assignment.total_score)
+
+
+@pytest.mark.parametrize("weight", [1e306, -np.nextafter(MAX_TERM_WEIGHT, np.inf), np.nan])
+def test_a_term_built_in_code_rejects_weights_past_the_bound(weight):
+    # 1e306 on every phase would give assign_track a NaN total score
+    with pytest.raises(ConfigError, match="term 'size': weight must be at most 1e[+]100"):
+        _size_model(weight)
+
+
 # --- scoring --------------------------------------------------------------------
 
 
