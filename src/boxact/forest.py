@@ -8,9 +8,12 @@ good splits break toward the lowest feature index, then the lowest
 threshold, which makes training independent of sample order.
 
 The trees of several forests grow in lockstep (:func:`grow_forests`;
-:func:`train_forest` and :func:`train_tree` grow one).  Each tree draws from
-its own generator on its own seed stream, tree k of every forest on stream
-k, and grows left child first, so its nodes come in pre-order.  The forests'
+:func:`train_forest` and :func:`train_tree` grow one).  Tree k of every
+forest makes the draws of a generator of its own on seed stream k: numpy's
+bootstrap ``integers`` and candidate ``choice``, bit for bit, made for all
+trees at once as array operations on the stream's 32-bit words, which every
+tree reads from a cursor of its own (:class:`_Draws`).  A tree grows left
+child first, so its nodes come in pre-order.  The forests'
 training rows are stacked into one search table, and a node is a run of
 indices into it, kept in one shared pool, never a copy of the rows.  Trees
 that draw fewer candidate features than others pad their draws with a
@@ -29,6 +32,7 @@ the columns of all trees of a file together, laid end to end.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -291,7 +295,8 @@ def train_tree(
     """Grow one tree on the given sample (no bootstrap at this level).
 
     ``weights`` defaults to one per sample; given, each must be positive and
-    their sum finite.
+    their sum finite.  The tree's candidate draws are ``rng.choice`` calls,
+    and ``rng`` ends where those calls would leave it.
     """
     values, labels = _training_input(values, labels, "train_tree")
     if labels.size == 0:
@@ -305,14 +310,21 @@ def train_tree(
         total = weights.sum()
     if not (np.isfinite(total) and (weights > 0).all()):
         raise ContractError("train_tree expects weights > 0 with a finite sum")
-    return _grow_trees([(values, labels, weights)], params, [[rng]], bootstrap=False)[0][0]
+    # the words are read ahead from a copy; the caller's generator then reads
+    # as many as the tree used, which leaves it where numpy's own draws would
+    grown, used = _grow_trees(
+        [(values, labels, weights)], params, [copy.deepcopy(rng)], bootstrap=False
+    )
+    rng.integers(0, 2**32, size=int(used[0]), dtype=np.uint32)
+    return grown[0][0]
 
 
 def _runs(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``flat[start:start + size]`` of each run, laid end to end."""
     ends = np.cumsum(sizes)
-    total = int(ends[-1]) if ends.size else 0
-    return flat[np.arange(total) + np.repeat(starts - ends + sizes, sizes)]
+    index = np.repeat(starts - ends + sizes, sizes)
+    index += np.arange(index.size)
+    return flat[index]
 
 
 def _run_sums(
@@ -341,22 +353,155 @@ def _run_sums(
     return sums
 
 
+# Words read from each stream the first time; later reads double the buffer.
+# The trees of the crossval benchmark read 30 to 300.
+_FIRST_WORDS = 512
+# numpy draws a sample without replacement from a population of more than
+# this many by shuffling the tail of the whole population, when the sample is
+# larger than the population // _TAIL_DIVISOR; otherwise by Floyd's algorithm
+_TAIL_POPULATION = 10000
+_TAIL_DIVISOR = 50
+
+
+class _Draws:
+    """numpy's bounded integer draws for many trees, from their streams' words.
+
+    Every draw numpy makes for a tree, ``Generator.integers(0, n, size=n)``
+    and ``Generator.choice(d, m, replace=False)``, is built from its bit
+    generator's 32-bit words (``next_uint32``), one Lemire bounded integer
+    at a time (Lemire 2019, "Fast Random Integer Generation in an
+    Interval").  A draw on ``[0, r]`` reads no word when ``r == 0``, and
+    otherwise multiplies a word by ``r + 1``; it keeps the high 32 bits
+    unless the low 32 bits fall under ``2**32 % (r + 1)``, when it reads the
+    next word instead.  So the draws of any number of trees can be made as
+    array operations on the words, bit for bit.
+
+    The words of stream k are read from ``rngs[k]`` in chunks, with
+    ``integers(0, 2**32, dtype=np.uint32)``, which is ``next_uint32`` and
+    keeps a PCG64 generator's buffered half word.  Tree i reads stream
+    ``stream[i]`` from its own ``cursor[i]``, so trees on one stream read
+    the same words, as generators seeded alike would.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator], stream: np.ndarray) -> None:
+        self.rngs = rngs
+        self.stream = stream
+        self.cursor = np.zeros(stream.size, dtype=np.intp)
+        self.words = np.empty((len(rngs), 0), dtype=np.uint32)
+
+    def _read(self, width: int) -> None:
+        """Read every stream's words up to ``width``."""
+        have = self.words.shape[1]
+        if width > have:
+            more = max(width - have, have, _FIRST_WORDS)
+            chunk = [rng.integers(0, 2**32, size=more, dtype=np.uint32) for rng in self.rngs]
+            self.words = np.concatenate([self.words, np.stack(chunk)], axis=1)
+
+    def bounded(
+        self, streams: np.ndarray, starts: np.ndarray, ranges: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """numpy's draws on ``[0, ranges[i, k]]``, row i read from word ``starts[i]``
+        of stream ``streams[i]``, in column order.  Every range is below ``2**32 - 1``.
+
+        Returns the draws and the word after each row's last.
+        """
+        bound = ranges.astype(np.uint64) + 1
+        reads = bound > 1
+        at = np.cumsum(reads, axis=1)
+        at += (starts - 1)[:, None]
+        low = (2**32 - bound) % bound  # a low half under this is rejected
+        rows = np.arange(ranges.shape[0])
+        values = np.empty(ranges.shape, dtype=np.intp)
+        while True:
+            self._read(int(at.max(initial=0)) + 1)
+            draws = self.words[streams[rows, None], at[rows]] * bound[rows]
+            values[rows] = draws >> 32
+            rejected = (draws & 0xFFFFFFFF) < low[rows]
+            hit = rejected.any(axis=1)
+            if not hit.any():
+                break
+            # from its first rejected draw on, a row reads each word one later
+            rows, rejected = rows[hit], rejected[hit]
+            later = np.cumsum(rejected, axis=1) > 0
+            later &= reads[rows]
+            at[rows] += later
+        last = at.max(axis=1, initial=-1, where=reads)
+        return values, np.where(reads.any(axis=1), last + 1, starts)
+
+    def choice(
+        self, trees: np.ndarray, d: np.ndarray, m: np.ndarray, width: int, pad: int
+    ) -> np.ndarray:
+        """``choice(d[i], m[i], replace=False)`` of each tree i of ``trees``, as numpy
+        draws it, padded with ``pad`` to ``width`` columns; moves the trees' cursors."""
+        chosen = np.empty((trees.size, width), dtype=np.intp)
+        tail = (d > _TAIL_POPULATION) & (m > d // _TAIL_DIVISOR)
+        floyd = np.flatnonzero(~tail)
+        if floyd.size:
+            chosen[floyd] = self._floyd(trees[floyd], d[floyd], m[floyd], width)
+        for i in np.flatnonzero(tail).tolist():
+            chosen[i, : m[i]] = self._tail_shuffle(trees[i], int(d[i]), int(m[i]))
+        chosen[np.arange(width) >= m[:, None]] = pad
+        return chosen
+
+    def _floyd(self, trees: np.ndarray, d: np.ndarray, m: np.ndarray, width: int) -> np.ndarray:
+        """Floyd's sample of ``m[i]`` of ``range(d[i])``, then numpy's Fisher-Yates
+        shuffle, in the first ``m[i]`` columns of row i."""
+        step = np.arange(width)
+        m = m[:, None]
+        live = step < m
+        # Floyd: step k draws on [0, j] for j = d - m + k, and takes j when
+        # the draw was taken already
+        top = np.where(live, d[:, None] - m + step, 0)
+        # then the shuffle swaps each entry i = m - 1, ..., 1 with one on [0, i]
+        swap = np.maximum(m - 1 - step[:-1], 0)
+        draws, self.cursor[trees] = self.bounded(
+            self.stream[trees], self.cursor[trees], np.hstack([top, swap])
+        )
+        chosen = np.empty((trees.size, width), dtype=np.intp)
+        rows = np.arange(trees.size)
+        seen = np.zeros((trees.size, int(d.max())), dtype=bool)
+        for k in range(width):
+            value = draws[:, k]
+            chosen[:, k] = np.where(seen[rows, value], top[:, k], value)
+            seen[rows, chosen[:, k]] = True
+        for k in range(width - 1):
+            at = rows[swap[:, k] > 0]
+            i, j = swap[at, k], draws[at, width + k]
+            chosen[at, i], chosen[at, j] = chosen[at, j], chosen[at, i]
+        return chosen
+
+    def _tail_shuffle(self, tree: int, d: int, m: int) -> list[int]:
+        """numpy's sample of ``m`` of ``range(d)`` for a large population: the
+        last ``m`` entries of ``range(d)`` after swapping each entry
+        ``i = d - 1, ..., max(d - m, 1)`` with one on ``[0, i]``."""
+        tops = np.arange(d - 1, max(d - m, 1) - 1, -1)
+        draws, ends = self.bounded(self.stream[[tree]], self.cursor[[tree]], tops[None])
+        self.cursor[tree] = ends[0]
+        moved: dict[int, int] = {}  # the entries that are not their own index
+        for i, j in zip(tops.tolist(), draws[0].tolist()):
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        return [moved.get(i, i) for i in range(d - m, d)]
+
+
 def _grow_trees(
     blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     params: ForestParams,
-    rngs: Sequence[Sequence[np.random.Generator]],
+    rngs: Sequence[np.random.Generator],
     bootstrap: bool,
-) -> list[tuple[Tree, ...]]:
+) -> tuple[list[tuple[Tree, ...]], np.ndarray]:
     """Grow the trees of several forests from checked inputs, all in lockstep.
 
     ``blocks`` holds each forest's (values, labels, weights) and ``rngs``
-    its trees' generators, one tree per generator.  The blocks' rows are
-    stacked into one search table, and each tree keeps its block's row
-    offset, row count, feature count and candidate count.  A tree that draws
+    one generator per seed stream.  Every block grows one tree per stream:
+    tree k draws what a generator of its own in the state of ``rngs[k]``
+    would, from its own cursor in the words of stream k.  The blocks' rows
+    are stacked into one search table, and each tree keeps its block's row
+    count, feature count and candidate count.  A tree that draws
     fewer candidates than the most of any tree pads its draw with a constant
     sentinel column, which never has a split, so the search passes over it.
 
-    A tree with ``bootstrap`` first draws its rows with replacement.  Each
+    A tree with ``bootstrap`` first draws its rows with replacement; trees
+    on one stream with the same row count draw the same rows.  Each
     step makes the next node of every tree that has one, so node k of a tree
     is made at step k.  A node is a run of row indices in one shared pool.
     A tree whose node splits goes on with its left child and pushes its
@@ -364,7 +509,7 @@ def _grow_trees(
     right child.  Each step searches the splits of all its nodes in batches
     of bounded size, with the total weight of each node searched; every
     node's weight and positive weight come from one grouped pass at the end.
-    Returns the trees of each block.
+    Returns the trees of each block and the number of words each tree read.
     """
     block_rows = [labels.size for _, labels, _ in blocks]
     block_features = [values.shape[1] for values, _, _ in blocks]
@@ -377,34 +522,39 @@ def _grow_trees(
     weights = np.concatenate([weights for _, _, weights in blocks])
     positive = labels == 1
     table = _search_table(values, labels, weights)
-    # each tree's block: row offset, rows, features, candidates and the growth
+    # each tree's block: rows, features, candidates and the growth
     # bounds; a node at depth k holds at least k + 1 rows, so the bounds act as given
     per_block = [
         (
-            at,
             n,
             d,
             params.resolve_features_per_split(d),
             n if params.max_depth is None else min(params.max_depth, n),
             min(params.min_samples_split, n + 1),
         )
-        for at, n, d in zip(offsets, block_rows, block_features)
+        for n, d in zip(block_rows, block_features)
     ]
-    trees_per_block = [len(r) for r in rngs]
-    block = np.repeat(np.arange(len(blocks)), trees_per_block)
-    offset, n_rows, n_features, m, max_depth, min_split = (
+    streams = len(rngs)
+    block = np.repeat(np.arange(len(blocks)), streams)
+    n_rows, n_features, m, max_depth, min_split = (
         np.array(column, dtype=np.intp)[block] for column in zip(*per_block)
     )
     width = int(m.max())
-    rngs = list(itertools.chain.from_iterable(rngs))
-    draws = list(zip(rngs, n_features.tolist(), m.tolist()))
-    count = len(rngs)
-    pool = np.concatenate(
-        [
-            rng.integers(0, n, size=n) + at if bootstrap else np.arange(at, at + n)
-            for rng, at, n in zip(rngs, offset.tolist(), n_rows.tolist())
-        ]
-    )
+    count = block.size
+    draws = _Draws(rngs, np.tile(np.arange(streams), len(blocks)))
+    if bootstrap:
+        # a bootstrap is n draws on [0, n - 1]: the same for every block of n rows
+        every, unread = np.arange(streams), np.zeros(streams, dtype=np.intp)
+        samples = {
+            n: draws.bounded(every, unread, np.full((streams, n), n - 1)) for n in set(block_rows)
+        }
+        pool = np.concatenate([samples[n][0].ravel() + at for at, n in zip(offsets, block_rows)])
+        draws.cursor[:] = np.concatenate([samples[n][1] for n in block_rows])
+        del samples
+    else:
+        pool = np.concatenate(
+            [np.tile(np.arange(at, at + n), streams) for at, n in zip(offsets, block_rows)]
+        )
     end = pool.size
     live = np.arange(count)
     state = np.zeros((count, 3), dtype=np.intp)  # (start, size, depth) per live tree
@@ -420,7 +570,8 @@ def _grow_trees(
     while live.size:
         starts, sizes, depth = state.T
         made.append((live, starts, sizes))
-        rows = _runs(pool, starts, sizes)
+        # at the first step, the roots' runs lie end to end: they are the pool
+        rows = pool if first == 0 else _runs(pool, starts, sizes)
         node = np.repeat(np.arange(live.size), sizes)
         npos = np.bincount(node[positive[rows]], minlength=live.size)
         searched = (0 < npos) & (npos < sizes)
@@ -430,12 +581,7 @@ def _grow_trees(
         goes_on = np.zeros(live.size, dtype=bool)
         if search.size:
             t = live[search]
-            drawn = [
-                rng.choice(d, size=k, replace=False)
-                for rng, d, k in map(draws.__getitem__, t.tolist())
-            ]
-            candidates = np.full((search.size, width), sentinel)
-            candidates[np.arange(width) < m[t][:, None]] = np.concatenate(drawn)
+            candidates = draws.choice(t, n_features[t], m[t], width, sentinel)
             rows = rows[searched[node]]
             node = np.repeat(np.arange(search.size), sizes[search])
             totals = _run_sums(weights, pool, starts[search], sizes[search])
@@ -459,15 +605,21 @@ def _grow_trees(
             splits.append((first + split, feature[found], threshold[found]))
             n_left = n_left[found]
             n_right = sizes[split] - n_left
+            # the children's rows go straight into the pool: left, then right
+            middle = end + int(n_left.sum())
+            after = middle + int(n_right.sum())
+            if after > pool.size:
+                larger = np.empty(end + max(end, after - end), dtype=pool.dtype)
+                larger[:end] = pool[:end]
+                pool = larger
             kept = found[node]
-            children = np.concatenate([rows[kept & goes_left], rows[kept & ~goes_left]])
-            if end + children.size > pool.size:
-                spare = np.empty(max(end, children.size), dtype=pool.dtype)
-                pool = np.concatenate([pool[:end], spare])
-            pool[end : end + children.size] = children
+            goes_right = kept & ~goes_left
+            goes_left &= kept
+            np.compress(goes_left, rows, out=pool[end:middle])
+            np.compress(goes_right, rows, out=pool[middle:after])
             left_starts = end + np.cumsum(n_left) - n_left
-            right_starts = end + n_left.sum() + np.cumsum(n_right) - n_right
-            end += children.size
+            right_starts = middle + np.cumsum(n_right) - n_right
+            end = after
             following[split] = np.column_stack((left_starts, n_left, depth[split] + 1))
             goes_on[split] = True
             t = live[split]
@@ -486,6 +638,7 @@ def _grow_trees(
         goes_on[pops] = True
         first += live.size
         live, state = live[goes_on], following[goes_on]
+    del table, values, rows, node  # free the search's arrays for the sums below
     trees, starts, sizes = map(np.concatenate, zip(*made))
     # node k of a tree was made at step k: a split's left child is made next
     index = np.repeat(np.arange(len(made)), [t.size for t, _, _ in made])
@@ -502,15 +655,15 @@ def _grow_trees(
     weight = _run_sums(weights, pool, starts, sizes)
     pool = pool[:end]
     is_positive = positive[pool]
-    before = np.concatenate(([0], np.cumsum(is_positive)))
+    before = np.zeros(end + 1, dtype=np.intp)
+    np.cumsum(is_positive, out=before[1:])
     n_positive = before[starts + sizes] - before[starts]
     fraction = _run_sums(weights, pool[is_positive], before[starts], n_positive)
     fraction /= weight
     order = np.argsort(trees, kind="stable")
     columns = [c[order] for c in (feature, threshold, left, right, fraction, weight)]
     grown = _trees_from_columns(columns, np.bincount(trees, minlength=count))
-    bounds = np.cumsum([0] + trees_per_block).tolist()
-    return [grown[lo:hi] for lo, hi in itertools.pairwise(bounds)]
+    return [grown[lo : lo + streams] for lo in range(0, count, streams)], draws.cursor
 
 
 @dataclass(frozen=True)
@@ -550,8 +703,9 @@ def grow_forests(
     """One forest per action of ``samples``, all grown in one lockstep pass.
 
     Each forest equals :func:`train_forest` on its (values, labels) alone:
-    every forest's tree k draws from a generator of its own on the same
-    stream k of ``SeedSequence(params.seed)``.
+    every forest's tree k draws what a generator of its own on stream k of
+    ``SeedSequence(params.seed)`` would.  One generator per stream serves
+    the trees of all forests.
     """
     blocks = []
     for action_id, (values, labels) in samples.items():
@@ -573,8 +727,8 @@ def grow_forests(
     if not blocks:
         return {}
     streams = np.random.SeedSequence(params.seed).spawn(params.num_trees)
-    rngs = [[np.random.default_rng(stream) for stream in streams] for _ in blocks]
-    grown = _grow_trees(blocks, params, rngs, params.bootstrap)
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    grown, _ = _grow_trees(blocks, params, rngs, params.bootstrap)
     fingerprints = fingerprints or {}
     return {
         action_id: ForestModel(

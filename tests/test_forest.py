@@ -410,6 +410,100 @@ def test_search_memory_stays_bounded_as_forests_are_added():
     assert peak < 160 * 2**20
 
 
+def _generator(seed: int, words: int) -> np.random.Generator:
+    """A generator on ``seed`` that has read ``words`` 32-bit words."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2**32, size=words, dtype=np.uint32)
+    return rng
+
+
+@st.composite
+def choice_cases(draw):
+    """Stream seeds and per tree: its stream, the words read before, d and m."""
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3))
+    trees = []
+    for _ in range(draw(st.integers(1, 5))):
+        d = draw(st.integers(1, 10_000))
+        # 0, odd and even numbers of earlier words
+        before = draw(st.integers(0, 3))
+        trees.append((draw(st.integers(0, len(seeds) - 1)), before, d, draw(st.integers(1, d))))
+    return seeds, trees, draw(st.permutations(range(len(trees))))
+
+
+@given(choice_cases())
+# numpy's tail shuffle (d > 10000, m > d // 50), Floyd just under its cutoff,
+# a population of one and several trees on one stream
+@example(([7], [(0, 1, 20_000, 500), (0, 0, 20_000, 400), (0, 2, 10_001, 10_001)], [2, 0, 1]))
+@example(([0, 1], [(1, 0, 1, 1), (0, 1, 14, 13), (1, 3, 300, 13)], [0, 1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_draws_are_numpys_choice_bit_for_bit(case):
+    # holds the grower's draws to the installed numpy: a numpy that draws a
+    # sample another way fails here, by name, before any tree changes
+    seeds, trees, order = case
+    stream, before, d, m = map(np.array, zip(*trees))
+    draws = forest._Draws([np.random.default_rng(s) for s in seeds], stream)
+    draws.cursor[:] = before
+    width, pad = int(m.max()), int(d.max())
+    got = draws.choice(np.array(order), d[order], m[order], width, pad)
+    for row, i in enumerate(order):
+        rng = _generator(seeds[stream[i]], before[i])
+        want = rng.choice(d[i], size=m[i], replace=False).tolist()
+        assert got[row].tolist() == want + [pad] * (width - m[i])
+        # the cursor stops at the word where numpy's generator stopped
+        read = _generator(seeds[stream[i]], int(draws.cursor[i]))
+        assert read.bit_generator.state == rng.bit_generator.state
+
+
+BOUNDED_RANGES = st.one_of(
+    st.integers(0, 300),
+    # rejections are common here: up to half of all words
+    st.integers(2**31, 2**32 - 2),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2**32),
+            st.integers(0, 3),
+            # (r, k) draws on [0, r]; a bootstrap draws n on [0, n - 1]
+            st.tuples(BOUNDED_RANGES, st.integers(0, 40))
+            | st.integers(1, 60).map(lambda n: (n - 1, n)),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_bounded_draws_are_numpys_integers_bit_for_bit(rows):
+    seeds, before, shapes = zip(*rows)
+    width = max(k for _, k in shapes)
+    # a row with fewer draws is padded with ranges of 0, which read no word
+    ranges = np.array([[r] * k + [0] * (width - k) for r, k in shapes], dtype=np.int64)
+    draws = forest._Draws([np.random.default_rng(s) for s in seeds], np.arange(len(rows)))
+    got, ends = draws.bounded(np.arange(len(rows)), np.array(before), ranges)
+    for i, (seed, (r, k)) in enumerate(zip(seeds, shapes)):
+        rng = _generator(seed, before[i])
+        assert got[i].tolist() == rng.integers(0, r + 1, size=k).tolist() + [0] * (width - k)
+        assert _generator(seed, int(ends[i])).bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("half_word", [False, True])
+def test_train_tree_leaves_the_generator_where_numpy_leaves_it(half_word):
+    # one word read first leaves PCG64 holding the other half of a 64-bit draw
+    rng = np.random.default_rng(12)
+    values = rng.choice([-1.0, 0.0, 0.5, 2.0, 3.5], size=(50, 30))
+    labels = (rng.uniform(size=50) < 0.4).astype(int)
+    params = ForestParams(num_trees=1, seed=0)
+    grown, reference = _generator(3, int(half_word)), _generator(3, int(half_word))
+    assert grown.bit_generator.state["has_uint32"] == int(half_word)
+    tree = train_tree(values, labels, params, grown)
+    want = grow_tree_reference(values, labels, np.ones(50), params, reference)
+    assert repr(tree) == repr(want)
+    assert len(tree.feature) > 5
+    assert grown.bit_generator.state == reference.bit_generator.state
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_grouped_run_sums_keep_numpys_pairwise_order(seed):
     # the grower sums the runs of one length as the rows of one matrix; this
