@@ -254,10 +254,14 @@ def _load_forest_dir(path: str) -> dict:
     files = sorted(forest_dir.glob(f"{FOREST_FILE_PREFIX}*.json"))
     if not files:
         raise BoxactError(f"no {FOREST_FILE_PREFIX}*.json files in {forest_dir}")
-    forests = {}
+    forests, sources = {}, {}
     for f in files:
         forest = load_forest(f)
-        forests[forest.action_id] = forest
+        if forest.action_id in sources:
+            raise ConfigError(
+                f"duplicate forest {forest.action_id!r} in {sources[forest.action_id]} and {f}"
+            )
+        forests[forest.action_id], sources[forest.action_id] = forest, f
     return forests
 
 

@@ -25,10 +25,11 @@ Pending right children wait in per-tree array stacks.  A node's weight and
 positive weight are summed with the nodes of equal length, as the rows of
 one matrix, which keeps numpy's pairwise order and so every bit of summing
 each node alone.
-Each tree is stored as flat pre-order node columns (:class:`Tree`), so
-growing, predicting and (de)serializing never recurse.  The reader checks
-the columns of all trees of a file together, laid end to end.
-"""
+A forest is one set of flat pre-order node columns (:class:`ForestModel`):
+the columns of all its trees laid end to end, from growth to file to
+prediction.  The reader checks the columns of all trees of a file together,
+and prediction moves every (row, tree) pair one level down per pass, so
+growing, predicting and (de)serializing never recurse."""
 
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ class ForestParams:
 
 @dataclass(frozen=True)
 class Tree:
-    """One tree as parallel node columns in pre-order; node 0 is the root.
+    """A read-only view of one tree's node columns in pre-order; node 0 is the root.
 
     A split sends ``v[feature] <= threshold`` to ``left`` and the rest to
     ``right``.  A leaf has ``feature == -1`` and both children ``-1``.
@@ -117,17 +118,6 @@ class Tree:
 
 
 TREE_COLUMNS = tuple(f.name for f in fields(Tree))
-
-
-def _trees_from_columns(columns: Sequence[np.ndarray], sizes: np.ndarray) -> tuple[Tree, ...]:
-    """Split node columns laid end to end, tree by tree, into trees of ``sizes`` nodes."""
-    ends = np.cumsum(sizes).tolist()
-    bounds = list(zip([0] + ends[:-1], ends))
-    split_columns = []
-    for column in columns:
-        values = column.tolist()
-        split_columns.append([tuple(values[lo:hi]) for lo, hi in bounds])
-    return tuple(itertools.starmap(Tree, zip(*split_columns)))
 
 
 class _SearchTable(NamedTuple):
@@ -316,7 +306,7 @@ def train_tree(
         [(values, labels, weights)], params, [copy.deepcopy(rng)], bootstrap=False
     )
     rng.integers(0, 2**32, size=int(used[0]), dtype=np.uint32)
-    return grown[0][0]
+    return Tree(*(tuple(column.tolist()) for column in grown[0][0]))
 
 
 def _runs(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -488,7 +478,7 @@ def _grow_trees(
     params: ForestParams,
     rngs: Sequence[np.random.Generator],
     bootstrap: bool,
-) -> tuple[list[tuple[Tree, ...]], np.ndarray]:
+) -> tuple[list[tuple[tuple[np.ndarray, ...], np.ndarray]], np.ndarray]:
     """Grow the trees of several forests from checked inputs, all in lockstep.
 
     ``blocks`` holds each forest's (values, labels, weights) and ``rngs``
@@ -509,7 +499,8 @@ def _grow_trees(
     right child.  Each step searches the splits of all its nodes in batches
     of bounded size, with the total weight of each node searched; every
     node's weight and positive weight come from one grouped pass at the end.
-    Returns the trees of each block and the number of words each tree read.
+    Returns each block's node columns and tree offsets, as a
+    :class:`ForestModel` holds them, and the number of words each tree read.
     """
     block_rows = [labels.size for _, labels, _ in blocks]
     block_features = [values.shape[1] for values, _, _ in blocks]
@@ -662,17 +653,45 @@ def _grow_trees(
     fraction /= weight
     order = np.argsort(trees, kind="stable")
     columns = [c[order] for c in (feature, threshold, left, right, fraction, weight)]
-    grown = _trees_from_columns(columns, np.bincount(trees, minlength=count))
-    return [grown[lo : lo + streams] for lo in range(0, count, streams)], draws.cursor
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(trees, minlength=count))))
+    grown = []
+    for lo in range(0, count, streams):  # a block's trees lie end to end
+        bounds = offsets[lo : lo + streams + 1]
+        grown.append((tuple(c[bounds[0] : bounds[-1]] for c in columns), bounds - bounds[0]))
+    return grown, draws.cursor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestModel:
+    """One action's forest: the node columns of all its trees, laid end to end.
+
+    ``columns`` holds one read-only array per name of ``TREE_COLUMNS``.  Tree
+    k owns nodes ``offsets[k]:offsets[k + 1]``, and its child indices count
+    from its own first node, as in the file.  ``==`` is identity: compare
+    :attr:`trees` or :func:`forest_to_dict` instead.
+    """
+
     action_id: str
-    trees: tuple[Tree, ...]
+    columns: tuple[np.ndarray, ...]
+    offsets: np.ndarray  # (num_trees + 1,)
     params: ForestParams
     num_features: int
     fingerprint: str = ""
+
+    def __post_init__(self) -> None:
+        for array in (*self.columns, self.offsets):
+            array.flags.writeable = False
+
+    def _tree_lists(self) -> list[list[list]]:
+        """Each tree's node columns as lists, in ``TREE_COLUMNS`` order."""
+        lists = [column.tolist() for column in self.columns]
+        bounds = itertools.pairwise(self.offsets.tolist())
+        return [[values[lo:hi] for values in lists] for lo, hi in bounds]
+
+    @property
+    def trees(self) -> tuple[Tree, ...]:
+        """A per-tree view of the columns, built on each call."""
+        return tuple(Tree(*map(tuple, tree)) for tree in self._tree_lists())
 
 
 def layout_fingerprint(layout: Sequence[str]) -> str:
@@ -733,37 +752,46 @@ def grow_forests(
     return {
         action_id: ForestModel(
             action_id=action_id,
-            trees=trees,
+            columns=columns,
+            offsets=offsets,
             params=params,
             num_features=values.shape[1],
             fingerprint=fingerprints.get(action_id, ""),
         )
-        for action_id, trees, (values, _, _) in zip(samples, grown, blocks)
+        for action_id, (columns, offsets), (values, _, _) in zip(samples, grown, blocks)
     }
 
 
-def _leaf_fraction(tree: Tree, v: list[float]) -> float:
-    node = 0
-    while tree.feature[node] >= 0:
-        if v[tree.feature[node]] <= tree.threshold[node]:
-            node = tree.left[node]
-        else:
-            node = tree.right[node]
-    return tree.fraction[node]
+def predict_proba(model: ForestModel, values: np.ndarray) -> float | np.ndarray:
+    """Mean of the trees' leaf fractions: a float for a vector ``(d,)``, an
+    array for the ``n`` rows of a matrix ``(n, d)``.
 
-
-def predict_proba(model: ForestModel, values: np.ndarray) -> float:
-    """Mean of the trees' leaf fractions for one embedding vector."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != (model.num_features,):
+    All (row, tree) pairs descend in lockstep, one gather per level.  Each
+    row's leaf fractions are averaged along one contiguous row, in the
+    pairwise order, and so with the bits, of ``np.mean`` over that row alone.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.num_features:
         raise ContractError(
             f"forest {model.action_id!r} expects {model.num_features} features, "
-            f"got shape {v.shape}"
+            f"got shape {x.shape}"
         )
-    if not np.isfinite(v).all():
+    if not np.isfinite(x).all():
         raise ContractError(f"forest {model.action_id!r} expects finite values")
-    x = v.tolist()
-    return float(np.mean([_leaf_fraction(t, x) for t in model.trees]))
+    rows = np.atleast_2d(x)
+    feature, threshold, left, right, fraction, _ = model.columns
+    roots = model.offsets[:-1]
+    root = np.tile(roots, rows.shape[0])  # row by row, the first node of each tree
+    row = np.repeat(np.arange(rows.shape[0]), roots.size)
+    node = root.copy()
+    live = np.flatnonzero(feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        goes_left = rows[row[live], feature[at]] <= threshold[at]
+        node[live] = root[live] + np.where(goes_left, left[at], right[at])
+        live = live[feature[node[live]] >= 0]
+    means = fraction[node].reshape(rows.shape[0], roots.size).mean(axis=1)
+    return float(means[0]) if x.ndim == 1 else means
 
 
 # --- serialization -------------------------------------------------------------
@@ -817,8 +845,8 @@ def _tree_fault(columns: Sequence[list], num_features: int) -> str | None:
     return None
 
 
-def _trees_from_dicts(trees, num_features: int) -> tuple[Tree, ...]:
-    """Check the node columns of all trees together, then split them into trees.
+def _trees_from_dicts(trees, num_features: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The node columns of all trees, checked together, and the trees' node offsets.
 
     Each rule runs once over the trees' columns laid end to end.  When one
     fails, the first tree that breaks a rule is walked node by node to name
@@ -864,7 +892,7 @@ def _trees_from_dicts(trees, num_features: int) -> tuple[Tree, ...]:
     if bad.any():
         tree = int(np.searchsorted(ends, np.argmax(bad), side="right"))
         raise ConfigError(_tree_fault(per_tree[tree], num_features))
-    return _trees_from_columns([columns[name] for name in TREE_COLUMNS], sizes)
+    return tuple(columns[name] for name in TREE_COLUMNS), np.concatenate(([0], ends))
 
 
 def forest_to_dict(model: ForestModel) -> dict:
@@ -875,10 +903,7 @@ def forest_to_dict(model: ForestModel) -> dict:
         "num_features": model.num_features,
         "fingerprint": model.fingerprint,
         "params": asdict(model.params),
-        "trees": [
-            {name: list(getattr(tree, name)) for name in TREE_COLUMNS}
-            for tree in model.trees
-        ],
+        "trees": [dict(zip(TREE_COLUMNS, tree)) for tree in model._tree_lists()],
     }
 
 
@@ -895,14 +920,15 @@ def forest_from_dict(data: Mapping) -> ForestModel:
         num_features = data["num_features"]
         if isinstance(num_features, bool) or not isinstance(num_features, int):
             raise ConfigError(f"num_features must be an integer, got {num_features!r}")
-        trees = _trees_from_dicts(data["trees"], num_features)
+        columns, offsets = _trees_from_dicts(data["trees"], num_features)
         action_id, fingerprint = data["action_id"], data.get("fingerprint", "")
         for name, value in (("action_id", action_id), ("fingerprint", fingerprint)):
             if not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
         return ForestModel(
             action_id=action_id,
-            trees=trees,
+            columns=columns,
+            offsets=offsets,
             params=params,
             num_features=num_features,
             fingerprint=fingerprint,

@@ -382,18 +382,22 @@ def predict_set(
                 f"{expected}; retrain or fix --models/--mode"
             )
     ids = sorted(embeddings) if video_ids is None else list(video_ids)
-    videos = []
-    for video_id in ids:
-        per_action = embeddings[video_id]
-        probs = {
-            action: predict_proba(forest, per_action[action][0].values)
-            for action, forest in forests.items()
-        }
-        videos.append(
+    if not ids:
+        return PredictionSet(videos=())  # which raises its own "empty" error
+    # one call per forest, on the embeddings of all videos stacked as rows
+    columns = {
+        action: predict_proba(
+            forest, np.array([embeddings[v][action][0].values for v in ids])
+        ).tolist()
+        for action, forest in forests.items()
+    }
+    return PredictionSet(
+        videos=tuple(
             VideoPrediction(
                 video_id=video_id,
                 true_label=labels.get(video_id, ""),
-                probabilities=probs,
+                probabilities={action: column[i] for action, column in columns.items()},
             )
+            for i, video_id in enumerate(ids)
         )
-    return PredictionSet(videos=tuple(videos))
+    )

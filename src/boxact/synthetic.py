@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ContractError, check_finite, check_int
 from .phases import ARCHETYPES, PHASES
-from .relations import COLUMN, DEFAULT_CONFIG, RelationConfig, relation_table
 from .tracks import ROLES, VideoTrack
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "random_script",
     "generate_synthetic",
     "generate_dataset",
-    "verify_archetype_geometry",
 ]
 
 FRAME_WIDTH = 320.0
@@ -471,83 +469,3 @@ def generate_dataset(
             ground_truth[track.video_id] = truth
             counter += 1
     return tracks, ground_truth
-
-
-# --- archetype postconditions -------------------------------------------------
-
-
-def verify_archetype_geometry(
-    track: VideoTrack,
-    script: SyntheticScript,
-    config: RelationConfig = DEFAULT_CONFIG,
-) -> None:
-    """Assert the geometric postconditions of an archetype on a clean track.
-
-    Meant for zero-noise tracks; raises :class:`ContractError` on violation.
-    """
-
-    def fail(msg: str) -> None:
-        raise ContractError(f"{script.archetype} ({track.video_id}): {msg}")
-
-    table = relation_table(track, config)
-    o1 = table[:, COLUMN["present(object1)"]] > 0
-    o2 = table[:, COLUMN["present(object2)"]] > 0
-    hand = table[:, COLUMN["present(hand)"]] > 0
-    contained = table[:, COLUMN["contained(object1,object2)"]] > 0
-    overlap = table[:, COLUMN["overlap(object1,object2)"]]
-    touching = table[:, COLUMN["touching(object1,object2)"]] > 0
-    last = track.boxes[-1]
-    centre = last[:, :2] + last[:, 2:] / 2.0  # per role, in the final frame
-    c = script.true_phase_centers["c"]
-
-    if hand[0]:
-        fail("hand visible in the first frame")
-    if hand[-1]:
-        fail("hand visible in the last frame")
-    if not (o2[0] and o2[-1]):
-        fail("object2 must be visible throughout")
-
-    a = script.archetype
-    if a == "put-into":
-        if o1[0]:
-            fail("object1 visible before being carried in")
-        for name, t in (("c", c), ("final", -1)):
-            if not (o1[t] and o2[t]):
-                fail(f"object1/object2 missing at {name} frame")
-            if not contained[t]:
-                fail(f"object1 not contained in object2 at {name} frame")
-        if centre[0, 1] <= centre[1, 1]:
-            fail("object1 centre should sit below object2 centre at the end")
-    elif a == "take-out-of":
-        if not o1[0]:
-            fail("object1 must start inside object2")
-        if not contained[0]:
-            fail("object1 not contained in object2 at the start")
-        if o1[-1]:
-            fail("object1 should have been carried out of the frame")
-    elif a == "put-next-to":
-        if o1[0]:
-            fail("object1 visible before being carried in")
-        if not o1[-1]:
-            fail("object1 missing in the final frame")
-        if overlap[-1] > 0:
-            fail("object1 must not overlap object2")
-        if not touching[-1]:
-            fail("object1 must end adjacent to object2")
-    elif a == "pretend-put-next-to":
-        if not o1[-1]:
-            fail("object1 missing in the final frame")
-        overlapping = np.flatnonzero(overlap > 0)
-        if overlapping.size:
-            fail(f"object1 overlaps object2 at frame {track.frames[overlapping[0]]}")
-        if centre[0, 0] >= last[1, 0] - 3 * config.touch_tol:
-            fail("object1 must end back on its entry side, clear of object2")
-    elif a == "put-behind":
-        if not o1[-1]:
-            fail("object1 missing in the final frame")
-        if overlap[-1] <= 0:
-            fail("object1 must end overlapping object2")
-        if contained[-1]:
-            fail("object1 should only partially overlap object2")
-        if centre[0, 1] >= centre[1, 1]:
-            fail("object1 centre must end above object2 centre")

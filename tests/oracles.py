@@ -957,9 +957,15 @@ def forest_from_dict_reference(data: Mapping) -> ForestModel:
         trees = tuple(_tree_from_dict_reference(t, num_features) for t in data["trees"])
         if not trees:
             raise ConfigError("forest has no trees")
+        # object columns keep each value as int()/float() made it
+        columns = tuple(
+            np.array([v for tree in trees for v in getattr(tree, name)], dtype=object)
+            for name in TREE_COLUMNS
+        )
         return ForestModel(
             action_id=str(data["action_id"]),
-            trees=trees,
+            columns=columns,
+            offsets=np.cumsum([0] + [len(tree.feature) for tree in trees]),
             params=params,
             num_features=num_features,
             fingerprint=str(data.get("fingerprint", "")),
@@ -968,6 +974,24 @@ def forest_from_dict_reference(data: Mapping) -> ForestModel:
         raise ConfigError(f"malformed forest: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed forest: {exc}") from None
+
+
+# --- prediction, one tree and one node at a time ------------------------------
+
+
+def predict_proba_reference(model: ForestModel, values: Sequence[float]) -> float:
+    """Mean of the leaf fractions of one vector, each tree walked node by node."""
+    v = [float(x) for x in values]
+    fractions = []
+    for tree in model.trees:
+        node = 0
+        while tree.feature[node] >= 0:
+            if v[tree.feature[node]] <= tree.threshold[node]:
+                node = tree.left[node]
+            else:
+                node = tree.right[node]
+        fractions.append(tree.fraction[node])
+    return float(np.mean(fractions))
 
 
 # --- synthetic tracks built one frame and one role at a time -------------------

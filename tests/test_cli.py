@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -389,6 +390,33 @@ def test_predict_rejects_mismatched_embedding_mode(workdir, tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_predict_rejects_two_forest_files_for_one_action(workdir, tmp_path, capsys):
+    forest_dir = tmp_path / "forests"
+    shutil.copytree(workdir / "forests", forest_dir)
+    kept = forest_dir / "forest_put-into.json"
+    old = forest_dir / "forest_put-into-old.json"
+    shutil.copy(kept, old)
+    capsys.readouterr()
+    code = main(
+        [
+            "predict",
+            "--annotations",
+            str(workdir / "ann.json"),
+            "--models",
+            str(_model_paths(workdir)),
+            "--forest-dir",
+            str(forest_dir),
+            "--out",
+            str(tmp_path / "preds.json"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: duplicate forest 'put-into'")
+    assert str(kept) in err and str(old) in err
+    assert not (tmp_path / "preds.json").exists()
 
 
 def test_missing_input_file_exits_cleanly(tmp_path):

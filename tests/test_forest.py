@@ -36,10 +36,18 @@ from oracles import (
     forest_from_dict_reference,
     forest_trees_reference,
     grow_tree_reference,
+    predict_proba_reference,
 )
 
 SEPARABLE = (np.array([[1.0], [2.0], [8.0], [9.0]]), np.array([0, 0, 1, 1]))
 ONE_TREE = ForestParams(num_trees=1, features_per_split=1, bootstrap=False, seed=0)
+
+
+def _same_forest(a, b) -> bool:
+    """Every field and node value alike: the trees' repr tells -0.0 from 0.0,
+    and the JSON of the whole model tells 1 from 1.0."""
+    same_json = json.dumps(forest_to_dict(a)) == json.dumps(forest_to_dict(b))
+    return same_json and repr(a.trees) == repr(b.trees)
 
 
 def test_params_validation():
@@ -74,11 +82,11 @@ def test_numpy_integer_params_act_as_python_ints(tmp_path, kind):
     assert params == plain and all(type(getattr(params, name)) is int for name in fields)
     want = train_forest(values, labels, plain, "a")
     got = train_forest(values, labels, params, "a")
-    assert repr(got) == repr(want)
+    assert got.params == want.params and repr(got.trees) == repr(want.trees)
     save_forest(want, tmp_path / "want.json")
     save_forest(got, tmp_path / "got.json")
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
-    assert load_forest(tmp_path / "got.json") == want
+    assert _same_forest(load_forest(tmp_path / "got.json"), want)
 
 
 def test_resolve_features_per_split():
@@ -575,9 +583,13 @@ def test_deep_tree_trains_and_round_trips_without_recursion(tmp_path):
     path = tmp_path / "deep.json"
     save_forest(model, path)
     loaded = load_forest(path)
-    assert loaded.trees == model.trees
-    for v, y in zip(values, labels):
-        assert predict_proba(loaded, v) == predict_proba(model, v) == y
+    assert _same_forest(loaded, model)
+    got = predict_proba(loaded, values)  # 1,499 lockstep passes
+    want = np.array([predict_proba_reference(loaded, v) for v in values])
+    assert got.tobytes() == predict_proba(model, values).tobytes() == want.tobytes()
+    assert got.tobytes() == labels.astype(float).tobytes()
+    # a vector descends alone, one pass per level: 30 rows keep this test quick
+    assert [predict_proba(loaded, v) for v in values[::50]] == got[::50].tolist()
 
 
 def test_dict_round_trip_is_exact():
@@ -653,6 +665,9 @@ def test_reader_keeps_integers_past_int64_exact():
         forest_from_dict(_forest_doc({**STUMP, "right": [big, -1, -1]}))
     wide = forest_from_dict(_forest_doc({**STUMP, "feature": [big, -1, -1]}, num_features=2 * big))
     assert wide.trees[0].feature == (big, -1, -1) and wide.num_features == 2 * big
+    for values in (np.zeros(2), np.zeros((3, 2))):
+        with pytest.raises(ContractError, match=f"expects {2 * big} features"):
+            predict_proba(wide, values)
     with pytest.raises(ConfigError, match="malformed forest: int too large to convert to float"):
         forest_from_dict(_forest_doc({**STUMP, "threshold": [10**400, 0.0, 0.0]}))
 
@@ -807,6 +822,42 @@ def test_forest_reader_agrees_with_the_reference_reader(case):
         if mutations <= 1:  # a single fault: the same first offender
             assert str(error) == str(expected_error)
         return
-    assert got == expected
     # the same values of the same types: 1 and 1.0 compare equal but print apart
-    assert json.dumps(forest_to_dict(got)) == json.dumps(forest_to_dict(expected))
+    assert _same_forest(got, expected)
+
+
+# --- prediction against the per-tree walk ------------------------------------------
+
+
+@st.composite
+def prediction_cases(draw):
+    """A forest read from a document, and rows that often lie exactly on its thresholds."""
+    model = forest_from_dict(draw(forest_documents()))
+    _, threshold, *_ = model.columns
+    on_threshold = st.sampled_from(sorted(set(threshold.tolist())))
+    element = on_threshold | st.sampled_from([-0.0, 0.0, -1e308, 1e308]) | st.floats(-20, 20)
+    n = draw(st.integers(1, 8))
+    return model, draw(hnp.arrays(np.float64, (n, model.num_features), elements=element))
+
+
+@given(prediction_cases())
+@settings(max_examples=150, deadline=None)
+def test_matrix_prediction_equals_the_per_tree_walk(case):
+    model, rows = case
+    want = np.array([predict_proba_reference(model, row) for row in rows])
+    assert predict_proba(model, rows).tobytes() == want.tobytes()
+    assert np.float64(predict_proba(model, rows[0])).tobytes() == want[0].tobytes()
+    assert predict_proba(model, rows[:0]).shape == (0,)
+
+
+def test_prediction_over_many_trees_keeps_the_bits_of_np_mean():
+    # past 8 trees numpy sums a row pairwise, not in order; shallow balanced
+    # trees have impure leaves, whose fractions round when summed
+    rng = np.random.default_rng(2)
+    values = rng.normal(size=(40, 30))
+    labels = (values[:, 0] + rng.normal(size=40) > 0.5).astype(int)
+    params = ForestParams(num_trees=300, max_depth=2, class_weight="balanced", seed=4)
+    model = train_forest(values, labels, params)
+    rows = np.vstack([values[:8], rng.normal(size=(24, 30))])
+    want = np.array([predict_proba_reference(model, row) for row in rows])
+    assert predict_proba(model, rows).tobytes() == want.tobytes()

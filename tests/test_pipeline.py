@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from boxact import forest
 from boxact.errors import ConfigError, ContractError
 from boxact.forest import ForestParams
 from boxact.phases import (
@@ -25,6 +26,8 @@ from boxact.pipeline import (
     train_forests,
 )
 from boxact.synthetic import generate_dataset
+
+from oracles import predict_proba_reference
 
 FAST_FOREST = ForestParams(num_trees=4, seed=0)
 
@@ -192,6 +195,28 @@ def test_train_and_predict_round():
     for v in preds.videos:
         for p in v.probabilities.values():
             assert 0.0 <= p <= 1.0
+
+
+def test_no_per_tree_objects_from_growth_through_files_to_prediction(monkeypatch):
+    # a forest stays one set of node columns: growth, the file round trip and
+    # prediction build no per-tree view
+    tracks, labels, models = _tiny_corpus()
+    config = PipelineConfig(forest=FAST_FOREST)
+    embeddings = embed_all(tracks, models, config)
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a per-tree object was built")
+
+    monkeypatch.setattr(forest, "Tree", no_tree)
+    grown, _, _ = train_forests(embeddings, labels, models, config)
+    forests = {a: forest.forest_from_dict(forest.forest_to_dict(f)) for a, f in grown.items()}
+    preds = predict_set(embeddings, labels, forests, models, config)
+    monkeypatch.undo()
+    for video in preds.videos:
+        for action, p in video.probabilities.items():
+            values = embeddings[video.video_id][action][0].values
+            want = predict_proba_reference(grown[action], values)
+            assert np.float64(p).tobytes() == np.float64(want).tobytes()
 
 
 def test_train_forests_skips_single_class_actions():
