@@ -19,8 +19,10 @@ indices into it, kept in one shared pool, never a copy of the rows.  Trees
 that draw fewer candidate features than others pad their draws with a
 constant column, which never splits.  Each step holds the next node of
 every live tree in flat arrays and does its bookkeeping for all of them in a
-fixed number of array operations; it searches all their candidate features
-in sorted passes over padded ``(nodes, m, rows)`` blocks of bounded size.
+fixed number of array operations; it searches their candidate features in
+batches of bounded size, and of each node only the candidates that vary on
+its rows, each such lane (node, candidate) padded to the batch's largest
+node and all lanes sorted, summed and scored together.
 Pending right children wait in per-tree array stacks.  A node's weight and
 positive weight are summed with the nodes of equal length, as the rows of
 one matrix, which keeps numpy's pairwise order and so every bit of summing
@@ -170,45 +172,58 @@ def _best_splits(
 
     Node i owns the next ``sizes[i]`` row indices into ``table`` of ``rows``,
     weighs ``totals[i]`` and searches the candidate features
-    ``candidates[i]``; every node draws the same number of candidates.  Each
-    lane of one candidate feature of one node is padded to the largest
-    node's row count with the table's padding row, which sorts last and
-    weighs nothing, and split positions at or after a node's last real row
-    are masked.  So each node gets the result it would get searched alone.  Returns the arrays
-    (impurity, feature, threshold) over the nodes; the feature is -1, and the
-    other two are meaningless, where every candidate feature is constant on
-    that node.
+    ``candidates[i]``; every node draws the same number of candidates.  Only
+    the lanes (node, candidate feature) whose feature varies on the node's
+    rows are searched: a lane that is constant there has no split.  Each
+    searched lane is padded to the largest node's row count with the table's
+    padding row, which sorts last and weighs nothing, and split positions at
+    or after a node's last real row are masked.  So each node gets the
+    result it would get searched alone.  Returns the arrays (impurity,
+    feature, threshold) over the nodes; the feature is -1, and the other two
+    are meaningless, where every candidate feature is constant on that node.
     """
     count, width = sizes.size, int(sizes.max())
+    features = np.sort(candidates, axis=1)
+    d = table.ranks.shape[1]
+    # only the lanes (node, feature) whose feature varies on the node's rows can split
+    cells = np.repeat(features, sizes, axis=0)
+    cells += (rows * d)[:, None]
+    ranks = table.ranks.take(cells)
+    starts = np.cumsum(sizes) - sizes
+    has_split = np.maximum.reduceat(ranks, starts) > np.minimum.reduceat(ranks, starts)
+    del ranks
+    node, lane = np.nonzero(has_split)
     index = np.full((count, width), table.values.shape[0])
     index[np.arange(width) < sizes[:, None]] = rows
-    features = np.sort(candidates, axis=1)
-    # lane (node, feature) keys each row by (rank, position); the keys are
+    # each kept lane keys its rows by (rank, position); the keys are
     # distinct, so sorting them gives the stable order of the values
+    keys = (index * d)[node]
+    keys += features[node, lane][:, None]
+    keys = table.ranks.take(keys)
     shift = width.bit_length()
-    d = table.ranks.shape[1]
-    keys = table.ranks.take(index[:, None, :] * d + features[:, :, None])
     keys <<= shift
     keys |= np.arange(width)
-    keys.sort(axis=2)
+    keys.sort(axis=1)
+    # from here on a lane is a column, so that every pass below, the sums
+    # down each lane included, runs over the rows of all lanes at once
+    keys = keys.T.copy()
     # split after row i: left = [0..i], right = (i..size); valid where the rank rises
     ranks = keys >> shift
-    distinct = ranks[:, :, 1:] > ranks[:, :, :-1]
+    distinct = ranks[1:] > ranks[:-1]
     del ranks
-    distinct &= (np.arange(width - 1) < (sizes - 1)[:, None])[:, None, :]
-    has_split = distinct.any(axis=2)
+    distinct &= np.arange(width - 1)[:, None] < sizes[node] - 1
     keys &= (1 << shift) - 1
-    keys += (np.arange(count) * width)[:, None, None]
+    keys += node * width
     ordered = index.take(keys)  # each lane's row indices in sorted order
     del keys
     cw = table.weights.take(ordered)
-    np.cumsum(cw, axis=2, out=cw)
+    np.cumsum(cw, axis=0, out=cw)
     cwp = table.positive_weights.take(ordered)
-    np.cumsum(cwp, axis=2, out=cwp)
-    total = totals[:, None, None]
-    wl = cw[:, :, :-1]
-    wpl = cwp[:, :, :-1]
-    wpr = cwp[np.arange(count), :, sizes - 1][:, :, None] - wpl
+    np.cumsum(cwp, axis=0, out=cwp)
+    total = totals[node]
+    wl = cw[:-1]
+    wpl = cwp[:-1]
+    wpr = cwp[sizes[node] - 1, np.arange(node.size)] - wpl
     # temporaries are reused in place, rounding in the order of the one-node
     # formula wl*2*pl*(1-pl) + wr*2*pr*(1-pr); masked positions are divided
     # too, and any 0/0 among them is discarded
@@ -229,11 +244,14 @@ def _best_splits(
         gini += wr
         del cw, wl, wr, wpr, pr
         gini /= total
-    gini[~distinct] = np.inf
+    np.putmask(gini, ~distinct, np.inf)
     # exact ties within one feature resolve to the lowest threshold, which
     # argmin's first-hit rule gives on sorted values
-    best_row = np.argmin(gini, axis=2)
-    best_gini = np.take_along_axis(gini, best_row[:, :, None], axis=2)[:, :, 0]
+    best_row = np.argmin(gini, axis=0)
+    best_gini = np.full(has_split.shape, np.inf)
+    best_gini[node, lane] = gini[best_row, np.arange(node.size)]
+    lanes = np.zeros(has_split.shape, dtype=np.intp)  # each kept lane's index
+    lanes[node, lane] = np.arange(node.size)
     # in ascending feature order, a feature replaces the best only when lower
     # by more than 1e-12; an argmin over features would not keep that rule
     column = np.full(count, -1)
@@ -245,10 +263,11 @@ def _best_splits(
         best[better] = g[better]
     split = np.flatnonzero(column >= 0)
     j = column[split]
-    r = best_row[split, j]
+    at = lanes[split, j]
+    r = best_row[at]
     f = features[split, j]
-    low = table.values[ordered[split, j, r], f]
-    high = table.values[ordered[split, j, r + 1], f]
+    low = table.values[ordered[r, at], f]
+    high = table.values[ordered[r + 1, at], f]
     with np.errstate(over="ignore"):
         thresholds = (low + high) / 2.0
     feature = np.full(count, -1)

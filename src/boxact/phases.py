@@ -412,7 +412,9 @@ def _smooth_rows(
     value is a sum of tap x sample products, added in tap order to +0.0 over
     its series zero-padded at both ends, divided by the same sum over ones.
     The order is fixed here, not by a BLAS kernel chosen for the CPU, so the
-    bits are the same on every machine.
+    sums do not depend on the BLAS kernel.  The taps do depend on the
+    machine: numpy's AVX-512 ``np.exp`` rounds some of them differently from
+    its other SIMD targets, and so the smoothed bits differ there.
 
     Every series of every row, and a row of ones, is laid out on one line
     with gaps of zeros between them, and the line is summed one tap at a

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -218,20 +219,33 @@ def test_row_order_does_not_matter_without_bootstrap():
 # --- split search -------------------------------------------------------------------
 
 # few distinct values, so rows tie and columns repeat; -0.0 ties with 0.0
+FEW_VALUES = [-2.0, -0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 7.5]
 SPLIT_VALUES = st.one_of(
-    st.sampled_from([-2.0, -0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 7.5]),
+    st.sampled_from(FEW_VALUES),
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
 )
 
 
 @st.composite
 def split_batches(draw):
-    """One training matrix and a batch of nodes on it, of 2 to 40 rows each."""
+    """One training matrix and a batch of nodes on it, of 2 to 40 rows each.
+
+    Many columns may be constant, and a node's rows may come from only 1 to
+    3 distinct training rows, so that most batches hold lanes (node,
+    candidate feature) that are constant on their node next to lanes that
+    vary.
+    """
     n = draw(st.integers(min_value=2, max_value=40))
     d = draw(st.integers(min_value=1, max_value=30))
-    values = draw(hnp.arrays(np.float64, (n, d), elements=SPLIT_VALUES))
+    # hypothesis's arrays mostly repeat one fill value; a seeded draw of few
+    # values varies on nearly every column
+    seeded = st.integers(0, 2**32 - 1).map(
+        lambda seed: np.random.default_rng(seed).choice(FEW_VALUES, size=(n, d))
+    )
+    values = draw(seeded | hnp.arrays(np.float64, (n, d), elements=SPLIT_VALUES))
     column = st.integers(0, d - 1)
-    for col in draw(st.lists(column, max_size=3)):
+    many = st.lists(column, min_size=d // 2, max_size=d - 1)
+    for col in draw(st.lists(column, max_size=3) | many):
         values[:, col] = values[0, col]  # constant column
     for src, dst in draw(st.lists(st.tuples(column, column), max_size=3)):
         values[:, dst] = values[:, src]  # duplicated column: a cross-feature tie
@@ -243,33 +257,88 @@ def split_batches(draw):
         weights = np.ones(n)
     m = draw(st.integers(min_value=1, max_value=d))
     # rows repeat as in a bootstrap sample; sizes differ, so most nodes are padded
-    node_rows = st.lists(st.integers(0, n - 1), min_size=2, max_size=40)
+    row = st.integers(0, n - 1)
+    node_rows = st.lists(row, min_size=2, max_size=40)
+    # a node on 1 to 3 distinct rows, on which most or all features are constant
+    few_rows = st.lists(row, min_size=1, max_size=3, unique=True).flatmap(
+        lambda few: st.lists(st.sampled_from(few), min_size=2, max_size=40)
+    )
+    batch = draw(st.lists(node_rows, min_size=2, max_size=6))
+    batch = draw(st.permutations(batch + draw(st.lists(few_rows, max_size=3))))
     nodes = []
-    for rows in draw(st.lists(node_rows, min_size=2, max_size=6)):
+    for rows in batch:
         candidates = draw(st.permutations(range(d)))[:m]
         nodes.append((np.array(rows), float(weights[rows].sum()), np.array(candidates)))
     return values, labels, weights, nodes
 
 
+def _searched_in_one_batch(values, labels, weights, nodes) -> list:
+    """Each node's (impurity, feature, threshold) from one :func:`_best_splits`
+    call, or None where it has no split."""
+    rows, totals, candidates = zip(*nodes)
+    # numpy warns of every floating-point error but underflow, which a
+    # midpoint of subnormal values may meet
+    with np.errstate(all="raise", under="ignore"):
+        impurity, feature, threshold = _best_splits(
+            _search_table(values, labels, weights),
+            np.concatenate(rows),
+            np.array([r.size for r in rows]),
+            np.array(totals),
+            np.array(candidates),
+        )
+    return [
+        (float(impurity[i]), int(feature[i]), float(threshold[i])) if feature[i] >= 0 else None
+        for i in range(len(nodes))
+    ]
+
+
+# a midpoint of -0.0 and the smallest subnormal underflows to 0.0
+SUBNORMAL_MIDPOINT = (
+    np.array([[-0.0], [5e-324]]),
+    np.array([0, 0]),
+    np.ones(2),
+    [(np.array([0, 0]), 2.0, np.array([0])), (np.array([0, 1]), 2.0, np.array([0]))],
+)
+
+
 @given(split_batches())
+@example(SUBNORMAL_MIDPOINT)
 @settings(max_examples=300, deadline=None)
 def test_best_split_matches_the_per_feature_loop(batch):
     values, labels, weights, nodes = batch
-    rows, totals, candidates = zip(*nodes)
-    impurity, feature, threshold = _best_splits(
-        _search_table(values, labels, weights),
-        np.concatenate(rows),
-        np.array([r.size for r in rows]),
-        np.array(totals),
-        np.array(candidates),
-    )
+    got = _searched_in_one_batch(values, labels, weights, nodes)
     for i, (rows, _, candidates) in enumerate(nodes):
-        got = None
-        if feature[i] >= 0:
-            got = (float(impurity[i]), int(feature[i]), float(threshold[i]))
         sample = (values[rows], labels[rows], weights[rows])
         want = best_split_reference(*sample, candidates)
-        assert repr(got) == repr(want)  # repr also tells -0.0 from 0.0
+        assert repr(got[i]) == repr(want)  # repr also tells -0.0 from 0.0
+
+
+# column 0 is constant, and column 2 is constant on rows 0 to 2 (-0.0 ties with 0.0)
+CONSTANT_LANES = (
+    np.array([[0.0, 1.0, -0.0], [0.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 4.0, 5.0]]),
+    np.array([0, 1, 1, 0]),
+    np.ones(4),
+)
+
+
+def _node(rows, candidates) -> tuple:
+    rows = np.array(rows)
+    return rows, float(CONSTANT_LANES[2][rows].sum()), np.array(candidates)
+
+
+def test_batch_in_which_no_lane_varies_has_no_split():
+    # both nodes hold both classes, but none of their candidates varies on them
+    nodes = [_node([0, 1], [0, 2]), _node([2, 2, 0], [2, 0])]
+    assert _searched_in_one_batch(*CONSTANT_LANES, nodes) == [None, None]
+
+
+def test_batch_of_a_node_with_no_varying_lane_and_one_that_splits():
+    nodes = [_node([0, 1], [0, 2]), _node([0, 1, 3, 3], [2, 1])]
+    got = _searched_in_one_batch(*CONSTANT_LANES, nodes)
+    rows, _, candidates = nodes[1]
+    want = best_split_reference(*(column[rows] for column in CONSTANT_LANES), candidates)
+    assert got[0] is None and want is not None
+    assert repr(got[1]) == repr(want)
 
 
 @pytest.mark.parametrize("class_weight", [None, "balanced"])
@@ -304,6 +373,49 @@ def test_split_search_in_small_batches_grows_the_same_forest(monkeypatch, lanes)
     assert max(len(t.feature) for t in want.trees) > 3  # several steps
     monkeypatch.setattr(forest, "_SEARCH_ENTRIES", lanes)
     assert repr(train_forest(values, labels, params).trees) == repr(want.trees)
+
+
+# (case, params, sha256 of the forests' sorted-key JSON, sha256 of their probabilities)
+FOREST_DIGESTS = [
+    ("default", ForestParams(),
+     "d8b77c3c383d0839bb4a87172720d18f6d9b53366c221c64f9e77f89c5373852",
+     "a7a075ca52b1d00d2365811ca0880a4d24a373ea298e64ab512dac9a5afea932"),
+    ("balanced-unbootstrapped-depth4",
+     ForestParams(num_trees=50, max_depth=4, features_per_split=3, bootstrap=False,
+                  class_weight="balanced", seed=11),
+     "9f9b9ec45cd80b36b0e5661a3238da2a490be8abde75524b874ef572413dac1a",
+     "309394fbccf66b156c9f00f74f6db1a7b66212284e4d60015d474678d86f08e9"),
+]
+
+
+@pytest.mark.parametrize("case, params, forests_digest, proba_digest", FOREST_DIGESTS)
+def test_forest_digest_is_pinned(case, params, forests_digest, proba_digest):
+    """Every bit of grown forests and their probabilities, on fixed inputs.
+
+    The inputs go through no relation or phase code, so these bytes depend
+    on nothing but the forest.  CI runs this file again under other numpy
+    SIMD targets.  Update a digest only for an intended change of results.
+    """
+    rng = np.random.default_rng(5)
+    normal = rng.normal(size=(45, 16))
+    normal[:, 3] = 0.25  # constant column
+    discrete = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0, 3.5], size=(45, 16))
+    discrete[:, 10] = 1.0
+    samples = {
+        "normal": (normal, (normal[:, 0] + rng.normal(size=45) > 0.3).astype(int)),
+        "discrete": (discrete, (rng.uniform(size=45) < 0.3).astype(int)),
+    }
+    grown = grow_forests(samples, params)
+    text = json.dumps([forest_to_dict(model) for model in grown.values()], sort_keys=True)
+    probe = rng.normal(size=(20, 16))
+    proba = b"".join(
+        predict_proba(grown[action], np.vstack([values, probe])).tobytes()
+        for action, (values, _) in samples.items()
+    )
+    assert (hashlib.sha256(text.encode()).hexdigest(), hashlib.sha256(proba).hexdigest()) == (
+        forests_digest,
+        proba_digest,
+    )
 
 
 def _draw_training_set(draw, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
