@@ -10,9 +10,16 @@ threshold, which makes training independent of sample order.
 The trees of several forests grow in lockstep (:func:`grow_forests`;
 :func:`train_forest` and :func:`train_tree` grow one).  Tree k of every
 forest makes the draws of a generator of its own on seed stream k: numpy's
-bootstrap ``integers`` and candidate ``choice``, bit for bit, made for all
-trees at once as array operations on the stream's 32-bit words, which every
-tree reads from a cursor of its own (:class:`_Draws`).  A tree grows left
+bootstrap ``integers`` and candidate ``choice``, bit for bit, made as array
+operations on the stream's 32-bit words.  Those draws depend on the seed and
+on the row, feature and candidate counts, never on the data, so they are
+made once and kept in one table per (seed, number of trees) (:class:`_Draws`):
+every forest and every later call under that seed reads them, and a set of
+candidates is made only the first time some tree asks for it.
+:func:`grow_forests` keeps the table of the last (seed, number of trees) it
+saw, so repeated training in one process (cross-validation folds, ``sweep``
+cells) makes only the draws no earlier call made, and a one-shot ``boxact
+train`` makes each draw once, as it would without the table.  A tree grows left
 child first, so its nodes come in pre-order.  The forests'
 training rows are stacked into one search table, and a node is a run of
 indices into it, kept in one shared pool, never a copy of the rows.  Trees
@@ -36,11 +43,13 @@ growing, predicting and (de)serializing never recurse."""
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import itertools
 import json
 import math
 import operator
+import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -305,7 +314,8 @@ def train_tree(
 
     ``weights`` defaults to one per sample; given, each must be positive and
     their sum finite.  The tree's candidate draws are ``rng.choice`` calls,
-    and ``rng`` ends where those calls would leave it.
+    made in a table of its own from a copy of ``rng``, and ``rng`` ends
+    where those calls would leave it.
     """
     values, labels = _training_input(values, labels, "train_tree")
     if labels.size == 0:
@@ -320,11 +330,10 @@ def train_tree(
     if not (np.isfinite(total) and (weights > 0).all()):
         raise ContractError("train_tree expects weights > 0 with a finite sum")
     # the words are read ahead from a copy; the caller's generator then reads
-    # as many as the tree used, which leaves it where numpy's own draws would
-    grown, used = _grow_trees(
-        [(values, labels, weights)], params, [copy.deepcopy(rng)], bootstrap=False
-    )
-    rng.integers(0, 2**32, size=int(used[0]), dtype=np.uint32)
+    # as many as the tree's sets used, which leaves it where numpy's own draws would
+    draws = _Draws([copy.deepcopy(rng)])
+    grown = _grow_trees([(values, labels, weights)], params, draws, bootstrap=False)
+    rng.integers(0, 2**32, size=int(draws.next_word[0, 0]), dtype=np.uint32)
     return Tree(*(tuple(column.tolist()) for column in grown[0][0]))
 
 
@@ -365,6 +374,8 @@ def _run_sums(
 # Words read from each stream the first time; later reads double the buffer.
 # The trees of the crossval benchmark read 30 to 300.
 _FIRST_WORDS = 512
+# Sets a line holds per stream at first; a full line doubles its room.
+_FIRST_SETS = 8
 # numpy draws a sample without replacement from a population of more than
 # this many by shuffling the tail of the whole population, when the sample is
 # larger than the population // _TAIL_DIVISOR; otherwise by Floyd's algorithm
@@ -373,7 +384,8 @@ _TAIL_DIVISOR = 50
 
 
 class _Draws:
-    """numpy's bounded integer draws for many trees, from their streams' words.
+    """numpy's bootstraps and candidate sets of every tree on a seed's streams,
+    each made once and kept in a table.
 
     Every draw numpy makes for a tree, ``Generator.integers(0, n, size=n)``
     and ``Generator.choice(d, m, replace=False)``, is built from its bit
@@ -387,16 +399,97 @@ class _Draws:
 
     The words of stream k are read from ``rngs[k]`` in chunks, with
     ``integers(0, 2**32, dtype=np.uint32)``, which is ``next_uint32`` and
-    keeps a PCG64 generator's buffered half word.  Tree i reads stream
-    ``stream[i]`` from its own ``cursor[i]``, so trees on one stream read
-    the same words, as generators seeded alike would.
+    keeps a PCG64 generator's buffered half word, and kept.  A tree on
+    stream k draws in a fixed order: its bootstrap of ``n`` rows first, if
+    it has one, then one candidate set per node it searches, in pre-order.
+    So its i-th set depends only on where its sets start (after the
+    bootstrap of ``n`` rows, or at the stream's start), ``d``, ``m`` and
+    ``i``, never on the training data.  The table keeps each stream's
+    bootstrap per row count and, per line (start, ``d``, ``m``), the sets
+    made so far and the word after the last, and makes a set only the first
+    time a tree asks for it: trees of any number of forests and calls that
+    share a stream, a start, ``d`` and ``m`` read the same sets, as
+    generators seeded alike would draw them.  A lock guards the table while
+    it grows.
     """
 
-    def __init__(self, rngs: Sequence[np.random.Generator], stream: np.ndarray) -> None:
+    def __init__(self, rngs: Sequence[np.random.Generator]) -> None:
         self.rngs = rngs
-        self.stream = stream
-        self.cursor = np.zeros(stream.size, dtype=np.intp)
-        self.words = np.empty((len(rngs), 0), dtype=np.uint32)
+        streams = len(rngs)
+        self.words = np.empty((streams, 0), dtype=np.uint32)
+        self.bootstraps: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per row count
+        # per line: its (d, m), its sets as (streams, capacity, m), and per
+        # stream the number of sets made and the word where the next one starts
+        self.line_ids: dict[tuple[int, int, int], int] = {}
+        self.shapes = np.empty((0, 2), dtype=np.intp)
+        self.sets: list[np.ndarray] = []
+        self.count = np.empty((0, streams), dtype=np.intp)
+        self.next_word = np.empty((0, streams), dtype=np.intp)
+        self.lock = threading.RLock()
+
+    def bootstrap(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every stream's ``integers(0, n, size=n)`` from its start, as a
+        ``(streams, n)`` array, and the word after each stream's draws."""
+        with self.lock:
+            if n not in self.bootstraps:
+                every = np.arange(len(self.rngs))
+                ranges = np.full((every.size, n), n - 1)
+                self.bootstraps[n] = self.bounded(every, np.zeros_like(every), ranges)
+            return self.bootstraps[n]
+
+    def line(self, rows: int, d: int, m: int) -> int:
+        """The id of the line of sets ``choice(d, m)`` drawn after a bootstrap of
+        ``rows`` rows, or from each stream's start when ``rows`` is 0."""
+        with self.lock:
+            key = (rows, d, m)
+            if key not in self.line_ids:
+                start = self.bootstrap(rows)[1] if rows else np.zeros(len(self.rngs), np.intp)
+                self.line_ids[key] = len(self.sets)
+                self.shapes = np.vstack([self.shapes, [d, m]])
+                # stored in the smallest type that holds every feature index
+                self.sets.append(
+                    np.empty((start.size, _FIRST_SETS, m), dtype=np.min_scalar_type(d))
+                )
+                self.count = np.vstack([self.count, np.zeros_like(start)])
+                self.next_word = np.vstack([self.next_word, start])
+            return self.line_ids[key]
+
+    def candidates(
+        self, line: np.ndarray, stream: np.ndarray, index: np.ndarray, width: int, pad: int
+    ) -> np.ndarray:
+        """Set ``index[i]`` of line ``line[i]`` on stream ``stream[i]`` for each i,
+        padded with ``pad`` to ``width`` columns."""
+        with self.lock:
+            new = index == self.count[line, stream]
+            if new.any():
+                # a tree asks for set i of its line only after sets 0 to i - 1,
+                # so a set not made yet is the next of its line and stream
+                streams = len(self.rngs)
+                key = np.flatnonzero(np.bincount(line[new] * streams + stream[new]))
+                self._extend(*np.divmod(key, streams))
+            chosen = np.full((line.size, width), pad, dtype=np.intp)
+            ids = np.flatnonzero(np.bincount(line))
+            for at in ids.tolist():
+                rows = np.flatnonzero(line == at) if ids.size > 1 else slice(None)
+                sets = self.sets[at]
+                chosen[rows, : sets.shape[2]] = sets[stream[rows], index[rows]]
+            return chosen
+
+    def _extend(self, ids: np.ndarray, streams: np.ndarray) -> None:
+        """Make the next set of line ``ids[i]`` on stream ``streams[i]`` for each
+        i, all in one pass; no pair repeats."""
+        d, m = self.shapes[ids].T
+        chosen, self.next_word[ids, streams] = self.choice(
+            streams, self.next_word[ids, streams], d, m, int(m.max()), 0
+        )
+        index = self.count[ids, streams]
+        self.count[ids, streams] += 1
+        for at in np.flatnonzero(np.bincount(ids)).tolist():
+            rows = ids == at
+            sets = self.sets[at]
+            if index[rows].max() == sets.shape[1]:
+                sets = self.sets[at] = np.concatenate([sets, np.empty_like(sets)], axis=1)
+            sets[streams[rows], index[rows]] = chosen[rows, : sets.shape[2]]
 
     def _read(self, width: int) -> None:
         """Read every stream's words up to ``width``."""
@@ -438,23 +531,37 @@ class _Draws:
         return values, np.where(reads.any(axis=1), last + 1, starts)
 
     def choice(
-        self, trees: np.ndarray, d: np.ndarray, m: np.ndarray, width: int, pad: int
-    ) -> np.ndarray:
-        """``choice(d[i], m[i], replace=False)`` of each tree i of ``trees``, as numpy
-        draws it, padded with ``pad`` to ``width`` columns; moves the trees' cursors."""
-        chosen = np.empty((trees.size, width), dtype=np.intp)
+        self,
+        streams: np.ndarray,
+        starts: np.ndarray,
+        d: np.ndarray,
+        m: np.ndarray,
+        width: int,
+        pad: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``choice(d[i], m[i], replace=False)`` as numpy draws it from word
+        ``starts[i]`` of stream ``streams[i]``, padded with ``pad`` to ``width``
+        columns, and the word after each row's draws."""
+        chosen = np.empty((streams.size, width), dtype=np.intp)
+        ends = np.empty(streams.size, dtype=np.intp)
         tail = (d > _TAIL_POPULATION) & (m > d // _TAIL_DIVISOR)
         floyd = np.flatnonzero(~tail)
         if floyd.size:
-            chosen[floyd] = self._floyd(trees[floyd], d[floyd], m[floyd], width)
+            chosen[floyd], ends[floyd] = self._floyd(
+                streams[floyd], starts[floyd], d[floyd], m[floyd], width
+            )
         for i in np.flatnonzero(tail).tolist():
-            chosen[i, : m[i]] = self._tail_shuffle(trees[i], int(d[i]), int(m[i]))
+            chosen[i, : m[i]], ends[i] = self._tail_shuffle(
+                streams[i], starts[i], int(d[i]), int(m[i])
+            )
         chosen[np.arange(width) >= m[:, None]] = pad
-        return chosen
+        return chosen, ends
 
-    def _floyd(self, trees: np.ndarray, d: np.ndarray, m: np.ndarray, width: int) -> np.ndarray:
+    def _floyd(
+        self, streams: np.ndarray, starts: np.ndarray, d: np.ndarray, m: np.ndarray, width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Floyd's sample of ``m[i]`` of ``range(d[i])``, then numpy's Fisher-Yates
-        shuffle, in the first ``m[i]`` columns of row i."""
+        shuffle, in the first ``m[i]`` columns of row i; and each row's next word."""
         step = np.arange(width)
         m = m[:, None]
         live = step < m
@@ -463,12 +570,10 @@ class _Draws:
         top = np.where(live, d[:, None] - m + step, 0)
         # then the shuffle swaps each entry i = m - 1, ..., 1 with one on [0, i]
         swap = np.maximum(m - 1 - step[:-1], 0)
-        draws, self.cursor[trees] = self.bounded(
-            self.stream[trees], self.cursor[trees], np.hstack([top, swap])
-        )
-        chosen = np.empty((trees.size, width), dtype=np.intp)
-        rows = np.arange(trees.size)
-        seen = np.zeros((trees.size, int(d.max())), dtype=bool)
+        draws, ends = self.bounded(streams, starts, np.hstack([top, swap]))
+        chosen = np.empty((streams.size, width), dtype=np.intp)
+        rows = np.arange(streams.size)
+        seen = np.zeros((streams.size, int(d.max())), dtype=bool)
         for k in range(width):
             value = draws[:, k]
             chosen[:, k] = np.where(seen[rows, value], top[:, k], value)
@@ -477,35 +582,45 @@ class _Draws:
             at = rows[swap[:, k] > 0]
             i, j = swap[at, k], draws[at, width + k]
             chosen[at, i], chosen[at, j] = chosen[at, j], chosen[at, i]
-        return chosen
+        return chosen, ends
 
-    def _tail_shuffle(self, tree: int, d: int, m: int) -> list[int]:
+    def _tail_shuffle(self, stream: int, start: int, d: int, m: int) -> tuple[list[int], int]:
         """numpy's sample of ``m`` of ``range(d)`` for a large population: the
         last ``m`` entries of ``range(d)`` after swapping each entry
-        ``i = d - 1, ..., max(d - m, 1)`` with one on ``[0, i]``."""
+        ``i = d - 1, ..., max(d - m, 1)`` with one on ``[0, i]``; and the next word."""
         tops = np.arange(d - 1, max(d - m, 1) - 1, -1)
-        draws, ends = self.bounded(self.stream[[tree]], self.cursor[[tree]], tops[None])
-        self.cursor[tree] = ends[0]
+        draws, ends = self.bounded(np.array([stream]), np.array([start]), tops[None])
         moved: dict[int, int] = {}  # the entries that are not their own index
         for i, j in zip(tops.tolist(), draws[0].tolist()):
             moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return [moved.get(i, i) for i in range(d - m, d)]
+        return [moved.get(i, i) for i in range(d - m, d)], int(ends[0])
+
+
+@functools.lru_cache(maxsize=1)
+def _table(seed: int, num_trees: int) -> _Draws:
+    """The draws of ``num_trees`` streams of ``SeedSequence(seed)``: the table of
+    the last (seed, num_trees) asked for is kept, and any other replaces it."""
+    streams = np.random.SeedSequence(seed).spawn(num_trees)
+    return _Draws([np.random.default_rng(stream) for stream in streams])
 
 
 def _grow_trees(
     blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     params: ForestParams,
-    rngs: Sequence[np.random.Generator],
+    draws: _Draws,
     bootstrap: bool,
-) -> tuple[list[tuple[tuple[np.ndarray, ...], np.ndarray]], np.ndarray]:
+) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
     """Grow the trees of several forests from checked inputs, all in lockstep.
 
-    ``blocks`` holds each forest's (values, labels, weights) and ``rngs``
-    one generator per seed stream.  Every block grows one tree per stream:
-    tree k draws what a generator of its own in the state of ``rngs[k]``
-    would, from its own cursor in the words of stream k.  The blocks' rows
+    ``blocks`` holds each forest's (values, labels, weights) and ``draws``
+    the table of the seed streams' draws.  Every block grows one tree per
+    stream: tree k draws what a generator of its own in the state of stream
+    k's generator would.  It reads its bootstrap and then, one per node it
+    searches, the sets of its line of the table; it carries only the number
+    of sets it has read, and the table makes a set the first time any tree
+    asks for it.  The blocks' rows
     are stacked into one search table, and each tree keeps its block's row
-    count, feature count and candidate count.  A tree that draws
+    count, candidate count and line of sets.  A tree that draws
     fewer candidates than the most of any tree pads its draw with a constant
     sentinel column, which never has a split, so the search passes over it.
 
@@ -519,7 +634,7 @@ def _grow_trees(
     of bounded size, with the total weight of each node searched; every
     node's weight and positive weight come from one grouped pass at the end.
     Returns each block's node columns and tree offsets, as a
-    :class:`ForestModel` holds them, and the number of words each tree read.
+    :class:`ForestModel` holds them.
     """
     block_rows = [labels.size for _, labels, _ in blocks]
     block_features = [values.shape[1] for values, _, _ in blocks]
@@ -544,23 +659,23 @@ def _grow_trees(
         )
         for n, d in zip(block_rows, block_features)
     ]
-    streams = len(rngs)
+    streams = len(draws.rngs)
     block = np.repeat(np.arange(len(blocks)), streams)
-    n_rows, n_features, m, max_depth, min_split = (
+    n_rows, _, m, max_depth, min_split = (
         np.array(column, dtype=np.intp)[block] for column in zip(*per_block)
     )
     width = int(m.max())
     count = block.size
-    draws = _Draws(rngs, np.tile(np.arange(streams), len(blocks)))
+    # each tree's line of candidate sets and stream, and the sets it has used
+    lines = [draws.line(n if bootstrap else 0, d, k) for n, d, k, _, _ in per_block]
+    line = np.array(lines, dtype=np.intp)[block]
+    stream = np.tile(np.arange(streams), len(blocks))
+    used = np.zeros(count, dtype=np.intp)
     if bootstrap:
         # a bootstrap is n draws on [0, n - 1]: the same for every block of n rows
-        every, unread = np.arange(streams), np.zeros(streams, dtype=np.intp)
-        samples = {
-            n: draws.bounded(every, unread, np.full((streams, n), n - 1)) for n in set(block_rows)
-        }
-        pool = np.concatenate([samples[n][0].ravel() + at for at, n in zip(offsets, block_rows)])
-        draws.cursor[:] = np.concatenate([samples[n][1] for n in block_rows])
-        del samples
+        pool = np.concatenate(
+            [draws.bootstrap(n)[0].ravel() + at for at, n in zip(offsets, block_rows)]
+        )
     else:
         pool = np.concatenate(
             [np.tile(np.arange(at, at + n), streams) for at, n in zip(offsets, block_rows)]
@@ -591,7 +706,8 @@ def _grow_trees(
         goes_on = np.zeros(live.size, dtype=bool)
         if search.size:
             t = live[search]
-            candidates = draws.choice(t, n_features[t], m[t], width, sentinel)
+            candidates = draws.candidates(line[t], stream[t], used[t], width, sentinel)
+            used[t] += 1
             rows = rows[searched[node]]
             node = np.repeat(np.arange(search.size), sizes[search])
             totals = _run_sums(weights, pool, starts[search], sizes[search])
@@ -677,7 +793,7 @@ def _grow_trees(
     for lo in range(0, count, streams):  # a block's trees lie end to end
         bounds = offsets[lo : lo + streams + 1]
         grown.append((tuple(c[bounds[0] : bounds[-1]] for c in columns), bounds - bounds[0]))
-    return grown, draws.cursor
+    return grown
 
 
 @dataclass(frozen=True, eq=False)
@@ -742,8 +858,9 @@ def grow_forests(
 
     Each forest equals :func:`train_forest` on its (values, labels) alone:
     every forest's tree k draws what a generator of its own on stream k of
-    ``SeedSequence(params.seed)`` would.  One generator per stream serves
-    the trees of all forests.
+    ``SeedSequence(params.seed)`` would.  The draws come from the table of
+    ``(params.seed, params.num_trees)``, which this call reuses if the last
+    call had that key and otherwise replaces; threads may share it.
     """
     blocks = []
     for action_id, (values, labels) in samples.items():
@@ -764,9 +881,8 @@ def grow_forests(
         blocks.append((values, labels, weights))
     if not blocks:
         return {}
-    streams = np.random.SeedSequence(params.seed).spawn(params.num_trees)
-    rngs = [np.random.default_rng(stream) for stream in streams]
-    grown, _ = _grow_trees(blocks, params, rngs, params.bootstrap)
+    draws = _table(params.seed, params.num_trees)
+    grown = _grow_trees(blocks, params, draws, params.bootstrap)
     fingerprints = fingerprints or {}
     return {
         action_id: ForestModel(

@@ -122,9 +122,9 @@ class VideoTrack:
                         f"+/-{COORDINATE_LIMIT:g} px, got {v!r}"
                     )
             raise AnnotationError(f"{at}: box extent must be non-negative, got w={w}, h={h}")
-        absent = np.argwhere(~present & boxes.any(axis=2))
-        if absent.size:
-            t, r = absent[0]
+        absent = ~present & boxes.any(axis=2)
+        if absent.any():
+            t, r = np.argwhere(absent)[0]
             raise AnnotationError(
                 f"{where} frame {int(frames[t])!r}: absent {ROLES[r]!r} must have an "
                 f"all-zero box"

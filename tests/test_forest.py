@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import json
+import sys
+import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -530,6 +534,130 @@ def test_search_memory_stays_bounded_as_forests_are_added():
     assert peak < 160 * 2**20
 
 
+def _grown_on_an_empty_table(samples, params):
+    """``grow_forests`` on a new table, which is then kept."""
+    forest._table.cache_clear()
+    return grow_forests(samples, params)
+
+
+@st.composite
+def table_call_sequences(draw):
+    """Training calls that often share a seed, a tree count, row and feature counts.
+
+    A call under the (seed, num_trees) of the call before reads the sets that
+    call made, and forests of one call share the lines of equal (n, d, m).
+    """
+    keys = st.sampled_from([(0, 4), (0, 7), (9, 4)])
+    calls = []
+    for _ in range(draw(st.integers(2, 4))):
+        seed, num_trees = draw(keys)
+        samples = {
+            f"action{i}": _draw_training_set(
+                draw, draw(st.sampled_from([5, 12, 30])), draw(st.sampled_from([1, 4, 9, 16]))
+            )
+            for i in range(draw(st.integers(1, 3)))
+        }
+        params = ForestParams(
+            num_trees=num_trees,
+            seed=seed,
+            bootstrap=draw(st.booleans()),
+            class_weight=draw(st.sampled_from([None, "balanced"])),
+            features_per_split=draw(st.sampled_from(["sqrt", 2, 5])),
+        )
+        calls.append((samples, params))
+    return calls
+
+
+def _tail_shuffle_calls():
+    """Two calls on one line of numpy's tail shuffle: d = 10001 > 10000 and
+    m = 201 > d // 50.  In the second, forest b reads the sets that forest a
+    made in the first and makes more."""
+    rng = np.random.default_rng(2)
+    a = (rng.choice([0.0, 1.0, 2.0], size=(6, 10_001)), np.array([0, 1, 0, 1, 1, 0]))
+    b = (rng.normal(size=(12, 10_001)), np.resize([0, 1, 1, 0], 12))
+    params = ForestParams(num_trees=2, seed=0, features_per_split=201, bootstrap=False)
+    return [({"a": a}, params), ({"a": a, "b": b}, params)]
+
+
+@given(table_call_sequences())
+@example(_tail_shuffle_calls())
+@settings(max_examples=40, deadline=None)
+def test_forests_read_from_a_kept_table_equal_forests_grown_on_an_empty_one(calls):
+    for samples, params in calls:
+        grown = grow_forests(samples, params)
+        cold = _grown_on_an_empty_table(samples, params)
+        for action, (values, labels) in samples.items():
+            assert _same_forest(grown[action], cold[action])
+            # repr also tells -0.0 from 0.0
+            assert repr(grown[action].trees) == repr(forest_trees_reference(values, labels, params))
+
+
+def _table_samples(seed: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    rng = np.random.default_rng(seed)
+    return {
+        f"action{d}": (
+            rng.choice([-1.0, 0.0, 0.5, 2.0, 3.5], size=(30, d)),
+            np.resize([0, 1, 1], 30),
+        )
+        for d in (9, 16, 16)
+    }
+
+
+def test_a_repeated_call_makes_no_new_draw(monkeypatch):
+    forest._table.cache_clear()
+    samples, params = _table_samples(3), ForestParams(num_trees=20, seed=4)
+    want = grow_forests(samples, params)
+
+    def draw_again(*args, **kwargs):
+        raise AssertionError("the table made a draw it holds")
+
+    monkeypatch.setattr(np.random, "SeedSequence", draw_again)
+    monkeypatch.setattr(forest._Draws, "bounded", draw_again)
+    got = grow_forests(samples, params)
+    assert all(_same_forest(got[action], want[action]) for action in samples)
+
+
+def test_threads_growing_under_one_seed_at_once_give_the_serial_result():
+    cases = [_table_samples(seed) for seed in range(3)]
+    params = ForestParams(num_trees=25, seed=6)
+    want = [_grown_on_an_empty_table(samples, params) for samples in cases]
+    forest._table.cache_clear()
+    got: dict[int, dict] = {}
+
+    def grow(i: int) -> None:
+        got[i] = grow_forests(cases[i % len(cases)], params)
+
+    # more threads than cores, switching often, all on one new table
+    threads = [threading.Thread(target=grow, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(got) == list(range(len(threads)))
+    for i, grown in got.items():
+        expected = want[i % len(cases)]
+        assert all(_same_forest(grown[action], expected[action]) for action in expected)
+
+
+@pytest.mark.parametrize("seed, num_trees", [(2, 3), (1, 4)])
+def test_a_call_under_another_seed_or_tree_count_drops_the_table(seed, num_trees):
+    samples = _table_samples(0)
+    grow_forests(samples, ForestParams(num_trees=3, seed=1))
+    old = weakref.ref(forest._table(1, 3))
+    grow_forests(samples, ForestParams(num_trees=num_trees, seed=seed))
+    gc.collect()
+    assert old() is None
+    hits = forest._table.cache_info().hits
+    forest._table(seed, num_trees)
+    assert forest._table.cache_info().hits == hits + 1
+
+
 def _generator(seed: int, words: int) -> np.random.Generator:
     """A generator on ``seed`` that has read ``words`` 32-bit words."""
     rng = np.random.default_rng(seed)
@@ -561,16 +689,15 @@ def test_draws_are_numpys_choice_bit_for_bit(case):
     # sample another way fails here, by name, before any tree changes
     seeds, trees, order = case
     stream, before, d, m = map(np.array, zip(*trees))
-    draws = forest._Draws([np.random.default_rng(s) for s in seeds], stream)
-    draws.cursor[:] = before
+    draws = forest._Draws([np.random.default_rng(s) for s in seeds])
     width, pad = int(m.max()), int(d.max())
-    got = draws.choice(np.array(order), d[order], m[order], width, pad)
+    got, ends = draws.choice(stream[order], before[order], d[order], m[order], width, pad)
     for row, i in enumerate(order):
         rng = _generator(seeds[stream[i]], before[i])
         want = rng.choice(d[i], size=m[i], replace=False).tolist()
         assert got[row].tolist() == want + [pad] * (width - m[i])
-        # the cursor stops at the word where numpy's generator stopped
-        read = _generator(seeds[stream[i]], int(draws.cursor[i]))
+        # the draws end at the word where numpy's generator stopped
+        read = _generator(seeds[stream[i]], int(ends[row]))
         assert read.bit_generator.state == rng.bit_generator.state
 
 
@@ -600,7 +727,7 @@ def test_bounded_draws_are_numpys_integers_bit_for_bit(rows):
     width = max(k for _, k in shapes)
     # a row with fewer draws is padded with ranges of 0, which read no word
     ranges = np.array([[r] * k + [0] * (width - k) for r, k in shapes], dtype=np.int64)
-    draws = forest._Draws([np.random.default_rng(s) for s in seeds], np.arange(len(rows)))
+    draws = forest._Draws([np.random.default_rng(s) for s in seeds])
     got, ends = draws.bounded(np.arange(len(rows)), np.array(before), ranges)
     for i, (seed, (r, k)) in enumerate(zip(seeds, shapes)):
         rng = _generator(seed, before[i])
