@@ -9,13 +9,14 @@ threshold, which makes training independent of sample order.
 
 The trees of several forests grow in lockstep (:func:`grow_forests`;
 :func:`train_forest` and :func:`train_tree` grow one).  Tree k of every
-forest makes the draws of a generator of its own on seed stream k: numpy's
-bootstrap ``integers`` and candidate ``choice``, bit for bit, made as array
-operations on the stream's 32-bit words.  Those draws depend on the seed and
-on the row, feature and candidate counts, never on the data, so they are
-made once and kept in one table per (seed, number of trees) (:class:`_Draws`):
-every forest and every later call under that seed reads them, and a set of
-candidates is made only the first time some tree asks for it.
+forest draws what a generator of its own on seed stream k would: its
+bootstrap with numpy's ``integers`` and its candidates with ``choice``.
+Those draws depend on the seed and on the row, feature and candidate
+counts, never on the data, so numpy makes each of them once, on a copy of
+the stream's generator, and they are kept in one table per (seed, number
+of trees) (:class:`_Draws`): every forest and every later call under that
+seed reads them, and a set of candidates is made only the first time some
+tree asks for it.
 :func:`grow_forests` keeps the table of the last (seed, number of trees) it
 saw, so repeated training in one process (cross-validation folds, ``sweep``
 cells) makes only the draws no earlier call made, and a one-shot ``boxact
@@ -42,7 +43,6 @@ growing, predicting and (de)serializing never recurse."""
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import itertools
@@ -329,11 +329,10 @@ def train_tree(
         total = weights.sum()
     if not (np.isfinite(total) and (weights > 0).all()):
         raise ContractError("train_tree expects weights > 0 with a finite sum")
-    # the words are read ahead from a copy; the caller's generator then reads
-    # as many as the tree's sets used, which leaves it where numpy's own draws would
-    draws = _Draws([copy.deepcopy(rng)])
+    draws = _Draws(type(rng.bit_generator), [rng.bit_generator.state])
     grown = _grow_trees([(values, labels, weights)], params, draws, bootstrap=False)
-    rng.integers(0, 2**32, size=int(draws.next_word[0, 0]), dtype=np.uint32)
+    # the tree's one line ends where numpy's own choice calls would leave rng
+    rng.bit_generator.state = draws.generators[0][0].bit_generator.state
     return Tree(*(tuple(column.tolist()) for column in grown[0][0]))
 
 
@@ -371,70 +370,72 @@ def _run_sums(
     return sums
 
 
-# Words read from each stream the first time; later reads double the buffer.
-# The trees of the crossval benchmark read 30 to 300.
-_FIRST_WORDS = 512
 # Sets a line holds per stream at first; a full line doubles its room.
 _FIRST_SETS = 8
-# numpy draws a sample without replacement from a population of more than
-# this many by shuffling the tail of the whole population, when the sample is
-# larger than the population // _TAIL_DIVISOR; otherwise by Floyd's algorithm
-_TAIL_POPULATION = 10000
-_TAIL_DIVISOR = 50
+
+
+class _Unseeded(np.random.bit_generator.ISeedSequence):
+    """The seed of a bit generator whose state is set next: it hashes nothing."""
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.zeros(n_words, dtype=dtype)
+
+
+_UNSEEDED = _Unseeded()
+
+
+def _generator(kind: type, state: dict) -> np.random.Generator:
+    """A copy, by state, of a generator on a ``kind`` bit generator: about 5 us,
+    where seeding with ``kind(0)`` first would take 15 and a deep copy 60."""
+    bit_generator = kind(_UNSEEDED)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
 
 
 class _Draws:
     """numpy's bootstraps and candidate sets of every tree on a seed's streams,
     each made once and kept in a table.
 
-    Every draw numpy makes for a tree, ``Generator.integers(0, n, size=n)``
-    and ``Generator.choice(d, m, replace=False)``, is built from its bit
-    generator's 32-bit words (``next_uint32``), one Lemire bounded integer
-    at a time (Lemire 2019, "Fast Random Integer Generation in an
-    Interval").  A draw on ``[0, r]`` reads no word when ``r == 0``, and
-    otherwise multiplies a word by ``r + 1``; it keeps the high 32 bits
-    unless the low 32 bits fall under ``2**32 % (r + 1)``, when it reads the
-    next word instead.  So the draws of any number of trees can be made as
-    array operations on the words, bit for bit.
-
-    The words of stream k are read from ``rngs[k]`` in chunks, with
-    ``integers(0, 2**32, dtype=np.uint32)``, which is ``next_uint32`` and
-    keeps a PCG64 generator's buffered half word, and kept.  A tree on
-    stream k draws in a fixed order: its bootstrap of ``n`` rows first, if
-    it has one, then one candidate set per node it searches, in pre-order.
-    So its i-th set depends only on where its sets start (after the
-    bootstrap of ``n`` rows, or at the stream's start), ``d``, ``m`` and
-    ``i``, never on the training data.  The table keeps each stream's
-    bootstrap per row count and, per line (start, ``d``, ``m``), the sets
-    made so far and the word after the last, and makes a set only the first
-    time a tree asks for it: trees of any number of forests and calls that
-    share a stream, a start, ``d`` and ``m`` read the same sets, as
-    generators seeded alike would draw them.  A lock guards the table while
-    it grows.
+    A tree on stream k draws in a fixed order: its bootstrap
+    ``integers(0, n, size=n)`` first, if it has one, then one
+    ``choice(d, m, replace=False)`` per node it searches, in pre-order.  So
+    its i-th set depends only on where its sets start (after the bootstrap
+    of ``n`` rows, or at the stream's start), ``d``, ``m`` and ``i``, never
+    on the training data.  The table keeps each stream's bootstrap per row
+    count and, per line (start, ``d``, ``m``), the sets made so far and a
+    generator in the state where the next set starts, and makes a set only
+    the first time a tree asks for it: trees of any number of forests and
+    calls that share a stream, a start, ``d`` and ``m`` read the same sets.
+    Every draw is numpy's own, made on a copy of the stream's generator, so
+    the streams' states (``states``, on ``kind`` bit generators) are never
+    moved.  A lock guards the table while it grows.
     """
 
-    def __init__(self, rngs: Sequence[np.random.Generator]) -> None:
-        self.rngs = rngs
-        streams = len(rngs)
-        self.words = np.empty((streams, 0), dtype=np.uint32)
-        self.bootstraps: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per row count
-        # per line: its (d, m), its sets as (streams, capacity, m), and per
-        # stream the number of sets made and the word where the next one starts
+    def __init__(self, kind: type, states: Sequence[dict]) -> None:
+        self.kind = kind
+        self.streams = len(states)
+        # each stream's state per start: 0 for its own, else a bootstrap's row
+        # count; a state takes less room than a generator
+        self.starts: dict[int, list[dict]] = {0: list(states)}
+        self.bootstraps: dict[int, np.ndarray] = {}  # per row count, (streams, n)
+        # per line: its (d, m), its sets as (streams, capacity, m), its
+        # generators and per stream the number of sets made
         self.line_ids: dict[tuple[int, int, int], int] = {}
-        self.shapes = np.empty((0, 2), dtype=np.intp)
+        self.shapes: list[tuple[int, int]] = []
         self.sets: list[np.ndarray] = []
-        self.count = np.empty((0, streams), dtype=np.intp)
-        self.next_word = np.empty((0, streams), dtype=np.intp)
+        self.generators: list[list[np.random.Generator]] = []
+        self.count = np.empty((0, self.streams), dtype=np.intp)
         self.lock = threading.RLock()
 
-    def bootstrap(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def bootstrap(self, n: int) -> np.ndarray:
         """Every stream's ``integers(0, n, size=n)`` from its start, as a
-        ``(streams, n)`` array, and the word after each stream's draws."""
+        ``(streams, n)`` array of the smallest type that holds them."""
         with self.lock:
             if n not in self.bootstraps:
-                every = np.arange(len(self.rngs))
-                ranges = np.full((every.size, n), n - 1)
-                self.bootstraps[n] = self.bounded(every, np.zeros_like(every), ranges)
+                rngs = [_generator(self.kind, state) for state in self.starts[0]]
+                rows = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+                self.bootstraps[n] = rows.astype(np.min_scalar_type(n - 1))
+                self.starts[n] = [rng.bit_generator.state for rng in rngs]
             return self.bootstraps[n]
 
     def line(self, rows: int, d: int, m: int) -> int:
@@ -443,15 +444,18 @@ class _Draws:
         with self.lock:
             key = (rows, d, m)
             if key not in self.line_ids:
-                start = self.bootstrap(rows)[1] if rows else np.zeros(len(self.rngs), np.intp)
+                if rows:
+                    self.bootstrap(rows)  # which keeps where each stream's rows end
                 self.line_ids[key] = len(self.sets)
-                self.shapes = np.vstack([self.shapes, [d, m]])
+                self.shapes.append((d, m))
                 # stored in the smallest type that holds every feature index
                 self.sets.append(
-                    np.empty((start.size, _FIRST_SETS, m), dtype=np.min_scalar_type(d))
+                    np.empty((self.streams, _FIRST_SETS, m), dtype=np.min_scalar_type(d))
                 )
-                self.count = np.vstack([self.count, np.zeros_like(start)])
-                self.next_word = np.vstack([self.next_word, start])
+                self.generators.append(
+                    [_generator(self.kind, state) for state in self.starts[rows]]
+                )
+                self.count = np.vstack([self.count, np.zeros(self.streams, np.intp)])
             return self.line_ids[key]
 
     def candidates(
@@ -464,9 +468,8 @@ class _Draws:
             if new.any():
                 # a tree asks for set i of its line only after sets 0 to i - 1,
                 # so a set not made yet is the next of its line and stream
-                streams = len(self.rngs)
-                key = np.flatnonzero(np.bincount(line[new] * streams + stream[new]))
-                self._extend(*np.divmod(key, streams))
+                key = np.flatnonzero(np.bincount(line[new] * self.streams + stream[new]))
+                self._extend(*np.divmod(key, self.streams))
             chosen = np.full((line.size, width), pad, dtype=np.intp)
             ids = np.flatnonzero(np.bincount(line))
             for at in ids.tolist():
@@ -477,123 +480,19 @@ class _Draws:
 
     def _extend(self, ids: np.ndarray, streams: np.ndarray) -> None:
         """Make the next set of line ``ids[i]`` on stream ``streams[i]`` for each
-        i, all in one pass; no pair repeats."""
-        d, m = self.shapes[ids].T
-        chosen, self.next_word[ids, streams] = self.choice(
-            streams, self.next_word[ids, streams], d, m, int(m.max()), 0
-        )
+        i; no pair repeats."""
         index = self.count[ids, streams]
         self.count[ids, streams] += 1
         for at in np.flatnonzero(np.bincount(ids)).tolist():
             rows = ids == at
+            d, m = self.shapes[at]
+            generators = self.generators[at]
             sets = self.sets[at]
             if index[rows].max() == sets.shape[1]:
                 sets = self.sets[at] = np.concatenate([sets, np.empty_like(sets)], axis=1)
-            sets[streams[rows], index[rows]] = chosen[rows, : sets.shape[2]]
-
-    def _read(self, width: int) -> None:
-        """Read every stream's words up to ``width``."""
-        have = self.words.shape[1]
-        if width > have:
-            more = max(width - have, have, _FIRST_WORDS)
-            chunk = [rng.integers(0, 2**32, size=more, dtype=np.uint32) for rng in self.rngs]
-            self.words = np.concatenate([self.words, np.stack(chunk)], axis=1)
-
-    def bounded(
-        self, streams: np.ndarray, starts: np.ndarray, ranges: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """numpy's draws on ``[0, ranges[i, k]]``, row i read from word ``starts[i]``
-        of stream ``streams[i]``, in column order.  Every range is below ``2**32 - 1``.
-
-        Returns the draws and the word after each row's last.
-        """
-        bound = ranges.astype(np.uint64) + 1
-        reads = bound > 1
-        at = np.cumsum(reads, axis=1)
-        at += (starts - 1)[:, None]
-        low = (2**32 - bound) % bound  # a low half under this is rejected
-        rows = np.arange(ranges.shape[0])
-        values = np.empty(ranges.shape, dtype=np.intp)
-        while True:
-            self._read(int(at.max(initial=0)) + 1)
-            draws = self.words[streams[rows, None], at[rows]] * bound[rows]
-            values[rows] = draws >> 32
-            rejected = (draws & 0xFFFFFFFF) < low[rows]
-            hit = rejected.any(axis=1)
-            if not hit.any():
-                break
-            # from its first rejected draw on, a row reads each word one later
-            rows, rejected = rows[hit], rejected[hit]
-            later = np.cumsum(rejected, axis=1) > 0
-            later &= reads[rows]
-            at[rows] += later
-        last = at.max(axis=1, initial=-1, where=reads)
-        return values, np.where(reads.any(axis=1), last + 1, starts)
-
-    def choice(
-        self,
-        streams: np.ndarray,
-        starts: np.ndarray,
-        d: np.ndarray,
-        m: np.ndarray,
-        width: int,
-        pad: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``choice(d[i], m[i], replace=False)`` as numpy draws it from word
-        ``starts[i]`` of stream ``streams[i]``, padded with ``pad`` to ``width``
-        columns, and the word after each row's draws."""
-        chosen = np.empty((streams.size, width), dtype=np.intp)
-        ends = np.empty(streams.size, dtype=np.intp)
-        tail = (d > _TAIL_POPULATION) & (m > d // _TAIL_DIVISOR)
-        floyd = np.flatnonzero(~tail)
-        if floyd.size:
-            chosen[floyd], ends[floyd] = self._floyd(
-                streams[floyd], starts[floyd], d[floyd], m[floyd], width
-            )
-        for i in np.flatnonzero(tail).tolist():
-            chosen[i, : m[i]], ends[i] = self._tail_shuffle(
-                streams[i], starts[i], int(d[i]), int(m[i])
-            )
-        chosen[np.arange(width) >= m[:, None]] = pad
-        return chosen, ends
-
-    def _floyd(
-        self, streams: np.ndarray, starts: np.ndarray, d: np.ndarray, m: np.ndarray, width: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Floyd's sample of ``m[i]`` of ``range(d[i])``, then numpy's Fisher-Yates
-        shuffle, in the first ``m[i]`` columns of row i; and each row's next word."""
-        step = np.arange(width)
-        m = m[:, None]
-        live = step < m
-        # Floyd: step k draws on [0, j] for j = d - m + k, and takes j when
-        # the draw was taken already
-        top = np.where(live, d[:, None] - m + step, 0)
-        # then the shuffle swaps each entry i = m - 1, ..., 1 with one on [0, i]
-        swap = np.maximum(m - 1 - step[:-1], 0)
-        draws, ends = self.bounded(streams, starts, np.hstack([top, swap]))
-        chosen = np.empty((streams.size, width), dtype=np.intp)
-        rows = np.arange(streams.size)
-        seen = np.zeros((streams.size, int(d.max())), dtype=bool)
-        for k in range(width):
-            value = draws[:, k]
-            chosen[:, k] = np.where(seen[rows, value], top[:, k], value)
-            seen[rows, chosen[:, k]] = True
-        for k in range(width - 1):
-            at = rows[swap[:, k] > 0]
-            i, j = swap[at, k], draws[at, width + k]
-            chosen[at, i], chosen[at, j] = chosen[at, j], chosen[at, i]
-        return chosen, ends
-
-    def _tail_shuffle(self, stream: int, start: int, d: int, m: int) -> tuple[list[int], int]:
-        """numpy's sample of ``m`` of ``range(d)`` for a large population: the
-        last ``m`` entries of ``range(d)`` after swapping each entry
-        ``i = d - 1, ..., max(d - m, 1)`` with one on ``[0, i]``; and the next word."""
-        tops = np.arange(d - 1, max(d - m, 1) - 1, -1)
-        draws, ends = self.bounded(np.array([stream]), np.array([start]), tops[None])
-        moved: dict[int, int] = {}  # the entries that are not their own index
-        for i, j in zip(tops.tolist(), draws[0].tolist()):
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return [moved.get(i, i) for i in range(d - m, d)], int(ends[0])
+            sets[streams[rows], index[rows]] = [
+                generators[k].choice(d, m, replace=False) for k in streams[rows].tolist()
+            ]
 
 
 @functools.lru_cache(maxsize=1)
@@ -601,7 +500,7 @@ def _table(seed: int, num_trees: int) -> _Draws:
     """The draws of ``num_trees`` streams of ``SeedSequence(seed)``: the table of
     the last (seed, num_trees) asked for is kept, and any other replaces it."""
     streams = np.random.SeedSequence(seed).spawn(num_trees)
-    return _Draws([np.random.default_rng(stream) for stream in streams])
+    return _Draws(np.random.PCG64, [np.random.PCG64(stream).state for stream in streams])
 
 
 def _grow_trees(
@@ -659,7 +558,7 @@ def _grow_trees(
         )
         for n, d in zip(block_rows, block_features)
     ]
-    streams = len(draws.rngs)
+    streams = draws.streams
     block = np.repeat(np.arange(len(blocks)), streams)
     n_rows, _, m, max_depth, min_split = (
         np.array(column, dtype=np.intp)[block] for column in zip(*per_block)
@@ -674,7 +573,7 @@ def _grow_trees(
     if bootstrap:
         # a bootstrap is n draws on [0, n - 1]: the same for every block of n rows
         pool = np.concatenate(
-            [draws.bootstrap(n)[0].ravel() + at for at, n in zip(offsets, block_rows)]
+            [draws.bootstrap(n).ravel().astype(np.intp) + at for at, n in zip(offsets, block_rows)]
         )
     else:
         pool = np.concatenate(

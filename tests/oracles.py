@@ -574,19 +574,6 @@ def frame_relations(
     return values
 
 
-def binary_relations(
-    track: VideoTrack,
-    frame_index: int,
-    config: RelationConfig = DEFAULT_CONFIG,
-) -> dict[str, bool]:
-    """The boolean subset of :func:`frame_relations`, as actual bools."""
-    out: dict[str, bool] = {}
-    for key, value in frame_relations(track, frame_index, config).items():
-        if key.split("(", 1)[0] in BOOLEAN_FEATURES:
-            out[key] = bool(value)
-    return out
-
-
 def relation_table_reference(
     track: VideoTrack, config: RelationConfig = DEFAULT_CONFIG
 ) -> list[dict[str, float]]:

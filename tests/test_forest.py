@@ -569,9 +569,9 @@ def table_call_sequences(draw):
 
 
 def _tail_shuffle_calls():
-    """Two calls on one line of numpy's tail shuffle: d = 10001 > 10000 and
-    m = 201 > d // 50.  In the second, forest b reads the sets that forest a
-    made in the first and makes more."""
+    """Two calls on one line that numpy samples by its tail shuffle: d = 10001 >
+    10000 and m = 201 > d // 50.  In the second, forest b reads the sets that
+    forest a made in the first and makes more."""
     rng = np.random.default_rng(2)
     a = (rng.choice([0.0, 1.0, 2.0], size=(6, 10_001)), np.array([0, 1, 0, 1, 1, 0]))
     b = (rng.normal(size=(12, 10_001)), np.resize([0, 1, 1, 0], 12))
@@ -612,7 +612,8 @@ def test_a_repeated_call_makes_no_new_draw(monkeypatch):
         raise AssertionError("the table made a draw it holds")
 
     monkeypatch.setattr(np.random, "SeedSequence", draw_again)
-    monkeypatch.setattr(forest._Draws, "bounded", draw_again)
+    monkeypatch.setattr(forest, "_generator", draw_again)
+    monkeypatch.setattr(forest._Draws, "_extend", draw_again)
     got = grow_forests(samples, params)
     assert all(_same_forest(got[action], want[action]) for action in samples)
 
@@ -658,81 +659,26 @@ def test_a_call_under_another_seed_or_tree_count_drops_the_table(seed, num_trees
     assert forest._table.cache_info().hits == hits + 1
 
 
+@pytest.mark.parametrize("n", [1, 256, 257, 65_537])
+def test_a_kept_bootstrap_and_the_sets_after_it_are_numpys_own(n):
+    # row counts at the edges of the smallest types that the rows are kept in
+    streams = np.random.SeedSequence(5).spawn(3)
+    draws = forest._Draws(np.random.PCG64, [np.random.PCG64(s).state for s in streams])
+    got = draws.bootstrap(n)
+    line = np.full(3, draws.line(n, 20, 4))
+    chosen = [draws.candidates(line, np.arange(3), np.full(3, i), 5, -1) for i in range(2)]
+    for k, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        assert got[k].tolist() == rng.integers(0, n, size=n).tolist()
+        for sets in chosen:
+            assert sets[k].tolist() == rng.choice(20, 4, replace=False).tolist() + [-1]
+
+
 def _generator(seed: int, words: int) -> np.random.Generator:
     """A generator on ``seed`` that has read ``words`` 32-bit words."""
     rng = np.random.default_rng(seed)
     rng.integers(0, 2**32, size=words, dtype=np.uint32)
     return rng
-
-
-@st.composite
-def choice_cases(draw):
-    """Stream seeds and per tree: its stream, the words read before, d and m."""
-    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3))
-    trees = []
-    for _ in range(draw(st.integers(1, 5))):
-        d = draw(st.integers(1, 10_000))
-        # 0, odd and even numbers of earlier words
-        before = draw(st.integers(0, 3))
-        trees.append((draw(st.integers(0, len(seeds) - 1)), before, d, draw(st.integers(1, d))))
-    return seeds, trees, draw(st.permutations(range(len(trees))))
-
-
-@given(choice_cases())
-# numpy's tail shuffle (d > 10000, m > d // 50), Floyd just under its cutoff,
-# a population of one and several trees on one stream
-@example(([7], [(0, 1, 20_000, 500), (0, 0, 20_000, 400), (0, 2, 10_001, 10_001)], [2, 0, 1]))
-@example(([0, 1], [(1, 0, 1, 1), (0, 1, 14, 13), (1, 3, 300, 13)], [0, 1, 2]))
-@settings(max_examples=150, deadline=None)
-def test_draws_are_numpys_choice_bit_for_bit(case):
-    # holds the grower's draws to the installed numpy: a numpy that draws a
-    # sample another way fails here, by name, before any tree changes
-    seeds, trees, order = case
-    stream, before, d, m = map(np.array, zip(*trees))
-    draws = forest._Draws([np.random.default_rng(s) for s in seeds])
-    width, pad = int(m.max()), int(d.max())
-    got, ends = draws.choice(stream[order], before[order], d[order], m[order], width, pad)
-    for row, i in enumerate(order):
-        rng = _generator(seeds[stream[i]], before[i])
-        want = rng.choice(d[i], size=m[i], replace=False).tolist()
-        assert got[row].tolist() == want + [pad] * (width - m[i])
-        # the draws end at the word where numpy's generator stopped
-        read = _generator(seeds[stream[i]], int(ends[row]))
-        assert read.bit_generator.state == rng.bit_generator.state
-
-
-BOUNDED_RANGES = st.one_of(
-    st.integers(0, 300),
-    # rejections are common here: up to half of all words
-    st.integers(2**31, 2**32 - 2),
-)
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 2**32),
-            st.integers(0, 3),
-            # (r, k) draws on [0, r]; a bootstrap draws n on [0, n - 1]
-            st.tuples(BOUNDED_RANGES, st.integers(0, 40))
-            | st.integers(1, 60).map(lambda n: (n - 1, n)),
-        ),
-        min_size=1,
-        max_size=4,
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_bounded_draws_are_numpys_integers_bit_for_bit(rows):
-    seeds, before, shapes = zip(*rows)
-    width = max(k for _, k in shapes)
-    # a row with fewer draws is padded with ranges of 0, which read no word
-    ranges = np.array([[r] * k + [0] * (width - k) for r, k in shapes], dtype=np.int64)
-    draws = forest._Draws([np.random.default_rng(s) for s in seeds])
-    got, ends = draws.bounded(np.arange(len(rows)), np.array(before), ranges)
-    for i, (seed, (r, k)) in enumerate(zip(seeds, shapes)):
-        rng = _generator(seed, before[i])
-        assert got[i].tolist() == rng.integers(0, r + 1, size=k).tolist() + [0] * (width - k)
-        assert _generator(seed, int(ends[i])).bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("half_word", [False, True])
@@ -749,6 +695,27 @@ def test_train_tree_leaves_the_generator_where_numpy_leaves_it(half_word):
     assert repr(tree) == repr(want)
     assert len(tree.feature) > 5
     assert grown.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "kind", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM]
+)
+def test_train_tree_on_other_bit_generators_draws_as_numpy_does(kind):
+    # the table copies the caller's generator by its state, whatever its kind
+    rng = np.random.default_rng(5)
+    values = rng.choice([-1.0, 0.0, 0.5, 2.0, 3.5], size=(50, 30))
+    labels = (rng.uniform(size=50) < 0.4).astype(int)
+    params = ForestParams(num_trees=1, seed=0)
+    grown, reference = np.random.Generator(kind(8)), np.random.Generator(kind(8))
+    for generator in (grown, reference):
+        generator.integers(0, 2**32, dtype=np.uint32)
+    tree = train_tree(values, labels, params, grown)
+    want = grow_tree_reference(values, labels, np.ones(50), params, reference)
+    assert repr(tree) == repr(want)
+    assert len(tree.feature) > 5
+    # MT19937's state holds an array, so the next draws are compared instead
+    after = [rng.integers(0, 2**32, size=8).tolist() for rng in (grown, reference)]
+    assert after[0] == after[1]
 
 
 @pytest.mark.parametrize("seed", range(4))
