@@ -212,7 +212,8 @@ def cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     models = load_models(args.models)
     config = _config_from_args(args)
     train_ids, val_ids = stratified_split(labels, config.val_fraction, config.seed)
-    embeds = embed_all([t for t in tracks if t.video_id in set(train_ids)], models, config)
+    train_set = set(train_ids)
+    embeds = embed_all([t for t in tracks if t.video_id in train_set], models, config)
     forests, skipped, counts = train_forests(embeds, labels, models, config, train_ids)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,7 +297,8 @@ def cmd_predict(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         missing = [v for v in subset if v not in known]
         if missing:
             raise BoxactError(f"split references unknown videos {missing[:5]}")
-        tracks = [t for t in tracks if t.video_id in set(subset)]
+        wanted = set(subset)
+        tracks = [t for t in tracks if t.video_id in wanted]
     embeds = embed_all(tracks, models, config)
     preds = predict_set(embeds, labels, forests, models, config, sorted(embeds))
     save_predictions(preds, args.out, provenance=make_provenance(config, "predict"))

@@ -37,9 +37,10 @@ one matrix, which keeps numpy's pairwise order and so every bit of summing
 each node alone.
 A forest is one set of flat pre-order node columns (:class:`ForestModel`):
 the columns of all its trees laid end to end, from growth to file to
-prediction.  The reader checks the columns of all trees of a file together,
-and prediction moves every (row, tree) pair one level down per pass, so
-growing, predicting and (de)serializing never recurse."""
+prediction.  A file holds the columns and the trees' offsets as they are,
+and the reader runs each check once over a whole column.  Prediction moves
+every (row, tree) pair one level down per pass, so growing, predicting and
+(de)serializing never recurse."""
 
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 FOREST_FORMAT = "boxact-forest"
-FOREST_VERSION = 2
+FOREST_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -716,16 +716,12 @@ class ForestModel:
         for array in (*self.columns, self.offsets):
             array.flags.writeable = False
 
-    def _tree_lists(self) -> list[list[list]]:
-        """Each tree's node columns as lists, in ``TREE_COLUMNS`` order."""
-        lists = [column.tolist() for column in self.columns]
-        bounds = itertools.pairwise(self.offsets.tolist())
-        return [[values[lo:hi] for values in lists] for lo, hi in bounds]
-
     @property
     def trees(self) -> tuple[Tree, ...]:
         """A per-tree view of the columns, built on each call."""
-        return tuple(Tree(*map(tuple, tree)) for tree in self._tree_lists())
+        lists = [column.tolist() for column in self.columns]
+        bounds = itertools.pairwise(self.offsets.tolist())
+        return tuple(Tree(*(tuple(values[lo:hi]) for values in lists)) for lo, hi in bounds)
 
 
 def layout_fingerprint(layout: Sequence[str]) -> str:
@@ -831,16 +827,17 @@ def predict_proba(model: ForestModel, values: np.ndarray) -> float | np.ndarray:
 # --- serialization -------------------------------------------------------------
 
 
-_TREE_FIELDS = operator.itemgetter(*TREE_COLUMNS)
-_INT_COLUMNS = ("feature", "left", "right")
+_INT_COLUMNS = ("feature", "left", "right", "offsets")
 
 
-def _column(name: str, lists: list[list]) -> np.ndarray:
-    """One node column of every tree, end to end, with its values' type checked.
+def _column(name: str, values) -> np.ndarray:
+    """One node column of the whole forest, or its offsets, with its values' type checked.
 
     An int too large for a float raises OverflowError, as ``float()`` does.
     """
-    values = list(itertools.chain.from_iterable(lists))
+    if not isinstance(values, list):
+        what = "offsets" if name == "offsets" else f"tree column {name!r}"
+        raise ConfigError(f"{what} must be a list, got {type(values).__name__}")
     kind, what = (int, "an integer") if name in _INT_COLUMNS else ((int, float), "a number")
     if not all_instances(values, kind, bool):
         bad = next(v for v in values if isinstance(v, bool) or not isinstance(v, kind))
@@ -879,37 +876,33 @@ def _tree_fault(columns: Sequence[list], num_features: int) -> str | None:
     return None
 
 
-def _trees_from_dicts(trees, num_features: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The node columns of all trees, checked together, and the trees' node offsets.
+def _read_columns(data: Mapping, num_features: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The node columns and tree offsets of a forest document, checked.
 
-    Each rule runs once over the trees' columns laid end to end.  When one
-    fails, the first tree that breaks a rule is walked node by node to name
-    its first fault.
+    Each rule runs once over a whole column, with child indices held to
+    their own tree's node range.  When one fails, the first tree that
+    breaks a rule is walked node by node to name its first fault.
     """
-    if not isinstance(trees, list):
-        raise ConfigError(f"trees must be a list, got {type(trees).__name__}")
-    if not trees:
-        raise ConfigError("forest has no trees")
-    per_tree = list(map(_TREE_FIELDS, trees))
-    lists = list(itertools.chain.from_iterable(per_tree))  # tree by tree, column by column
-    step = len(TREE_COLUMNS)
-    if not all_instances(lists, list):
-        i = next(i for i, c in enumerate(lists) if not isinstance(c, list))
-        raise ConfigError(
-            f"tree column {TREE_COLUMNS[i % step]!r} must be a list, "
-            f"got {type(lists[i]).__name__}"
-        )
-    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists)).reshape(-1, step)
-    sizes = lengths[:, 0]
-    if (lengths != sizes[:, None]).any() or not sizes.all():
+    lists = [data[name] for name in TREE_COLUMNS]
+    columns = [_column(name, values) for name, values in zip(TREE_COLUMNS, lists)]
+    n = len(lists[0])
+    if any(len(values) != n for values in lists):
         raise ConfigError("tree columns must be non-empty and of equal length")
-    columns = {name: _column(name, lists[j::step]) for j, name in enumerate(TREE_COLUMNS)}
-    feature, left, right = columns["feature"], columns["left"], columns["right"]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    first = np.repeat(starts, sizes)  # each node's tree's first node
+    # offsets that run from 0 to n and rise strictly fit in int64
+    offsets = _column("offsets", data["offsets"])
+    if offsets.size < 2:
+        raise ConfigError("forest has no trees")
+    if offsets[0] != 0 or offsets[-1] != n:
+        raise ConfigError(
+            f"offsets must run from 0 to the node count {n}, got {offsets[0]} to {offsets[-1]}"
+        )
+    sizes = np.diff(offsets)
+    if (sizes <= 0).any():
+        raise ConfigError(f"tree {np.argmax(sizes <= 0)} has no nodes: offsets must rise strictly")
+    feature, threshold, left, right, fraction, weight = columns
+    first = np.repeat(offsets[:-1], sizes)  # each node's tree's first node
     size = np.repeat(sizes, sizes)
-    local = np.arange(ends[-1]) - first
+    local = np.arange(n) - first
     split = feature >= 0
     bad = (feature < -1) | (feature >= num_features)
     bad |= ~split & ((left != -1) | (right != -1))
@@ -918,15 +911,15 @@ def _trees_from_dicts(trees, num_features: int) -> tuple[tuple[np.ndarray, ...],
     parents = split & linked
     children = np.concatenate([left[parents], right[parents]]).astype(np.intp)
     children += np.concatenate([first[parents]] * 2)
-    bad |= np.bincount(children, minlength=bad.size) > 1
-    bad |= ~np.isfinite(columns["threshold"])
-    weight, fraction = columns["weight"], columns["fraction"]
+    bad |= np.bincount(children, minlength=n) > 1
+    bad |= ~np.isfinite(threshold)
     bad |= ~((weight > 0.0) & (weight < np.inf))
     bad |= ~((fraction >= 0.0) & (fraction <= 1.0))
     if bad.any():
-        tree = int(np.searchsorted(ends, np.argmax(bad), side="right"))
-        raise ConfigError(_tree_fault(per_tree[tree], num_features))
-    return tuple(columns[name] for name in TREE_COLUMNS), np.concatenate(([0], ends))
+        tree = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
+        lo, hi = offsets[tree : tree + 2].tolist()
+        raise ConfigError(_tree_fault([values[lo:hi] for values in lists], num_features))
+    return tuple(columns), offsets
 
 
 def forest_to_dict(model: ForestModel) -> dict:
@@ -937,7 +930,8 @@ def forest_to_dict(model: ForestModel) -> dict:
         "num_features": model.num_features,
         "fingerprint": model.fingerprint,
         "params": asdict(model.params),
-        "trees": [dict(zip(TREE_COLUMNS, tree)) for tree in model._tree_lists()],
+        "offsets": model.offsets.tolist(),
+        **{name: column.tolist() for name, column in zip(TREE_COLUMNS, model.columns)},
     }
 
 
@@ -954,7 +948,7 @@ def forest_from_dict(data: Mapping) -> ForestModel:
         num_features = data["num_features"]
         if isinstance(num_features, bool) or not isinstance(num_features, int):
             raise ConfigError(f"num_features must be an integer, got {num_features!r}")
-        columns, offsets = _trees_from_dicts(data["trees"], num_features)
+        columns, offsets = _read_columns(data, num_features)
         action_id, fingerprint = data["action_id"], data.get("fingerprint", "")
         for name, value in (("action_id", action_id), ("fingerprint", fingerprint)):
             if not isinstance(value, str):

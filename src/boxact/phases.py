@@ -457,7 +457,9 @@ def smooth(series: Sequence[float] | np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian-smooth a series, renormalising the kernel at the boundaries.
 
     Renormalisation makes the output an average of in-range samples only, so
-    a constant series comes back unchanged, boundaries included.
+    a constant series comes back constant to rounding, boundaries included:
+    not bit for bit, as a sample of 3.0 may read back as 3.0000000000000004
+    or 2.9999999999999996.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:

@@ -941,9 +941,27 @@ def forest_from_dict_reference(data: Mapping) -> ForestModel:
     try:
         params = ForestParams(**data["params"])
         num_features = int(data["num_features"])
-        trees = tuple(_tree_from_dict_reference(t, num_features) for t in data["trees"])
-        if not trees:
+        lists = {name: data[name] for name in TREE_COLUMNS}
+        offsets = [int(k) for k in data["offsets"]]
+        n = len(lists["feature"])
+        if any(len(column) != n for column in lists.values()):
+            raise ConfigError("tree columns must be non-empty and of equal length")
+        if len(offsets) < 2:
             raise ConfigError("forest has no trees")
+        if offsets[0] != 0 or offsets[-1] != n:
+            raise ConfigError(
+                f"offsets must run from 0 to the node count {n}, "
+                f"got {offsets[0]} to {offsets[-1]}"
+            )
+        for tree, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            if lo >= hi:
+                raise ConfigError(f"tree {tree} has no nodes: offsets must rise strictly")
+        trees = tuple(
+            _tree_from_dict_reference(
+                {name: column[lo:hi] for name, column in lists.items()}, num_features
+            )
+            for lo, hi in zip(offsets, offsets[1:])
+        )
         # object columns keep each value as int()/float() made it
         columns = tuple(
             np.array([v for tree in trees for v in getattr(tree, name)], dtype=object)
@@ -952,7 +970,7 @@ def forest_from_dict_reference(data: Mapping) -> ForestModel:
         return ForestModel(
             action_id=str(data["action_id"]),
             columns=columns,
-            offsets=np.cumsum([0] + [len(tree.feature) for tree in trees]),
+            offsets=np.array(offsets),
             params=params,
             num_features=num_features,
             fingerprint=str(data.get("fingerprint", "")),

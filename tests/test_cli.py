@@ -440,21 +440,29 @@ STUMP = {
 
 
 def _forest_doc(**changes) -> dict:
+    """A forest file of one stump, with fields replaced."""
     doc = {
         "format": "boxact-forest",
-        "version": 2,
+        "version": 3,
         "action_id": "put-into",
         "num_features": 2,
         "fingerprint": "",
         "params": {"num_trees": 1},
-        "trees": [STUMP],
+        "offsets": [0, 3],
+        **STUMP,
     }
     doc.update(changes)
     return doc
 
 
-def _stump(**columns) -> list[dict]:
-    return [{**STUMP, **columns}]
+def _forest_without(field: str) -> dict:
+    return {k: v for k, v in _forest_doc().items() if k != field}
+
+
+def _old_forest_doc(version: int, trees: list) -> dict:
+    """A forest file of an earlier version, which held a list of trees."""
+    header = {k: v for k, v in _forest_doc().items() if k != "offsets" and k not in STUMP}
+    return {**header, "version": version, "trees": trees}
 
 
 def _model_doc(**changes) -> dict:
@@ -500,123 +508,168 @@ MALFORMED_INPUTS = {
     ),
     "forest-node-without-threshold": (
         "predict-forest",
-        _forest_doc(trees=[{k: v for k, v in STUMP.items() if k != "threshold"}]),
+        _forest_without("threshold"),
         "missing field 'threshold'",
     ),
     "forest-child-at-its-parent": (
         "predict-forest",
-        _forest_doc(trees=_stump(right=[0, -1, -1])),
+        _forest_doc(right=[0, -1, -1]),
         "split 0 has children 1, 0",
     ),
     "forest-child-before-its-parent": (
         "predict-forest",
-        _forest_doc(
-            trees=_stump(feature=[0, 1, -1], left=[1, 0, -1], right=[2, 2, -1])
-        ),
+        _forest_doc(feature=[0, 1, -1], left=[1, 0, -1], right=[2, 2, -1]),
         "split 1 has children 0, 2",
     ),
     "forest-child-past-the-end": (
         "predict-forest",
-        _forest_doc(trees=_stump(right=[3, -1, -1])),
+        _forest_doc(right=[3, -1, -1]),
         "split 0 has children 1, 3",
     ),
     "forest-leaf-with-children": (
         "predict-forest",
-        _forest_doc(trees=_stump(left=[1, 2, -1])),
+        _forest_doc(left=[1, 2, -1]),
         "leaf 1 has children 2, -1",
     ),
     "forest-columns-of-unequal-length": (
         "predict-forest",
-        _forest_doc(trees=_stump(weight=[2.0, 1.0])),
+        _forest_doc(weight=[2.0, 1.0]),
         "equal length",
     ),
     "forest-feature-out-of-range": (
         "predict-forest",
-        _forest_doc(trees=_stump(feature=[2, -1, -1])),
+        _forest_doc(feature=[2, -1, -1]),
         "feature index 2 outside embedding length 2",
     ),
     "forest-negative-feature": (
         "predict-forest",
-        _forest_doc(trees=_stump(feature=[-2, -1, -1])),
+        _forest_doc(feature=[-2, -1, -1]),
         "feature index -2",
     ),
     "forest-threshold-not-finite": (
         "predict-forest",
-        _forest_doc(trees=_stump(threshold=[float("nan"), 0.0, 0.0])),
+        _forest_doc(threshold=[float("nan"), 0.0, 0.0]),
         "threshold is not finite",
     ),
     "forest-weight-not-finite": (
         "predict-forest",
-        _forest_doc(trees=_stump(weight=[-float("inf"), 1.0, 1.0])),
+        _forest_doc(weight=[-float("inf"), 1.0, 1.0]),
         "weight must be positive and finite",
     ),
     "forest-weight-not-positive": (
         "predict-forest",
-        _forest_doc(trees=_stump(weight=[2.0, 0.0, 1.0])),
+        _forest_doc(weight=[2.0, 0.0, 1.0]),
         "weight must be positive and finite",
     ),
     "forest-node-with-two-parents": (
         "predict-forest",
         _forest_doc(
-            trees=[
-                {
-                    "feature": [0, 1, -1, -1],
-                    "threshold": [0.5, 0.5, 0.0, 0.0],
-                    "left": [1, 2, -1, -1],
-                    "right": [2, 3, -1, -1],
-                    "fraction": [0.5, 0.5, 0.0, 1.0],
-                    "weight": [2.0, 2.0, 1.0, 1.0],
-                }
-            ]
+            offsets=[0, 4],
+            feature=[0, 1, -1, -1],
+            threshold=[0.5, 0.5, 0.0, 0.0],
+            left=[1, 2, -1, -1],
+            right=[2, 3, -1, -1],
+            fraction=[0.5, 0.5, 0.0, 1.0],
+            weight=[2.0, 2.0, 1.0, 1.0],
         ),
         "node 2 is the child of more than one split",
     ),
-    "forest-without-trees": ("predict-forest", _forest_doc(trees=[]), "no trees"),
+    "forest-without-trees": (
+        "predict-forest",
+        _forest_doc(offsets=[0], **{name: [] for name in STUMP}),
+        "no trees",
+    ),
+    "forest-offsets-missing": (
+        "predict-forest",
+        _forest_without("offsets"),
+        "missing field 'offsets'",
+    ),
+    "forest-offsets-only-zero": ("predict-forest", _forest_doc(offsets=[0]), "no trees"),
+    "forest-offsets-not-from-zero": (
+        "predict-forest",
+        _forest_doc(offsets=[1, 3]),
+        "offsets must run from 0 to the node count 3, got 1 to 3",
+    ),
+    "forest-offsets-repeated": (
+        "predict-forest",
+        _forest_doc(offsets=[0, 3, 3]),
+        "tree 1 has no nodes: offsets must rise strictly",
+    ),
+    "forest-offsets-short-of-the-columns": (
+        "predict-forest",
+        _forest_doc(offsets=[0, 2]),
+        "offsets must run from 0 to the node count 3, got 0 to 2",
+    ),
+    "forest-offsets-past-the-columns": (
+        "predict-forest",
+        _forest_doc(offsets=[0, 3, 6]),
+        "offsets must run from 0 to the node count 3, got 0 to 6",
+    ),
+    "forest-offsets-bool": (
+        "predict-forest",
+        _forest_doc(offsets=[False, 3]),
+        "node offsets must be an integer, got False",
+    ),
+    "forest-offsets-float": (
+        "predict-forest",
+        _forest_doc(offsets=[0, 3.0]),
+        "node offsets must be an integer, got 3.0",
+    ),
+    # child 4 is a node of the forest, but not of the first tree, which ends at 3
+    "forest-child-in-the-next-tree": (
+        "predict-forest",
+        _forest_doc(
+            offsets=[0, 3, 6],
+            **{name: column * 2 for name, column in STUMP.items() if name != "right"},
+            right=[4, -1, -1, 2, -1, -1],
+        ),
+        "split 0 has children 1, 4; each must come after it and before 3",
+    ),
     # int() and float() took these, and a fractional feature silently became 0
     "forest-feature-text": (
         "predict-forest",
-        _forest_doc(trees=_stump(feature=["0", -1, -1])),
+        _forest_doc(feature=["0", -1, -1]),
         "node feature must be an integer, got '0'",
     ),
     "forest-feature-bool": (
         "predict-forest",
-        _forest_doc(trees=_stump(feature=[True, -1, -1])),
+        _forest_doc(feature=[True, -1, -1]),
         "node feature must be an integer, got True",
     ),
     "forest-feature-fractional": (
         "predict-forest",
-        _forest_doc(trees=_stump(feature=[0.7, -1, -1])),
+        _forest_doc(feature=[0.7, -1, -1]),
         "node feature must be an integer, got 0.7",
     ),
     "forest-child-float": (
         "predict-forest",
-        _forest_doc(trees=_stump(left=[1.0, -1, -1])),
+        _forest_doc(left=[1.0, -1, -1]),
         "node left must be an integer, got 1.0",
     ),
     "forest-child-null": (
         "predict-forest",
-        _forest_doc(trees=_stump(right=[2, None, -1])),
+        _forest_doc(right=[2, None, -1]),
         "node right must be an integer, got None",
     ),
     "forest-threshold-bool": (
         "predict-forest",
-        _forest_doc(trees=_stump(threshold=[False, 0.0, 0.0])),
+        _forest_doc(threshold=[False, 0.0, 0.0]),
         "node threshold must be a number, got False",
     ),
     "forest-weight-text": (
         "predict-forest",
-        _forest_doc(trees=_stump(weight=["2", 1.0, 1.0])),
+        _forest_doc(weight=["2", 1.0, 1.0]),
         "node weight must be a number, got '2'",
     ),
     "forest-fraction-column-text": (
         "predict-forest",
-        _forest_doc(trees=_stump(fraction="000")),
+        _forest_doc(fraction="000"),
         "tree column 'fraction' must be a list, got str",
     ),
-    "forest-trees-not-a-list": (
+    "forest-offsets-not-a-list": (
         "predict-forest",
-        _forest_doc(trees={"0": STUMP}),
-        "trees must be a list, got dict",
+        _forest_doc(offsets={"0": 3}),
+        "offsets must be a list, got dict",
     ),
     "forest-num-features-fractional": (
         "predict-forest",
@@ -640,8 +693,13 @@ MALFORMED_INPUTS = {
     ),
     "forest-version-1": (
         "predict-forest",
-        _forest_doc(version=1, trees=[{"fraction": 0.5, "weight": 1.0}]),
+        _old_forest_doc(1, [{"fraction": 0.5, "weight": 1.0}]),
         "re-run `boxact train`",
+    ),
+    "forest-version-2": (
+        "predict-forest",
+        _old_forest_doc(2, [STUMP]),
+        "unsupported forest version 2 (this boxact reads version 3); re-run `boxact train`",
     ),
     "predictions-without-true-label": (
         "eval",

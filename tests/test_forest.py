@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
+import itertools
 import json
 import sys
 import threading
@@ -379,26 +380,29 @@ def test_split_search_in_small_batches_grows_the_same_forest(monkeypatch, lanes)
     assert repr(train_forest(values, labels, params).trees) == repr(want.trees)
 
 
-# (case, params, sha256 of the forests' sorted-key JSON, sha256 of their probabilities)
+# (case, params, sha256 of the forests' column and offset bytes, sha256 of their probabilities)
 FOREST_DIGESTS = [
     ("default", ForestParams(),
-     "d8b77c3c383d0839bb4a87172720d18f6d9b53366c221c64f9e77f89c5373852",
+     "c2b5ebb686795971e18a7c2b66238a8631ef06b0753a1721a14206c4a682be64",
      "a7a075ca52b1d00d2365811ca0880a4d24a373ea298e64ab512dac9a5afea932"),
     ("balanced-unbootstrapped-depth4",
      ForestParams(num_trees=50, max_depth=4, features_per_split=3, bootstrap=False,
                   class_weight="balanced", seed=11),
-     "9f9b9ec45cd80b36b0e5661a3238da2a490be8abde75524b874ef572413dac1a",
+     "6d5dc9a395f09e3179cfefc1a8a75ba60bfc92ff509b7d3a16ea11548621cca5",
      "309394fbccf66b156c9f00f74f6db1a7b66212284e4d60015d474678d86f08e9"),
 ]
 
 
-@pytest.mark.parametrize("case, params, forests_digest, proba_digest", FOREST_DIGESTS)
+@pytest.mark.parametrize(
+    "case, params, forests_digest, proba_digest", FOREST_DIGESTS, ids=[c[0] for c in FOREST_DIGESTS]
+)
 def test_forest_digest_is_pinned(case, params, forests_digest, proba_digest):
     """Every bit of grown forests and their probabilities, on fixed inputs.
 
     The inputs go through no relation or phase code, so these bytes depend
-    on nothing but the forest.  CI runs this file again under other numpy
-    SIMD targets.  Update a digest only for an intended change of results.
+    on nothing but the forest, and not on the forest file's format.  CI runs
+    this file again under other numpy SIMD targets.  Update a digest only for
+    an intended change of results.
     """
     rng = np.random.default_rng(5)
     normal = rng.normal(size=(45, 16))
@@ -410,13 +414,15 @@ def test_forest_digest_is_pinned(case, params, forests_digest, proba_digest):
         "discrete": (discrete, (rng.uniform(size=45) < 0.3).astype(int)),
     }
     grown = grow_forests(samples, params)
-    text = json.dumps([forest_to_dict(model) for model in grown.values()], sort_keys=True)
+    columns = b"".join(
+        array.tobytes() for model in grown.values() for array in (*model.columns, model.offsets)
+    )
     probe = rng.normal(size=(20, 16))
     proba = b"".join(
         predict_proba(grown[action], np.vstack([values, probe])).tobytes()
         for action, (values, _) in samples.items()
     )
-    assert (hashlib.sha256(text.encode()).hexdigest(), hashlib.sha256(proba).hexdigest()) == (
+    assert (hashlib.sha256(columns).hexdigest(), hashlib.sha256(proba).hexdigest()) == (
         forests_digest,
         proba_digest,
     )
@@ -799,8 +805,13 @@ def test_deep_tree_trains_and_round_trips_without_recursion(tmp_path):
 
 
 def test_dict_round_trip_is_exact():
-    model = train_forest(*SEPARABLE, ONE_TREE, action_id="a")
-    assert forest_to_dict(forest_from_dict(forest_to_dict(model))) == forest_to_dict(model)
+    values = np.random.default_rng(3).normal(size=(40, 4))
+    labels = (values[:, 0] > 0).astype(int)
+    model = train_forest(values, labels, ForestParams(num_trees=6), action_id="a")
+    read = forest_from_dict(forest_to_dict(model))
+    assert forest_to_dict(read) == forest_to_dict(model)
+    for got, want in zip((*read.columns, read.offsets), (*model.columns, model.offsets)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_layout_fingerprint_is_sensitive():
@@ -822,6 +833,9 @@ def test_probabilities_stay_in_range(seed):
         assert 0.0 <= predict_proba(model, v) <= 1.0
 
 
+BIG = 10**30  # past int64
+TOO_BIG = 10**400  # past float64
+
 STUMP = {
     "feature": [0, -1, -1],
     "threshold": [0.5, 0.0, 0.0],
@@ -832,6 +846,14 @@ STUMP = {
 }
 
 
+def _columns(trees: list[dict]) -> dict:
+    """The offsets and node columns of trees given one column dict each."""
+    offsets = [0, *itertools.accumulate(len(tree["feature"]) for tree in trees)]
+    return {"offsets": offsets} | {
+        name: [value for tree in trees for value in tree[name]] for name in TREE_COLUMNS
+    }
+
+
 def _forest_doc(*trees: dict, num_features: int = 2) -> dict:
     return {
         "format": FOREST_FORMAT,
@@ -839,7 +861,7 @@ def _forest_doc(*trees: dict, num_features: int = 2) -> dict:
         "action_id": "a",
         "num_features": num_features,
         "params": {"num_trees": 1},
-        "trees": list(trees),
+        **_columns(list(trees)),
     }
 
 
@@ -863,6 +885,39 @@ def test_reader_names_the_first_fault_in_tree_and_node_order():
         assert str(expected.value) == message
 
 
+def test_reader_holds_children_to_their_own_tree():
+    # node 4 is in the forest, but tree 0 holds nodes 0-2 only
+    document = _forest_doc({**STUMP, "right": [4, -1, -1]}, STUMP)
+    message = "split 0 has children 1, 4; each must come after it and before 3"
+    for read in (forest_from_dict, forest_from_dict_reference):
+        with pytest.raises(ConfigError) as got:
+            read(document)
+        assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "offsets, message",
+    [
+        ([0], "forest has no trees"),
+        ([], "forest has no trees"),
+        ([3], "forest has no trees"),
+        ([1, 3, 6], "offsets must run from 0 to the node count 6, got 1 to 6"),
+        ([0, 3, 5], "offsets must run from 0 to the node count 6, got 0 to 5"),
+        ([0, 3, 7], "offsets must run from 0 to the node count 6, got 0 to 7"),
+        ([0, 3, 3, 6], "tree 1 has no nodes: offsets must rise strictly"),
+        ([0, 4, 2, 6], "tree 1 has no nodes: offsets must rise strictly"),
+        ([0, BIG, 6], "tree 1 has no nodes: offsets must rise strictly"),
+        ([0, 3, BIG], f"offsets must run from 0 to the node count 6, got 0 to {BIG}"),
+    ],
+)
+def test_reader_checks_the_offsets(offsets, message):
+    document = {**_forest_doc(STUMP, STUMP), "offsets": offsets}
+    for read in (forest_from_dict, forest_from_dict_reference):
+        with pytest.raises(ConfigError) as got:
+            read(document)
+        assert str(got.value) == message
+
+
 def test_reader_keeps_integers_past_int64_exact():
     big = 10**30
     with pytest.raises(ConfigError, match=f"node feature index {big} outside embedding length 2"):
@@ -879,9 +934,6 @@ def test_reader_keeps_integers_past_int64_exact():
 
 
 # --- the reader against the one-tree-at-a-time reference reader -------------------
-
-BIG = 10**30  # past int64
-TOO_BIG = 10**400  # past float64
 
 
 @st.composite
@@ -915,7 +967,7 @@ def forest_documents(draw) -> dict:
         "action_id": "put-into",
         "num_features": num_features,
         "params": {"num_trees": 3, "seed": 2},
-        "trees": draw(st.lists(tree_dicts(num_features), min_size=1, max_size=4)),
+        **_columns(draw(st.lists(tree_dicts(num_features), min_size=1, max_size=4))),
     }
     if draw(st.booleans()):
         document["fingerprint"] = "0123abcd"
@@ -930,24 +982,37 @@ NODE_VALUES = {
     "threshold": [float("nan"), float("inf"), float("-inf"), TOO_BIG, -0.0, 1e308, 3],
     "fraction": [-0.1, 0, 1, 1.5, float("nan"), -0.0, TOO_BIG],
     "weight": [0, -1.0, 0.0, float("inf"), float("nan"), 1e-300, TOO_BIG, 3],
+    "offsets": [-1, 0, 1, 2, 3, 6, BIG],
 }
 NODE_VALUES["right"] = NODE_VALUES["left"]
 FOREST_MUTATIONS = [
-    *["node-value"] * 8, "relink", "relink", "drop-node-value",
-    "add-node-value", "empty-tree", "drop-column", "drop-field", "num-features",
+    *["node-value"] * 8, "relink", "relink", "next-root", "next-root", "drop-node-value",
+    "add-node-value", "offset-value", "offset-value", "drop-offset", "add-offset",
+    "empty-tree", "drop-column", "drop-field", "num-features",
     "no-trees", "drop-tree", "copy-tree", "header",
 ]
 
 
+def _tree_bounds(document: dict) -> list[tuple[int, int]]:
+    """Each tree's (first node, end) if the offsets and columns are well formed, else []."""
+    offsets = document.get("offsets")
+    lengths = {len(document.get(name, ())) for name in TREE_COLUMNS}
+    if not (offsets and offsets[0] == 0 and lengths == {offsets[-1]}):
+        return []
+    bounds = list(itertools.pairwise(offsets))
+    return bounds if all(lo < hi for lo, hi in bounds) else []
+
+
 def _mutate_forest(draw, document: dict) -> dict:
     """``document`` with one thing changed; lists and dicts change in place."""
-    trees = document["trees"]
-    tree = draw(st.sampled_from(trees)) if trees else {}
-    columns = [name for name in TREE_COLUMNS if name in tree]
+    bounds = _tree_bounds(document)
+    lo, hi = draw(st.sampled_from(bounds)) if bounds else (0, 0)
+    columns = [name for name in TREE_COLUMNS if name in document]
+    offsets = document.get("offsets", [])
     kind = draw(st.sampled_from(FOREST_MUTATIONS))
     if kind in ("node-value", "drop-node-value", "add-node-value") and columns:
         name = draw(st.sampled_from(columns))
-        column = tree[name]
+        column = document[name]
         if kind == "add-node-value":
             column.append(draw(st.sampled_from(NODE_VALUES[name])))
         elif column:
@@ -955,57 +1020,75 @@ def _mutate_forest(draw, document: dict) -> dict:
             if kind == "drop-node-value":
                 del column[node]
             else:
-                column[node] = draw(st.sampled_from(NODE_VALUES[name] + [node, node + 1]))
-    elif kind == "relink" and {"feature", "left", "right"} <= set(columns):
-        # a split's child becomes another node's child: two parents, or a
-        # child before its parent
-        splits = [node for node, f in enumerate(tree["feature"]) if f >= 0]
-        children = [c for c in tree["left"] + tree["right"] if c >= 0]
+                # a tree-local index, its successor, one past its tree's
+                # end, and the forest's last node, which lies in another
+                # tree when this one is not the last
+                local = node - lo if lo <= node < hi else node
+                own = [local, local + 1, hi - lo, len(column) - 1 - lo]
+                column[node] = draw(st.sampled_from(NODE_VALUES[name] + own))
+    elif kind == "relink" and bounds:
+        # a split's child becomes another node's child in its tree: two
+        # parents, or a child before its parent
+        feature, left, right = (document[name][lo:hi] for name in ("feature", "left", "right"))
+        splits = [node for node, f in enumerate(feature) if f >= 0]
+        children = [c for c in left + right if c >= 0]
         if splits and children:
-            column = tree[draw(st.sampled_from(["left", "right"]))]
-            node = draw(st.sampled_from(splits))
-            if node < len(column):
-                column[node] = draw(st.sampled_from(children))
-    elif kind == "empty-tree" and trees:
+            column = document[draw(st.sampled_from(["left", "right"]))]
+            column[lo + draw(st.sampled_from(splits))] = draw(st.sampled_from(children))
+    elif kind == "next-root" and len(bounds) > 1:
+        # a split's child becomes the next tree's root: a node of the forest
+        # that has no parent, but lies past the end of the split's own tree
+        lo, hi = draw(st.sampled_from(bounds[:-1]))
+        splits = [node for node in range(lo, hi) if document["feature"][node] >= 0]
+        if splits:
+            column = document[draw(st.sampled_from(["left", "right"]))]
+            column[draw(st.sampled_from(splits))] = hi - lo
+    elif kind == "offset-value" and offsets:
+        at = draw(st.integers(0, len(offsets) - 1))
+        offsets[at] = draw(st.sampled_from(NODE_VALUES["offsets"] + [offsets[at - 1]]))
+    elif kind == "drop-offset" and offsets:
+        del offsets[draw(st.integers(0, len(offsets) - 1))]
+    elif kind == "add-offset" and "offsets" in document:
+        at = draw(st.integers(0, len(offsets)))
+        offsets.insert(at, draw(st.sampled_from(NODE_VALUES["offsets"])))
+    elif kind == "empty-tree" and bounds:
+        # the tree's nodes go, and its offset stays: a repeated offset
         for name in columns:
-            tree[name] = []
+            del document[name][lo:hi]
+        after = bounds.index((lo, hi)) + 1
+        offsets[after:] = [k - (hi - lo) for k in offsets[after:]]
     elif kind == "drop-column" and columns:
-        del tree[draw(st.sampled_from(columns))]
+        del document[draw(st.sampled_from(columns))]
     elif kind == "drop-field":
         document.pop(draw(st.sampled_from(sorted(document))))
     elif kind == "num-features":
         document["num_features"] = draw(st.sampled_from([-1, 0, 1, 2, 6, BIG, -BIG]))
     elif kind == "no-trees":
-        document["trees"] = []
-    elif kind == "drop-tree" and trees:
-        trees.remove(tree)
-    elif kind == "copy-tree" and trees:
-        trees.append(copy.deepcopy(tree))
+        document |= {"offsets": [0]} | {name: [] for name in columns}
+    elif kind in ("drop-tree", "copy-tree") and bounds:
+        trees = [{name: document[name][a:b] for name in TREE_COLUMNS} for a, b in bounds]
+        tree = trees[bounds.index((lo, hi))]
+        if kind == "drop-tree":
+            trees.remove(tree)
+        else:
+            trees.append(copy.deepcopy(tree))
+        document |= _columns(trees)
     elif kind == "header":
         key, value = draw(st.sampled_from([
-            ("version", 1), ("version", 3), ("format", "boxact-split"),
+            ("version", 2), ("version", 4), ("format", "boxact-split"),
             ("params", {"num_trees": 0}), ("params", {"depth": 3}),
         ]))
         document[key] = value
     return document
 
 
-def _forest_mutable(document: dict) -> bool:
-    """Whether ``document`` still has the shape that :func:`_mutate_forest` walks."""
-    trees = document.get("trees")
-    return isinstance(trees, list) and all(
-        isinstance(t, dict) and all(isinstance(c, list) for c in t.values()) for t in trees
-    )
-
-
 @st.composite
 def mutated_forest_documents(draw):
     """A forest document and how many mutations it went through (0-3)."""
     document = draw(forest_documents())
-    wanted, mutations = draw(st.sampled_from([1, 1, 1, 2, 3, 0])), 0
-    while mutations < wanted and _forest_mutable(document):
+    mutations = draw(st.sampled_from([1, 1, 1, 2, 3, 0]))
+    for _ in range(mutations):
         document = _mutate_forest(draw, document)
-        mutations += 1
     return document, mutations
 
 
