@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .embedding import dump_embeddings
-from .errors import BoxactError, ConfigError, read_artifact, read_json, write_json
+from .errors import BoxactError, ConfigError, read_artifact, read_json, write_artifact
 from .evaluation import (
     confusion_csv,
     evaluate,
@@ -132,14 +132,11 @@ def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         )
     write_annotation_file(args.out, tracks)
     if args.truth:
-        write_json(
+        write_artifact(
             args.truth,
-            {
-                "format": "boxact-ground-truth",
-                "version": 1,
-                "provenance": make_provenance(_config_from_args(args), "generate"),
-                "videos": {vid: centers for vid, centers in sorted(truth.items())},
-            },
+            "boxact-ground-truth",
+            make_provenance(_config_from_args(args), "generate"),
+            videos=truth,
         )
     print(f"wrote {len(tracks)} videos to {args.out}")
     return 0
@@ -171,15 +168,8 @@ def cmd_assign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                     "degenerate": assignment.degenerate,
                 }
             )
-    write_json(
-        args.out,
-        {
-            "format": "boxact-assignments",
-            "version": 1,
-            "provenance": make_provenance(config, "assign"),
-            "records": records,
-        },
-    )
+    provenance = make_provenance(config, "assign")
+    write_artifact(args.out, "boxact-assignments", provenance, records=records)
     degenerate = sum(1 for r in records if r["degenerate"])
     print(f"wrote {len(records)} assignments to {args.out} ({degenerate} degenerate)")
     return 0
@@ -220,26 +210,14 @@ def cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for action, forest in sorted(forests.items()):
         save_forest(forest, out_dir / f"{FOREST_FILE_PREFIX}{action}.json")
     provenance = make_provenance(config, "train")
-    write_json(
-        out_dir / "split.json",
-        {
-            "format": "boxact-split",
-            "version": 1,
-            "provenance": provenance,
-            "train": train_ids,
-            "val": val_ids,
-        },
-    )
-    write_json(
+    write_artifact(out_dir / "split.json", "boxact-split", provenance, train=train_ids, val=val_ids)
+    write_artifact(
         out_dir / "train_log.json",
-        {
-            "format": "boxact-train-log",
-            "version": 1,
-            "provenance": provenance,
-            "counts": counts,
-            "skipped": skipped,
-            "trained": sorted(forests),
-        },
+        "boxact-train-log",
+        provenance,
+        counts=counts,
+        skipped=skipped,
+        trained=sorted(forests),
     )
     print(
         f"trained {len(forests)} forests on {len(train_ids)} videos "
@@ -312,14 +290,7 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     print(report_table(report))
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        write_json(
-            out_dir / "report.json",
-            {
-                "format": "boxact-report",
-                "version": 1,
-                "report": report_to_dict(report),
-            },
-        )
+        write_artifact(out_dir / "report.json", "boxact-report", report=report_to_dict(report))
         (out_dir / "report.txt").write_text(report_table(report) + "\n")
         (out_dir / "confusion.csv").write_text(confusion_csv(report))
         print(f"report written to {out_dir}")
@@ -379,7 +350,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 f"weighted mAP={report.weighted_map:.4f}"
             )
     if args.out:
-        write_json(args.out, {"format": "boxact-sweep", "version": 1, "rows": rows})
+        write_artifact(args.out, "boxact-sweep", rows=rows)
         print(f"sweep grid written to {args.out}")
     return 0
 

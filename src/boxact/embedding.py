@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, write_json
+from .errors import ContractError, write_artifact
 from .phases import PHASES, ActionModel, PhaseAssignment, PhaseScoreMatrix
 from .tracks import VideoTrack
 
@@ -220,7 +220,4 @@ def dump_embeddings(
                 "layout": list(e.layout),
             }
         )
-    doc = {"format": "boxact-embeddings", "version": 1, "records": records}
-    if provenance is not None:
-        doc["provenance"] = dict(provenance)
-    write_json(path, doc)
+    write_artifact(path, "boxact-embeddings", provenance, records=records)

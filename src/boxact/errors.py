@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy, and the rules that boxact's JSON readers and writers share.
+
+Those are the version-1 artifact envelope, the JSON text format, and the
+checks of a scalar field read from a file: a number is a JSON int or float,
+never ``true``/``false`` or a string, and finite (an integer too large for a
+float is not).
+"""
 
 from __future__ import annotations
 
@@ -15,8 +21,10 @@ __all__ = [
     "all_instances",
     "check_finite",
     "check_int",
+    "check_str",
     "read_artifact",
     "read_json",
+    "write_artifact",
     "write_json",
 ]
 
@@ -65,6 +73,14 @@ def read_artifact(path: str | Path, fmt: str, what: str, error_cls: type[BoxactE
     return doc
 
 
+def write_artifact(path: str | Path, fmt: str, provenance=None, **body) -> None:
+    """Write a version-1 artifact: ``format``, ``version``, ``provenance`` if given, ``body``."""
+    doc = {"format": fmt, "version": 1, **body}
+    if provenance is not None:
+        doc["provenance"] = dict(provenance)
+    write_json(path, doc)
+
+
 def write_json(path: str | Path, document) -> None:
     """Write ``document`` as a JSON artifact, creating the parent directory.
 
@@ -85,15 +101,16 @@ def all_instances(values, kind: type | tuple[type, ...], exclude: type | tuple =
     return all(issubclass(t, kind) and not issubclass(t, exclude) for t in set(map(type, values)))
 
 
-def check_int(name: str, value, minimum: int) -> int:
+def check_int(name: str, value, minimum: int | None) -> int:
     """Return ``value`` as an ``int``; raise :class:`ConfigError` unless it is an integer >= ``minimum``.
 
-    A bool is not an integer here, although Python treats it as one.  A numpy
-    integer passes and comes back as a plain ``int``, which JSON can write.
+    With ``minimum=None`` any integer passes.  A bool is not an integer here,
+    although Python treats it as one.  A numpy integer passes and comes back as
+    a plain ``int``, which JSON can write.
     """
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
 
@@ -101,8 +118,21 @@ def check_int(name: str, value, minimum: int) -> int:
 def check_finite(name: str, value) -> float:
     """Return ``value`` as a float; raise :class:`ConfigError` unless it is a finite number.
 
-    A bool is not a number here, and neither are JSON's ``NaN`` and ``Infinity``.
+    A bool is not a number here, and neither are JSON's ``NaN`` and ``Infinity``
+    or an integer too large for a float.
     """
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_str(name: str, value) -> str:
+    """Return ``value``; raise :class:`ConfigError` unless it is a string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value

@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, ContractError, read_artifact, write_json
+from .errors import AnnotationError, BoxactError, ContractError, check_finite, check_str
+from .errors import read_artifact, write_artifact
 
 __all__ = [
     "VideoPrediction",
@@ -36,17 +37,34 @@ PREDICTIONS_FORMAT = "boxact-predictions"
 
 @dataclass(frozen=True)
 class VideoPrediction:
+    """A video's true label and probabilities, checked by the rules of :mod:`boxact.errors`.
+
+    ``probabilities`` is kept as a dict of floats.
+    """
+
     video_id: str
     true_label: str
     probabilities: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        for action, p in self.probabilities.items():
-            if not math.isfinite(p):
-                raise ContractError(
-                    f"video {self.video_id!r}: non-finite probability for "
-                    f"{action!r}"
-                )
+        check_str("video_id", self.video_id)
+        try:
+            check_str("true_label", self.true_label)
+            if not isinstance(self.probabilities, Mapping):
+                raise ContractError(f"probabilities must be an object, got {self.probabilities!r}")
+            probabilities = {a: _probability(a, p) for a, p in self.probabilities.items()}
+        except BoxactError as exc:
+            raise type(exc)(f"video {self.video_id!r}: {exc}") from None
+        object.__setattr__(self, "probabilities", probabilities)
+
+
+def _probability(action: str, p) -> float:
+    """``p`` as a float, by :func:`~boxact.errors.check_finite`'s rule; names ``action`` on failure."""
+    if isinstance(p, float):
+        if math.isfinite(p):
+            return float(p)
+        raise ContractError(f"non-finite probability for {action!r}")
+    return check_finite(f"probability for {action!r}", p)
 
 
 @dataclass(frozen=True)
@@ -242,36 +260,25 @@ def save_predictions(
     path: str | Path,
     provenance: Mapping[str, object] | None = None,
 ) -> None:
-    doc: dict = {
-        "format": PREDICTIONS_FORMAT,
-        "version": 1,
-        "records": [
-            {
-                "video_id": v.video_id,
-                "true_label": v.true_label,
-                "probabilities": {a: float(p) for a, p in v.probabilities.items()},
-            }
-            for v in preds.videos
-        ],
-    }
-    if provenance is not None:
-        doc["provenance"] = dict(provenance)
-    write_json(path, doc)
+    records = [
+        {"video_id": v.video_id, "true_label": v.true_label, "probabilities": v.probabilities}
+        for v in preds.videos
+    ]
+    write_artifact(path, PREDICTIONS_FORMAT, provenance, records=records)
 
 
 def load_predictions(path: str | Path) -> PredictionSet:
     doc = read_artifact(path, PREDICTIONS_FORMAT, "a predictions file", AnnotationError)
     try:
-        videos = tuple(
-            VideoPrediction(
-                video_id=rec["video_id"],
-                true_label=rec["true_label"],
-                probabilities={a: float(p) for a, p in rec["probabilities"].items()},
+        return PredictionSet(
+            videos=tuple(
+                VideoPrediction(rec["video_id"], rec["true_label"], rec["probabilities"])
+                for rec in doc.get("records", [])
             )
-            for rec in doc.get("records", [])
         )
     except KeyError as exc:
         raise AnnotationError(f"{path}: prediction record missing {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise AnnotationError(f"{path}: malformed prediction record: {exc}") from None
-    return PredictionSet(videos=videos)
+    except BoxactError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

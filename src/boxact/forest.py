@@ -56,7 +56,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, all_instances, check_int, read_json
+from .errors import ConfigError, ContractError, all_instances, check_int, check_str, read_json
 
 __all__ = [
     "ForestParams",
@@ -945,21 +945,15 @@ def forest_from_dict(data: Mapping) -> ForestModel:
         )
     try:
         params = ForestParams(**data["params"])
-        num_features = data["num_features"]
-        if isinstance(num_features, bool) or not isinstance(num_features, int):
-            raise ConfigError(f"num_features must be an integer, got {num_features!r}")
+        num_features = check_int("num_features", data["num_features"], None)
         columns, offsets = _read_columns(data, num_features)
-        action_id, fingerprint = data["action_id"], data.get("fingerprint", "")
-        for name, value in (("action_id", action_id), ("fingerprint", fingerprint)):
-            if not isinstance(value, str):
-                raise ConfigError(f"{name} must be a string, got {value!r}")
         return ForestModel(
-            action_id=action_id,
+            action_id=check_str("action_id", data["action_id"]),
             columns=columns,
             offsets=offsets,
             params=params,
             num_features=num_features,
-            fingerprint=fingerprint,
+            fingerprint=check_str("fingerprint", data.get("fingerprint", "")),
         )
     except KeyError as exc:
         raise ConfigError(f"malformed forest: missing field {exc}") from None

@@ -18,12 +18,12 @@ copied unchanged from the previous frame and snaps back on the next one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, check_finite, check_int
+from .errors import ContractError, check_finite, check_int, check_str
 from .phases import ARCHETYPES, PHASES
 from .tracks import ROLES, VideoTrack
 
@@ -60,8 +60,8 @@ class NoiseParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_finite("jitter_sigma", self.jitter_sigma)
-        check_finite("copy_lag_prob", self.copy_lag_prob)
+        for name in ("jitter_sigma", "copy_lag_prob"):
+            object.__setattr__(self, name, check_finite(name, getattr(self, name)))
         if self.jitter_sigma < 0:
             raise ContractError("jitter_sigma must be non-negative")
         if not 0.0 <= self.copy_lag_prob < 1.0:
@@ -92,14 +92,22 @@ class SyntheticScript:
             raise ContractError(
                 f"unknown archetype {self.archetype!r}, expected one of {ARCHETYPES}"
             )
+        object.__setattr__(self, "num_frames", check_int("num_frames", self.num_frames, 1))
+        check_str("video_id", self.video_id)
         object.__setattr__(self, "layout_seed", check_int("layout_seed", self.layout_seed, 0))
+        if not isinstance(self.true_phase_centers, Mapping):
+            raise ContractError(
+                f"true_phase_centers must be an object, got {self.true_phase_centers!r}"
+            )
         missing = [p for p in PHASES if p not in self.true_phase_centers]
         if missing:
             raise ContractError(f"true_phase_centers is missing phases {missing}")
-        centers = [self.true_phase_centers[p] for p in PHASES]
-        if any(not isinstance(c, int) for c in centers):
-            raise ContractError("phase centres must be integers")
-        if centers[0] < 0 or centers[-1] >= self.num_frames:
+        unknown = [p for p in self.true_phase_centers if p not in PHASES]
+        if unknown:
+            raise ContractError(f"true_phase_centers has unknown phases {unknown}")
+        centers = [check_int(f"phase centre {p}", self.true_phase_centers[p], 0) for p in PHASES]
+        object.__setattr__(self, "true_phase_centers", dict(zip(PHASES, centers)))
+        if centers[-1] >= self.num_frames:
             raise ContractError("phase centres must lie within [0, num_frames)")
         for p1, p2, c1, c2 in zip(PHASES, PHASES[1:], centers, centers[1:]):
             if c2 <= c1:
@@ -109,50 +117,28 @@ class SyntheticScript:
                 )
 
 
-def script_from_dict(data: Mapping) -> SyntheticScript:
-    """Decode a script record: archetype header plus centres and noise."""
+def _fields(cls: type, data, what: str) -> dict:
+    """``data`` as keyword arguments of ``cls``; raise unless it is an object of its fields."""
     if not isinstance(data, Mapping):
-        raise ContractError("script record must be an object")
-    unknown = set(data) - {
-        "archetype",
-        "num_frames",
-        "true_phase_centers",
-        "noise",
-        "video_id",
-        "layout_seed",
-    }
+        raise ContractError(f"{what} must be an object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ContractError(f"script record has unknown fields {sorted(unknown)}")
-    try:
-        centers = {p: int(c) for p, c in dict(data["true_phase_centers"]).items()}
-        noise_data = dict(data.get("noise", {}))
-        return SyntheticScript(
-            archetype=data["archetype"],
-            num_frames=int(data["num_frames"]),
-            true_phase_centers=centers,
-            noise=NoiseParams(
-                jitter_sigma=float(noise_data.get("jitter_sigma", 0.0)),
-                copy_lag_prob=float(noise_data.get("copy_lag_prob", 0.0)),
-                seed=int(noise_data.get("seed", 0)),
-            ),
-            video_id=str(data.get("video_id", "synthetic-0")),
-            layout_seed=int(data.get("layout_seed", 0)),
-        )
-    except KeyError as exc:
-        raise ContractError(f"script record missing {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"malformed script record: {exc}") from None
+        raise ContractError(f"{what} has unknown fields {sorted(unknown)}")
+    return dict(data)
+
+
+def script_from_dict(data: Mapping) -> SyntheticScript:
+    """Decode a script record; its fields are checked as :class:`SyntheticScript` checks them."""
+    record = _fields(SyntheticScript, data, "script record")
+    record["noise"] = NoiseParams(**_fields(NoiseParams, record.get("noise", {}), "script noise"))
+    missing = {"archetype", "num_frames", "true_phase_centers"} - set(record)
+    if missing:
+        raise ContractError(f"script record missing {sorted(missing)}")
+    return SyntheticScript(**record)
 
 
 def script_to_dict(script: SyntheticScript) -> dict:
-    return {
-        "archetype": script.archetype,
-        "num_frames": script.num_frames,
-        "true_phase_centers": dict(script.true_phase_centers),
-        "noise": asdict(script.noise),
-        "video_id": script.video_id,
-        "layout_seed": script.layout_seed,
-    }
+    return asdict(script)
 
 
 # --- keyframe paths ---------------------------------------------------------------

@@ -477,6 +477,19 @@ def _model_with_term(**changes) -> dict:
     return doc
 
 
+def _predictions_doc(**changes) -> dict:
+    """A predictions file of one video, with fields of its record replaced."""
+    record = {"video_id": "v", "true_label": "x", "probabilities": {"x": 0.5}, **changes}
+    return {"format": "boxact-predictions", "version": 1, "records": [record]}
+
+
+def _scripts_doc(**changes) -> list:
+    """A scripts file of one put-into script, with fields replaced."""
+    return [{**script_to_dict(random_script("put-into", 0)), **changes}]
+
+
+HUGE = 10**400  # a JSON integer too large for a float
+
 # (command reading the file, file content, part of the expected message)
 MALFORMED_INPUTS = {
     "split-not-json": ("predict-split", "{not json", "not valid JSON"),
@@ -731,6 +744,38 @@ MALFORMED_INPUTS = {
         {"format": "boxact-predictions", "version": True, "records": []},
         "unsupported boxact-predictions version True",
     ),
+    # these ids and labels ended in a TypeError traceback or passed as they were,
+    # and float() took the text and the bool and overflowed on the integer
+    "predictions-video-id-list": (
+        "eval",
+        _predictions_doc(video_id=["v"]),
+        "video_id must be a string, got ['v']",
+    ),
+    "predictions-video-id-number": (
+        "eval",
+        _predictions_doc(video_id=7),
+        "video_id must be a string, got 7",
+    ),
+    "predictions-true-label-list": (
+        "eval",
+        _predictions_doc(true_label=["x"]),
+        "true_label must be a string, got ['x']",
+    ),
+    "predictions-probability-text-number": (
+        "eval",
+        _predictions_doc(probabilities={"x": "0.5"}),
+        "probability for 'x' must be a finite number, got '0.5'",
+    ),
+    "external-probability-bool": (
+        "fuse-external",
+        _predictions_doc(probabilities={"x": True}),
+        "probability for 'x' must be a finite number, got True",
+    ),
+    "predictions-probability-huge-integer": (
+        "eval",
+        _predictions_doc(probabilities={"x": HUGE}),
+        "probability for 'x' must be a finite number, got 1000",
+    ),
     "model-not-an-object": ("assign-models", [], "must be an object"),
     "model-misspelt-field": (
         "assign-models",
@@ -761,6 +806,17 @@ MALFORMED_INPUTS = {
         "assign-models",
         _model_with_term(weight=True),
         "weight must be a finite number, got True",
+    ),
+    # math.isfinite raised OverflowError on an integer too large for a float
+    "model-weight-huge-integer": (
+        "assign-models",
+        _model_with_term(weight=HUGE),
+        "weight must be a finite number, got 1000",
+    ),
+    "model-touch-tol-huge-integer": (
+        "assign-models",
+        _model_doc(thresholds={"touch_tol": HUGE}),
+        "touch_tol must be a finite number, got 1000",
     ),
     "model-term-threshold-nan": (
         "assign-models",
@@ -858,6 +914,44 @@ MALFORMED_INPUTS = {
         [{**script_to_dict(random_script("put-into", 0)), "layout_seed": -1}],
         "layout_seed must be at least 0",
     ),
+    # float() overflowed on the integer, int() took the text and the bool, and
+    # an unknown noise field was dropped without a word
+    "script-with-huge-integer-jitter": (
+        "generate",
+        _scripts_doc(noise={"jitter_sigma": HUGE}),
+        "jitter_sigma must be a finite number, got 1000",
+    ),
+    "script-with-text-frame-count": (
+        "generate",
+        _scripts_doc(num_frames="60"),
+        "num_frames must be an integer, got '60'",
+    ),
+    "script-with-bool-centre": (
+        "generate",
+        _scripts_doc(
+            true_phase_centers={
+                **script_to_dict(random_script("put-into", 0))["true_phase_centers"],
+                "a": True,
+            }
+        ),
+        "phase centre a must be an integer, got True",
+    ),
+    # a centre of no phase would pass unchecked into the --truth file
+    "script-with-nan-extra-centre": (
+        "generate",
+        _scripts_doc(
+            true_phase_centers={
+                **script_to_dict(random_script("put-into", 0))["true_phase_centers"],
+                "z": float("nan"),
+            }
+        ),
+        "true_phase_centers has unknown phases ['z']",
+    ),
+    "script-with-unknown-noise-field": (
+        "generate",
+        _scripts_doc(noise={"jitter": 1.0}),
+        "script noise has unknown fields ['jitter']",
+    ),
 }
 # every JSON reader rejects text that is not UTF-8 or nests past the parser's limit
 for _reader, _command in {
@@ -884,6 +978,8 @@ def test_malformed_input_files_exit_1(workdir, tmp_path, capsys, case):
         bad.write_bytes(content)
     else:
         bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    ours = tmp_path / "ours.json"
+    ours.write_text(json.dumps(_predictions_doc()))
     predict = [
         "predict",
         "--annotations",
@@ -898,6 +994,15 @@ def test_malformed_input_files_exit_1(workdir, tmp_path, capsys, case):
         + ["--forest-dir", str(workdir / "forests"), "--split", str(bad)],
         "predict-forest": predict + ["--forest-dir", str(tmp_path)],
         "eval": ["eval", "--predictions", str(bad)],
+        "fuse-external": [
+            "fuse",
+            "--predictions",
+            str(ours),
+            "--external",
+            str(bad),
+            "--out",
+            str(tmp_path / "fused.json"),
+        ],
         "generate": ["generate", "--out", str(tmp_path / "ann.json"), "--from-scripts", str(bad)],
         "assign": ["assign", "--annotations", str(bad), "--out", str(tmp_path / "out.json")],
         "assign-models": [
@@ -1136,3 +1241,56 @@ def test_accepted_documents_run_through_train_predict_and_eval(document):
                 code == 1
                 and (err.startswith("error: ") or err.startswith("warning: skipped single-class"))
             ), (argv[0], code, err)
+
+
+# --- every prediction file runs through eval and fuse, or fails with error: ---------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-(10**20), 10**20) | st.floats(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=6,
+)
+# ids and labels of the other records, and values that float() and int() took
+pointed_values = st.sampled_from(["v0", "a", True, "0.5", HUGE, -HUGE])
+field_values = st.one_of(pointed_values, pointed_values, json_values)
+
+
+@st.composite
+def prediction_documents(draw):
+    """1-4 well-formed records over actions a and b, then up to two fields set to any JSON value.
+
+    A field is a record's id, label, probabilities or probability of a.
+    """
+    records = [
+        {
+            "video_id": f"v{i}",
+            "true_label": draw(st.sampled_from("ab")),
+            "probabilities": {a: draw(st.floats(0, 1)) for a in "ab"},
+        }
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        record = draw(st.sampled_from(records))
+        field = draw(st.sampled_from(["video_id", "true_label", "probabilities", "a", "a"]))
+        value = draw(field_values)
+        if field != "a":
+            record[field] = value
+        elif isinstance(record["probabilities"], dict):
+            record["probabilities"]["a"] = value
+    return {"format": "boxact-predictions", "version": 1, "records": records}
+
+
+@given(prediction_documents())
+@settings(max_examples=100, deadline=None)
+def test_prediction_files_run_through_eval_and_fuse(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        preds, fused, report = root / "preds.json", root / "fused.json", root / "report"
+        preds.write_text(json.dumps(document))
+        eval_ = ["eval", "--predictions", str(preds), "--out-dir", str(report)]
+        fuse = ["fuse", "--predictions", str(preds), "--external", str(preds), "--out", str(fused)]
+        for argv, written in ((eval_, report / "report.json"), (fuse, fused)):
+            code, err = _run(argv)
+            assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")), (argv, err)
+            if code == 0:
+                json.loads(written.read_text(), parse_constant=lambda c: pytest.fail(c))
