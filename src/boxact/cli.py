@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 from .embedding import dump_embeddings
-from .errors import BoxactError, ConfigError, read_artifact, read_json, write_artifact
+from .errors import BoxactError, ConfigError, prefixed, read_artifact, read_json, write_artifact
 from .evaluation import (
     confusion_csv,
     evaluate,
@@ -104,10 +105,11 @@ def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         raw = read_json(args.from_scripts, ConfigError)
         if not isinstance(raw, list):
             parser.error("--from-scripts file must hold a list of script records")
-        try:
+        with prefixed(args.from_scripts):
             scripts = [script_from_dict(rec) for rec in raw]
-        except BoxactError as exc:
-            raise type(exc)(f"{args.from_scripts}: {exc}") from None
+            twice = [v for v, n in Counter(s.video_id for s in scripts).items() if n > 1]
+            if twice:
+                raise ConfigError(f"duplicate video id {twice[0]!r}")
         pairs = [generate_synthetic(s) for s in scripts]
         tracks = [t for t, _ in pairs]
         truth = {t.video_id: g for (t, g) in pairs}
@@ -286,7 +288,8 @@ def cmd_predict(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     preds = load_predictions(args.predictions)
-    report = evaluate(preds)
+    with prefixed(args.predictions):
+        report = evaluate(preds)
     print(report_table(report))
     if args.out_dir:
         out_dir = Path(args.out_dir)
@@ -300,7 +303,8 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_fuse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ours = load_predictions(args.predictions)
     external = load_predictions(args.external)
-    fused = fuse(ours, external)
+    with prefixed(f"{args.predictions} and {args.external}"):
+        fused = fuse(ours, external)
     save_predictions(fused, args.out)
     print(f"wrote fused predictions for {len(fused)} videos to {args.out}")
     return 0

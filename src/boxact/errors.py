@@ -1,15 +1,16 @@
 """Exception hierarchy, and the rules that boxact's JSON readers and writers share.
 
-Those are the version-1 artifact envelope, the JSON text format, and the
-checks of a scalar field read from a file: a number is a JSON int or float,
-never ``true``/``false`` or a string, and finite (an integer too large for a
-float is not).
+Those are the version-1 artifact envelope, the JSON text format, the checks
+of a scalar field read from a file: a number is a JSON int or float, never
+``true``/``false`` or a string, and finite (an integer too large for a float
+is not), and :func:`prefixed`, which names where an error came from.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -22,6 +23,7 @@ __all__ = [
     "check_finite",
     "check_int",
     "check_str",
+    "prefixed",
     "read_artifact",
     "read_json",
     "write_artifact",
@@ -43,6 +45,15 @@ class ConfigError(BoxactError):
 
 class ContractError(BoxactError):
     """Caller passed inputs that violate an operation contract."""
+
+
+@contextmanager
+def prefixed(where: object):
+    """Prefix ``where: `` to a :class:`BoxactError` raised in the block, keeping its type."""
+    try:
+        yield
+    except BoxactError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def read_json(path: str | Path, error_cls: type[BoxactError]):

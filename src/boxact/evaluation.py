@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, BoxactError, ContractError, check_finite, check_str
+from .errors import AnnotationError, ContractError, check_finite, check_str, prefixed
 from .errors import read_artifact, write_artifact
 
 __all__ = [
@@ -48,13 +48,11 @@ class VideoPrediction:
 
     def __post_init__(self) -> None:
         check_str("video_id", self.video_id)
-        try:
+        with prefixed(f"video {self.video_id!r}"):
             check_str("true_label", self.true_label)
             if not isinstance(self.probabilities, Mapping):
                 raise ContractError(f"probabilities must be an object, got {self.probabilities!r}")
             probabilities = {a: _probability(a, p) for a, p in self.probabilities.items()}
-        except BoxactError as exc:
-            raise type(exc)(f"video {self.video_id!r}: {exc}") from None
         object.__setattr__(self, "probabilities", probabilities)
 
 
@@ -269,16 +267,15 @@ def save_predictions(
 
 def load_predictions(path: str | Path) -> PredictionSet:
     doc = read_artifact(path, PREDICTIONS_FORMAT, "a predictions file", AnnotationError)
-    try:
-        return PredictionSet(
-            videos=tuple(
-                VideoPrediction(rec["video_id"], rec["true_label"], rec["probabilities"])
-                for rec in doc.get("records", [])
+    with prefixed(path):
+        try:
+            return PredictionSet(
+                videos=tuple(
+                    VideoPrediction(rec["video_id"], rec["true_label"], rec["probabilities"])
+                    for rec in doc.get("records", [])
+                )
             )
-        )
-    except KeyError as exc:
-        raise AnnotationError(f"{path}: prediction record missing {exc}") from None
-    except TypeError as exc:
-        raise AnnotationError(f"{path}: malformed prediction record: {exc}") from None
-    except BoxactError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        except KeyError as exc:
+            raise AnnotationError(f"prediction record missing {exc}") from None
+        except TypeError as exc:
+            raise AnnotationError(f"malformed prediction record: {exc}") from None

@@ -56,7 +56,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, all_instances, check_int, check_str, read_json
+from .errors import ConfigError, ContractError, all_instances, check_int, check_str, prefixed
+from .errors import read_json
 
 __all__ = [
     "ForestParams",
@@ -967,7 +968,5 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
 
 def load_forest(path: str | Path) -> ForestModel:
     data = read_json(path, ConfigError)
-    try:
+    with prefixed(path):
         return forest_from_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None

@@ -37,16 +37,17 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, cached_property, lru_cache
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_finite, read_json, write_json
+from .errors import ConfigError, ContractError, check_finite, prefixed, read_json, write_json
 from .relations import (
     COLUMN,
     DEFAULT_CONFIG,
@@ -54,6 +55,7 @@ from .relations import (
     SWAP,
     RelationConfig,
     feature_key,
+    relation_keys,
     relation_table,
 )
 from .tracks import VideoTrack
@@ -114,7 +116,9 @@ class Term:
 
     ``threshold`` turns a real feature into an indicator (value > threshold);
     ``negate`` complements booleans/indicators (1 - v) and flips the sign of
-    raw real features.
+    raw real features.  A term built in code obeys the rules of a model
+    file: the catalogue lists the feature with its arguments, ``|weight|`` is
+    at most ``MAX_TERM_WEIGHT``, and the threshold is finite or None.
     """
 
     feature: str
@@ -122,17 +126,26 @@ class Term:
     weight: float = 1.0
     negate: bool = False
     threshold: float | None = None
+    key: str = field(init=False, repr=False, compare=False)  # canonical feature key
 
     def __post_init__(self) -> None:
+        where = f"term {self.feature!r}"
+        if not isinstance(self.args, (list, tuple)):
+            raise ConfigError(f"{where}: args must be a list, got {self.args!r}")
+        object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "key", feature_key(self.feature, self.args))
+        if isinstance(self.weight, bool) or not isinstance(self.weight, Real):
+            raise ConfigError(f"{where}: weight must be a number, got {self.weight!r}")
         if not abs(self.weight) <= MAX_TERM_WEIGHT:
             raise ConfigError(
-                f"term {self.feature!r}: weight must be at most {MAX_TERM_WEIGHT:g} "
+                f"{where}: weight must be at most {MAX_TERM_WEIGHT:g} "
                 f"in magnitude, got {self.weight!r}"
             )
-
-    @cached_property
-    def key(self) -> str:
-        return feature_key(self.feature, self.args)
+        object.__setattr__(self, "weight", float(self.weight))
+        if not isinstance(self.negate, bool):
+            raise ConfigError(f"{where}: negate must be true or false, got {self.negate!r}")
+        if self.threshold is not None:
+            object.__setattr__(self, "threshold", check_finite(f"{where}: threshold", self.threshold))
 
 
 @dataclass(frozen=True)
@@ -145,20 +158,32 @@ class ActionModel:
     extra_features: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # read-only, so that one model can be shared, as builtin_model's are
-        object.__setattr__(self, "phases", MappingProxyType(dict(self.phases)))
-        if not self.action_id:
+        if not isinstance(self.action_id, str) or not self.action_id:
             raise ConfigError("action model needs a non-empty action_id")
-        missing = [p for p in PHASES if p not in self.phases or not self.phases[p]]
+        where = f"model {self.action_id!r}"
+        if not isinstance(self.phases, Mapping):
+            raise ConfigError(f"{where}: 'phases' must be a mapping")
+        for p, terms in self.phases.items():
+            if not isinstance(terms, (list, tuple)) or not all(isinstance(t, Term) for t in terms):
+                raise ConfigError(f"{where}: phase {p!r} must be a list of terms, got {terms!r}")
+        # read-only, so that one model can be shared, as builtin_model's are
+        phases = MappingProxyType({p: tuple(terms) for p, terms in self.phases.items()})
+        object.__setattr__(self, "phases", phases)
+        missing = [p for p in PHASES if not phases.get(p)]
         if missing:
-            raise ConfigError(
-                f"model {self.action_id!r}: phases {missing} have no terms"
-            )
-        unknown = set(self.phases) - set(PHASES)
+            raise ConfigError(f"{where}: phases {missing} have no terms")
+        unknown = set(phases) - set(PHASES)
         if unknown:
+            raise ConfigError(f"{where}: unknown phases {sorted(unknown)}")
+        if not isinstance(self.thresholds, RelationConfig):
+            raise ConfigError(f"{where}: thresholds must be a RelationConfig")
+        extra = self.extra_features
+        if not (isinstance(extra, (list, tuple)) and all(k in relation_keys() for k in extra)):
             raise ConfigError(
-                f"model {self.action_id!r}: unknown phases {sorted(unknown)}"
+                f"{where}: 'features' must be a list of canonical feature keys "
+                f"such as 'touching(object1,hand)', got {extra!r}"
             )
+        object.__setattr__(self, "extra_features", tuple(extra))
 
     @cached_property
     def feature_list(self) -> tuple[str, ...]:
@@ -178,33 +203,19 @@ class ActionModel:
         return TermArrays.of([self.phases[p] for p in PHASES])
 
 
-def _term_from_dict(entry, action_id: str) -> Term:
+def _term_from_dict(entry) -> Term:
     if not isinstance(entry, Mapping):
-        raise ConfigError(f"model {action_id!r}: a term must be an object, got {entry!r}")
+        raise ConfigError(f"a term must be an object, got {entry!r}")
     unknown = set(entry) - {"feature", "args", "weight", "negate", "threshold"}
     if unknown:
-        raise ConfigError(
-            f"model {action_id!r}: unknown term fields {sorted(unknown)}"
-        )
-    where = f"model {action_id!r}: term {entry.get('feature')!r}"
-    if not isinstance(entry.get("args", []), list):
-        raise ConfigError(f"{where}: args must be a list, got {entry['args']!r}")
-    if not isinstance(entry.get("negate", False), bool):
-        raise ConfigError(f"{where}: negate must be true or false, got {entry['negate']!r}")
+        raise ConfigError(f"unknown term fields {sorted(unknown)}")
     try:
-        feature, args = entry["feature"], tuple(entry["args"])
+        feature, args = entry["feature"], entry["args"]
     except KeyError as exc:
-        raise ConfigError(f"model {action_id!r}: term missing {exc}") from None
-    weight = check_finite(f"{where}: weight", entry.get("weight", 1.0))
-    threshold = entry.get("threshold")
-    if threshold is not None:
-        threshold = check_finite(f"{where}: threshold", threshold)
-    try:
-        term = Term(feature, args, weight, entry.get("negate", False), threshold)
-    except ConfigError as exc:  # the weight bound, which Term checks itself
-        raise ConfigError(f"model {action_id!r}: {exc}") from None
-    term.key  # validates feature name, arity and entities
-    return term
+        raise ConfigError(f"term missing {exc}") from None
+    # a weight read from a file is a finite JSON number before Term bounds it
+    weight = check_finite(f"term {feature!r}: weight", entry.get("weight", 1.0))
+    return Term(feature, args, weight, entry.get("negate", False), entry.get("threshold"))
 
 
 def model_from_dict(data) -> ActionModel:
@@ -213,29 +224,18 @@ def model_from_dict(data) -> ActionModel:
     action_id = data.get("action_id")
     if not isinstance(action_id, str) or not action_id:
         raise ConfigError("action model config needs a string 'action_id'")
-    unknown = set(data) - {"action_id", "phases", "thresholds", "features"}
-    if unknown:
-        raise ConfigError(f"model {action_id!r}: unknown fields {sorted(unknown)}")
-    raw_phases = data.get("phases")
-    if not isinstance(raw_phases, Mapping):
-        raise ConfigError(f"model {action_id!r}: 'phases' must be a mapping")
-    phases = {}
-    for p, terms in raw_phases.items():
-        if not isinstance(terms, list):
-            raise ConfigError(f"model {action_id!r}: phase {p!r} must be a list of terms")
-        phases[p] = tuple(_term_from_dict(t, action_id) for t in terms)
-    extra = data.get("features", [])
-    if not isinstance(extra, list) or not all(isinstance(k, str) and k in COLUMN for k in extra):
-        raise ConfigError(
-            f"model {action_id!r}: 'features' must be a list of canonical feature keys "
-            f"such as 'touching(object1,hand)', got {extra!r}"
-        )
-    return ActionModel(
-        action_id=action_id,
-        phases=phases,
-        thresholds=RelationConfig.from_dict(data.get("thresholds", {})),
-        extra_features=tuple(extra),
-    )
+    with prefixed(f"model {action_id!r}"):
+        unknown = set(data) - {"action_id", "phases", "thresholds", "features"}
+        if unknown:
+            raise ConfigError(f"unknown fields {sorted(unknown)}")
+        phases = data.get("phases")
+        if isinstance(phases, Mapping):  # ActionModel rejects any other shape
+            phases = {
+                p: [_term_from_dict(t) for t in terms] if isinstance(terms, list) else terms
+                for p, terms in phases.items()
+            }
+        thresholds = RelationConfig.from_dict(data.get("thresholds", {}))
+    return ActionModel(action_id, phases, thresholds, data.get("features", []))
 
 
 def model_to_dict(model: ActionModel) -> dict:
@@ -259,10 +259,8 @@ def model_to_dict(model: ActionModel) -> dict:
 
 def load_action_model(path: str | Path) -> ActionModel:
     data = read_json(path, ConfigError)
-    try:
+    with prefixed(path):
         return model_from_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_action_model(model: ActionModel, path: str | Path) -> None:

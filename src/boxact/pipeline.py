@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .embedding import VideoEmbedding, embed_windows, embedding_layout
-from .errors import BoxactError, ConfigError, ContractError, check_int
+from .errors import ConfigError, ContractError, check_int, prefixed
 from .evaluation import PredictionSet, VideoPrediction
 from .forest import ForestModel, ForestParams, grow_forests, layout_fingerprint, predict_proba
 from .phases import (
@@ -279,12 +279,10 @@ def embed_all(
         raise ContractError("duplicate video ids in track list")
     results: dict[str, dict[str, tuple[VideoEmbedding, PhaseAssignment]]] = {}
     for batch in _batches(tracks):
-        try:
+        with prefixed(f"video {batch[0].video_id!r}"):
             per_track = _assign_tracks(
                 batch, models, config.n, config.sigma, config.scores_only
             )
-        except BoxactError as exc:
-            raise type(exc)(f"video {batch[0].video_id!r}: {exc}") from None
         results.update(zip((t.video_id for t in batch), per_track))
     return results
 

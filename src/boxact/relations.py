@@ -1,13 +1,13 @@
 """Relational features between the two object boxes and the hand.
 
-Real-valued features: size, speed (offset magnitude), normalised overlap,
-offset distance, offset angle, centre distance.  Binary features: present,
-moving, touching, contained, centre-on-top / centre-underneath, and the three
-relative-movement tests (move-with-hand, hand-move-relative,
-object-move-relative).  Offsets compare each annotated frame against the
-previous annotated frame, whatever the gap in frame indices between the two;
-the first frame of a track, and any frame where an entity was absent in the
-previous frame, yield a zero offset.
+:data:`FEATURES` is the catalogue of the 15 features: each one's kind (real
+or boolean), the argument role tuples it takes, in column order, and whether
+it is symmetric.  The 55 keys of :func:`relation_keys`, their :data:`COLUMN`,
+the booleans, :data:`SWAP` and the argument rule of :func:`feature_key` all
+derive from it.  Offsets compare each annotated frame against the previous
+annotated frame, whatever the gap in frame indices between the two; the first
+frame of a track, and any frame where an entity was absent in the previous
+frame, yield a zero offset.
 
 :func:`relation_table` computes every feature for every frame of a track in
 one pass: a ``(T, 55)`` float64 table whose columns follow
@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,21 +37,21 @@ from .tracks import ROLES, VideoTrack
 __all__ = [
     "OVERLAP_NORMALISER",
     "RelationConfig",
+    "Feature",
+    "FEATURES",
+    "BOOLEAN_FEATURES",
     "relation_keys",
     "relation_table",
     "COLUMN",
     "SWAP",
     "feature_key",
     "feature_kind",
-    "validate_feature",
 ]
 
 # Denominator constant from the normalised-overlap definition:
 # overlap
 # = (x overlap * y overlap) / (OVERLAP_NORMALISER * size of the smaller box).
 OVERLAP_NORMALISER = 0.1
-
-_ENTITY_RANK = {e: i for i, e in enumerate(ROLES)}
 
 
 @dataclass(frozen=True)
@@ -95,100 +96,91 @@ DEFAULT_CONFIG = RelationConfig()
 
 # --- feature catalogue -----------------------------------------------------
 #
-# Canonical keys look like "touching(object1,hand)".  Symmetric pair features
-# are stored once, with arguments in entity order (object1 < object2 < hand);
-# lookups through feature_key() accept either order.
-
-_UNARY_REAL = ("size", "speed")
-_UNARY_BOOL = ("present", "moving")
-_PAIR_REAL = ("overlap", "offset_dist", "offset_angle", "centre_dist")
-_PAIR_BOOL_SYMMETRIC = ("touching",)
-_PAIR_BOOL_ORDERED = (
-    "contained",
-    "centre_on_top",
-    "centre_underneath",
-    "object_move_relative",
-)
-_HAND_BOOL = ("move_with_hand", "hand_move_relative")
-
-_SYMMETRIC = set(_PAIR_REAL) | set(_PAIR_BOOL_SYMMETRIC)
-BOOLEAN_FEATURES = (
-    set(_UNARY_BOOL)
-    | set(_PAIR_BOOL_SYMMETRIC)
-    | set(_PAIR_BOOL_ORDERED)
-    | set(_HAND_BOOL)
-)
-_ARITY = {name: 1 for name in _UNARY_REAL + _UNARY_BOOL + _HAND_BOOL}
-_ARITY.update({name: 2 for name in _PAIR_REAL + _PAIR_BOOL_SYMMETRIC + _PAIR_BOOL_ORDERED})
+# A key looks like "touching(object1,hand)".  A symmetric feature has one key
+# per pair, its arguments in entity order (object1 < object2 < hand).
 
 
-def validate_feature(name: str, args: tuple[str, ...]) -> None:
-    if not isinstance(name, str) or name not in _ARITY:
+class Feature(NamedTuple):
+    kind: str  # "real" or "boolean"
+    args: tuple[tuple[str, ...], ...]  # the role tuples it takes, in column order
+    symmetric: bool = False
+
+
+_EACH = tuple((e,) for e in ROLES)
+_OBJECTS = (("object1",), ("object2",))
+_PAIRS = tuple(itertools.combinations(ROLES, 2))
+_ORDERED = tuple(itertools.permutations(ROLES, 2))
+
+FEATURES: Mapping[str, Feature] = MappingProxyType({
+    "size": Feature("real", _EACH),
+    "speed": Feature("real", _EACH),
+    "present": Feature("boolean", _EACH),
+    "moving": Feature("boolean", _EACH),
+    "overlap": Feature("real", _PAIRS, symmetric=True),
+    "offset_dist": Feature("real", _PAIRS, symmetric=True),
+    "offset_angle": Feature("real", _PAIRS, symmetric=True),
+    "centre_dist": Feature("real", _PAIRS, symmetric=True),
+    "touching": Feature("boolean", _PAIRS, symmetric=True),
+    "contained": Feature("boolean", _ORDERED),
+    "centre_on_top": Feature("boolean", _ORDERED),
+    "centre_underneath": Feature("boolean", _ORDERED),
+    "object_move_relative": Feature("boolean", _ORDERED),
+    "move_with_hand": Feature("boolean", _OBJECTS),
+    "hand_move_relative": Feature("boolean", _OBJECTS),
+})
+
+BOOLEAN_FEATURES = frozenset(name for name, f in FEATURES.items() if f.kind == "boolean")
+
+
+def _spelt(args: Sequence[str]) -> str:
+    return f"({','.join(args)})"
+
+
+def feature_key(name: str, args: Sequence[str]) -> str:
+    """Canonical key of a feature reference; :class:`ConfigError` if the catalogue lacks it."""
+    if not isinstance(name, str) or name not in FEATURES:
         raise ConfigError(f"unknown feature {name!r}")
-    if len(args) != _ARITY[name]:
-        raise ConfigError(
-            f"feature {name!r} takes {_ARITY[name]} argument(s), got {list(args)}"
-        )
     for a in args:
         if a not in ROLES:
             raise ConfigError(f"unknown entity {a!r} in feature {name!r}")
-    if name in _HAND_BOOL and args[0] == "hand":
-        raise ConfigError(f"feature {name!r} expects an object argument, not 'hand'")
-    if _ARITY[name] == 2 and args[0] == args[1]:
-        raise ConfigError(f"feature {name!r} needs two distinct entities")
-
-
-def feature_key(name: str, args: tuple[str, ...]) -> str:
-    """Canonical dictionary key for a feature reference."""
-    validate_feature(name, args)
-    if name in _SYMMETRIC:
-        args = tuple(sorted(args, key=_ENTITY_RANK.__getitem__))
-    return f"{name}({','.join(args)})"
+    feature = FEATURES[name]
+    canonical = tuple(sorted(args, key=ROLES.index)) if feature.symmetric else tuple(args)
+    if canonical not in feature.args:
+        raise ConfigError(
+            f"feature {name!r} takes {' or '.join(map(_spelt, feature.args))}, "
+            f"got {_spelt(args)}"
+        )
+    return f"{name}{_spelt(canonical)}"
 
 
 def feature_kind(name: str) -> str:
-    if name not in _ARITY:
+    """``"real"`` or ``"boolean"``."""
+    if not isinstance(name, str) or name not in FEATURES:
         raise ConfigError(f"unknown feature {name!r}")
-    return "boolean" if name in BOOLEAN_FEATURES else "real"
+    return FEATURES[name].kind
+
+
+# (feature name, role tuple) of each column
+_ENTRIES = tuple((name, args) for name, f in FEATURES.items() for args in f.args)
+_KEYS = tuple(f"{name}{_spelt(args)}" for name, args in _ENTRIES)
 
 
 def relation_keys() -> tuple[str, ...]:
-    """All canonical feature keys, in deterministic order."""
-    keys: list[str] = []
-    for name in _UNARY_REAL + _UNARY_BOOL:
-        keys.extend(feature_key(name, (e,)) for e in ROLES)
-    pairs = [("object1", "object2"), ("object1", "hand"), ("object2", "hand")]
-    for name in _PAIR_REAL + _PAIR_BOOL_SYMMETRIC:
-        keys.extend(feature_key(name, p) for p in pairs)
-    ordered = [(a, b) for a in ROLES for b in ROLES if a != b]
-    for name in _PAIR_BOOL_ORDERED:
-        keys.extend(feature_key(name, p) for p in ordered)
-    for name in _HAND_BOOL:
-        keys.extend(feature_key(name, (o,)) for o in ("object1", "object2"))
-    return tuple(keys)
+    """All canonical feature keys, in column order."""
+    return _KEYS
 
 
-_KEYS = relation_keys()
 COLUMN: Mapping[str, int] = {key: i for i, key in enumerate(_KEYS)}
-
-_SWAPPED_ROLE = {"object1": "object2", "object2": "object1", "hand": "hand"}
-
-
-def _swapped_key(key: str) -> str:
-    name, _, rest = key.partition("(")
-    return feature_key(name, tuple(_SWAPPED_ROLE[a] for a in rest[:-1].split(",")))
-
 
 # Column j of the object-swapped track's table is column SWAP[j] of the
 # annotated table.
-SWAP = np.array([COLUMN[_swapped_key(key)] for key in _KEYS])
+_OTHER_OBJECT = {"object1": "object2", "object2": "object1"}
+SWAP = np.array([
+    COLUMN[feature_key(name, [_OTHER_OBJECT.get(a, a) for a in args])] for name, args in _ENTRIES
+])
 
-# Column of each (feature name, role indices) pair that relation_table writes;
-# its symmetric pairs come in entity order, which is their canonical order.
-_COLUMN_OF = {
-    (name, tuple(ROLES.index(a) for a in rest[:-1].split(","))): i
-    for i, (name, _, rest) in enumerate(key.partition("(") for key in _KEYS)
-}
+# Column of each (feature name, role indices) pair that relation_table writes
+_COLUMN_OF = {(name, tuple(map(ROLES.index, args))): i for i, (name, args) in enumerate(_ENTRIES)}
 
 
 def relation_table(

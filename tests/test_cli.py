@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from boxact.cli import main
 from boxact.evaluation import load_predictions
 from boxact.forest import load_forest
-from boxact.phases import ARCHETYPES, builtin_model, model_to_dict
+from boxact.phases import ARCHETYPES, builtin_model, model_to_dict, save_action_model
+from boxact.relations import FEATURES, relation_keys
 from boxact.synthetic import random_script, script_to_dict
 from boxact.tracks import COORDINATE_LIMIT, ROLES, load_annotation_file
 
@@ -952,6 +953,34 @@ MALFORMED_INPUTS = {
         _scripts_doc(noise={"jitter": 1.0}),
         "script noise has unknown fields ['jitter']",
     ),
+    # the annotation file held both videos, which every reader then rejected,
+    # and the --truth file silently kept one of them
+    "scripts-with-a-duplicate-video-id": (
+        "generate",
+        _scripts_doc() * 2,
+        "duplicate video id 'put-into-0'",
+    ),
+    # these were raised after the files were read, and named no file
+    "predictions-with-an-unscored-label": (
+        "eval",
+        _predictions_doc(true_label="y"),
+        "true labels ['y'] have no probability column",
+    ),
+    "external-of-other-videos": (
+        "fuse-external",
+        _predictions_doc(video_id="w"),
+        "prediction sets cover different videos: only in first ['v'], only in second ['w']",
+    ),
+    "external-of-other-actions": (
+        "fuse-external",
+        _predictions_doc(true_label="y", probabilities={"y": 0.5}),
+        "prediction sets score different actions: ['x'] vs ['y']",
+    ),
+    "external-with-another-label": (
+        "fuse-external",
+        _predictions_doc(true_label="y"),
+        "video 'v' labeled 'x' in one set and 'y' in the other",
+    ),
 }
 # every JSON reader rejects text that is not UTF-8 or nests past the parser's limit
 for _reader, _command in {
@@ -1294,3 +1323,92 @@ def test_prediction_files_run_through_eval_and_fuse(document):
             assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")), (argv, err)
             if code == 0:
                 json.loads(written.read_text(), parse_constant=lambda c: pytest.fail(c))
+
+
+# --- every model directory runs through assign and train, or fails with error: -------
+
+# weights up to the bound, and values past it or not finite or not numbers at all
+good_weights = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e100, -1e100]), st.floats(-1e3, 1e3)
+)
+good_thresholds = st.one_of(st.sampled_from([0.0, 5e-324, 1e300, -1e300]), st.floats(-1e3, 1e3))
+bad_numbers = st.sampled_from(
+    [1.0000000000000002e100, 1e306, float("nan"), float("inf"), -float("inf"), HUGE, True, "1"]
+)
+
+
+@st.composite
+def catalogue_terms(draw):
+    """A term of a catalogued feature, with arguments the catalogue lists for it."""
+    name = draw(st.sampled_from(sorted(FEATURES)))
+    args = list(draw(st.sampled_from(FEATURES[name].args)))
+    if FEATURES[name].symmetric and draw(st.booleans()):
+        args.reverse()
+    term = {"feature": name, "args": args, "weight": draw(good_weights)}
+    if draw(st.booleans()):
+        term["negate"] = draw(st.booleans())
+    if draw(st.booleans()):
+        term["threshold"] = draw(good_thresholds)
+    return term
+
+
+# one field of a term set to a value that a model file may not hold, or may
+term_faults = st.one_of(
+    st.tuples(st.just("feature"), st.sampled_from(["wobble", "Present", 5])),
+    st.tuples(st.just("args"), st.lists(st.sampled_from(ROLES + ("foot",)), max_size=3)),
+    st.tuples(st.sampled_from(["weight", "threshold"]), bad_numbers),
+    st.tuples(st.just("negate"), st.sampled_from(["no", 0, None])),
+)
+
+
+@st.composite
+def model_documents(draw):
+    """A put-into model of 1-3 terms a phase, up to two of them with a fault.
+
+    Half the documents hold custom thresholds, and half a features list.
+    """
+    doc = {
+        "action_id": "put-into",
+        "phases": {p: draw(st.lists(catalogue_terms(), min_size=1, max_size=3)) for p in "abcde"},
+    }
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        term = draw(st.sampled_from(doc["phases"][draw(st.sampled_from("abcde"))]))
+        field, value = draw(term_faults)
+        term[field] = value
+    if draw(st.booleans()):
+        fields = ["touch_tol", "containment_fraction", "move_threshold", "move_with_hand_tol"]
+        values = st.one_of(st.sampled_from([0.0, 5e-324, 0.5, 1.0, 2.5, 1e300]), bad_numbers)
+        doc["thresholds"] = draw(st.dictionaries(st.sampled_from(fields), values))
+    if draw(st.booleans()):
+        keys = st.sampled_from(relation_keys() + ("touching(hand,object1)", "present(foot)"))
+        doc["features"] = draw(st.lists(keys, max_size=3))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory) -> Path:
+    """Four labelled videos of 60 frames."""
+    ann = tmp_path_factory.mktemp("tiny") / "ann.json"
+    assert main(["generate", "--archetypes", "put-into,take-out-of", "--count", "2",
+                 "--out", str(ann)]) == 0
+    return ann
+
+
+@given(model_documents())
+@settings(max_examples=60, deadline=None)
+def test_model_directories_run_through_assign_and_train(tiny_corpus, document):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        models = root / "models"
+        models.mkdir()
+        (models / "put-into.json").write_text(json.dumps(document))
+        save_action_model(builtin_model("take-out-of"), models / "take-out-of.json")
+        corpus = ["--annotations", str(tiny_corpus), "--models", str(models)]
+        for argv in (
+            ["assign", *corpus, "--out", str(root / "assignments.json")],
+            ["train", *corpus, "--out-dir", str(root / "forests"), "--num-trees", "5"],
+        ):
+            code, err = _run(argv)
+            assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")), (argv, err)
+        for path in [*root.glob("*.json"), *root.glob("forests/*.json")]:
+            json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path}: {c}"))

@@ -347,6 +347,47 @@ def test_a_term_built_in_code_rejects_weights_past_the_bound(weight):
         _size_model(weight)
 
 
+# A term or model built in code obeys the rules of a model file.  Each of these
+# was taken before: "no" scored like True, a NaN threshold compared false on
+# every frame, and the rest failed later with a TypeError, KeyError or
+# AttributeError.
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"negate": "no"}, "term 'size': negate must be true or false, got 'no'"),
+        ({"threshold": float("nan")}, "term 'size': threshold must be a finite number, got nan"),
+        ({"threshold": "1"}, "term 'size': threshold must be a finite number, got '1'"),
+        ({"weight": "x"}, "term 'size': weight must be a number, got 'x'"),
+        ({"args": "object1"}, "term 'size': args must be a list, got 'object1'"),
+    ],
+    ids=["negate-text", "threshold-nan", "threshold-text", "weight-text", "args-text"],
+)
+def test_a_term_built_in_code_checks_its_fields(changes, message):
+    with pytest.raises(ConfigError) as info:
+        Term(**{"feature": "size", "args": ("object1",), **changes})
+    assert str(info.value) == message
+
+
+def test_a_model_built_in_code_rejects_an_unknown_extra_feature():
+    with pytest.raises(ConfigError, match=r"model 'm': 'features' must be .*'wobble\(hand\)'"):
+        ActionModel("m", _tiny_model().phases, extra_features=("wobble(hand)",))
+
+
+@pytest.mark.parametrize("entry", [5, "present(hand)", {"feature": "present", "args": ["hand"]}])
+def test_a_model_built_in_code_rejects_a_phase_entry_that_is_not_a_term(entry):
+    phases = {**_tiny_model().phases, "c": (Term("present", ("hand",)), entry)}
+    with pytest.raises(ConfigError, match="model 'm': phase 'c' must be a list of terms"):
+        ActionModel("m", phases)
+
+
+def test_a_term_built_in_code_holds_its_fields_as_a_model_file_does():
+    term = Term("touching", ["hand", "object1"], weight=2, threshold=1)
+    model = ActionModel("m", {p: (term,) for p in PHASES})
+    assert model_from_dict(model_to_dict(model)) == model
+    assert (term.args, term.weight, term.threshold) == (("hand", "object1"), 2.0, 1.0)
+    assert type(term.weight) is type(term.threshold) is float
+
+
 # --- scoring --------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,15 +11,16 @@ from boxact.errors import ConfigError, ContractError
 from boxact.phases import ActionModel, builtin_model
 from boxact.pipeline import assign_track
 from boxact.relations import (
+    BOOLEAN_FEATURES,
     COLUMN,
     DEFAULT_CONFIG,
+    FEATURES,
     SWAP,
     RelationConfig,
     feature_key,
     feature_kind,
     relation_keys,
     relation_table,
-    validate_feature,
 )
 from boxact.tracks import COORDINATE_LIMIT, ROLES, parse_annotations
 
@@ -267,9 +269,70 @@ def test_feature_kind():
         ("present", ("foot",)),
     ],
 )
-def test_validate_feature_rejects(name, args):
+def test_feature_key_rejects(name, args):
     with pytest.raises(ConfigError):
-        validate_feature(name, args)
+        feature_key(name, args)
+
+
+ROLE_TUPLES = [(a,) for a in ROLES] + [(a, b) for a in ROLES for b in ROLES]
+
+
+@pytest.mark.parametrize("name", sorted(FEATURES))
+def test_feature_key_accepts_exactly_the_catalogued_role_tuples(name):
+    feature = FEATURES[name]
+    keys = set()
+    for args in ROLE_TUPLES:
+        listed = args in feature.args or (feature.symmetric and args[::-1] in feature.args)
+        if listed:
+            key = feature_key(name, args)
+            canonical = args if args in feature.args else args[::-1]
+            assert key == f"{name}({','.join(canonical)})" and key in COLUMN
+            keys.add(key)
+        else:
+            allowed = " or ".join(f"({','.join(t)})" for t in feature.args)
+            with pytest.raises(ConfigError, match=re.escape(f"takes {allowed}, got")):
+                feature_key(name, args)
+    # a symmetric pair gives one key in either order
+    assert keys == {k for k in relation_keys() if k.startswith(f"{name}(")}
+    assert len(keys) == len(feature.args)
+
+
+def test_catalogue_derivations_match_the_hand_written_catalogue():
+    # the keys, the object swap and the booleans, as the per-group tuples gave them
+    assert relation_keys() == (
+        "size(object1)", "size(object2)", "size(hand)",
+        "speed(object1)", "speed(object2)", "speed(hand)",
+        "present(object1)", "present(object2)", "present(hand)",
+        "moving(object1)", "moving(object2)", "moving(hand)",
+        "overlap(object1,object2)", "overlap(object1,hand)", "overlap(object2,hand)",
+        "offset_dist(object1,object2)", "offset_dist(object1,hand)", "offset_dist(object2,hand)",
+        "offset_angle(object1,object2)", "offset_angle(object1,hand)",
+        "offset_angle(object2,hand)",
+        "centre_dist(object1,object2)", "centre_dist(object1,hand)", "centre_dist(object2,hand)",
+        "touching(object1,object2)", "touching(object1,hand)", "touching(object2,hand)",
+        "contained(object1,object2)", "contained(object1,hand)", "contained(object2,object1)",
+        "contained(object2,hand)", "contained(hand,object1)", "contained(hand,object2)",
+        "centre_on_top(object1,object2)", "centre_on_top(object1,hand)",
+        "centre_on_top(object2,object1)", "centre_on_top(object2,hand)",
+        "centre_on_top(hand,object1)", "centre_on_top(hand,object2)",
+        "centre_underneath(object1,object2)", "centre_underneath(object1,hand)",
+        "centre_underneath(object2,object1)", "centre_underneath(object2,hand)",
+        "centre_underneath(hand,object1)", "centre_underneath(hand,object2)",
+        "object_move_relative(object1,object2)", "object_move_relative(object1,hand)",
+        "object_move_relative(object2,object1)", "object_move_relative(object2,hand)",
+        "object_move_relative(hand,object1)", "object_move_relative(hand,object2)",
+        "move_with_hand(object1)", "move_with_hand(object2)",
+        "hand_move_relative(object1)", "hand_move_relative(object2)",
+    )
+    assert SWAP.tolist() == [
+        1, 0, 2, 4, 3, 5, 7, 6, 8, 10, 9, 11, 12, 14, 13, 15, 17, 16, 18, 20, 19, 21, 23, 22,
+        24, 26, 25, 29, 30, 27, 28, 32, 31, 35, 36, 33, 34, 38, 37, 41, 42, 39, 40, 44, 43,
+        47, 48, 45, 46, 50, 49, 52, 51, 54, 53,
+    ]
+    assert sorted(BOOLEAN_FEATURES) == [
+        "centre_on_top", "centre_underneath", "contained", "hand_move_relative",
+        "move_with_hand", "moving", "object_move_relative", "present", "touching",
+    ]
 
 
 def test_relation_keys_catalogue():
