@@ -103,9 +103,9 @@ def _noise_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.from_scripts:
         raw = read_json(args.from_scripts, ConfigError)
-        if not isinstance(raw, list):
-            parser.error("--from-scripts file must hold a list of script records")
         with prefixed(args.from_scripts):
+            if not isinstance(raw, list):
+                raise ConfigError("a scripts file must hold a list of script records")
             scripts = [script_from_dict(rec) for rec in raw]
             twice = [v for v, n in Counter(s.video_id for s in scripts).items() if n > 1]
             if twice:
@@ -294,8 +294,8 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.out_dir:
         out_dir = Path(args.out_dir)
         write_artifact(out_dir / "report.json", "boxact-report", report=report_to_dict(report))
-        (out_dir / "report.txt").write_text(report_table(report) + "\n")
-        (out_dir / "confusion.csv").write_text(confusion_csv(report))
+        (out_dir / "report.txt").write_text(report_table(report) + "\n", encoding="utf-8")
+        (out_dir / "confusion.csv").write_text(confusion_csv(report), encoding="utf-8")
         print(f"report written to {out_dir}")
     return 0
 

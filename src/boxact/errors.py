@@ -14,6 +14,8 @@ from contextlib import contextmanager
 from numbers import Integral, Real
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "BoxactError",
     "AnnotationError",
@@ -63,7 +65,7 @@ def read_json(path: str | Path, error_cls: type[BoxactError]):
     ``error_cls`` naming the file.
     """
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise error_cls(f"{path}: not valid JSON: {exc}") from None
 
@@ -96,11 +98,104 @@ def write_json(path: str | Path, document) -> None:
     """Write ``document`` as a JSON artifact, creating the parent directory.
 
     Every JSON file boxact writes, except the compact forest files, has
-    this format: two-space indent, sorted keys and a final newline.
+    this format: two-space indent, sorted keys and a final newline, byte for
+    byte what ``json.dumps`` gives with an indent of 2 and sorted keys.
+    ``json`` encodes in C only when it does not indent, so the document is
+    encoded compactly and :func:`_indented` adds the indentation.  A document
+    that cannot be encoded raises before any file is opened.
     """
+    text = json.dumps(document, sort_keys=True, separators=(",", ": "))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    with path.open("wb") as file:
+        for part in _indented(text):
+            file.write(part)
+        file.write(b"\n")
+
+
+# ``[``/``{`` and ``]``/``}`` differ only in the 0x20 bit, which _indented sets
+_OPENER, _CLOSER = ord("{"), ord("}")
+_QUOTE, _BACKSLASH, _COMMA = ord('"'), ord("\\"), ord(",")
+# characters of text that one pass of _indented takes; bounds its arrays
+_SLICE_CHARS = 1 << 16
+
+
+def _indented(text: str):
+    """Yield the bytes of ``text``, compact ASCII JSON, indented by two spaces a level.
+
+    A newline and the indent of the level go after a non-empty ``[``/``{`` and
+    after each ``,``, and before a non-empty ``]``/``}``, where ``json.dumps``
+    places them when it indents by 2.  Characters inside strings are left
+    alone: a quote opens or closes a string unless it follows an odd run of
+    backslashes.  The text is taken in slices of about ``_SLICE_CHARS``; a
+    slice never ends right after ``[``, ``{`` or ``\\``, so an empty container
+    and an escape each lie within one slice.  The depth and whether a string
+    is open carry over.
+    """
+    depth = 0
+    in_string = 0
+    start = 0
+    while start < len(text):
+        end = min(start + _SLICE_CHARS, len(text))
+        while end < len(text) and text[end - 1] in "[{\\":
+            end += 1
+        chars = np.frombuffer(text[start:end].encode("ascii"), np.uint8)
+        start = end
+        folded = chars | 0x20
+        at = np.flatnonzero(
+            (folded == _OPENER) | (folded == _CLOSER) | (chars == _COMMA) | (chars == _QUOTE)
+        )
+        kind = chars[at]
+        quote = kind == _QUOTE
+        backslashes = np.flatnonzero(chars == _BACKSLASH)
+        if backslashes.size:
+            quote[quote] = ~_escaped(at[quote], backslashes)
+        inside = (np.cumsum(quote) + in_string) & 1
+        if inside.size:
+            in_string = int(inside[-1])
+        structural = (kind != _QUOTE) & (inside == 0)
+        at, kind = at[structural], kind[structural]
+        folded = kind | 0x20
+        step = (folded == _OPENER).astype(np.int64) - (folded == _CLOSER)
+        level = np.cumsum(step) + depth
+        if level.size:
+            depth = int(level[-1])
+        # an opener right before its closer is an empty container: no breaks
+        empty = (step[:-1] == 1) & (step[1:] == -1)
+        empty &= at[1:] == at[:-1] + 1
+        keep = np.ones(at.size, bool)
+        keep[:-1] &= ~empty
+        keep[1:] &= ~empty
+        # a break goes after an opener or comma, before a closer
+        where = (at + (step >= 0))[keep]
+        if not where.size:
+            yield chars
+            continue
+        width = 1 + 2 * level[keep]
+        # the output alternates runs of text and of breaks: text up to the
+        # first break, the break, text up to the next break, ...
+        runs = np.empty(2 * where.size + 1, np.int64)
+        runs[0] = where[0]
+        runs[2:-1:2] = where[1:] - where[:-1]
+        runs[-1] = chars.size - where[-1]
+        runs[1::2] = width
+        is_text = np.zeros(runs.size, bool)
+        is_text[0::2] = True
+        out = np.full(chars.size + int(width.sum()), ord(" "), np.uint8)
+        out[np.repeat(is_text, runs)] = chars
+        out[where + np.cumsum(width) - width] = ord("\n")
+        yield out
+
+
+def _escaped(quotes: np.ndarray, backslashes: np.ndarray) -> np.ndarray:
+    """Whether each quote position follows an odd run of backslash positions (both sorted)."""
+    run_start = np.ones(backslashes.size, bool)
+    run_start[1:] = backslashes[1:] != backslashes[:-1] + 1
+    first = np.maximum.accumulate(np.where(run_start, backslashes, 0))
+    last = np.searchsorted(backslashes, quotes) - 1
+    clipped = np.maximum(last, 0)
+    follows = (last >= 0) & (backslashes[clipped] == quotes - 1)
+    return follows & ((quotes - first[clipped]) % 2 == 1)
 
 
 def all_instances(values, kind: type | tuple[type, ...], exclude: type | tuple = ()) -> bool:

@@ -831,14 +831,19 @@ def predict_proba(model: ForestModel, values: np.ndarray) -> float | np.ndarray:
 _INT_COLUMNS = ("feature", "left", "right", "offsets")
 
 
-def _column(name: str, values) -> np.ndarray:
+def _listed(name: str, values) -> list:
+    """``values``, a node column or the offsets; raise :class:`ConfigError` unless a list."""
+    if not isinstance(values, list):
+        what = "offsets" if name == "offsets" else f"tree column {name!r}"
+        raise ConfigError(f"{what} must be a list, got {type(values).__name__}")
+    return values
+
+
+def _column(name: str, values: list) -> np.ndarray:
     """One node column of the whole forest, or its offsets, with its values' type checked.
 
     An int too large for a float raises OverflowError, as ``float()`` does.
     """
-    if not isinstance(values, list):
-        what = "offsets" if name == "offsets" else f"tree column {name!r}"
-        raise ConfigError(f"{what} must be a list, got {type(values).__name__}")
     kind, what = (int, "an integer") if name in _INT_COLUMNS else ((int, float), "a number")
     if not all_instances(values, kind, bool):
         bad = next(v for v in values if isinstance(v, bool) or not isinstance(v, kind))
@@ -884,13 +889,13 @@ def _read_columns(data: Mapping, num_features: int) -> tuple[tuple[np.ndarray, .
     their own tree's node range.  When one fails, the first tree that
     breaks a rule is walked node by node to name its first fault.
     """
-    lists = [data[name] for name in TREE_COLUMNS]
-    columns = [_column(name, values) for name, values in zip(TREE_COLUMNS, lists)]
+    lists = [_listed(name, data[name]) for name in TREE_COLUMNS]
     n = len(lists[0])
     if any(len(values) != n for values in lists):
         raise ConfigError("tree columns must be non-empty and of equal length")
+    columns = [_column(name, values) for name, values in zip(TREE_COLUMNS, lists)]
     # offsets that run from 0 to n and rise strictly fit in int64
-    offsets = _column("offsets", data["offsets"])
+    offsets = _column("offsets", _listed("offsets", data["offsets"]))
     if offsets.size < 2:
         raise ConfigError("forest has no trees")
     if offsets[0] != 0 or offsets[-1] != n:
@@ -963,7 +968,9 @@ def forest_from_dict(data: Mapping) -> ForestModel:
 
 
 def save_forest(model: ForestModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(forest_to_dict(model), sort_keys=True) + "\n")
+    Path(path).write_text(
+        json.dumps(forest_to_dict(model), sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def load_forest(path: str | Path) -> ForestModel:

@@ -279,7 +279,7 @@ def builtin_model(archetype: str) -> ActionModel:
             f"unknown archetype {archetype!r}, expected one of {ARCHETYPES}"
         )
     name = archetype.replace("-", "_") + ".json"
-    text = resources.files("boxact").joinpath("reference_models", name).read_text()
+    text = resources.files("boxact").joinpath("reference_models", name).read_text(encoding="utf-8")
     return model_from_dict(json.loads(text))
 
 

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AnnotationError, all_instances, read_json, write_json
+from .errors import AnnotationError, all_instances, prefixed, read_json, write_json
 
 __all__ = [
     "ROLES",
@@ -325,7 +325,9 @@ def serialize_annotations(tracks: Iterable[VideoTrack]) -> list[dict]:
 
 
 def load_annotation_file(path: str | Path) -> list[VideoTrack]:
-    return parse_annotations(read_json(path, AnnotationError))
+    document = read_json(path, AnnotationError)
+    with prefixed(path):
+        return parse_annotations(document)
 
 
 def write_annotation_file(path: str | Path, tracks: Sequence[VideoTrack]) -> None:

@@ -5,7 +5,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import boxact
 from boxact.cli import main
 from boxact.evaluation import load_predictions
 from boxact.forest import load_forest
@@ -195,6 +199,48 @@ def test_assign_writes_one_record_per_video_and_model(workdir, tmp_path):
         "total_score",
         "degenerate",
     }
+
+
+def test_files_are_read_and_written_in_utf8_under_an_ascii_locale(workdir, tmp_path):
+    # without UTF-8 mode, Python reads and writes files in the locale's encoding;
+    # PYTHONIOENCODING keeps the console streams, which print the table, out of it
+    videos = json.loads((workdir / "ann.json").read_text())
+    ann = [dict(video, id=f"vidéo-{i}") for i, video in enumerate(videos)]
+    (tmp_path / "ann.json").write_text(json.dumps(ann, ensure_ascii=False), encoding="utf-8")
+    preds = _predictions_doc(
+        video_id="vidéo-0", true_label="plaçer", probabilities={"plaçer": 0.5}
+    )
+    (tmp_path / "preds.json").write_text(json.dumps(preds, ensure_ascii=False), encoding="utf-8")
+    argvs = [
+        ["assign", "--annotations", "ann.json", "--out", "assignments.json"],
+        ["eval", "--predictions", "preds.json", "--out-dir", "report"],
+    ]
+    script = "import json, sys; from boxact.cli import main; "
+    script += "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
+    src = str(Path(boxact.__file__).parents[1])
+    env = {
+        **os.environ,
+        "LC_ALL": "POSIX",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+        "PYTHONIOENCODING": "utf-8",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    run = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        encoding="utf-8",
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    records = json.loads((tmp_path / "assignments.json").read_text(encoding="utf-8"))["records"]
+    assert {r["video_id"] for r in records} == {video["id"] for video in ann}
+    report = tmp_path / "report"
+    assert "plaçer" in (report / "report.txt").read_text(encoding="utf-8")
+    confusion = (report / "confusion.csv").read_text(encoding="utf-8")
+    assert confusion == "true\\predicted,plaçer\nplaçer,1\n"
 
 
 def test_assign_handles_empty_annotation_files(tmp_path):
@@ -952,6 +998,14 @@ MALFORMED_INPUTS = {
         "generate",
         _scripts_doc(noise={"jitter": 1.0}),
         "script noise has unknown fields ['jitter']",
+    ),
+    # exited 2 with the usage text, naming no file
+    "scripts-not-a-list": ("generate", {}, "a scripts file must hold a list of script records"),
+    # errors in an annotation file's content named the record but not the file
+    "annotations-record-not-an-object": (
+        "assign",
+        [5],
+        "record #0: video record must be an object",
     ),
     # the annotation file held both videos, which every reader then rejected,
     # and the --truth file silently kept one of them

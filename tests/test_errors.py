@@ -1,14 +1,24 @@
-"""The shared rules for JSON files: the scalar checks and the artifact envelope."""
+"""The shared rules for JSON files: the scalar checks, the artifact envelope and the text format."""
 
 from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from boxact.errors import ConfigError, check_finite, check_int, check_str, write_artifact
+from boxact import errors
+from boxact.errors import (
+    ConfigError,
+    check_finite,
+    check_int,
+    check_str,
+    write_artifact,
+    write_json,
+)
 
 HUGE = 10**400  # a JSON integer too large for a float
 
@@ -112,3 +122,68 @@ def test_write_artifact_sets_the_envelope(tmp_path):
         '{\n  "format": "boxact-test",\n  "provenance": {\n    "stage": "x"\n  },\n'
         '  "rows": [\n    1\n  ],\n  "version": 1\n}\n'
     )
+
+
+# characters that the indentation pass must tell apart inside and outside strings
+_TRICKY = st.sampled_from(list('"\\[]{},: ') + ["\\\"", "é", "\u2603", "\U0001f600", "\n", "\x00"])
+_TEXT = st.lists(_TRICKY | st.characters(), max_size=12).map("".join)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([HUGE, -HUGE, 2**63, -(2**63) - 1])
+    | st.floats()
+    | st.floats().map(np.float64)
+    | _TEXT
+)
+DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(_TEXT, inner, max_size=5)
+    | st.dictionaries(st.integers() | st.floats(allow_nan=False), inner, max_size=3),
+    max_leaves=40,
+)
+
+
+@pytest.mark.parametrize("slice_chars", [1, 7, errors._SLICE_CHARS])
+@settings(max_examples=100, deadline=None)
+@given(document=DOCUMENTS)
+def test_write_json_writes_the_bytes_of_json_indent_2(tmp_path_factory, slice_chars, document):
+    # small slices put cuts inside strings, escapes and runs of brackets
+    path = tmp_path_factory.getbasetemp() / f"doc-{slice_chars}.json"
+    with mock.patch.object(errors, "_SLICE_CHARS", slice_chars):
+        write_json(path, document)
+    expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("slice_chars", [1, 2, 3, errors._SLICE_CHARS])
+def test_write_json_on_escape_and_bracket_runs(tmp_path, slice_chars):
+    document = {
+        "\\" * 5 + '"': ["\\" * n + '"' + "[{" * n for n in range(6)],
+        "[]": [[], {}, [[]], [{}], {"": {"": []}}, "[]{},"],
+        "\\": "\\",
+    }
+    with mock.patch.object(errors, "_SLICE_CHARS", slice_chars):
+        write_json(tmp_path / "a.json", document)
+    expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "a.json").read_text(encoding="ascii") == expected
+
+
+def _circular() -> list:
+    loop: list = [1]
+    loop.append(loop)
+    return loop
+
+
+@pytest.mark.parametrize(
+    "document", [{"a": {1, 2}}, _circular(), {"a": 1, 2: "mixed keys"}], ids=["set", "loop", "keys"]
+)
+def test_write_json_leaves_no_file_for_a_document_json_cannot_encode(tmp_path, document):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        json.dumps(document, indent=2, sort_keys=True)
+    path = tmp_path / "out" / "a.json"
+    with pytest.raises(type(expected.value)) as got:
+        write_json(path, document)
+    assert str(got.value) == str(expected.value)
+    assert not path.exists()

@@ -885,6 +885,16 @@ def test_reader_names_the_first_fault_in_tree_and_node_order():
         assert str(expected.value) == message
 
 
+def test_reader_compares_column_lengths_before_it_converts_values():
+    # the extra value is too large for a float; the length is the first fault
+    document = _forest_doc(STUMP)
+    document["fraction"].append(10**400)
+    for read in (forest_from_dict, forest_from_dict_reference):
+        with pytest.raises(ConfigError) as got:
+            read(document)
+        assert str(got.value) == "tree columns must be non-empty and of equal length"
+
+
 def test_reader_holds_children_to_their_own_tree():
     # node 4 is in the forest, but tree 0 holds nodes 0-2 only
     document = _forest_doc({**STUMP, "right": [4, -1, -1]}, STUMP)
