@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation/data errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -110,7 +111,7 @@ def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             twice = [v for v, n in Counter(s.video_id for s in scripts).items() if n > 1]
             if twice:
                 raise ConfigError(f"duplicate video id {twice[0]!r}")
-        pairs = [generate_synthetic(s) for s in scripts]
+            pairs = [generate_synthetic(s) for s in scripts]
         tracks = [t for t, _ in pairs]
         truth = {t.video_id: g for (t, g) in pairs}
     else:
@@ -465,6 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # what the console's encoding cannot hold is printed backslash-escaped
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -115,7 +115,7 @@ def write_json(path: str | Path, document) -> None:
 
 # ``[``/``{`` and ``]``/``}`` differ only in the 0x20 bit, which _indented sets
 _OPENER, _CLOSER = ord("{"), ord("}")
-_QUOTE, _BACKSLASH, _COMMA = ord('"'), ord("\\"), ord(",")
+_QUOTE, _COMMA = ord('"'), ord(",")
 # characters of text that one pass of _indented takes; bounds its arrays
 _SLICE_CHARS = 1 << 16
 
@@ -126,30 +126,34 @@ def _indented(text: str):
     A newline and the indent of the level go after a non-empty ``[``/``{`` and
     after each ``,``, and before a non-empty ``]``/``}``, where ``json.dumps``
     places them when it indents by 2.  Characters inside strings are left
-    alone: a quote opens or closes a string unless it follows an odd run of
-    backslashes.  The text is taken in slices of about ``_SLICE_CHARS``; a
-    slice never ends right after ``[``, ``{`` or ``\\``, so an empty container
-    and an escape each lie within one slice.  The depth and whether a string
-    is open carry over.
+    alone.  Each backslash the encoder writes starts an escape, and only the
+    escapes ``\\\\`` and ``\\"`` hold a second backslash or a quote.  So
+    escapes are masked: in a copy of the text with those two pairs replaced
+    by two NULs, every quote opens or closes a string.  Positions are found
+    in that copy, and the text's own bytes are written.  The text is taken
+    in slices of about ``_SLICE_CHARS``; a slice never ends right after
+    ``[`` or ``{``, so an empty container lies within one slice.  The depth
+    and whether a string is open carry over.
     """
+    masked = text
+    if "\\" in text:
+        masked = text.replace("\\\\", "\0\0").replace('\\"', "\0\0")
     depth = 0
     in_string = 0
     start = 0
     while start < len(text):
         end = min(start + _SLICE_CHARS, len(text))
-        while end < len(text) and text[end - 1] in "[{\\":
+        while end < len(text) and text[end - 1] in "[{":
             end += 1
         chars = np.frombuffer(text[start:end].encode("ascii"), np.uint8)
+        scan = chars if masked is text else np.frombuffer(masked[start:end].encode(), np.uint8)
         start = end
-        folded = chars | 0x20
+        folded = scan | 0x20
         at = np.flatnonzero(
-            (folded == _OPENER) | (folded == _CLOSER) | (chars == _COMMA) | (chars == _QUOTE)
+            (folded == _OPENER) | (folded == _CLOSER) | (scan == _COMMA) | (scan == _QUOTE)
         )
-        kind = chars[at]
+        kind = scan[at]
         quote = kind == _QUOTE
-        backslashes = np.flatnonzero(chars == _BACKSLASH)
-        if backslashes.size:
-            quote[quote] = ~_escaped(at[quote], backslashes)
         inside = (np.cumsum(quote) + in_string) & 1
         if inside.size:
             in_string = int(inside[-1])
@@ -185,17 +189,6 @@ def _indented(text: str):
         out[np.repeat(is_text, runs)] = chars
         out[where + np.cumsum(width) - width] = ord("\n")
         yield out
-
-
-def _escaped(quotes: np.ndarray, backslashes: np.ndarray) -> np.ndarray:
-    """Whether each quote position follows an odd run of backslash positions (both sorted)."""
-    run_start = np.ones(backslashes.size, bool)
-    run_start[1:] = backslashes[1:] != backslashes[:-1] + 1
-    first = np.maximum.accumulate(np.where(run_start, backslashes, 0))
-    last = np.searchsorted(backslashes, quotes) - 1
-    clipped = np.maximum(last, 0)
-    follows = (last >= 0) & (backslashes[clipped] == quotes - 1)
-    return follows & ((quotes - first[clipped]) % 2 == 1)
 
 
 def all_instances(values, kind: type | tuple[type, ...], exclude: type | tuple = ()) -> bool:

@@ -133,37 +133,33 @@ class EvalReport:
     accuracy: float
 
 
-def _argmax_action(probabilities: Mapping[str, float], actions: Sequence[str]) -> str:
-    return max(actions, key=lambda a: probabilities[a])  # ties: first = lowest id
-
-
 def evaluate(preds: PredictionSet) -> EvalReport:
-    """One-vs-rest AP per action, support-weighted and macro mAP, confusion."""
+    """One-vs-rest AP per action, support-weighted and macro mAP, confusion.
+
+    Everything is read off one (videos x actions) score matrix; the predicted
+    action is the first best column, so a tie goes to the lowest action id.
+    """
     actions = preds.actions
-    labels = {v.video_id: v.true_label for v in preds.videos}
-    unknown = sorted(set(labels.values()) - set(actions))
+    unknown = sorted({v.true_label for v in preds.videos} - set(actions))
     if unknown:
         raise ContractError(
             f"true labels {unknown} have no probability column; "
             f"scored actions are {list(actions)}"
         )
-    support = {a: sum(1 for v in preds.videos if v.true_label == a) for a in actions}
-    per_action_ap: dict[str, float | None] = {}
-    for a in actions:
-        scores = [v.probabilities[a] for v in preds.videos]
-        binary = [1 if v.true_label == a else 0 for v in preds.videos]
-        per_action_ap[a] = average_precision(scores, binary)
+    index = {a: i for i, a in enumerate(actions)}
+    scores = np.array([[v.probabilities[a] for a in actions] for v in preds.videos])
+    truth = np.array([index[v.true_label] for v in preds.videos])
+    support = dict(zip(actions, np.bincount(truth, minlength=len(actions)).tolist()))
+    per_action_ap: dict[str, float | None] = {
+        a: average_precision(scores[:, j], truth == j) for j, a in enumerate(actions)
+    }
     defined = [a for a in actions if per_action_ap[a] is not None]
     weight_sum = sum(support[a] for a in defined)
     weighted = sum(support[a] * per_action_ap[a] for a in defined) / weight_sum
     macro = sum(per_action_ap[a] for a in defined) / len(defined)
-    index = {a: i for i, a in enumerate(actions)}
+    predicted = scores.argmax(axis=1)
     confusion = np.zeros((len(actions), len(actions)), dtype=int)
-    correct = 0
-    for v in preds.videos:
-        predicted = _argmax_action(v.probabilities, actions)
-        confusion[index[v.true_label], index[predicted]] += 1
-        correct += int(predicted == v.true_label)
+    np.add.at(confusion, (truth, predicted), 1)
     return EvalReport(
         actions=actions,
         per_action_ap=per_action_ap,
@@ -171,7 +167,7 @@ def evaluate(preds: PredictionSet) -> EvalReport:
         macro_map=float(macro),
         support=support,
         confusion=confusion,
-        accuracy=correct / len(preds),
+        accuracy=int(np.count_nonzero(predicted == truth)) / len(preds),
     )
 
 

@@ -56,7 +56,6 @@ from .relations import (
     RelationConfig,
     feature_key,
     relation_keys,
-    relation_table,
 )
 from .tracks import VideoTrack
 
@@ -75,7 +74,6 @@ __all__ = [
     "builtin_models",
     "gaussian_kernel",
     "smooth",
-    "relation_sequence",
     "score_rows",
     "score_frames",
     "standardized_rows",
@@ -488,16 +486,6 @@ class PhaseScoreMatrix:
 
 
 OBJECT_ORDERS = ("as_annotated", "swapped")
-
-
-def relation_sequence(
-    tracks: VideoTrack | Sequence[VideoTrack], config: RelationConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """The relation table as annotated, of one track or a batch of tracks.
-
-    ``[:, SWAP]`` gives the swapped order.
-    """
-    return relation_table(tracks, config)
 
 
 def score_rows(

@@ -35,17 +35,18 @@ from .phases import (
     builtin_models,
     load_action_model,
     phase_assignments,
-    relation_sequence,
     score_rows,
 )
 from .relations import SWAP, RelationConfig
 from .tracks import VideoTrack
 
-# Not called here: the benchmark's trace probes patch these names in this
-# module, and need them until the pipeline records its own spans.
+# Not called here, or called under this name only: the benchmark's trace
+# probes patch these names in this module, and need them until the pipeline
+# records its own spans.
 from .embedding import embed_video  # noqa: F401
 from .forest import train_forest  # noqa: F401
 from .phases import assign_with_alternatives, score_frames  # noqa: F401
+from .relations import relation_table as relation_sequence
 
 __all__ = [
     "PipelineConfig",
@@ -328,6 +329,8 @@ def train_forests(
     Returns (forests, skipped actions, per-action sample counts).
     """
     ids = sorted(embeddings) if video_ids is None else list(video_ids)
+    if not ids:
+        raise ContractError("no videos to train on")
     missing = [v for v in ids if v not in embeddings]
     if missing:
         raise ContractError(f"no embeddings for videos {missing}")

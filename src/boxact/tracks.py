@@ -67,7 +67,10 @@ class VideoTrack:
         order, all zero where the role is absent.
     present: bool ``(T, 3)`` visibility of each role.
 
-    The arrays are made read-only, so a track never changes once built.
+    The arrays are made read-only, so a track never changes once built.  A
+    track follows the annotation file's rules too: a non-empty string id, a
+    string or no label and non-negative frame indices, so the file that
+    :func:`write_annotation_file` writes for it parses.
     """
 
     video_id: str
@@ -79,7 +82,11 @@ class VideoTrack:
     label: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.video_id, str) or not self.video_id:
+            raise AnnotationError(f"video id must be a non-empty string, got {self.video_id!r}")
         where = f"video {self.video_id!r}"
+        if self.label is not None and not isinstance(self.label, str):
+            raise AnnotationError(f"{where}: label must be a string")
         frames, boxes, present = self.frames, self.boxes, self.present
         for name, array, dtype, shape in (
             ("frames", frames, np.int64, "(T,)"),
@@ -106,6 +113,8 @@ class VideoTrack:
                 f"{where}: frame indices must be strictly increasing, got "
                 f"{frames[t]} then {frames[t + 1]}"
             )
+        if frames[0] < 0:
+            raise AnnotationError(f"{where}: frame indices must be non-negative, got {frames[0]}")
         bad_value = ~(np.abs(boxes) <= COORDINATE_LIMIT)  # NaN compares false
         bad_extent = (boxes[:, :, 2] < 0) | (boxes[:, :, 3] < 0)
         bad_box = bad_value.any(axis=2) | bad_extent
@@ -131,7 +140,7 @@ class VideoTrack:
             )
         size = (self.frame_width, self.frame_height)
         if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(_float(v))
             for v in size
         ):
             raise AnnotationError(

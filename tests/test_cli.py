@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -20,7 +21,7 @@ import boxact
 from boxact.cli import main
 from boxact.evaluation import load_predictions
 from boxact.forest import load_forest
-from boxact.phases import ARCHETYPES, builtin_model, model_to_dict, save_action_model
+from boxact.phases import ARCHETYPES, MAX_SIGMA, builtin_model, model_to_dict, save_action_model
 from boxact.relations import FEATURES, relation_keys
 from boxact.synthetic import random_script, script_to_dict
 from boxact.tracks import COORDINATE_LIMIT, ROLES, load_annotation_file
@@ -112,6 +113,14 @@ def test_generate_count_zero_is_a_valid_empty_file(tmp_path):
     out = tmp_path / "empty.json"
     assert main(["generate", "--out", str(out), "--count", "0"]) == 0
     assert load_annotation_file(out) == []
+
+
+def test_train_on_an_empty_annotation_file_exits_1(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    assert main(["generate", "--out", str(empty), "--count", "0"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--annotations", str(empty), "--out-dir", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err == "error: no videos to train on\n"
 
 
 def test_generate_creates_missing_output_directories(tmp_path):
@@ -241,6 +250,31 @@ def test_files_are_read_and_written_in_utf8_under_an_ascii_locale(workdir, tmp_p
     assert "plaçer" in (report / "report.txt").read_text(encoding="utf-8")
     confusion = (report / "confusion.csv").read_text(encoding="utf-8")
     assert confusion == "true\\predicted,plaçer\nplaçer,1\n"
+
+
+def test_eval_escapes_what_an_ascii_console_cannot_print(tmp_path):
+    # without UTF-8 mode and PYTHONIOENCODING, stdout takes the locale's ASCII
+    preds = _predictions_doc(true_label="plaçer", probabilities={"plaçer": 0.5})
+    (tmp_path / "preds.json").write_text(json.dumps(preds, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(boxact.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(
+        LC_ALL="POSIX",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONUTF8="0",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "boxact.cli", "eval", "--predictions", "preds.json",
+         "--out-dir", "report"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert (run.returncode, run.stderr) == (0, b""), run.stderr
+    assert b"pla\\xe7er" in run.stdout
+    assert "plaçer" in (tmp_path / "report" / "report.txt").read_text(encoding="utf-8")
 
 
 def test_assign_handles_empty_annotation_files(tmp_path):
@@ -1014,6 +1048,12 @@ MALFORMED_INPUTS = {
         _scripts_doc() * 2,
         "duplicate video id 'put-into-0'",
     ),
+    # the annotation file was written, and every reader of it then failed
+    "scripts-with-an-empty-video-id": (
+        "generate",
+        _scripts_doc(video_id=""),
+        "video id must be a non-empty string, got ''",
+    ),
     # these were raised after the files were read, and named no file
     "predictions-with-an-unscored-label": (
         "eval",
@@ -1466,3 +1506,92 @@ def test_model_directories_run_through_assign_and_train(tiny_corpus, document):
             assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")), (argv, err)
         for path in [*root.glob("*.json"), *root.glob("forests/*.json")]:
             json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path}: {c}"))
+
+
+# --- every pipeline flag runs through assign, embed, train and sweep, or fails with error: --
+
+
+@pytest.fixture(scope="module")
+def tiny_models(tiny_corpus) -> Path:
+    """Models of the two actions in the tiny corpus, so that no action trains on one class."""
+    return _model_paths(tiny_corpus.parent)
+
+
+@given(
+    sigma=st.one_of(
+        st.floats(0, MAX_SIGMA),
+        st.sampled_from([5e-324, MAX_SIGMA, math.nextafter(MAX_SIGMA, math.inf), 2 * MAX_SIGMA,
+                         -1.0, math.nan]),
+    ),
+    n=st.integers(0, 70),  # the tracks are 60 frames long
+)
+@settings(max_examples=30, deadline=None)
+def test_pipeline_flags_run_through_assign_embed_train_and_sweep(tiny_corpus, tiny_models,
+                                                                  sigma, n):
+    corpus = ["--annotations", str(tiny_corpus), "--models", str(tiny_models)]
+    flags = [f"--sigma={sigma!r}", f"--n={n}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for argv in (
+            ["assign", *corpus, *flags, "--out", str(root / "assignments.json")],
+            ["embed", *corpus, *flags, "--out", str(root / "embeddings.json")],
+            ["train", *corpus, *flags, "--out-dir", str(root / "forests"), "--num-trees", "5"],
+            ["sweep", *corpus, f"--sigmas={sigma!r}", f"--ns={n}", "--val-fraction", "0.5",
+             "--num-trees", "5", "--out", str(root / "sweep.json")],
+        ):
+            code, err = _run(argv)
+            assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")), (argv, err)
+        for path in [*root.glob("*.json"), *root.glob("forests/*.json")]:
+            json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path}: {c}"))
+
+
+# --- every split file runs through predict, or fails with error: ----------------------------
+
+
+@pytest.fixture(scope="module")
+def tiny_forests(tiny_corpus, tiny_models) -> Path:
+    forests = tiny_corpus.parent / "forests"
+    assert main(["train", "--annotations", str(tiny_corpus), "--models", str(tiny_models),
+                 "--out-dir", str(forests), "--num-trees", "5", "--val-fraction", "0.5"]) == 0
+    return forests
+
+
+TINY_IDS = [f"syn-{a}-{i:04d}" for a in ("put-into", "take-out-of") for i in range(2)]
+split_ids = st.lists(st.sampled_from(TINY_IDS), max_size=4)
+# a list of ids, an unknown id, ids that are not strings, or no list at all
+split_values = st.one_of(
+    split_ids, split_ids, split_ids.map(lambda ids: [*ids, "syn-unknown"]), json_values
+)
+
+
+@st.composite
+def split_documents(draw):
+    """A split file; half the time of another format or version, or without a subset."""
+    doc = {
+        "format": "boxact-split",
+        "version": 1,
+        "train": draw(split_values),
+        "val": draw(split_values),
+    }
+    fault = draw(st.none() | st.sampled_from(["format", "version", "train", "val"]))
+    if fault in ("train", "val"):
+        del doc[fault]
+    elif fault is not None:
+        doc[fault] = draw(st.sampled_from(["boxact-predictions", 2, True, "1", None]))
+    return doc
+
+
+@given(split_documents(), st.sampled_from(["train", "val", "all"]))
+@settings(max_examples=40, deadline=None)
+def test_split_files_run_through_predict(tiny_corpus, tiny_models, tiny_forests, document,
+                                         subset):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        split, preds = root / "split.json", root / "preds.json"
+        split.write_text(json.dumps(document))
+        code, err = _run(["predict", "--annotations", str(tiny_corpus), "--models",
+                          str(tiny_models), "--forest-dir", str(tiny_forests), "--split",
+                          str(split), "--subset", subset, "--out", str(preds)])
+        assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")), err
+        if code == 0:
+            json.loads(preds.read_text(), parse_constant=lambda c: pytest.fail(c))

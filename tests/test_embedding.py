@@ -20,11 +20,10 @@ from boxact.phases import (
     ActionModel,
     Term,
     builtin_model,
-    relation_sequence,
     score_frames,
 )
 from boxact.pipeline import assign_track
-from boxact.relations import SWAP
+from boxact.relations import SWAP, relation_table
 from boxact.synthetic import SyntheticScript, generate_synthetic
 
 from conftest import moving_track
@@ -52,7 +51,7 @@ def _embed(track, model, scores_only=False):
 
 def _table(track, order):
     """The track's relation table in one object order."""
-    table = relation_sequence(track)
+    table = relation_table(track)
     return table if order == "as_annotated" else table[:, SWAP]
 
 
@@ -205,7 +204,7 @@ def test_embed_video_validates_consistency():
     other = builtin_model("put-into")
     with pytest.raises(ContractError, match="action mismatch"):
         embed_video(track, assignment, matrix, other, table)
-    swapped_table = relation_sequence(track)[:, SWAP]
+    swapped_table = relation_table(track)[:, SWAP]
     swapped = score_frames(track, model, swapped_table, "swapped")
     if assignment.object_order == "as_annotated":
         with pytest.raises(ContractError, match="object order mismatch"):

@@ -32,7 +32,6 @@ from boxact.phases import (
     builtin_models,
     gaussian_kernel,
     load_action_model,
-    relation_sequence,
     save_action_model,
     score_frames,
     score_rows,
@@ -44,7 +43,7 @@ from boxact.phases import model_from_dict, model_to_dict
 from boxact.pipeline import assign_track
 from boxact.synthetic import SyntheticScript, generate_synthetic
 
-from boxact.relations import SWAP
+from boxact.relations import SWAP, relation_table
 from boxact.tracks import COORDINATE_LIMIT, ROLES, VideoTrack
 
 from conftest import moving_track
@@ -168,7 +167,7 @@ def _term_series(term, table):
 
 def _term_at(term, track, index):
     """The term's contribution at one frame, read from the relation table."""
-    return _term_series(term, relation_sequence(track))[index]
+    return _term_series(term, relation_table(track))[index]
 
 
 def test_term_weight_and_negate_on_booleans():
@@ -199,7 +198,7 @@ def test_term_series_agrees_with_value():
         "hand": [tuple(rng.uniform(0, 300, 2)) for _ in range(8)],
     }
     track = moving_track(centres)
-    table = relation_sequence(track)
+    table = relation_table(track)
     rels = relation_table_reference(track)
     terms = [
         Term("speed", ("hand",), weight=0.3),
@@ -315,7 +314,7 @@ def test_the_largest_accepted_weight_keeps_every_row_finite():
                                ("centre_dist", ["object1", "hand"])] * 3
         ]
     model = model_from_dict(data)
-    table = relation_sequence(track)
+    table = relation_table(track)
     assert np.abs(table).max() <= COORDINATE_LIMIT**2
     raw, smoothed = score_rows(model.term_arrays, table)
     assert np.isfinite(raw).all() and np.isfinite(smoothed).all()
@@ -395,7 +394,7 @@ def test_score_frames_raw_rows():
     track = moving_track(
         {"hand": [None, (50, 50), (50, 50), None], "object2": [(99, 99)] * 4}
     )
-    matrix = score_frames(track, _tiny_model(), relation_sequence(track), sigma=1.0)
+    matrix = score_frames(track, _tiny_model(), relation_table(track), sigma=1.0)
     hand = [0.0, 1.0, 1.0, 0.0]
     assert matrix.raw[PHASES.index("a")].tolist() == [1.0] * 4
     assert matrix.raw[PHASES.index("b")].tolist() == [2 * v for v in hand]
@@ -408,8 +407,8 @@ def test_score_frames_raw_rows():
 def test_score_frames_object_order():
     track = moving_track({"object2": [(50, 50)]})
     model = _tiny_model()
-    ann = score_frames(track, model, relation_sequence(track), "as_annotated")
-    swap = score_frames(track, model, relation_sequence(track)[:, SWAP], "swapped")
+    ann = score_frames(track, model, relation_table(track), "as_annotated")
+    swap = score_frames(track, model, relation_table(track)[:, SWAP], "swapped")
     e_row = PHASES.index("e")  # e scores present(object1)
     assert ann.raw[e_row, 0] == 0.0
     assert swap.raw[e_row, 0] == 1.0  # the swapped object1 is the old object2

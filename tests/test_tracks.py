@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import copy
+import tempfile
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from boxact.errors import AnnotationError
 from boxact.tracks import (
@@ -233,6 +236,86 @@ def test_track_invariants(change, message):
     change(args)
     with pytest.raises(AnnotationError, match=message):
         VideoTrack("v", **args)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("video_id", "", "video id must be a non-empty string, got ''"),
+        ("video_id", None, "video id must be a non-empty string, got None"),
+        ("label", 5, "video 'v': label must be a string"),
+        ("frames", np.array([-5, -3]), "video 'v': frame indices must be non-negative, got -5"),
+        ("frame_width", 10**400, "frame size must be finite"),
+    ],
+    ids=["empty-id", "no-id", "label-not-a-string", "negative-index", "width-past-float"],
+)
+def test_a_track_built_in_code_follows_the_file_rules(field, value, message):
+    args = dict(zip(("frames", "boxes", "present"), _arrays()), video_id="v", frame_width=320.0,
+                frame_height=240.0)
+    with pytest.raises(AnnotationError, match=message):
+        VideoTrack(**{**args, field: value})
+
+
+# values out of the annotation file's rules, or in them where noted
+FIELD_FAULTS = {
+    "video_id": ["", None, 5],
+    "label": [5, b"x"],
+    "frame_width": [0, -1.0, np.nan, np.inf, 10**400, True, "1"],
+    "frame_height": [0.0, -np.inf],
+    "frames": [-1, -(2**63)],  # put in front of the other indices
+    "boxes": [-1.0, -COORDINATE_LIMIT, 2 * COORDINATE_LIMIT, np.nan],  # -1 is a valid x or y
+}
+
+
+@st.composite
+def track_fields(draw):
+    """Fields of a 1-4 frame VideoTrack; about half the time one of them breaks the file's rules."""
+    count = draw(st.integers(1, 4))
+    indices = st.sets(st.integers(0, 2**63 - 1), min_size=count, max_size=count)
+    present = draw(hnp.arrays(bool, (count, 3)))
+    values = st.one_of(st.floats(0, COORDINATE_LIMIT), st.sampled_from([-0.0, 5e-324]))
+    boxes = draw(hnp.arrays(np.float64, (count, 3, 4), elements=values))
+    boxes[~present] = 0.0
+    size = st.floats(0, 1e4, exclude_min=True) | st.integers(1, 10**4)
+    fields = dict(
+        video_id=draw(st.text(min_size=1, max_size=3)),
+        frames=np.array(sorted(draw(indices)), np.int64),
+        boxes=boxes,
+        present=present,
+        frame_width=draw(size),
+        frame_height=draw(size),
+        label=draw(st.none() | st.text(max_size=3)),
+    )
+    fault = draw(st.none() | st.sampled_from(sorted(FIELD_FAULTS)))
+    if fault is not None:
+        value = draw(st.sampled_from(FIELD_FAULTS[fault]))
+        if fault == "frames":
+            fields["frames"][0] = value
+        elif fault == "boxes":  # in an absent role's box, any value but zero is a fault
+            fields["boxes"][draw(st.integers(0, count - 1)), draw(st.integers(0, 2)),
+                            draw(st.integers(0, 3))] = value
+        else:
+            fields[fault] = value
+    return fields
+
+
+@given(track_fields())
+@settings(max_examples=100, deadline=None)
+def test_every_track_that_builds_comes_back_from_its_file(fields):
+    try:
+        track = VideoTrack(**fields)
+    except AnnotationError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ann.json"
+        write_annotation_file(path, [track])
+        (back,) = load_annotation_file(path)
+    assert (back.video_id, back.label) == (track.video_id, track.label)
+    assert (back.frame_width, back.frame_height) == (
+        float(track.frame_width), float(track.frame_height)
+    )
+    for name in ("frames", "boxes", "present"):
+        assert np.array_equal(getattr(back, name), getattr(track, name))
 
 
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False).map(
