@@ -14,6 +14,7 @@ import argparse
 import io
 import sys
 from collections import Counter
+from collections.abc import Container
 from dataclasses import fields
 from pathlib import Path
 
@@ -392,19 +393,7 @@ def _add_forest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--class-weight", choices=["balanced"])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="boxact",
-        description="Interpretable activity recognition from bounding-box tracks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        p.set_defaults(func=func)
-        return p
-
-    p = command("generate", cmd_generate, "write a synthetic annotation file")
+def _generate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="ground-truth phase centres file")
     p.add_argument("--archetypes", default="all")
@@ -419,24 +408,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-scripts", default=None,
                    help="JSON list of script records to realise instead")
 
-    p = command("assign", cmd_assign, "phase assignments per video and action")
+
+def _assign_flags(p: argparse.ArgumentParser) -> None:
     _add_corpus_flags(p)
     p.add_argument("--out", required=True)
     _add_pipeline_flags(p)
 
-    p = command("embed", cmd_embed, "dump per-video per-action embeddings")
-    _add_corpus_flags(p)
-    p.add_argument("--out", required=True)
-    _add_pipeline_flags(p)
 
-    p = command("train", cmd_train, "train one forest per action")
+def _train_flags(p: argparse.ArgumentParser) -> None:
     _add_corpus_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--val-fraction", type=float)
     _add_pipeline_flags(p)
     _add_forest_flags(p)
 
-    p = command("predict", cmd_predict, "probabilities for every video")
+
+def _predict_flags(p: argparse.ArgumentParser) -> None:
     _add_corpus_flags(p)
     p.add_argument("--forest-dir", required=True)
     p.add_argument("--out", required=True)
@@ -444,16 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", choices=["train", "val", "all"], default="val")
     _add_pipeline_flags(p)
 
-    p = command("eval", cmd_eval, "AP table, mAP, confusion matrix")
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predictions", required=True)
     p.add_argument("--out-dir", default=None)
 
-    p = command("fuse", cmd_fuse, "sum probabilities with an external file")
+
+def _fuse_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predictions", required=True)
     p.add_argument("--external", required=True)
     p.add_argument("--out", required=True)
 
-    p = command("sweep", cmd_sweep, "grid over sigma and n")
+
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
     _add_corpus_flags(p)
     p.add_argument("--sigmas", default="1,2,3")
     p.add_argument("--ns", default="2,3,5")
@@ -462,6 +452,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode_and_seed_flags(p)
     p.add_argument("--out", default=None)
 
+
+# name: (handler, help, the function that defines its arguments)
+COMMANDS = {
+    "generate": (cmd_generate, "write a synthetic annotation file", _generate_flags),
+    "assign": (cmd_assign, "phase assignments per video and action", _assign_flags),
+    "embed": (cmd_embed, "dump per-video per-action embeddings", _assign_flags),
+    "train": (cmd_train, "train one forest per action", _train_flags),
+    "predict": (cmd_predict, "probabilities for every video", _predict_flags),
+    "eval": (cmd_eval, "AP table, mAP, confusion matrix", _eval_flags),
+    "fuse": (cmd_fuse, "sum probabilities with an external file", _fuse_flags),
+    "sweep": (cmd_sweep, "grid over sigma and n", _sweep_flags),
+}
+
+
+def build_parser(defined: Container[str] = COMMANDS) -> argparse.ArgumentParser:
+    """The ``boxact`` parser, with the arguments of the commands named in ``defined``.
+
+    Every command is registered with its help either way, so the top-level
+    help and usage errors do not depend on ``defined``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="boxact",
+        description="Interpretable activity recognition from bounding-box tracks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help, add_flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        if name in defined:
+            add_flags(p)
     return parser
 
 
@@ -469,7 +489,11 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(sys.stdout, io.TextIOWrapper):
         # what the console's encoding cannot hold is printed backslash-escaped
         sys.stdout.reconfigure(errors="backslashreplace")
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no option with a value, so the first word
+    # that names a command is the command it runs; only its arguments are built
+    parser = build_parser({next((word for word in argv if word in COMMANDS), None)})
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

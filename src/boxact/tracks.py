@@ -17,15 +17,20 @@ A parsed video is a :class:`VideoTrack`: three read-only arrays over its
 ``T`` annotated frames, sorted by frame index.  ``frames`` holds the frame
 indices, ``boxes`` the ``x, y, w, h`` of every role in :data:`ROLES` order
 (zero where the role is absent) and ``present`` which roles are visible.
-The parser checks each video's JSON structure on whole lists, one pass over
-its frames and one over all their box entries, and builds the arrays with
-one ``np.fromiter``; only when a check fails does it walk the video in
-document order, to name the first offending frame or box.  ``VideoTrack``
-checks every numeric invariant on whole arrays.
+:func:`parse_annotations` reads a whole document in one pass: it checks
+every record's fields, checks the JSON structure of all frames and box
+entries on whole lists, builds the corpus arrays with one ``np.fromiter``,
+sorts them once by video and frame index and checks the numeric track rules
+once on the corpus, with the same function that :class:`VideoTrack` runs
+on a track built in code.  Each parsed track is then a read-only view of
+its rows and is not checked again.  Only when a check fails does the parser
+walk the document video by video, in document order, to name the first
+offending record, frame or box.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import operator
@@ -106,53 +111,86 @@ class VideoTrack:
             )
         if count == 0:
             raise AnnotationError(f"{where}: track has no frames")
-        step = np.flatnonzero(frames[1:] <= frames[:-1])
-        if step.size:
-            t = step[0]
-            raise AnnotationError(
-                f"{where}: frame indices must be strictly increasing, got "
-                f"{frames[t]} then {frames[t + 1]}"
-            )
-        if frames[0] < 0:
-            raise AnnotationError(f"{where}: frame indices must be non-negative, got {frames[0]}")
-        bad_value = ~(np.abs(boxes) <= COORDINATE_LIMIT)  # NaN compares false
-        bad_extent = (boxes[:, :, 2] < 0) | (boxes[:, :, 3] < 0)
-        bad_box = bad_value.any(axis=2) | bad_extent
-        if bad_box.any():
-            t, r = np.argwhere(bad_box)[0]
-            x, y, w, h = boxes[t, r].tolist()
-            at = f"{where} frame {int(frames[t])!r}"
-            for name, v in zip(_FIELDS, (x, y, w, h)):
-                if not math.isfinite(v):
-                    raise AnnotationError(f"{at}: box field {name!r} must be finite, got {v!r}")
-                if abs(v) > COORDINATE_LIMIT:
-                    raise AnnotationError(
-                        f"{at}: box field {name!r} must lie within "
-                        f"+/-{COORDINATE_LIMIT:g} px, got {v!r}"
-                    )
-            raise AnnotationError(f"{at}: box extent must be non-negative, got w={w}, h={h}")
-        absent = ~present & boxes.any(axis=2)
-        if absent.any():
-            t, r = np.argwhere(absent)[0]
-            raise AnnotationError(
-                f"{where} frame {int(frames[t])!r}: absent {ROLES[r]!r} must have an "
-                f"all-zero box"
-            )
         size = (self.frame_width, self.frame_height)
-        if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(_float(v))
-            for v in size
-        ):
-            raise AnnotationError(
-                f"{where}: frame size must be finite, got {size[0]!r} x {size[1]!r}"
-            )
-        if size[0] <= 0 or size[1] <= 0:
-            raise AnnotationError(f"{where}: frame size must be positive")
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in size)
+        if not (numbers and _rules_hold(frames, boxes, present, np.array([[*map(_float, size)]]),
+                                        np.array([0, count]))):
+            raise _broken_rule(where, frames, boxes, present, size)
         for array in (frames, boxes, present):
             array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.frames)
+
+
+def _rules_hold(
+    frames: np.ndarray, boxes: np.ndarray, present: np.ndarray, sizes: np.ndarray,
+    offsets: np.ndarray,
+) -> bool:
+    """Whether rows of well-formed track arrays keep every numeric track rule.
+
+    The rows are video ``v``'s in ``offsets[v]:offsets[v + 1]``, and
+    ``sizes`` holds each video's frame width and height as floats: one
+    track, or a whole corpus sorted by video and frame index.  Frame indices
+    rise strictly from a non-negative first index within each video; box
+    values are finite and within :data:`COORDINATE_LIMIT`, extents
+    non-negative and an absent role's box all zero; frame sizes are finite
+    and positive.
+    """
+    rising = frames[1:] > frames[:-1]
+    rising[offsets[1:-1] - 1] = True  # a video may start below the last one's end
+    return bool(
+        rising.all()
+        and frames[offsets[:-1]].min() >= 0
+        and (np.abs(boxes) <= COORDINATE_LIMIT).all()  # NaN compares false
+        and (boxes[:, :, 2:] >= 0).all()
+        and not (~present & boxes.any(axis=2)).any()
+        and (np.isfinite(sizes) & (sizes > 0)).all()
+    )
+
+
+def _broken_rule(
+    where: str, frames: np.ndarray, boxes: np.ndarray, present: np.ndarray, size: tuple
+) -> AnnotationError:
+    """The error for the first numeric rule that one track breaks."""
+    step = np.flatnonzero(frames[1:] <= frames[:-1])
+    if step.size:
+        t = step[0]
+        return AnnotationError(
+            f"{where}: frame indices must be strictly increasing, got "
+            f"{frames[t]} then {frames[t + 1]}"
+        )
+    if frames[0] < 0:
+        return AnnotationError(f"{where}: frame indices must be non-negative, got {frames[0]}")
+    bad_value = ~(np.abs(boxes) <= COORDINATE_LIMIT)  # NaN compares false
+    bad_extent = (boxes[:, :, 2] < 0) | (boxes[:, :, 3] < 0)
+    bad_box = bad_value.any(axis=2) | bad_extent
+    if bad_box.any():
+        t, r = np.argwhere(bad_box)[0]
+        x, y, w, h = boxes[t, r].tolist()
+        at = f"{where} frame {int(frames[t])!r}"
+        for name, v in zip(_FIELDS, (x, y, w, h)):
+            if not math.isfinite(v):
+                return AnnotationError(f"{at}: box field {name!r} must be finite, got {v!r}")
+            if abs(v) > COORDINATE_LIMIT:
+                return AnnotationError(
+                    f"{at}: box field {name!r} must lie within "
+                    f"+/-{COORDINATE_LIMIT:g} px, got {v!r}"
+                )
+        return AnnotationError(f"{at}: box extent must be non-negative, got w={w}, h={h}")
+    absent = ~present & boxes.any(axis=2)
+    if absent.any():
+        t, r = np.argwhere(absent)[0]
+        return AnnotationError(
+            f"{where} frame {int(frames[t])!r}: absent {ROLES[r]!r} must have an "
+            f"all-zero box"
+        )
+    if not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(_float(v))
+        for v in size
+    ):
+        return AnnotationError(f"{where}: frame size must be finite, got {size[0]!r} x {size[1]!r}")
+    return AnnotationError(f"{where}: frame size must be positive")
 
 
 def _float(value: int | float) -> float:
@@ -169,12 +207,13 @@ _BOX_VALUES = operator.itemgetter(*_FIELDS)
 
 
 def _frame_arrays(raw_frames: list) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Frame indices, boxes and presence of a video's frames in document order.
+    """Frame indices, boxes and presence of frames in document order.
 
-    The structure is checked on whole lists, one pass over the frames and
-    one over all their box entries; None means some frame or box breaks a
-    rule, and :func:`_first_offender` names it.  Box values are only
-    converted here: :class:`VideoTrack` checks them.
+    The frames are one video's or all of a document's.  The structure is
+    checked on whole lists, one pass over the frames and one over all their
+    box entries; None means some frame or box breaks a rule, and
+    :func:`_first_offender` names it.  Box values are only converted here:
+    :func:`_rules_hold` checks them.
     """
     if not all_instances(raw_frames, dict):
         return None
@@ -292,16 +331,74 @@ def _parse_video(record: object, position: int) -> VideoTrack:
     )
 
 
+def _check_unique(ids: Iterable[str]) -> None:
+    """Raise :class:`AnnotationError` naming the first id that repeats an earlier one."""
+    seen: set[str] = set()
+    for video_id in ids:
+        if video_id in seen:
+            raise AnnotationError(f"duplicate video id {video_id!r}")
+        seen.add(video_id)
+
+
+def _corpus_tracks(document: list) -> list[VideoTrack] | None:
+    """The tracks of a document that breaks no rule, checked in one pass; else None.
+
+    Each track is a read-only view of its rows of the corpus arrays.
+    """
+    if not document:
+        return []
+    if not all_instances(document, dict):
+        return None
+    ids = [record.get("id") for record in document]
+    labels = [record.get("label") for record in document]
+    raw_frames = [record.get("frames") for record in document]
+    sizes = [(record.get("width"), record.get("height")) for record in document]
+    if not (
+        all_instances(ids, str) and all(ids) and len(set(ids)) == len(ids)
+        and all_instances(labels, (str, type(None)))
+        and all_instances(raw_frames, list) and all(raw_frames)
+        and all_instances(itertools.chain.from_iterable(sizes), (int, float), bool)
+    ):
+        return None
+    arrays = _frame_arrays(list(itertools.chain.from_iterable(raw_frames)))
+    if arrays is None:
+        return None
+    lengths = list(map(len, raw_frames))
+    offsets = np.zeros(len(document) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    order = np.lexsort((arrays[0], np.repeat(np.arange(len(document)), lengths)))
+    frames, boxes, present = (array[order] for array in arrays)
+    sizes = [(_float(width), _float(height)) for width, height in sizes]
+    if not _rules_hold(frames, boxes, present, np.array(sizes), offsets):
+        return None
+    for array in (frames, boxes, present):
+        array.flags.writeable = False
+    tracks = []
+    for video_id, label, (width, height), start, stop in zip(
+        ids, labels, sizes, offsets[:-1].tolist(), offsets[1:].tolist()
+    ):
+        track = object.__new__(VideoTrack)  # checked above, as part of the corpus
+        track.__dict__.update(
+            video_id=video_id, frames=frames[start:stop], boxes=boxes[start:stop],
+            present=present[start:stop], frame_width=width, frame_height=height, label=label,
+        )
+        tracks.append(track)
+    return tracks
+
+
 def parse_annotations(document: object) -> list[VideoTrack]:
-    """Parse an already-decoded annotation document (top-level list)."""
+    """Parse an already-decoded annotation document (top-level list).
+
+    The document is checked in one pass over all its videos; only when that
+    fails is it parsed video by video, to raise the error for the first
+    offender in document order.
+    """
     if not isinstance(document, list):
         raise AnnotationError("annotation document must be a list of videos")
-    tracks = [_parse_video(rec, i) for i, rec in enumerate(document)]
-    seen: set[str] = set()
-    for t in tracks:
-        if t.video_id in seen:
-            raise AnnotationError(f"duplicate video id {t.video_id!r}")
-        seen.add(t.video_id)
+    tracks = _corpus_tracks(document)
+    if tracks is None:
+        tracks = [_parse_video(rec, i) for i, rec in enumerate(document)]
+        _check_unique(t.video_id for t in tracks)
     return tracks
 
 
@@ -334,10 +431,32 @@ def serialize_annotations(tracks: Iterable[VideoTrack]) -> list[dict]:
 
 
 def load_annotation_file(path: str | Path) -> list[VideoTrack]:
-    document = read_json(path, AnnotationError)
-    with prefixed(path):
-        return parse_annotations(document)
+    """Read and parse an annotation file; errors name the file.
+
+    The decoded document holds no reference cycles and refcounting frees it,
+    so the cyclic garbage collector, which would otherwise walk its many new
+    lists and dicts over and over, is paused from decoding until the document
+    is released, then left as the caller had it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        document = read_json(path, AnnotationError)
+        with prefixed(path):
+            tracks = parse_annotations(document)
+        del document
+        return tracks
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_annotation_file(path: str | Path, tracks: Sequence[VideoTrack]) -> None:
+    """Write ``tracks`` as an annotation file.
+
+    Tracks that share a video id raise :class:`AnnotationError` naming the
+    id before any file is opened, since no reader would accept the file.
+    """
+    with prefixed(path):
+        _check_unique(t.video_id for t in tracks)
     write_json(path, serialize_annotations(tracks))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boxact
-from boxact.cli import main
+from boxact.cli import COMMANDS, build_parser, main
 from boxact.evaluation import load_predictions
 from boxact.forest import load_forest
 from boxact.phases import ARCHETYPES, MAX_SIGMA, builtin_model, model_to_dict, save_action_model
@@ -1219,6 +1219,25 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["dance"])
     assert exc.value.code == 2
+
+
+def _parsed(parse, argv: list[str]) -> tuple[str, str, object]:
+    """What ``parse(argv)`` prints to stdout and stderr, and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return out.getvalue(), err.getvalue(), exc.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, flag] for command in COMMANDS for flag in ("--help", "--bogus")]
+    + [["bogus"], [], ["--help"], ["--bogus", "train"], ["bogus", "train"]],
+    ids=" ".join,
+)
+def test_main_prints_what_a_parser_of_every_command_prints(argv):
+    assert _parsed(main, argv) == _parsed(build_parser().parse_args, argv)
 
 
 def test_sweep_writes_a_grid(workdir, tmp_path, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import gc
+import json
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
@@ -122,6 +124,80 @@ def test_duplicate_role_rejected():
 def test_duplicate_video_id_rejected():
     with pytest.raises(AnnotationError, match="duplicate video id"):
         parse_annotations([DOC[0], dict(DOC[0])])
+
+
+def _videos(count: int) -> list[dict]:
+    """``count`` copies of DOC's video, with the ids v0, v1, ..."""
+    return [dict(copy.deepcopy(DOC[0]), id=f"v{i}") for i in range(count)]
+
+
+def _frame_fault_then_record_fault(document):
+    document[0]["frames"][1]["idx"] = "1"
+    del document[1]["width"]
+
+
+def _nan_box_then_duplicate_frame(document):
+    document[1]["frames"][1]["boxes"][1]["y"] = float("nan")
+    document[2]["frames"][1]["idx"] = 0
+
+
+def _record_fault_then_frame_fault(document):
+    document[0]["label"] = 3
+    document[1]["frames"][0] = 5
+
+
+def _valid_then_duplicate_id(document):
+    document.append(copy.deepcopy(document[0]))
+
+
+@pytest.mark.parametrize(
+    "count, mutate, message",
+    [
+        (2, _frame_fault_then_record_fault,
+         "video 'v0': frame 'idx' must be a non-negative integer, got '1'"),
+        (3, _nan_box_then_duplicate_frame, "video 'v1' frame 1: box field 'y' must be finite, got nan"),
+        (2, _record_fault_then_frame_fault, "video 'v0': label must be a string"),
+        (2, _valid_then_duplicate_id, "duplicate video id 'v0'"),
+    ],
+    ids=["frame-then-record", "nan-box-then-duplicate-frame", "record-then-frame",
+         "valid-then-duplicate-id"],
+)
+def test_the_first_offender_across_videos_is_named(count, mutate, message):
+    document = _videos(count)
+    mutate(document)
+    with pytest.raises(AnnotationError) as exc:
+        parse_annotations(document)
+    assert str(exc.value) == message
+
+
+def test_parsed_tracks_are_read_only_and_equal_to_tracks_built_in_code():
+    document = _videos(3)
+    document[1]["frames"].reverse()
+    tracks = parse_annotations(document)
+    # views of one set of corpus arrays: a valid document is parsed in one pass
+    assert tracks[0].boxes.base is not None
+    assert all(t.boxes.base is tracks[0].boxes.base for t in tracks)
+    for track, reference in zip(tracks, parse_annotations_reference(document)):
+        built = VideoTrack(reference.video_id, *track_arrays(reference.frames), 320, 240.0,
+                           "put-into")
+        for name in ("video_id", "frame_width", "frame_height", "label"):
+            assert getattr(track, name) == getattr(built, name)
+        for name in ("frames", "boxes", "present"):
+            got, want = getattr(track, name), getattr(built, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = got[0]
+
+
+def test_a_file_with_two_tracks_of_one_id_is_not_written(tmp_path):
+    track = parse_annotations(DOC)[0]
+    path = tmp_path / "new" / "ann.json"
+    with pytest.raises(AnnotationError) as exc:
+        write_annotation_file(path, [track, parse_annotations(_videos(2))[1], track])
+    assert str(exc.value) == f"{path}: duplicate video id 'v0'"
+    assert not path.parent.exists()
 
 
 def test_unknown_role_rejected():
@@ -375,6 +451,33 @@ def test_invalid_json_file(tmp_path):
     path.write_text("{nope")
     with pytest.raises(AnnotationError, match="not valid JSON"):
         load_annotation_file(path)
+
+
+@pytest.mark.parametrize("content", [json.dumps(DOC), "{nope", "[5]"],
+                         ids=["valid", "invalid-json", "content-error"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_loading_leaves_the_collector_as_it_was(tmp_path, monkeypatch, content, enabled):
+    path = tmp_path / "ann.json"
+    path.write_text(content)
+    during = []
+    parse = parse_annotations
+
+    def watched(document):
+        during.append(gc.isenabled())
+        return parse(document)
+
+    monkeypatch.setattr("boxact.tracks.parse_annotations", watched)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            load_annotation_file(path)
+        except AnnotationError:
+            assert content != json.dumps(DOC)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == ([] if content == "{nope" else [False])
 
 
 def test_non_list_document_rejected():
