@@ -57,13 +57,8 @@ class VideoEmbedding:
                 f"{self.values.shape} for a layout of {len(self.layout)} names"
             )
 
-    @property
-    def index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.layout)}
-
     def assigned_flags(self) -> dict[str, bool]:
-        idx = self.index
-        return {p: bool(self.values[idx[f"{p}:assigned"]]) for p in PHASES}
+        return {p: bool(self.values[self.layout.index(f"{p}:assigned")]) for p in PHASES}
 
 
 @lru_cache(maxsize=64)

@@ -22,10 +22,11 @@ The work is done by array kernels over many score rows at once:
 ``score_rows`` scores the rows of any set of compiled ``TermArrays`` over
 the relation table of one track or of a batch of tracks laid end to end
 (the pipeline passes every model of a threshold set in both object orders),
-and ``assign_batch`` ranks the four alternatives of every model together.
-It returns each winner as arrays: its choice, centres (N, 5), windows
-(N, 5, 2), with (-1, -1) for an unplaced phase, and total (N,), which the
-embedding stage reads as they are; ``phase_assignments`` turns them into
+and ``assign_batch`` takes those rows as ``score_rows`` lays them out and
+ranks the four alternatives of every (track, model) pair, tracks of one
+length together.  It returns each winner as arrays: its choice, centres
+(N, 5), windows (N, 5, 2), with (-1, -1) for an unplaced phase, and total
+(N,), which the embedding stage reads as they are; ``phase_assignments`` turns them into
 :class:`PhaseAssignment` objects.  Each row keeps the bits of a row computed
 alone: terms are added in term order, every track is smoothed tap by tap
 over its own zero padding, and reductions run along the contiguous last axis.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, field, replace
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from importlib import resources
 from numbers import Real
 from pathlib import Path
@@ -61,7 +62,6 @@ from .tracks import VideoTrack
 
 __all__ = [
     "PHASES",
-    "GREEDY_ORDER",
     "ARCHETYPES",
     "Term",
     "TermArrays",
@@ -85,7 +85,6 @@ __all__ = [
 ]
 
 PHASES = ("a", "b", "c", "d", "e")
-GREEDY_ORDER = ("b", "a", "d", "c", "e")
 ARCHETYPES = (
     "put-into",
     "take-out-of",
@@ -269,8 +268,7 @@ def save_action_model(model: ActionModel, path: str | Path) -> None:
 def builtin_model(archetype: str) -> ActionModel:
     """One of the reference models shipped with the package, read once per process.
 
-    Every call returns the same model, so its compiled terms and their
-    concatenation (:meth:`TermArrays.concat`) are built once too.
+    Every call returns the same model, so its terms are compiled once too.
     """
     if archetype not in ARCHETYPES:
         raise ConfigError(
@@ -334,13 +332,8 @@ class TermArrays:
         return replace(self, column=SWAP[self.column])
 
     @staticmethod
-    @lru_cache(maxsize=16)
-    def concat(parts: tuple[TermArrays, ...]) -> TermArrays:
-        """All parts' terms in order; their rows are stacked in the same order.
-
-        Cached on the parts themselves, which compare by identity: a model
-        compiles its terms once, so a model set concatenates them once.
-        """
+    def concat(parts: Sequence[TermArrays]) -> TermArrays:
+        """All parts' terms in order; their rows are stacked in the same order."""
         depth = max(p.slots.shape[1] for p in parts)
         slots = np.full((sum(p.slots.shape[0] for p in parts), depth), -1, dtype=np.intp)
         row = term = 0
@@ -570,18 +563,11 @@ class PhaseAssignment:
     centers: Mapping[str, int | None]
     windows: Mapping[str, tuple[int, int] | None]
     total_score: float
-    n: int = DEFAULT_WINDOW_HALF_WIDTH
-
-    @property
-    def fully_assigned(self) -> bool:
-        return all(self.centers[p] is not None for p in PHASES)
 
     @property
     def degenerate(self) -> bool:
-        return not self.fully_assigned
-
-    def assigned_phases(self) -> tuple[str, ...]:
-        return tuple(p for p in PHASES if self.centers[p] is not None)
+        """True when some phase is unplaced."""
+        return any(self.centers[p] is None for p in PHASES)
 
 
 B_CHOICES = ("best", "second_best")
@@ -620,9 +606,9 @@ def _greedy_centers(smoothed: np.ndarray, f_b: np.ndarray) -> np.ndarray:
 def _b_candidates(b_rows: np.ndarray) -> np.ndarray:
     """Best and runner-up phase-b centre per row, shape (N, 2).
 
-    The runner-up is the best after masking the best +/- 3 frames; it is -1
-    when the mask leaves nothing (tracks of up to 7 frames around a central
-    best-b cannot produce a second candidate).
+    The runner-up is the best after masking the best +/- 3 frames.  It is
+    -1 on every track of at most 7 frames, wherever its best lies, and -1
+    where no finite score is left outside the mask.
     """
     best = b_rows.argmax(axis=1)
     second = np.full_like(best, -1)
@@ -694,7 +680,6 @@ def phase_assignments(
     centres: np.ndarray,
     windows: np.ndarray,
     totals: np.ndarray,
-    n: int,
 ) -> list[PhaseAssignment]:
     """One :class:`PhaseAssignment` per row of :func:`assign_batch`'s arrays."""
     o = len(object_orders)
@@ -706,7 +691,6 @@ def phase_assignments(
             centers={p: c if c >= 0 else None for p, c in zip(PHASES, placed)},
             windows={p: (lo, hi) if lo >= 0 else None for p, (lo, hi) in zip(PHASES, spans)},
             total_score=total,
-            n=n,
         )
         for action_id, k, placed, spans, total in zip(
             action_ids, choice.tolist(), centres.tolist(), windows.tolist(), totals.tolist()
@@ -715,36 +699,58 @@ def phase_assignments(
 
 
 def assign_batch(
-    smoothed: np.ndarray, n: int = DEFAULT_WINDOW_HALF_WIDTH
+    smoothed: np.ndarray, bounds: Sequence[int], n: int = DEFAULT_WINDOW_HALF_WIDTH
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The winning alternative of each of M models, from smoothed rows (M, O, 5, T).
+    """The winning alternative of every (track, model) pair of a batch.
 
-    Axis 1 runs over the object orders.  A model's candidates are ranked
-    best-b before second-best-b, and by object order within each; the first
-    strictly highest total wins, so ties keep the earlier candidate.
-    Returns the winner's choice (object order + O x b choice, ``B_CHOICES``
-    order), centres (M, 5), windows (M, 5, 2) and total (M,).
+    ``smoothed`` holds the rows as :func:`score_rows` returns them: (model,
+    object order, phase) by frame, with track ``k`` in columns
+    ``bounds[k]:bounds[k+1]``.  Tracks of one length rank together.  A
+    pair's candidates are ranked best-b before second-best-b, and by object
+    order within each; the first strictly highest total wins, so ties keep
+    the earlier candidate.  Entry ``k * M + i`` is track ``k`` under model
+    ``i``: the winner's choice (object order + O x b choice, ``B_CHOICES``
+    order), centres (N, 5), windows (N, 5, 2) and total (N,).
     """
-    m, o, _, t = smoothed.shape
-    _check_assignable(t, n)
-    centres, totals = _alternatives(smoothed.reshape(m * o, len(PHASES), t))
-    # (model, order, b choice) -> (model, b choice, order)
-    centres = centres.reshape(m, o, 2, len(PHASES)).swapaxes(1, 2).reshape(m, 2 * o, -1)
-    totals = totals.reshape(m, o, 2).swapaxes(1, 2).reshape(m, 2 * o)
-    # argmax keeps the first of equal totals; no total is greater than a NaN,
-    # so a NaN never wins, unless it comes first and nothing can replace it
-    choice = np.where(np.isnan(totals), -np.inf, totals).argmax(axis=1)
-    choice[np.isnan(totals[:, 0])] = 0
-    won = np.arange(m)
-    centres = centres[won, choice]
-    return choice, centres, _windows(centres, t, n), totals[won, choice]
+    bounds = np.asarray(bounds)
+    lengths = np.diff(bounds)
+    o, phases = len(OBJECT_ORDERS), len(PHASES)
+    m = smoothed.shape[0] // (o * phases)
+    entries = lengths.size * m
+    won = (
+        np.empty(entries, dtype=np.intp),
+        np.empty((entries, phases), dtype=np.intp),
+        np.empty((entries, phases, 2), dtype=np.intp),
+        np.empty(entries),
+    )
+    for t in np.unique(lengths).tolist():
+        _check_assignable(t, n)
+        group = np.flatnonzero(lengths == t)
+        count = group.size * m
+        frames = bounds[group, None, None] + np.arange(t)
+        rows = smoothed[np.arange(smoothed.shape[0])[:, None], frames]  # (track, row, frame)
+        centres, totals = _alternatives(rows.reshape(count * o, phases, t))
+        # (pair, order, b choice) -> (pair, b choice, order)
+        centres = centres.reshape(count, o, 2, phases).swapaxes(1, 2).reshape(count, 2 * o, -1)
+        totals = totals.reshape(count, o, 2).swapaxes(1, 2).reshape(count, 2 * o)
+        # argmax keeps the first of equal totals; no total is greater than a NaN,
+        # so a NaN never wins, unless it comes first and nothing can replace it
+        choice = np.where(np.isnan(totals), -np.inf, totals).argmax(axis=1)
+        choice[np.isnan(totals[:, 0])] = 0
+        pair = np.arange(count)
+        centres = centres[pair, choice]
+        ranked = (choice, centres, _windows(centres, t, n), totals[pair, choice])
+        entry = (group[:, None] * m + np.arange(m)).ravel()
+        for column, part in zip(won, ranked):
+            column[entry] = part
+    return won
 
 
 def second_best_b(matrix: PhaseScoreMatrix) -> int | None:
     """Runner-up phase-b centre after masking the best one +/- 3 frames.
 
-    Returns None when the mask leaves nothing (tracks of up to 7 frames
-    around a central best-b cannot produce a second candidate).
+    Returns None on every track of at most 7 frames, wherever its best
+    b lies, and where no finite score is left outside the mask.
     """
     second = int(_b_candidates(matrix.row("b")[None])[0, 1])
     return None if second < 0 else second
@@ -763,7 +769,7 @@ def assign_phases(
     best = centres[:, 0]
     return phase_assignments(
         [matrix.action_id], [matrix.object_order], np.zeros(1, dtype=np.intp),
-        best, _windows(best, matrix.num_frames, n), totals[:, 0], n,
+        best, _windows(best, matrix.num_frames, n), totals[:, 0],
     )[0]
 
 
@@ -783,10 +789,9 @@ def assign_with_alternatives(
             f"score matrices of shapes {matrix_annotated.smoothed.shape} and "
             f"{matrix_swapped.smoothed.shape} do not belong to one track"
         )
-    smoothed = np.stack([np.asarray(m.smoothed, dtype=float) for m in matrices])
+    smoothed = np.vstack([np.asarray(m.smoothed, dtype=float) for m in matrices])
     return phase_assignments(
         [matrix_annotated.action_id],
         [m.object_order for m in matrices],
-        *assign_batch(smoothed[None], n),
-        n,
+        *assign_batch(smoothed, [0, smoothed.shape[1]], n),
     )[0]

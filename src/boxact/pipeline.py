@@ -27,7 +27,6 @@ from .phases import (
     DEFAULT_WINDOW_HALF_WIDTH,
     MAX_SIGMA,
     OBJECT_ORDERS,
-    PHASES,
     ActionModel,
     PhaseAssignment,
     TermArrays,
@@ -161,34 +160,6 @@ def _batches(tracks: Sequence[VideoTrack]) -> Iterator[list[VideoTrack]]:
         yield batch
 
 
-def _rank(
-    smoothed: np.ndarray, bounds: np.ndarray, m: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The winning alternative of every (track, model) pair, as arrays.
-
-    ``smoothed`` holds a batch's score rows, (model, object order, phase) by
-    frame, with track ``k`` in columns ``bounds[k]:bounds[k+1]``.  Tracks of
-    one length rank together.  Entry ``k * m + i`` is track ``k`` under model
-    ``i``; the arrays are those of :func:`assign_batch`.
-    """
-    lengths = np.diff(bounds)
-    entries, phases = lengths.size * m, len(PHASES)
-    won = (
-        np.empty(entries, dtype=np.intp),
-        np.empty((entries, phases), dtype=np.intp),
-        np.empty((entries, phases, 2), dtype=np.intp),
-        np.empty(entries),
-    )
-    for length in np.unique(lengths).tolist():
-        group = np.flatnonzero(lengths == length)
-        frames = bounds[group, None, None] + np.arange(length)
-        rows = smoothed[np.arange(smoothed.shape[0])[:, None], frames]  # (track, row, frame)
-        ranked = assign_batch(rows.reshape(-1, len(OBJECT_ORDERS), phases, length), n)
-        for column, part in zip(won, ranked):
-            column[(group[:, None] * m + np.arange(m)).ravel()] = part
-    return won
-
-
 def _assign_tracks(
     tracks: Sequence[VideoTrack],
     models: Mapping[str, ActionModel],
@@ -214,12 +185,14 @@ def _assign_tracks(
     for thresholds, actions in by_thresholds.items():
         set_models = [models[action] for action in actions]
         m = len(set_models)
-        table = relation_sequence(tracks, thresholds)
+        # built before the table: after it, these small arrays raised the
+        # classify benchmark's peak RSS by 0.6 MiB
         terms = TermArrays.concat(
-            tuple(t for model in set_models for t in (model.term_arrays, model.term_arrays.swapped))
+            [t for model in set_models for t in (model.term_arrays, model.term_arrays.swapped)]
         )
+        table = relation_sequence(tracks, thresholds)
         raw, smoothed = score_rows(terms, table, sigma, bounds)
-        choice, centres, windows, totals = _rank(smoothed, bounds, m, n)
+        choice, centres, windows, totals = assign_batch(smoothed, bounds, n)
         source = np.vstack([raw, table.T])  # every score row, then every relation
         del raw, smoothed, table  # the batch's largest arrays; source holds what is left
         # score rows run over (model, object order, phase); the relations follow
@@ -243,7 +216,7 @@ def _assign_tracks(
             np.repeat(bounds[:-1], m),
         )
         assignments = phase_assignments(
-            actions * len(tracks), OBJECT_ORDERS, choice, centres, windows, totals, n
+            actions * len(tracks), OBJECT_ORDERS, choice, centres, windows, totals
         )
         for k, per_track in enumerate(out):
             pairs = zip(embeddings[k * m : (k + 1) * m], assignments[k * m : (k + 1) * m])
@@ -316,6 +289,21 @@ def stratified_split(
     return sorted(train), sorted(val)
 
 
+def _check_embedded(
+    embeddings: Mapping[str, Mapping[str, tuple[VideoEmbedding, PhaseAssignment]]],
+    ids: Sequence[str],
+    actions: Sequence[str],
+) -> None:
+    """:class:`ContractError` unless every video of ``ids`` has every action's embedding."""
+    missing = [v for v in ids if v not in embeddings]
+    if missing:
+        raise ContractError(f"no embeddings for videos {missing}")
+    for v in ids:
+        lacking = [a for a in actions if a not in embeddings[v]]
+        if lacking:
+            raise ContractError(f"video {v!r} has no embedding for actions {lacking}")
+
+
 def train_forests(
     embeddings: Mapping[str, Mapping[str, tuple[VideoEmbedding, PhaseAssignment]]],
     labels: Mapping[str, str],
@@ -331,9 +319,10 @@ def train_forests(
     ids = sorted(embeddings) if video_ids is None else list(video_ids)
     if not ids:
         raise ContractError("no videos to train on")
-    missing = [v for v in ids if v not in embeddings]
-    if missing:
-        raise ContractError(f"no embeddings for videos {missing}")
+    _check_embedded(embeddings, ids, sorted(models))
+    unlabelled = [v for v in ids if v not in labels]
+    if unlabelled:
+        raise ContractError(f"no labels for videos {unlabelled}")
     samples: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     fingerprints: dict[str, str] = {}
     skipped: list[str] = []
@@ -385,6 +374,7 @@ def predict_set(
     ids = sorted(embeddings) if video_ids is None else list(video_ids)
     if not ids:
         return PredictionSet(videos=())  # which raises its own "empty" error
+    _check_embedded(embeddings, ids, list(forests))
     # one call per forest, on the embeddings of all videos stacked as rows
     columns = {
         action: predict_proba(

@@ -9,13 +9,12 @@ annotated frame, whatever the gap in frame indices between the two; the first
 frame of a track, and any frame where an entity was absent in the previous
 frame, yield a zero offset.
 
-:func:`relation_table` computes every feature for every frame of a track in
-one pass: a ``(T, 55)`` float64 table whose columns follow
-:func:`relation_keys`, booleans stored as 0.0/1.0.  Given a batch of tracks
-it makes the same pass over all their frames laid end to end, and offsets
-reset at each track's first frame, so the batch table is the per-track
-tables stacked.  Exchanging the two objects only permutes columns, so the
-table of the object-swapped track is ``table[:, SWAP]``.
+:func:`relation_table` computes every feature for every frame of a sequence
+of tracks in one pass over their frames laid end to end: a float64 table,
+one row per frame, whose columns follow :func:`relation_keys`, booleans
+stored as 0.0/1.0.  Offsets reset at each track's first frame, so the table
+is the per-track tables stacked.  Exchanging the two objects only permutes
+columns, so the table of the object-swapped track is ``table[:, SWAP]``.
 
 All thresholds live in :class:`RelationConfig` so they can be overridden from
 configuration files; the 0.1 overlap normaliser is a named constant.
@@ -45,7 +44,6 @@ __all__ = [
     "COLUMN",
     "SWAP",
     "feature_key",
-    "feature_kind",
 ]
 
 # Denominator constant from the normalised-overlap definition:
@@ -153,13 +151,6 @@ def feature_key(name: str, args: Sequence[str]) -> str:
     return f"{name}{_spelt(canonical)}"
 
 
-def feature_kind(name: str) -> str:
-    """``"real"`` or ``"boolean"``."""
-    if not isinstance(name, str) or name not in FEATURES:
-        raise ConfigError(f"unknown feature {name!r}")
-    return FEATURES[name].kind
-
-
 # (feature name, role tuple) of each column
 _ENTRIES = tuple((name, args) for name, f in FEATURES.items() for args in f.args)
 _KEYS = tuple(f"{name}{_spelt(args)}" for name, args in _ENTRIES)
@@ -184,17 +175,15 @@ _COLUMN_OF = {(name, tuple(map(ROLES.index, args))): i for i, (name, args) in en
 
 
 def relation_table(
-    tracks: VideoTrack | Sequence[VideoTrack], config: RelationConfig = DEFAULT_CONFIG
+    tracks: Sequence[VideoTrack], config: RelationConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """Every catalogued feature for every frame of a track, shape (T, 55).
+    """Every catalogued feature for every frame of each track, shape (sum of T, 55).
 
-    Given a sequence of tracks, the rows of every track in turn, shape
-    (sum of T, 55): each track's rows are its own table.  Columns follow
-    :func:`relation_keys`.  Binary relations involving an absent entity are
-    false; real pair features involving an absent entity are 0.0.
+    Each track's rows, in turn, are its own table: ``[track]`` gives its
+    (T, 55) table.  Columns follow :func:`relation_keys`.  Binary relations
+    involving an absent entity are false; real pair features involving an
+    absent entity are 0.0.
     """
-    if isinstance(tracks, VideoTrack):
-        tracks = (tracks,)
     x, y, w, h = np.concatenate([t.boxes for t in tracks]).T  # each (3, T)
     present = np.concatenate([t.present for t in tracks]).T
     x2, y2 = x + w, y + h

@@ -721,7 +721,6 @@ def _assign_from_b_reference(
         centers=centers,
         windows=_windows_reference(centers, matrix.num_frames, n),
         total_score=float(total),
-        n=n,
     )
 
 

@@ -113,7 +113,7 @@ def test_a_track_longer_than_the_budget_is_a_batch_of_its_own():
 @given(corpora(), st.sampled_from(THRESHOLD_SETS))
 @settings(max_examples=60, deadline=None)
 def test_a_batch_table_is_the_per_track_tables_stacked(corpus, config):
-    stacked = np.concatenate([relation_table(track, config) for track in corpus])
+    stacked = np.concatenate([relation_table([track], config) for track in corpus])
     assert relation_table(corpus, config).tobytes() == stacked.tobytes()
 
 

@@ -51,7 +51,7 @@ def _embed(track, model, scores_only=False):
 
 def _table(track, order):
     """The track's relation table in one object order."""
-    table = relation_table(track)
+    table = relation_table([track])
     return table if order == "as_annotated" else table[:, SWAP]
 
 
@@ -158,8 +158,8 @@ def test_embed_track_matches_manual_stats():
     assert emb.values.shape == (len(embedding_layout(model)),)
     order = assignment.object_order
     matrix = score_frames(track, model, _table(track, order), order)
-    idx = emb.index
-    for p in assignment.assigned_phases():
+    idx = {name: i for i, name in enumerate(emb.layout)}
+    for p in [p for p in PHASES if assignment.centers[p] is not None]:
         lo, hi = assignment.windows[p]
         window = matrix.row(p, kind="raw")[lo : hi + 1]
         assert emb.values[idx[f"{p}:score:mean"]] == pytest.approx(window.mean())
@@ -174,9 +174,8 @@ def test_scores_only_is_a_subvector_of_full():
     model = _model()
     full, _ = _embed(track, model)
     slim, _ = _embed(track, model, scores_only=True)
-    fidx = full.index
     for name, value in zip(slim.layout, slim.values):
-        assert value == full.values[fidx[name]]
+        assert value == full.values[full.layout.index(name)]
 
 
 def test_unassigned_phases_embed_as_zero_blocks():
@@ -184,10 +183,10 @@ def test_unassigned_phases_embed_as_zero_blocks():
     track = moving_track({"object2": [(50, 50)] * 3, "hand": [None, (20, 20), None]})
     emb, assignment = _embed(track, _model())
     flags = emb.assigned_flags()
-    assert not assignment.fully_assigned
+    assert assignment.degenerate
     unassigned = [p for p in PHASES if assignment.centers[p] is None]
     assert unassigned
-    idx = emb.index
+    idx = {name: i for i, name in enumerate(emb.layout)}
     for p in unassigned:
         assert not flags[p]
         assert emb.values[idx[f"{p}:score:mean"]] == 0.0
@@ -204,7 +203,7 @@ def test_embed_video_validates_consistency():
     other = builtin_model("put-into")
     with pytest.raises(ContractError, match="action mismatch"):
         embed_video(track, assignment, matrix, other, table)
-    swapped_table = relation_table(track)[:, SWAP]
+    swapped_table = relation_table([track])[:, SWAP]
     swapped = score_frames(track, model, swapped_table, "swapped")
     if assignment.object_order == "as_annotated":
         with pytest.raises(ContractError, match="object order mismatch"):

@@ -100,7 +100,7 @@ def test_one_pass_matches_the_per_model_references(models, track, sigma, n, scor
     result = assign_track(track, models, n, sigma, scores_only)
     assert list(result) == sorted(models)
     for action, model in models.items():
-        table = relation_table(track, model.thresholds)
+        table = relation_table([track], model.thresholds)
         tables = (table, table[:, SWAP])
         references = [
             score_frames_reference(model, rel, order, sigma)

@@ -8,7 +8,6 @@ from boxact.errors import ConfigError, ContractError
 from boxact.forest import ForestParams
 from boxact.phases import (
     ARCHETYPES,
-    TermArrays,
     builtin_model,
     builtin_models,
     model_from_dict,
@@ -101,12 +100,6 @@ def test_builtin_models_are_read_once_and_read_only():
         del model.phases["b"]
     assert model_from_dict(model_to_dict(model)) == model
     assert model_to_dict(model) == model_to_dict(builtin_model("put-into"))
-    # the same models compile and concatenate their terms once
-    tracks, _ = generate_dataset(["put-into"], 1, seed=2)
-    embed_all(tracks, load_models("builtin"), PipelineConfig())
-    hits = TermArrays.concat.cache_info().hits
-    embed_all(tracks, load_models("builtin"), PipelineConfig())
-    assert TermArrays.concat.cache_info().hits > hits
 
 
 def test_load_models_errors(tmp_path):
@@ -248,3 +241,22 @@ def test_train_forests_requires_embeddings_for_requested_videos():
     embeddings = embed_all(tracks, models, config)
     with pytest.raises(ContractError, match="no embeddings for videos"):
         train_forests(embeddings, labels, models, config, video_ids=["ghost"])
+
+
+def test_train_and_predict_name_what_they_lack():
+    tracks, labels, models = _tiny_corpus(per_archetype=1)
+    config = PipelineConfig(forest=FAST_FOREST)
+    embeddings = embed_all(tracks, models, config)
+    forests, _, _ = train_forests(embeddings, labels, models, config)
+    first = tracks[0].video_id
+    with pytest.raises(ContractError, match=r"no embeddings for videos \['nope'\]"):
+        predict_set(embeddings, labels, forests, models, config, video_ids=["nope"])
+    with pytest.raises(ContractError, match=r"no labels for videos \['%s'\]" % first):
+        train_forests(embeddings, {v: a for v, a in labels.items() if v != first}, models, config)
+    partial = dict(embeddings)
+    partial[first] = {a: pair for a, pair in embeddings[first].items() if a != "put-into"}
+    lacks = r"video '%s' has no embedding for actions \['put-into'\]" % first
+    with pytest.raises(ContractError, match=lacks):
+        train_forests(partial, labels, models, config)
+    with pytest.raises(ContractError, match=lacks):
+        predict_set(partial, labels, forests, models, config)

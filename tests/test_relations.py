@@ -18,7 +18,6 @@ from boxact.relations import (
     SWAP,
     RelationConfig,
     feature_key,
-    feature_kind,
     relation_keys,
     relation_table,
 )
@@ -43,7 +42,7 @@ from oracles import (
 
 def _at(track, index: int, config: RelationConfig = DEFAULT_CONFIG) -> dict[str, float]:
     """One frame of the relation table, keyed canonically."""
-    return dict(zip(relation_keys(), relation_table(track, config)[index].tolist()))
+    return dict(zip(relation_keys(), relation_table([track], config)[index].tolist()))
 
 
 # --- geometry, against hand-computed values ---------------------------------
@@ -117,7 +116,7 @@ def test_offset_between_frames():
     track = moving_track({"hand": [(10, 10), (13, 14)]})
     assert offset(track, "hand", 0) == (0.0, 0.0)
     assert offset(track, "hand", 1) == (3.0, 4.0)
-    speed = relation_table(track)[:, COLUMN["speed(hand)"]]
+    speed = relation_table([track])[:, COLUMN["speed(hand)"]]
     assert speed.tolist() == [0.0, 5.0]
 
 
@@ -251,13 +250,6 @@ def test_feature_key_canonicalises_symmetric_arguments():
     assert feature_key("contained", ("object2", "object1")) == "contained(object2,object1)"
 
 
-def test_feature_kind():
-    assert feature_kind("speed") == "real"
-    assert feature_kind("touching") == "boolean"
-    with pytest.raises(ConfigError):
-        feature_kind("wobble")
-
-
 @pytest.mark.parametrize(
     "name, args",
     [
@@ -344,7 +336,7 @@ def test_relation_keys_catalogue():
 
 def test_frame_relations_covers_the_catalogue():
     track = moving_track({"object1": [(10, 10)], "object2": [(50, 50)], "hand": [(90, 90)]})
-    table = relation_table(track)
+    table = relation_table([track])
     assert table.shape == (1, len(relation_keys()))
     assert list(COLUMN) == list(relation_keys())
 
@@ -395,9 +387,9 @@ def test_boolean_values_are_indicator_floats(seed):
     centres = {
         e: [tuple(rng.uniform(0, 300, size=2)) for _ in range(4)] for e in ROLES
     }
-    table = relation_table(moving_track(centres))
+    table = relation_table([moving_track(centres)])
     for key, column in COLUMN.items():
-        if feature_kind(key.split("(", 1)[0]) == "boolean":
+        if FEATURES[key.split("(", 1)[0]].kind == "boolean":
             assert set(table[:, column].tolist()) <= {0.0, 1.0}
 
 
@@ -439,7 +431,7 @@ def _two_frame(o1, o2, hand, idx=(0, 1)):
     )
 
 
-REAL_COLUMNS = np.array([feature_kind(k.split("(", 1)[0]) == "real" for k in relation_keys()])
+REAL_COLUMNS = np.array([FEATURES[k.split("(", 1)[0]].kind == "real" for k in relation_keys()])
 
 
 @given(relation_tracks(), configs)
@@ -456,7 +448,7 @@ REAL_COLUMNS = np.array([feature_kind(k.split("(", 1)[0]) == "real" for k in rel
 )
 @settings(max_examples=300, deadline=None)
 def test_table_matches_the_per_frame_oracle(track, config):
-    table = relation_table(track, config)
+    table = relation_table([track], config)
     expected = np.array(
         [[row[k] for k in relation_keys()] for row in relation_table_reference(track, config)]
     )
@@ -468,8 +460,8 @@ def test_table_matches_the_per_frame_oracle(track, config):
 @given(relation_tracks(), configs)
 @settings(max_examples=200, deadline=None)
 def test_swapping_the_objects_permutes_the_columns(track, config):
-    swapped = relation_table(swap_objects(track), config)
-    assert np.array_equal(swapped, relation_table(track, config)[:, SWAP])
+    swapped = relation_table([swap_objects(track)], config)
+    assert np.array_equal(swapped, relation_table([track], config)[:, SWAP])
 
 
 def test_swap_is_an_involution():
@@ -529,6 +521,6 @@ ALL_RELATIONS = ActionModel(
 @settings(max_examples=100, deadline=None)
 def test_accepted_tracks_give_finite_tables_and_embeddings(document):
     track = parse_annotations(document)[0]
-    assert np.isfinite(relation_table(track)).all()
+    assert np.isfinite(relation_table([track])).all()
     embedding, _ = assign_track(track, {"all-relations": ALL_RELATIONS})["all-relations"]
     assert np.isfinite(embedding.values).all()

@@ -138,7 +138,7 @@ def verify_archetype_geometry(
     def fail(msg: str) -> None:
         raise ContractError(f"{script.archetype} ({track.video_id}): {msg}")
 
-    table = relation_table(track, config)
+    table = relation_table([track], config)
     o1 = table[:, COLUMN["present(object1)"]] > 0
     o2 = table[:, COLUMN["present(object2)"]] > 0
     hand = table[:, COLUMN["present(hand)"]] > 0
