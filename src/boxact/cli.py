@@ -14,7 +14,6 @@ import argparse
 import io
 import sys
 from collections import Counter
-from collections.abc import Container
 from dataclasses import fields
 from pathlib import Path
 
@@ -320,6 +319,10 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--sigmas takes numbers and --ns integers: {exc}")
     if not sigmas or not ns:
         parser.error("--sigmas and --ns must be non-empty comma lists")
+    for flag, values in (("--sigmas", sigmas), ("--ns", ns)):
+        twice = [v for v, count in Counter(values).items() if count > 1]
+        if twice:
+            parser.error(f"{flag} lists {twice[0]:g} more than once")
     tracks = load_annotation_file(args.annotations)
     labels = _labels_of(tracks)
     if len(labels) != len(tracks):
@@ -466,23 +469,30 @@ COMMANDS = {
 }
 
 
-def build_parser(defined: Container[str] = COMMANDS) -> argparse.ArgumentParser:
-    """The ``boxact`` parser, with the arguments of the commands named in ``defined``.
+def _define(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the handler and the arguments of command ``name``."""
+    func, _, add_flags = COMMANDS[name]
+    parser.set_defaults(func=func)
+    add_flags(parser)
+    return parser
 
-    Every command is registered with its help either way, so the top-level
-    help and usage errors do not depend on ``defined``.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``boxact`` parser, with every command and its arguments."""
     parser = argparse.ArgumentParser(
         prog="boxact",
         description="Interpretable activity recognition from bounding-box tracks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help, add_flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        p.set_defaults(func=func)
-        if name in defined:
-            add_flags(p)
+    for name, (_, help, _) in COMMANDS.items():
+        _define(sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS), name)
     return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command: what ``build_parser`` makes of ``boxact <name> ...``."""
+    parser = argparse.ArgumentParser(prog=f"boxact {name}", argument_default=argparse.SUPPRESS)
+    return _define(parser, name)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -491,10 +501,18 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(errors="backslashreplace")
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level parser takes no option with a value, so the first word
-    # that names a command is the command it runs; only its arguments are built
-    parser = build_parser({next((word for word in argv if word in COMMANDS), None)})
-    args = parser.parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        # the full parser would hand the rest of argv to this command's
+        # parser, so only that one is built; an argument it does not know
+        # is left to the full parser, which names it in its usage error
+        parser = _command_parser(argv[0])
+        args, unknown = parser.parse_known_args(argv[1:])
+        if unknown:
+            build_parser().parse_args(argv)
+    else:
+        # help, usage errors and an unknown command come from the full parser
+        parser = build_parser()
+        args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
     except (BoxactError, OSError) as exc:

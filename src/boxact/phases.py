@@ -21,12 +21,15 @@ rows while raw rows are kept for the embedding stage.
 The work is done by array kernels over many score rows at once:
 ``score_rows`` scores the rows of any set of compiled ``TermArrays`` over
 the relation table of one track or of a batch of tracks laid end to end
-(the pipeline passes every model of a threshold set in both object orders),
-and ``assign_batch`` takes those rows as ``score_rows`` lays them out and
-ranks the four alternatives of every (track, model) pair, tracks of one
-length together.  It returns each winner as arrays: its choice, centres
-(N, 5), windows (N, 5, 2), with (-1, -1) for an unplaced phase, and total
-(N,), which the embedding stage reads as they are; ``phase_assignments`` turns them into
+(the pipeline passes every model of a threshold set in both object orders).
+``TermArrays`` merges equal terms and equal rows, so ``score_rows`` builds
+each distinct term's series once and scores and smooths each distinct row
+once; its ``rows`` map picks the distinct row of each row asked for.
+``assign_batch`` takes the distinct rows and that map and ranks the four
+alternatives of every (track, model) pair, tracks of one length together.
+It returns each winner as arrays: its choice, centres (N, 5), windows
+(N, 5, 2), with (-1, -1) for an unplaced phase, and total (N,), which the
+embedding stage reads as they are; ``phase_assignments`` turns them into
 :class:`PhaseAssignment` objects.  Each row keeps the bits of a row computed
 alone: terms are added in term order, every track is smoothed tap by tap
 over its own zero padding, and reductions run along the contiguous last axis.
@@ -286,12 +289,30 @@ def builtin_models() -> dict[str, ActionModel]:
 # --- compiled terms -------------------------------------------------------------
 
 
+_TERM_FIELDS = ("column", "weight", "thresholded", "threshold", "complement", "flip")
+
+
+def _distinct(keys: list) -> tuple[list[int], np.ndarray]:
+    """Where each distinct key first occurs, in order, and which of them each key is."""
+    number: dict = {}
+    first: list[int] = []
+    for i, key in enumerate(keys):
+        if key not in number:
+            number[key] = len(first)
+            first.append(i)
+    return first, np.array([number[key] for key in keys], dtype=np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class TermArrays:
-    """Terms of one or more models as parallel arrays, plus the rows they score.
+    """Distinct terms of one or more models as parallel arrays, plus the rows they score.
 
-    ``slots[r]`` lists the terms added into score row ``r``, in the phase's
-    term order; ``-1`` pads a shorter row and adds zeros.
+    ``slots[d]`` lists the terms added into distinct row ``d``, in the
+    phase's term order; ``-1`` pads a shorter row and adds zeros.  Row ``r``
+    of the rows asked for is distinct row ``rows[r]``.  Two terms are one
+    when all six term arrays agree, floats bit for bit, and two rows are one
+    when they add the same terms in the same order, so a row has the bits
+    it has when it is scored alone.
     """
 
     column: np.ndarray  # relation-table column of each term
@@ -301,6 +322,7 @@ class TermArrays:
     complement: np.ndarray  # negated boolean or indicator: 1 - v
     flip: np.ndarray  # negated real feature: -v
     slots: np.ndarray
+    rows: np.ndarray
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[Term]]) -> TermArrays:
@@ -316,14 +338,32 @@ class TermArrays:
         )
         negate = np.array([t.negate for t in terms], dtype=bool)
         threshold = [0.0 if t.threshold is None else t.threshold for t in terms]
+        return cls._merged(
+            {
+                "column": np.array([COLUMN[t.key] for t in terms], dtype=np.intp),
+                "weight": np.array([t.weight for t in terms], dtype=float),
+                "thresholded": thresholded,
+                "threshold": np.array(threshold, dtype=float),
+                "complement": negate & boolean,
+                "flip": negate & ~boolean,
+            },
+            slots,
+        )
+
+    @classmethod
+    def _merged(cls, arrays: Mapping[str, np.ndarray], slots: np.ndarray) -> TermArrays:
+        """Terms ``arrays`` added into rows ``slots``, equal terms and equal rows merged."""
+        bits = [
+            arrays[name].view(np.int64) if arrays[name].dtype == float else arrays[name]
+            for name in _TERM_FIELDS
+        ]
+        kept, term = _distinct(list(zip(*(b.tolist() for b in bits))))
+        slots = np.where(slots >= 0, term[slots], -1)
+        kept_rows, rows = _distinct([tuple(row) for row in slots.tolist()])
         return cls(
-            column=np.array([COLUMN[t.key] for t in terms], dtype=np.intp),
-            weight=np.array([t.weight for t in terms], dtype=float),
-            thresholded=thresholded,
-            threshold=np.array(threshold, dtype=float),
-            complement=negate & boolean,
-            flip=negate & ~boolean,
-            slots=slots,
+            **{name: arrays[name][kept] for name in _TERM_FIELDS},
+            slots=slots[kept_rows],
+            rows=rows,
         )
 
     @cached_property
@@ -331,39 +371,32 @@ class TermArrays:
         """The same terms read from the table with the two objects swapped."""
         return replace(self, column=SWAP[self.column])
 
-    @staticmethod
-    def concat(parts: Sequence[TermArrays]) -> TermArrays:
-        """All parts' terms in order; their rows are stacked in the same order."""
+    @classmethod
+    def concat(cls, parts: Sequence[TermArrays]) -> TermArrays:
+        """All parts' terms; the rows asked for are the parts' rows, stacked in order."""
         depth = max(p.slots.shape[1] for p in parts)
-        slots = np.full((sum(p.slots.shape[0] for p in parts), depth), -1, dtype=np.intp)
+        slots = np.full((sum(p.rows.size for p in parts), depth), -1, dtype=np.intp)
         row = term = 0
         for p in parts:
-            rows, width = p.slots.shape
-            slots[row : row + rows, :width] = np.where(p.slots >= 0, p.slots + term, -1)
-            row += rows
+            asked = np.where(p.slots >= 0, p.slots + term, -1)[p.rows]
+            slots[row : row + asked.shape[0], : asked.shape[1]] = asked
+            row += asked.shape[0]
             term += p.column.size
-        arrays = {
-            name: np.concatenate([getattr(p, name) for p in parts])
-            for name in ("column", "weight", "thresholded", "threshold", "complement", "flip")
-        }
-        return TermArrays(**arrays, slots=slots)
+        arrays = {name: np.concatenate([getattr(p, name) for p in parts]) for name in _TERM_FIELDS}
+        return cls._merged(arrays, slots)
 
 
-def _term_series(terms: TermArrays, index: np.ndarray, values: np.ndarray) -> None:
+def _term_series(terms: TermArrays, values: np.ndarray) -> None:
     """Turn feature columns into weighted term contributions, in place.
 
-    Row ``i`` of ``values`` holds the feature column of term ``index[i]`` and
-    becomes that term's contribution per frame; a row whose index is -1
-    becomes zeros.  Every step is element-wise, so each entry has the bits of
-    a one-term computation.
+    Row ``i`` of ``values`` holds the feature column of term ``i`` and
+    becomes that term's contribution per frame.  Every step is element-wise,
+    so each entry has the bits of a one-term computation.
     """
-    live = index >= 0
-    term = np.where(live, index, 0)[:, None]
-    np.greater(values, terms.threshold[term], out=values, where=terms.thresholded[term])
-    np.subtract(1.0, values, out=values, where=terms.complement[term])
-    np.negative(values, out=values, where=terms.flip[term])
-    np.multiply(terms.weight[term], values, out=values)
-    values[~live] = 0.0
+    np.greater(values, terms.threshold[:, None], out=values, where=terms.thresholded[:, None])
+    np.subtract(1.0, values, out=values, where=terms.complement[:, None])
+    np.negative(values, out=values, where=terms.flip[:, None])
+    np.multiply(terms.weight[:, None], values, out=values)
 
 
 # --- smoothing ---------------------------------------------------------------
@@ -487,20 +520,23 @@ def score_rows(
     sigma: float = DEFAULT_SIGMA,
     bounds: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and smoothed score rows, one per row of ``terms.slots``, shape (R, T).
+    """Raw and smoothed score rows, one per distinct row of ``terms``, shape (D, T).
 
+    Row ``r`` of the rows asked for is row ``terms.rows[r]`` of each.
     ``table`` may hold several tracks' rows, ``table[bounds[k]:bounds[k+1]]``
-    for track ``k``; each track's rows are smoothed on their own.  A row adds
-    its terms slot by slot in term order, starting from +0.0, so it has the
-    bits of adding them one at a time; a padding slot adds +0.0, which leaves
-    a sum that started at +0.0 unchanged.  One slot's contributions are
-    built at a time, so the transient memory is one (R, T) array.
+    for track ``k``; each track's rows are smoothed on their own.  Each
+    distinct term's contribution is built once.  A row adds its terms slot
+    by slot in term order, starting from +0.0, so it has the bits of adding
+    them one at a time; a padding slot adds +0.0, which leaves a sum that
+    started at +0.0 unchanged.
     """
+    count = terms.column.size
+    series = np.zeros((count + 1, table.shape[0]))  # the last row, read by slot -1, stays zero
+    series[:count] = table[:, terms.column].T
+    _term_series(terms, series[:count])
     raw = np.zeros((terms.slots.shape[0], table.shape[0]))
     for slot in terms.slots.T:
-        series = table[:, terms.column[slot]].T
-        _term_series(terms, slot, series)
-        raw += series
+        raw += series[slot]
     return raw, _smooth_rows(raw, sigma, bounds)
 
 
@@ -520,12 +556,13 @@ def score_frames(
             f"{track.video_id!r}: {relations.shape[0]} relation frames for "
             f"{len(track)} track frames"
         )
-    raw, smoothed = score_rows(model.term_arrays, relations, sigma)
+    terms = model.term_arrays
+    raw, smoothed = score_rows(terms, relations, sigma)
     return PhaseScoreMatrix(
         action_id=model.action_id,
         object_order=object_order,
-        raw=raw,
-        smoothed=smoothed,
+        raw=raw[terms.rows],
+        smoothed=smoothed[terms.rows],
         sigma=sigma,
     )
 
@@ -699,23 +736,27 @@ def phase_assignments(
 
 
 def assign_batch(
-    smoothed: np.ndarray, bounds: Sequence[int], n: int = DEFAULT_WINDOW_HALF_WIDTH
+    smoothed: np.ndarray,
+    rows: np.ndarray,
+    bounds: Sequence[int],
+    n: int = DEFAULT_WINDOW_HALF_WIDTH,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The winning alternative of every (track, model) pair of a batch.
 
-    ``smoothed`` holds the rows as :func:`score_rows` returns them: (model,
-    object order, phase) by frame, with track ``k`` in columns
-    ``bounds[k]:bounds[k+1]``.  Tracks of one length rank together.  A
-    pair's candidates are ranked best-b before second-best-b, and by object
-    order within each; the first strictly highest total wins, so ties keep
-    the earlier candidate.  Entry ``k * M + i`` is track ``k`` under model
-    ``i``: the winner's choice (object order + O x b choice, ``B_CHOICES``
-    order), centres (N, 5), windows (N, 5, 2) and total (N,).
+    ``smoothed`` holds the rows as :func:`score_rows` returns them, with
+    track ``k`` in columns ``bounds[k]:bounds[k+1]``, and ``rows`` (its
+    ``terms.rows``) picks the row of each (model, object order, phase).
+    Tracks of one length rank together.  A pair's candidates are ranked
+    best-b before second-best-b, and by object order within each; the first
+    strictly highest total wins, so ties keep the earlier candidate.  Entry
+    ``k * M + i`` is track ``k`` under model ``i``: the winner's choice
+    (object order + O x b choice, ``B_CHOICES`` order), centres (N, 5),
+    windows (N, 5, 2) and total (N,).
     """
     bounds = np.asarray(bounds)
     lengths = np.diff(bounds)
     o, phases = len(OBJECT_ORDERS), len(PHASES)
-    m = smoothed.shape[0] // (o * phases)
+    m = rows.size // (o * phases)
     entries = lengths.size * m
     won = (
         np.empty(entries, dtype=np.intp),
@@ -728,8 +769,8 @@ def assign_batch(
         group = np.flatnonzero(lengths == t)
         count = group.size * m
         frames = bounds[group, None, None] + np.arange(t)
-        rows = smoothed[np.arange(smoothed.shape[0])[:, None], frames]  # (track, row, frame)
-        centres, totals = _alternatives(rows.reshape(count * o, phases, t))
+        block = smoothed[rows[:, None], frames]  # (track, row, frame)
+        centres, totals = _alternatives(block.reshape(count * o, phases, t))
         # (pair, order, b choice) -> (pair, b choice, order)
         centres = centres.reshape(count, o, 2, phases).swapaxes(1, 2).reshape(count, 2 * o, -1)
         totals = totals.reshape(count, o, 2).swapaxes(1, 2).reshape(count, 2 * o)
@@ -793,5 +834,5 @@ def assign_with_alternatives(
     return phase_assignments(
         [matrix_annotated.action_id],
         [m.object_order for m in matrices],
-        *assign_batch(smoothed, [0, smoothed.shape[1]], n),
+        *assign_batch(smoothed, np.arange(smoothed.shape[0]), [0, smoothed.shape[1]], n),
     )[0]

@@ -139,7 +139,7 @@ def load_models(source: str) -> dict[str, ActionModel]:
 
 
 # Frames in one batch of embed_all's array pass.  A batch pays a fixed cost
-# per call and per track, and its transient arrays grow by about 2.6 KiB per
+# per call and per track, and its transient arrays grow by about 2.4 KiB per
 # frame under the builtin models.  Past about 1,500 frames the cost per frame
 # hardly falls further while the memory keeps growing, so batches stop there;
 # a longer track forms a batch of its own.
@@ -175,7 +175,8 @@ def _assign_tracks(
     pair's four alternatives, then write every chosen window's statistics.
     All reference models use the same thresholds; models with custom
     thresholds get a pass of their own.  The swapped object order is a
-    column permutation of the table.
+    column permutation of the table.  A pass computes only the relation
+    columns its models read, and each distinct term and score row once.
     """
     by_thresholds: dict[RelationConfig, list[str]] = {}
     for action in sorted(models):
@@ -190,18 +191,22 @@ def _assign_tracks(
         terms = TermArrays.concat(
             [t for model in set_models for t in (model.term_arrays, model.term_arrays.swapped)]
         )
-        table = relation_sequence(tracks, thresholds)
+        # every feature a model reads, in both object orders; its terms' are among them
+        read = np.concatenate([model.feature_columns for model in set_models])
+        columns = np.unique(np.concatenate([read, SWAP[read]]))
+        table = relation_sequence(tracks, thresholds, columns)
         raw, smoothed = score_rows(terms, table, sigma, bounds)
-        choice, centres, windows, totals = assign_batch(smoothed, bounds, n)
-        source = np.vstack([raw, table.T])  # every score row, then every relation
+        choice, centres, windows, totals = assign_batch(smoothed, terms.rows, bounds, n)
+        # every distinct score row, then the relations read, in column order
+        source = np.vstack([raw, table.T[columns]])
         del raw, smoothed, table  # the batch's largest arrays; source holds what is left
-        # score rows run over (model, object order, phase); the relations follow
-        score_index = np.arange(terms.slots.shape[0]).reshape(m, len(OBJECT_ORDERS), -1)
+        # score rows run over (model, object order, phase)
+        score_index = terms.rows.reshape(m, len(OBJECT_ORDERS), -1)
         width = max(model.feature_columns.size for model in set_models)
         feature_index = np.full((m, len(OBJECT_ORDERS), width), -1)
-        for i, columns in enumerate(model.feature_columns for model in set_models):
-            feature_index[i, :, : columns.size] = np.stack([columns, SWAP[columns]])
-        feature_index[feature_index >= 0] += score_index.size
+        for i, own in enumerate(model.feature_columns for model in set_models):
+            feature_index[i, :, : own.size] = np.searchsorted(columns, [own, SWAP[own]])
+        feature_index[feature_index >= 0] += terms.slots.shape[0]
         # entry j is track j // m under model j % m
         model_of = np.tile(np.arange(m), len(tracks))
         order = choice % len(OBJECT_ORDERS)

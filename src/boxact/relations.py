@@ -9,12 +9,14 @@ annotated frame, whatever the gap in frame indices between the two; the first
 frame of a track, and any frame where an entity was absent in the previous
 frame, yield a zero offset.
 
-:func:`relation_table` computes every feature for every frame of a sequence
+:func:`relation_table` computes the features for every frame of a sequence
 of tracks in one pass over their frames laid end to end: a float64 table,
 one row per frame, whose columns follow :func:`relation_keys`, booleans
 stored as 0.0/1.0.  Offsets reset at each track's first frame, so the table
 is the per-track tables stacked.  Exchanging the two objects only permutes
 columns, so the table of the object-swapped track is ``table[:, SWAP]``.
+The table can be restricted to the columns a caller reads: the others stay
+0.0, and the intermediates that only they need are never built.
 
 All thresholds live in :class:`RelationConfig` so they can be overridden from
 configuration files; the 0.1 overlap normaliser is a named constant.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -170,19 +173,27 @@ SWAP = np.array([
     COLUMN[feature_key(name, [_OTHER_OBJECT.get(a, a) for a in args])] for name, args in _ENTRIES
 ])
 
-# Column of each (feature name, role indices) pair that relation_table writes
-_COLUMN_OF = {(name, tuple(map(ROLES.index, args))): i for i, (name, args) in enumerate(_ENTRIES)}
+# (feature name, role indices) of each column
+_INDEXED = tuple((name, tuple(map(ROLES.index, args))) for name, args in _ENTRIES)
 
 
 def relation_table(
-    tracks: Sequence[VideoTrack], config: RelationConfig = DEFAULT_CONFIG
+    tracks: Sequence[VideoTrack],
+    config: RelationConfig = DEFAULT_CONFIG,
+    columns: Sequence[int] | np.ndarray | None = None,
 ) -> np.ndarray:
-    """Every catalogued feature for every frame of each track, shape (sum of T, 55).
+    """Catalogued features for every frame of each track, shape (sum of T, 55).
 
     Each track's rows, in turn, are its own table: ``[track]`` gives its
     (T, 55) table.  Columns follow :func:`relation_keys`.  Binary relations
     involving an absent entity are false; real pair features involving an
     absent entity are 0.0.
+
+    Only the ``columns`` given are computed, every column by default; the
+    others stay 0.0.  An intermediate that several features of a pair
+    share (the overlap area, the edge gap, the offset distance) is built
+    once, and only when a column computed needs it, so a computed column
+    has the bits it has in the full table.
     """
     x, y, w, h = np.concatenate([t.boxes for t in tracks]).T  # each (3, T)
     present = np.concatenate([t.present for t in tracks]).T
@@ -198,53 +209,82 @@ def relation_table(
     oy[:, 1:] = np.where(step, np.diff(cy), 0.0)
     speed = np.hypot(ox, oy)
     moving = present & (speed > config.move_threshold)
+    hand = ROLES.index("hand")
 
-    table = np.zeros((present.shape[1], len(_KEYS)))
+    # shared intermediates of a pair a < b
+    @cache
+    def both(a: int, b: int) -> np.ndarray:
+        return present[a] & present[b]
 
-    def put(name: str, args: tuple[int, ...], value: np.ndarray) -> None:
-        table[:, _COLUMN_OF[name, args]] = value
+    @cache
+    def inter(a: int, b: int) -> np.ndarray:
+        common = np.maximum(0.0, np.minimum(x2[a], x2[b]) - np.maximum(x[a], x[b]))
+        common *= np.maximum(0.0, np.minimum(y2[a], y2[b]) - np.maximum(y[a], y[b]))
+        return common
 
-    for e in range(len(ROLES)):
-        put("present", (e,), present[e])
-        put("size", (e,), area[e])
-        put("speed", (e,), speed[e])
-        put("moving", (e,), moving[e])
-
-    for a, b in itertools.combinations(range(len(ROLES)), 2):
-        both = present[a] & present[b]
-        inter = np.maximum(0.0, np.minimum(x2[a], x2[b]) - np.maximum(x[a], x[b]))
-        inter *= np.maximum(0.0, np.minimum(y2[a], y2[b]) - np.maximum(y[a], y[b]))
-        scaled = OVERLAP_NORMALISER * np.minimum(area[a], area[b])
-        overlap = np.divide(
-            inter, scaled, out=np.zeros_like(inter), where=both & (scaled != 0.0)
-        )
-        gap = np.hypot(
+    @cache
+    def gap(a: int, b: int) -> np.ndarray:
+        return np.hypot(
             np.maximum(np.maximum(x[a] - x2[b], x[b] - x2[a]), 0.0),
             np.maximum(np.maximum(y[a] - y2[b], y[b] - y2[a]), 0.0),
         )
-        offset_dist = np.hypot(ox[a] - ox[b], oy[a] - oy[b])
+
+    @cache
+    def offset_dist(a: int, b: int) -> np.ndarray:
+        return np.hypot(ox[a] - ox[b], oy[a] - oy[b])
+
+    @cache
+    def relative(a: int, b: int) -> np.ndarray:
+        return both(a, b) & (offset_dist(a, b) > config.move_with_hand_tol)
+
+    def overlap(a: int, b: int) -> np.ndarray:
+        scaled = OVERLAP_NORMALISER * np.minimum(area[a], area[b])
+        return np.divide(
+            inter(a, b), scaled, out=np.zeros_like(scaled), where=both(a, b) & (scaled != 0.0)
+        )
+
+    def offset_angle(a: int, b: int) -> np.ndarray:
         angle = np.abs(np.arctan2(oy[a], ox[a]) - np.arctan2(oy[b], ox[b]))
         angle = np.where(angle > math.pi, 2.0 * math.pi - angle, angle)
-        centre_dist = np.hypot(cx[a] - cx[b], cy[a] - cy[b])
-        put("overlap", (a, b), overlap)
-        put("centre_dist", (a, b), np.where(both, centre_dist, 0.0))
-        put("offset_dist", (a, b), np.where(both, offset_dist, 0.0))
         # the direction of a near-stationary box is meaningless
-        put("offset_angle", (a, b), np.where(moving[a] & moving[b], angle, 0.0))
-        put("touching", (a, b), both & (gap <= config.touch_tol))
-        relative = both & (offset_dist > config.move_with_hand_tol)
-        for i, j in ((a, b), (b, a)):
-            share = np.divide(
-                inter, area[i], out=np.zeros_like(inter), where=area[i] > 0.0
-            )
-            above_or_below = both & (x[j] <= cx[i]) & (cx[i] <= x2[j])
-            put("contained", (i, j), both & (share >= config.containment_fraction))
-            put("centre_on_top", (i, j), above_or_below & (cy[i] < cy[j]))
-            put("centre_underneath", (i, j), above_or_below & (cy[i] > cy[j]))
-            put("object_move_relative", (i, j), relative & moving[i])
-        if b == ROLES.index("hand"):
-            # together: within touching range and not moving relative
-            together = (gap <= config.touch_tol) & ~relative
-            put("move_with_hand", (a,), together & moving[a] & moving[b])
-            put("hand_move_relative", (a,), relative & moving[b])
+        return np.where(moving[a] & moving[b], angle, 0.0)
+
+    def contained(i: int, j: int) -> np.ndarray:
+        pair = min(i, j), max(i, j)
+        share = np.divide(inter(*pair), area[i], out=np.zeros_like(area[i]), where=area[i] > 0.0)
+        return both(*pair) & (share >= config.containment_fraction)
+
+    def above_or_below(i: int, j: int) -> np.ndarray:
+        return both(min(i, j), max(i, j)) & (x[j] <= cx[i]) & (cx[i] <= x2[j])
+
+    def move_with_hand(a: int) -> np.ndarray:
+        # together: within touching range and not moving relative
+        together = (gap(a, hand) <= config.touch_tol) & ~relative(a, hand)
+        return together & moving[a] & moving[hand]
+
+    # each feature's column from its role indices, symmetric pairs a < b
+    feature = {
+        "size": lambda e: area[e],
+        "speed": lambda e: speed[e],
+        "present": lambda e: present[e],
+        "moving": lambda e: moving[e],
+        "overlap": overlap,
+        "offset_dist": lambda a, b: np.where(both(a, b), offset_dist(a, b), 0.0),
+        "offset_angle": offset_angle,
+        "centre_dist": lambda a, b: np.where(
+            both(a, b), np.hypot(cx[a] - cx[b], cy[a] - cy[b]), 0.0
+        ),
+        "touching": lambda a, b: both(a, b) & (gap(a, b) <= config.touch_tol),
+        "contained": contained,
+        "centre_on_top": lambda i, j: above_or_below(i, j) & (cy[i] < cy[j]),
+        "centre_underneath": lambda i, j: above_or_below(i, j) & (cy[i] > cy[j]),
+        "object_move_relative": lambda i, j: relative(min(i, j), max(i, j)) & moving[i],
+        "move_with_hand": move_with_hand,
+        "hand_move_relative": lambda a: relative(a, hand) & moving[hand],
+    }
+    table = np.zeros((present.shape[1], len(_KEYS)))
+    wanted = range(len(_KEYS)) if columns is None else np.unique(columns).tolist()
+    for column in wanted:
+        name, args = _INDEXED[column]
+        table[:, column] = feature[name](*args)
     return table

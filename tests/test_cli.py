@@ -1207,6 +1207,19 @@ def test_sweep_rejects_malformed_lists_as_usage_errors(workdir, capsys, flags):
     assert "--sigmas takes numbers and --ns integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, value",
+    [(["--sigmas", "2,2.0", "--ns", "3,3"], "--sigmas lists 2"), (["--ns", "3,5,3"], "--ns lists 3")],
+    ids=["sigma", "n"],
+)
+def test_sweep_rejects_a_repeated_grid_value_before_reading_a_file(tmp_path, capsys, flags, value):
+    # the one cell was trained once per repeat and written as identical rows
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--annotations", str(tmp_path / "missing.json"), *flags])
+    assert exc.value.code == 2
+    assert f"boxact sweep: error: {value} more than once" in capsys.readouterr().err
+
+
 def test_generate_negative_count_exits_1(tmp_path, capsys):
     out = tmp_path / "ann.json"
     capsys.readouterr()
@@ -1237,6 +1250,20 @@ def _parsed(parse, argv: list[str]) -> tuple[str, str, object]:
     ids=" ".join,
 )
 def test_main_prints_what_a_parser_of_every_command_prints(argv):
+    assert _parsed(main, argv) == _parsed(build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--predictions", "p.json", "--bogus"],
+        ["fuse", "--predictions", "p.json", "--external", "e.json", "--out", "o.json", "x"],
+        ["train", "--annotations", "a.json", "--out-dir", "f", "--bogus=1"],
+    ],
+    ids=" ".join,
+)
+def test_main_reports_an_unknown_argument_as_the_full_parser_does(argv):
+    # a command's own parser leaves what it does not know to the full parser
     assert _parsed(main, argv) == _parsed(build_parser().parse_args, argv)
 
 

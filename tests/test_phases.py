@@ -315,9 +315,10 @@ def test_the_largest_accepted_weight_keeps_every_row_finite():
     model = model_from_dict(data)
     table = relation_table([track])
     assert np.abs(table).max() <= COORDINATE_LIMIT**2
-    raw, smoothed = score_rows(model.term_arrays, table)
+    terms = model.term_arrays
+    raw, smoothed = score_rows(terms, table)
     assert np.isfinite(raw).all() and np.isfinite(smoothed).all()
-    assert np.isfinite(standardized_rows(_matrix(smoothed))).all()
+    assert np.isfinite(standardized_rows(_matrix(smoothed[terms.rows]))).all()
     embedding, assignment = assign_track(track, {"tiny": model})["tiny"]
     assert np.isfinite(embedding.values).all() and np.isfinite(assignment.total_score)
     data["phases"]["a"][0]["weight"] = -np.nextafter(MAX_TERM_WEIGHT, np.inf)

@@ -8,6 +8,9 @@ from boxact.errors import ConfigError, ContractError
 from boxact.forest import ForestParams
 from boxact.phases import (
     ARCHETYPES,
+    OBJECT_ORDERS,
+    ActionModel,
+    Term,
     builtin_model,
     builtin_models,
     model_from_dict,
@@ -24,9 +27,15 @@ from boxact.pipeline import (
     stratified_split,
     train_forests,
 )
+from boxact.relations import SWAP, relation_keys, relation_table
 from boxact.synthetic import generate_dataset
 
-from oracles import predict_proba_reference
+from oracles import (
+    assign_with_alternatives_reference,
+    embed_video_reference,
+    predict_proba_reference,
+    score_frames_reference,
+)
 
 FAST_FOREST = ForestParams(num_trees=4, seed=0)
 
@@ -153,6 +162,66 @@ def test_assign_track_covers_every_model():
         assert embedding.action_id == action == assignment.action_id
         assert embedding.video_id == tracks[0].video_id
         assert np.all(np.isfinite(embedding.values))
+
+
+def _same(got, want) -> bool:
+    """Equal assignments, ``total_score`` bit for bit."""
+    return got == want and np.float64(got.total_score).tobytes() == np.float64(
+        want.total_score
+    ).tobytes()
+
+
+def _repeating_model() -> ActionModel:
+    """A term twice in one phase and in several phases, and put-into's phase e."""
+    touch = Term("touching", ("object1", "hand"), weight=1.5)
+    slow = Term("speed", ("hand",), weight=-0.25, threshold=3.0)
+    phases = {"a": (touch, touch), "b": (touch, slow, touch), "c": (slow,), "d": (touch, touch)}
+    return ActionModel("repeats", {**phases, "e": builtin_model("put-into").phases["e"]})
+
+
+@pytest.mark.parametrize("mode", ["full", "scores_only"])
+def test_adding_models_changes_no_other_models_output(mode):
+    # the added models share the builtin models' pass: one reads all 55
+    # columns, the other shares terms and rows with itself and with put-into
+    tracks, _ = generate_dataset(list(ARCHETYPES), 2, seed=5)
+    builtin = builtin_models()
+    added = {
+        "all-features": ActionModel(
+            "all-features", builtin["take-out-of"].phases, extra_features=relation_keys()
+        ),
+        "repeats": _repeating_model(),
+    }
+    config = PipelineConfig(embedding_mode=mode)
+    alone = embed_all(tracks, builtin, config)
+    together = embed_all(tracks, {**builtin, **added}, config)
+    for track in tracks:
+        for action in builtin:
+            (embedding, assignment), (want, want_assignment) = (
+                together[track.video_id][action], alone[track.video_id][action]
+            )
+            assert embedding.values.tobytes() == want.values.tobytes()
+            assert _same(assignment, want_assignment)
+        for action, model in added.items():
+            embedding, assignment = together[track.video_id][action]
+            single, single_assignment = assign_track(
+                track, {action: model}, config.n, config.sigma, config.scores_only
+            )[action]
+            assert embedding.values.tobytes() == single.values.tobytes()
+            assert _same(assignment, single_assignment)
+            # term by term, one model and one object order at a time
+            table = relation_table([track], model.thresholds)
+            tables = (table, table[:, SWAP])
+            matrices = [
+                score_frames_reference(model, rel, order, config.sigma)
+                for order, rel in zip(OBJECT_ORDERS, tables)
+            ]
+            want = assign_with_alternatives_reference(*matrices, n=config.n)
+            chosen = OBJECT_ORDERS.index(want.object_order)
+            values = embed_video_reference(
+                want, matrices[chosen], model, tables[chosen], config.scores_only
+            )
+            assert _same(assignment, want)
+            assert embedding.values.tobytes() == values.tobytes()
 
 
 def test_embed_all_rejects_duplicate_ids():

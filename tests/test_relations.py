@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from boxact import pipeline
 from boxact.errors import ConfigError, ContractError
-from boxact.phases import ActionModel, builtin_model
+from boxact.phases import ARCHETYPES, ActionModel, builtin_model
 from boxact.pipeline import assign_track
 from boxact.relations import (
     BOOLEAN_FEATURES,
@@ -38,6 +40,7 @@ from oracles import (
     size,
     swap_objects,
 )
+from test_parity import model_sets
 
 
 def _at(track, index: int, config: RelationConfig = DEFAULT_CONFIG) -> dict[str, float]:
@@ -462,6 +465,52 @@ def test_table_matches_the_per_frame_oracle(track, config):
 def test_swapping_the_objects_permutes_the_columns(track, config):
     swapped = relation_table([swap_objects(track)], config)
     assert np.array_equal(swapped, relation_table([track], config)[:, SWAP])
+
+
+@given(
+    st.lists(relation_tracks(), min_size=1, max_size=3),
+    configs,
+    st.lists(st.integers(min_value=0, max_value=len(relation_keys()) - 1), max_size=60),
+)
+@example(
+    # move_with_hand alone: its gap and relative movement are built for it
+    [_two_frame((box(0, 0),) * 2, (box(30, 0),) * 2, (box(15, 0), box(21, 0)))],
+    DEFAULT_CONFIG,
+    [COLUMN["move_with_hand(object1)"]],
+)
+@settings(max_examples=300, deadline=None)
+def test_a_restricted_table_holds_the_full_tables_columns(tracks, config, columns):
+    # columns in any order, repeats allowed; the others stay +0.0
+    full = relation_table(tracks, config)
+    restricted = relation_table(tracks, config, columns)
+    chosen = np.isin(np.arange(full.shape[1]), columns)
+    assert restricted.shape == full.shape
+    assert restricted[:, chosen].tobytes() == full[:, chosen].tobytes()
+    assert restricted[:, ~chosen].tobytes() == np.zeros_like(full[:, ~chosen]).tobytes()
+
+
+@given(model_sets)
+@example({a: builtin_model(a) for a in ARCHETYPES})
+@settings(max_examples=100, deadline=None)
+def test_the_pass_computes_every_column_its_models_read(models):
+    computed = []
+
+    def table(tracks, config, columns):
+        computed.append((config, set(columns.tolist())))
+        return relation_table(tracks, config, columns)
+
+    track = moving_track({"object1": [(10, 10), (12, 10)], "hand": [(40, 10), (30, 10)]})
+    with mock.patch.object(pipeline, "relation_sequence", table):
+        assign_track(track, models)
+    columns = dict(computed)
+    assert len(columns) == len(computed) == len({m.thresholds for m in models.values()})
+    for model in models.values():
+        read = model.feature_columns
+        terms = model.term_arrays
+        for order in (read, SWAP[read], terms.column, terms.swapped.column):
+            assert set(order.tolist()) <= columns[model.thresholds]
+    if set(models) == set(ARCHETYPES):
+        assert len(columns[DEFAULT_CONFIG]) == 14
 
 
 def test_swap_is_an_involution():
