@@ -3,9 +3,11 @@
 One forest per action detects that action's presence; multi-class decisions
 take the forest with the highest probability.  Trees are grown by greedy
 binary splitting on weighted Gini impurity, with candidate thresholds at
-midpoints between consecutive distinct feature values.  Ties between equally
-good splits break toward the lowest feature index, then the lowest
-threshold, which makes training independent of sample order.
+midpoints between consecutive distinct feature values.  Each candidate
+feature's exact ties go to its lowest threshold.  Across features, a node
+visits its candidates in ascending index order and a later feature replaces
+the best only when its impurity is lower by more than 1e-12.  So training
+does not depend on sample order.
 
 The trees of several forests grow in lockstep (:func:`grow_forests`;
 :func:`train_forest` and :func:`train_tree` grow one).  Tree k of every
@@ -28,9 +30,13 @@ that draw fewer candidate features than others pad their draws with a
 constant column, which never splits.  Each step holds the next node of
 every live tree in flat arrays and does its bookkeeping for all of them in a
 fixed number of array operations; it searches their candidate features in
-batches of bounded size, and of each node only the candidates that vary on
-its rows, each such lane (node, candidate) padded to the batch's largest
-node and all lanes sorted, summed and scored together.
+batches of bounded size.  A lane is one (node, candidate) pair.  Lanes whose
+candidate is constant on the node's forest's training rows are dropped
+before any gather; each other lane gathers its ranks once, padded to the
+batch's largest node, and one sort per lane gives both its order and
+whether it varies on the node.  The lanes that vary are summed and scored
+together, and each node's feature is picked by one argmin, with the 1e-12
+rule scanned only where two candidates lie that close.
 Pending right children wait in per-tree array stacks.  A node's weight and
 positive weight are summed with the nodes of equal length, as the rows of
 one matrix, which keeps numpy's pairwise order and so every bit of summing
@@ -138,20 +144,31 @@ class _SearchTable(NamedTuple):
     ``ranks`` holds, per column, each row's rank among the column's distinct
     values: equal exactly where the values are equal (``-0.0 == 0.0``), so
     ordering a node's rows by (rank, position) is their stable sort.  The
-    arrays other than ``values`` have one more row, used to pad a node's
-    rows: it ranks above every real row, as a row of ``+inf`` would, and
-    weighs nothing.
+    arrays other than ``values`` and ``block`` have one more row, used to pad
+    a node's rows: it ranks above every real row, as a row of ``+inf``
+    would, and weighs nothing.  The rows fall into blocks, one per forest,
+    and every node's rows lie in one block.  ``varies[b, f]`` says whether
+    column ``f`` takes more than one rank on block ``b``'s rows; a column
+    constant on a block is constant on each of its nodes, so the search
+    drops those candidates before it gathers any rank.
     """
 
     values: np.ndarray  # (n, d)
     ranks: np.ndarray  # (n + 1, d)
     weights: np.ndarray  # (n + 1,)
     positive_weights: np.ndarray  # (n + 1,): the weight of a positive row, else 0
+    block: np.ndarray  # (n,): each row's block
+    varies: np.ndarray  # (blocks, d)
 
 
 def _search_table(
-    values: np.ndarray, labels: np.ndarray, weights: np.ndarray
+    values: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    block_rows: Sequence[int] | None = None,
 ) -> _SearchTable:
+    """The search table of ``values``, whose rows are blocks of ``block_rows``
+    rows each, in order: one block of all rows when None."""
     n, d = values.shape
     order = np.argsort(values, axis=0, kind="stable")
     ordered = np.take_along_axis(values, order, axis=0)
@@ -159,9 +176,13 @@ def _search_table(
     np.cumsum(ordered[1:] > ordered[:-1], axis=0, out=dense[1:])
     ranks = np.full((n + 1, d), n, dtype=np.int64)
     np.put_along_axis(ranks[:n], order, dense, axis=0)
+    sizes = np.array([n] if block_rows is None else block_rows, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(sizes.size), sizes)
+    varies = np.maximum.reduceat(ranks[:n], starts) > np.minimum.reduceat(ranks[:n], starts)
     weights = np.append(weights, 0.0)
     positive_weights = np.where(np.append(labels == 1, False), weights, 0.0)
-    return _SearchTable(values, ranks, weights, positive_weights)
+    return _SearchTable(values, ranks, weights, positive_weights, block, varies)
 
 
 # Most (node, candidate feature, row) entries in one batch of the split
@@ -169,6 +190,38 @@ def _search_table(
 # about 3 MiB in all, however many rows, trees and forests a pass grows.
 # Larger batches grew the crossval benchmark's five forests no faster.
 _SEARCH_ENTRIES = 1 << 16
+
+
+def _first_lowest(gini: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Each row's column of ``gini`` chosen by the cross-feature rule, -1 where
+    no column is ``valid``; invalid entries hold ``+inf``.
+
+    The rule visits a row's valid columns in ascending order and takes the
+    first; a later one replaces the best only when lower by more than
+    1e-12.  Where the lowest lies in [-1, 1] (Gini impurities lie in
+    [0, 0.5]) and every entry within 2e-12 of it equals it, the rule picks
+    the first lowest, which ``argmin`` gives: the best it ends on is within
+    1e-12 of the lowest, rounding of ``best - 1e-12`` included, so it is the
+    lowest, taken where first met.  Only the other rows are scanned.
+    """
+    column = gini.argmin(axis=1)
+    lowest = gini[np.arange(column.size), column]
+    close = gini <= (lowest + 2e-12)[:, None]
+    close &= gini > lowest[:, None]
+    odd = ~(np.abs(lowest) <= 1.0)  # no valid column, or an inf or NaN
+    column[odd] = -1
+    rows = np.flatnonzero(close.any(axis=1) | odd)
+    rows = rows[valid[rows].any(axis=1)]
+    if rows.size:
+        found = np.full(rows.size, -1)
+        best = np.zeros(rows.size)
+        for j in range(gini.shape[1]):
+            g = gini[rows, j]
+            better = valid[rows, j] & ((found < 0) | (g < best - 1e-12))
+            found[better] = j
+            best[better] = g[better]
+        column[rows] = found
+    return column
 
 
 def _best_splits(
@@ -182,31 +235,33 @@ def _best_splits(
 
     Node i owns the next ``sizes[i]`` row indices into ``table`` of ``rows``,
     weighs ``totals[i]`` and searches the candidate features
-    ``candidates[i]``; every node draws the same number of candidates.  Only
-    the lanes (node, candidate feature) whose feature varies on the node's
-    rows are searched: a lane that is constant there has no split.  Each
-    searched lane is padded to the largest node's row count with the table's
-    padding row, which sorts last and weighs nothing, and split positions at
-    or after a node's last real row are masked.  So each node gets the
-    result it would get searched alone.  Returns the arrays (impurity,
-    feature, threshold) over the nodes; the feature is -1, and the other two
-    are meaningless, where every candidate feature is constant on that node.
+    ``candidates[i]``; every node draws the same number of candidates, and
+    all of a node's rows lie in one block of the table.  A lane is one
+    (node, candidate feature) pair.  Lanes whose feature is constant on the
+    node's block are dropped before any rank is gathered.  Each other lane
+    gathers its node's ranks once, padded to the largest node's row count
+    with the table's padding row, which sorts last and weighs nothing, and
+    one sort keys them by (rank, position).  That sort gives both the
+    lane's order and whether it varies on the node: its first rank lies
+    below the rank at the node's last real row.  Lanes that do not vary
+    have no split and are dropped; the rest are summed and scored together,
+    with split positions at or after a node's last real row masked.  Each
+    feature's exact ties go to its lowest threshold, and each node's feature
+    is picked by :func:`_first_lowest`'s rule.  So each node gets the result
+    it would get searched alone.  Returns the arrays (impurity, feature,
+    threshold) over the nodes; the feature is -1, and the other two are
+    meaningless, where every candidate feature is constant on that node.
     """
     count, width = sizes.size, int(sizes.max())
     features = np.sort(candidates, axis=1)
-    d = table.ranks.shape[1]
-    # only the lanes (node, feature) whose feature varies on the node's rows can split
-    cells = np.repeat(features, sizes, axis=0)
-    cells += (rows * d)[:, None]
-    ranks = table.ranks.take(cells)
-    starts = np.cumsum(sizes) - sizes
-    has_split = np.maximum.reduceat(ranks, starts) > np.minimum.reduceat(ranks, starts)
-    del ranks
-    node, lane = np.nonzero(has_split)
-    index = np.full((count, width), table.values.shape[0])
+    n, d = table.values.shape
+    # a feature constant on a node's block is constant on the node
+    first_row = rows[np.cumsum(sizes) - sizes]
+    node, lane = np.nonzero(table.varies[table.block[first_row][:, None], features])
+    index = np.full((count, width), n)
     index[np.arange(width) < sizes[:, None]] = rows
-    # each kept lane keys its rows by (rank, position); the keys are
-    # distinct, so sorting them gives the stable order of the values
+    # each lane keys its rows by (rank, position); the keys are distinct, so
+    # sorting them gives the stable order of the values
     keys = (index * d)[node]
     keys += features[node, lane][:, None]
     keys = table.ranks.take(keys)
@@ -214,14 +269,21 @@ def _best_splits(
     keys <<= shift
     keys |= np.arange(width)
     keys.sort(axis=1)
+    # a lane varies on its node where its first rank is below the rank at the
+    # node's last real row; the padding rows sort after the real ones
+    last = keys[np.arange(node.size), sizes[node] - 1]
+    varies = (keys[:, 0] >> shift) < (last >> shift)
+    node, lane = node[varies], lane[varies]
     # from here on a lane is a column, so that every pass below, the sums
     # down each lane included, runs over the rows of all lanes at once
-    keys = keys.T.copy()
-    # split after row i: left = [0..i], right = (i..size); valid where the rank rises
+    keys = keys[varies].T.copy()
+    # split after row i: left = [0..i], right = (i..size); none where the rank
+    # stays, nor after the last real row, where it rises to the padding's
     ranks = keys >> shift
-    distinct = ranks[1:] > ranks[:-1]
+    same = ranks[1:] == ranks[:-1]
     del ranks
-    distinct &= np.arange(width - 1)[:, None] < sizes[node] - 1
+    padded = np.flatnonzero(sizes[node] < width)
+    same[sizes[node[padded]] - 1, padded] = True
     keys &= (1 << shift) - 1
     keys += node * width
     ordered = index.take(keys)  # each lane's row indices in sorted order
@@ -254,23 +316,15 @@ def _best_splits(
         gini += wr
         del cw, wl, wr, wpr, pr
         gini /= total
-    np.putmask(gini, ~distinct, np.inf)
+    np.putmask(gini, same, np.inf)
     # exact ties within one feature resolve to the lowest threshold, which
     # argmin's first-hit rule gives on sorted values
     best_row = np.argmin(gini, axis=0)
-    best_gini = np.full(has_split.shape, np.inf)
-    best_gini[node, lane] = gini[best_row, np.arange(node.size)]
-    lanes = np.zeros(has_split.shape, dtype=np.intp)  # each kept lane's index
+    lane_gini = np.full(features.shape, np.inf)
+    lane_gini[node, lane] = gini[best_row, np.arange(node.size)]
+    lanes = np.full(features.shape, -1)  # each searched lane's index
     lanes[node, lane] = np.arange(node.size)
-    # in ascending feature order, a feature replaces the best only when lower
-    # by more than 1e-12; an argmin over features would not keep that rule
-    column = np.full(count, -1)
-    best = np.zeros(count)
-    for j in range(features.shape[1]):
-        g = best_gini[:, j]
-        better = has_split[:, j] & ((column < 0) | (g < best - 1e-12))
-        column[better] = j
-        best[better] = g[better]
+    column = _first_lowest(lane_gini, lanes >= 0)
     split = np.flatnonzero(column >= 0)
     j = column[split]
     at = lanes[split, j]
@@ -280,6 +334,8 @@ def _best_splits(
     high = table.values[ordered[r + 1, at], f]
     with np.errstate(over="ignore"):
         thresholds = (low + high) / 2.0
+    best = np.zeros(count)
+    best[split] = lane_gini[split, j]
     feature = np.full(count, -1)
     feature[split] = f
     threshold = np.zeros(count)
@@ -546,7 +602,7 @@ def _grow_trees(
     labels = np.concatenate([labels for _, labels, _ in blocks])
     weights = np.concatenate([weights for _, _, weights in blocks])
     positive = labels == 1
-    table = _search_table(values, labels, weights)
+    table = _search_table(values, labels, weights, block_rows)
     # each tree's block: rows, features, candidates and the growth
     # bounds; a node at depth k holds at least k + 1 rows, so the bounds act as given
     per_block = [

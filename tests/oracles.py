@@ -816,6 +816,23 @@ def best_split_reference(
     return best
 
 
+def first_lowest_reference(gini: np.ndarray, valid: np.ndarray) -> list[int]:
+    """Each row's feature under the cross-feature rule, -1 where none is valid.
+
+    A row's valid features are visited in ascending order; the first is
+    taken, and a later one replaces the best only when its impurity is lower
+    by more than 1e-12, as in :func:`best_split_reference`.
+    """
+    chosen = []
+    for row, ok in zip(gini.tolist(), valid.tolist()):
+        best: tuple[float, int] | None = None
+        for j, (g, is_valid) in enumerate(zip(row, ok)):
+            if is_valid and (best is None or g < best[0] - 1e-12):
+                best = (g, j)
+        chosen.append(-1 if best is None else best[1])
+    return chosen
+
+
 def grow_tree_reference(
     values: np.ndarray,
     labels: np.ndarray,

@@ -24,6 +24,7 @@ from boxact.forest import (
     TREE_COLUMNS,
     ForestParams,
     _best_splits,
+    _first_lowest,
     _run_sums,
     _search_table,
     forest_from_dict,
@@ -39,6 +40,7 @@ from boxact.forest import (
 
 from oracles import (
     best_split_reference,
+    first_lowest_reference,
     forest_from_dict_reference,
     forest_trees_reference,
     grow_tree_reference,
@@ -344,6 +346,63 @@ def test_batch_of_a_node_with_no_varying_lane_and_one_that_splits():
     want = best_split_reference(*(column[rows] for column in CONSTANT_LANES), candidates)
     assert got[0] is None and want is not None
     assert repr(got[1]) == repr(want)
+
+
+# offsets from a matrix's base impurity: below, at and above the rule's 1e-12 margin
+GAPS = [0.0, 3e-13, -3e-13, 9e-13, -9e-13, 1e-12, -1e-12, 1.5e-12, -1.5e-12, 2e-12, -2e-12, 3e-12]
+
+
+@st.composite
+def gini_matrices(draw):
+    """Impurities of lanes (node, feature) that lie within a few 1e-12 of one
+    another.  Invalid lanes hold +inf; a valid one may hold inf or NaN, as
+    weights near overflow give, or a value outside [0, 0.5]."""
+    count = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
+    base = draw(st.floats(0.0, 0.5))
+    near = st.sampled_from(GAPS).map(lambda gap: base + gap)
+    cell = near | st.floats(0.0, 0.5) | st.sampled_from([np.inf, np.nan, 7.0, -3.0])
+    gini = np.array(draw(st.lists(cell, min_size=count * m, max_size=count * m)))
+    gini = gini.reshape(count, m)
+    valid = draw(hnp.arrays(bool, (count, m)))
+    gini[~valid] = np.inf
+    return gini, valid
+
+
+@given(gini_matrices())
+# argmin takes column 1, but it is lower by less than 1e-12, so column 0 stays
+@example((np.array([[0.25, 0.25 - 5e-13]]), np.array([[True, True]])))
+@settings(max_examples=300, deadline=None)
+def test_feature_pick_equals_the_sequential_scan(matrix):
+    gini, valid = matrix
+    assert _first_lowest(gini, valid).tolist() == first_lowest_reference(gini, valid)
+
+
+def test_forests_whose_constant_columns_differ_grow_as_alone():
+    """Forests grown in one pass, each constant on other columns, equal each
+    forest grown alone and the one-tree-at-a-time reference."""
+    rng = np.random.default_rng(9)
+    choices = [-1.0, -0.0, 0.0, 0.5, 2.0, 3.5]
+    a, b, c = (rng.choice(choices, size=(36, d)) for d in (8, 8, 7))
+    for block in (a, b, c):
+        block[:, 2] = 0.5  # constant on all three
+    a[:, 3] = 1.0  # constant on A, varies on B, which it predicts
+    b[:, 5] = -1.0  # constant on B, varies on A, which it predicts
+    c[:, 6] = rng.choice([-0.0, 0.0], size=36)  # -0.0 ties with 0.0: constant on C
+    labels = {
+        "a": ((a[:, 5] > 0.7) ^ (rng.uniform(size=36) < 0.1)).astype(int),
+        "b": ((b[:, 3] > 0.7) ^ (rng.uniform(size=36) < 0.1)).astype(int),
+        "c": (rng.uniform(size=36) < 0.4).astype(int),
+    }
+    samples = {key: (values, labels[key]) for key, values in zip("abc", (a, b, c))}
+    for bootstrap, class_weight in itertools.product([True, False], [None, "balanced"]):
+        params = ForestParams(num_trees=6, seed=2, bootstrap=bootstrap, class_weight=class_weight)
+        grown = grow_forests(samples, params)
+        for key, (values, y) in samples.items():
+            # repr also tells -0.0 from 0.0
+            got = repr(grown[key].trees)
+            assert got == repr(train_forest(values, y, params).trees)
+            assert got == repr(forest_trees_reference(values, y, params))
 
 
 @pytest.mark.parametrize("class_weight", [None, "balanced"])
