@@ -111,15 +111,12 @@ def average_precision(
     if num_pos == 0:
         warnings.warn("average precision undefined without positives", stacklevel=2)
         return None
-    # sort by descending score; at equal scores negatives come first
-    order = sorted(range(scores.size), key=lambda i: (-scores[i], labels[i]))
-    hits = 0
-    total = 0.0
-    for rank, i in enumerate(order, start=1):
-        if labels[i] == 1:
-            hits += 1
-            total += hits / rank
-    return total / num_pos
+    # rank by descending score; at equal scores negatives come first
+    positive = labels[np.lexsort((labels, -scores))] == 1
+    precision = np.cumsum(positive) / np.arange(1, scores.size + 1)
+    # the precisions at the positive ranks, added one at a time in rank order
+    total = np.cumsum(np.where(positive, precision, 0.0))[-1]
+    return float(total) / num_pos
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,14 @@ four resulting alternatives wins by total score; because score scales differ
 between phases, totals are compared on per-phase standardised (z-scored)
 rows while raw rows are kept for the embedding stage.
 
-The work is done by array kernels over many score rows at once:
-``score_rows`` scores the rows of any set of compiled ``TermArrays`` over
-the relation table of one track or of a batch of tracks laid end to end
-(the pipeline passes every model of a threshold set in both object orders).
-``TermArrays`` merges equal terms and equal rows, so ``score_rows`` builds
-each distinct term's series once and scores and smooths each distinct row
-once; its ``rows`` map picks the distinct row of each row asked for.
+The work is done by array kernels over many score rows at once.  Each
+``Term`` compiles itself once, and ``TermArrays.of`` gathers the compiled
+terms of any rows, each row in either object order, merging equal terms and
+equal rows (the pipeline passes every (model, object order, phase) row of a
+threshold set).  ``score_rows`` scores them over the relation table of one
+track or of a batch of tracks laid end to end: it builds each distinct
+term's series once and scores and smooths each distinct row once, and the
+``rows`` map picks the distinct row of each row asked for.
 ``assign_batch`` takes the distinct rows and that map and ranks the four
 alternatives of every (track, model) pair, tracks of one length together.
 It returns each winner as arrays: its choice, centres (N, 5), windows
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property
 from importlib import resources
 from numbers import Real
@@ -127,6 +128,8 @@ class Term:
     negate: bool = False
     threshold: float | None = None
     key: str = field(init=False, repr=False, compare=False)  # canonical feature key
+    # this term's entries of TermArrays' six term arrays, in their order
+    compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         where = f"term {self.feature!r}"
@@ -146,6 +149,19 @@ class Term:
             raise ConfigError(f"{where}: negate must be true or false, got {self.negate!r}")
         if self.threshold is not None:
             object.__setattr__(self, "threshold", check_finite(f"{where}: threshold", self.threshold))
+        thresholded = self.threshold is not None
+        boolean = thresholded or self.feature in BOOLEAN_FEATURES
+        # adding +0.0 turns -0.0 into +0.0, so equal tuples hold equal bits;
+        # a term of either zero adds the same bits to a row
+        compiled = (
+            COLUMN[self.key],
+            self.weight + 0.0,
+            thresholded,
+            self.threshold + 0.0 if thresholded else 0.0,
+            self.negate and boolean,
+            self.negate and not boolean,
+        )
+        object.__setattr__(self, "compiled", compiled)
 
 
 @dataclass(frozen=True)
@@ -196,11 +212,6 @@ class ActionModel:
     def feature_columns(self) -> np.ndarray:
         """Relation-table column of each entry of ``feature_list``."""
         return np.array([COLUMN[key] for key in self.feature_list], dtype=np.intp)
-
-    @cached_property
-    def term_arrays(self) -> TermArrays:
-        """The phases' terms compiled once, one score row per phase."""
-        return TermArrays.of([self.phases[p] for p in PHASES])
 
 
 def _term_from_dict(entry) -> Term:
@@ -269,10 +280,7 @@ def save_action_model(model: ActionModel, path: str | Path) -> None:
 
 @cache
 def builtin_model(archetype: str) -> ActionModel:
-    """One of the reference models shipped with the package, read once per process.
-
-    Every call returns the same model, so its terms are compiled once too.
-    """
+    """One of the reference models shipped with the package, read once per process."""
     if archetype not in ARCHETYPES:
         raise ConfigError(
             f"unknown archetype {archetype!r}, expected one of {ARCHETYPES}"
@@ -289,7 +297,8 @@ def builtin_models() -> dict[str, ActionModel]:
 # --- compiled terms -------------------------------------------------------------
 
 
-_TERM_FIELDS = ("column", "weight", "thresholded", "threshold", "complement", "flip")
+_TERM_DTYPES = (np.intp, float, bool, float, bool, bool)  # of Term.compiled's entries
+_SWAPPED = SWAP.tolist()
 
 
 def _distinct(keys: list) -> tuple[list[int], np.ndarray]:
@@ -305,14 +314,14 @@ def _distinct(keys: list) -> tuple[list[int], np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class TermArrays:
-    """Distinct terms of one or more models as parallel arrays, plus the rows they score.
+    """Distinct terms of some rows of terms as parallel arrays, plus the rows they score.
 
     ``slots[d]`` lists the terms added into distinct row ``d``, in the
-    phase's term order; ``-1`` pads a shorter row and adds zeros.  Row ``r``
+    row's term order; ``-1`` pads a shorter row and adds zeros.  Row ``r``
     of the rows asked for is distinct row ``rows[r]``.  Two terms are one
-    when all six term arrays agree, floats bit for bit, and two rows are one
-    when they add the same terms in the same order, so a row has the bits
-    it has when it is scored alone.
+    when their six entries agree, column after any swap, floats bit for
+    bit, and two rows are one when they add the same terms in the same
+    order, so a row has the bits it has when it is scored alone.
     """
 
     column: np.ndarray  # relation-table column of each term
@@ -325,65 +334,30 @@ class TermArrays:
     rows: np.ndarray
 
     @classmethod
-    def of(cls, rows: Sequence[Sequence[Term]]) -> TermArrays:
-        terms = [t for row in rows for t in row]
-        slots = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
-        start = 0
-        for r, row in enumerate(rows):
-            slots[r, : len(row)] = np.arange(start, start + len(row))
-            start += len(row)
-        thresholded = np.array([t.threshold is not None for t in terms], dtype=bool)
-        boolean = thresholded | np.array(
-            [t.feature in BOOLEAN_FEATURES for t in terms], dtype=bool
-        )
-        negate = np.array([t.negate for t in terms], dtype=bool)
-        threshold = [0.0 if t.threshold is None else t.threshold for t in terms]
-        return cls._merged(
-            {
-                "column": np.array([COLUMN[t.key] for t in terms], dtype=np.intp),
-                "weight": np.array([t.weight for t in terms], dtype=float),
-                "thresholded": thresholded,
-                "threshold": np.array(threshold, dtype=float),
-                "complement": negate & boolean,
-                "flip": negate & ~boolean,
-            },
-            slots,
-        )
+    def of(cls, rows: Sequence[Sequence[Term]], swapped: Sequence[bool] = ()) -> TermArrays:
+        """The terms of ``rows``, equal terms and equal rows merged.
 
-    @classmethod
-    def _merged(cls, arrays: Mapping[str, np.ndarray], slots: np.ndarray) -> TermArrays:
-        """Terms ``arrays`` added into rows ``slots``, equal terms and equal rows merged."""
-        bits = [
-            arrays[name].view(np.int64) if arrays[name].dtype == float else arrays[name]
-            for name in _TERM_FIELDS
-        ]
-        kept, term = _distinct(list(zip(*(b.tolist() for b in bits))))
+        Row ``r`` reads the table with the two objects swapped where
+        ``swapped[r]`` is true; no row does when ``swapped`` is empty.
+        """
+        lengths = np.array([len(row) for row in rows], dtype=np.intp)
+        place = np.arange(lengths.max(initial=0))
+        first = np.cumsum(lengths) - lengths
+        slots = np.where(place < lengths[:, None], first[:, None] + place, -1)
+        compiled = [t.compiled for row in rows for t in row]
+        if len(swapped):
+            on_swapped = np.repeat(np.asarray(swapped, dtype=bool), lengths)
+            for i in np.flatnonzero(on_swapped).tolist():
+                compiled[i] = (_SWAPPED[compiled[i][0]], *compiled[i][1:])
+        kept, term = _distinct(compiled)
         slots = np.where(slots >= 0, term[slots], -1)
-        kept_rows, rows = _distinct([tuple(row) for row in slots.tolist()])
+        kept_rows, rows = _distinct(list(map(tuple, slots.tolist())))
+        fields = zip(*[compiled[i] for i in kept]) if kept else [()] * len(_TERM_DTYPES)
         return cls(
-            **{name: arrays[name][kept] for name in _TERM_FIELDS},
+            *(np.array(f, dtype=dtype) for f, dtype in zip(fields, _TERM_DTYPES)),
             slots=slots[kept_rows],
             rows=rows,
         )
-
-    @cached_property
-    def swapped(self) -> TermArrays:
-        """The same terms read from the table with the two objects swapped."""
-        return replace(self, column=SWAP[self.column])
-
-    @classmethod
-    def concat(cls, parts: Sequence[TermArrays]) -> TermArrays:
-        """All parts' terms; the rows asked for are the parts' rows, stacked in order."""
-        depth = max(p.slots.shape[1] for p in parts)
-        slots = np.full((sum(p.rows.size for p in parts), depth), -1, dtype=np.intp)
-        row = term = 0
-        for p in parts:
-            asked = np.where(p.slots >= 0, p.slots + term, -1)[p.rows]
-            slots[row : row + asked.shape[0], : asked.shape[1]] = asked
-            row += asked.shape[0]
-            term += p.column.size
-        arrays = {name: np.concatenate([getattr(p, name) for p in parts]) for name in _TERM_FIELDS}
-        return cls._merged(arrays, slots)
 
 
 def _term_series(terms: TermArrays, values: np.ndarray) -> None:
@@ -556,7 +530,7 @@ def score_frames(
             f"{track.video_id!r}: {relations.shape[0]} relation frames for "
             f"{len(track)} track frames"
         )
-    terms = model.term_arrays
+    terms = TermArrays.of([model.phases[p] for p in PHASES])
     raw, smoothed = score_rows(terms, relations, sigma)
     return PhaseScoreMatrix(
         action_id=model.action_id,

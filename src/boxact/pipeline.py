@@ -27,6 +27,7 @@ from .phases import (
     DEFAULT_WINDOW_HALF_WIDTH,
     MAX_SIGMA,
     OBJECT_ORDERS,
+    PHASES,
     ActionModel,
     PhaseAssignment,
     TermArrays,
@@ -188,8 +189,9 @@ def _assign_tracks(
         m = len(set_models)
         # built before the table: after it, these small arrays raised the
         # classify benchmark's peak RSS by 0.6 MiB
-        terms = TermArrays.concat(
-            [t for model in set_models for t in (model.term_arrays, model.term_arrays.swapped)]
+        terms = TermArrays.of(
+            [model.phases[p] for model in set_models for _ in OBJECT_ORDERS for p in PHASES],
+            [order == "swapped" for _ in set_models for order in OBJECT_ORDERS for _ in PHASES],
         )
         # every feature a model reads, in both object orders; its terms' are among them
         read = np.concatenate([model.feature_columns for model in set_models])

@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from boxact import pipeline
 from boxact.errors import ConfigError, ContractError
 from boxact.phases import (
     ARCHETYPES,
     MAX_TERM_WEIGHT,
+    OBJECT_ORDERS,
     PHASES,
     ActionModel,
     PhaseScoreMatrix,
@@ -53,6 +56,7 @@ from oracles import (
     smooth_reference,
     term_value,
 )
+from test_parity import terms as catalogue_terms, tracks as parity_tracks
 
 # --- smoothing ----------------------------------------------------------------
 
@@ -315,7 +319,7 @@ def test_the_largest_accepted_weight_keeps_every_row_finite():
     model = model_from_dict(data)
     table = relation_table([track])
     assert np.abs(table).max() <= COORDINATE_LIMIT**2
-    terms = model.term_arrays
+    terms = TermArrays.of([model.phases[p] for p in PHASES])
     raw, smoothed = score_rows(terms, table)
     assert np.isfinite(raw).all() and np.isfinite(smoothed).all()
     assert np.isfinite(standardized_rows(_matrix(smoothed[terms.rows]))).all()
@@ -385,6 +389,57 @@ def test_a_term_built_in_code_holds_its_fields_as_a_model_file_does():
     assert model_from_dict(model_to_dict(model)) == model
     assert (term.args, term.weight, term.threshold) == (("hand", "object1"), 2.0, 1.0)
     assert type(term.weight) is type(term.threshold) is float
+
+
+# --- compiled terms -------------------------------------------------------------
+
+
+@st.composite
+def term_rows(draw) -> tuple[list[tuple[Term, ...]], list[bool]]:
+    """Rows of terms drawn from a small pool, so that rows share terms, and their flags.
+
+    The flags are empty at times, which compiles every row in the annotated order.
+    """
+    # a term of zero weight adds the same zeros in either object order
+    pool = draw(st.lists(catalogue_terms.filter(lambda t: t.weight != 0), min_size=1, max_size=6))
+    row = st.lists(st.sampled_from(pool), max_size=4).map(tuple)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    flags = st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))
+    return rows, draw(st.one_of(st.just([]), flags))
+
+
+@given(term_rows(), parity_tracks(), st.sampled_from([0.5, 2.0]))
+@settings(max_examples=150, deadline=None)
+def test_one_compile_scores_every_row_as_that_row_compiled_alone(rows_and_flags, track, sigma):
+    rows, swapped = rows_and_flags
+    table = relation_table([track])
+    terms = TermArrays.of(rows, swapped)
+    raw, smoothed = score_rows(terms, table, sigma)
+    assert terms.rows.shape == (len(rows),)
+    for r, row in enumerate(rows):
+        read = table[:, SWAP] if swapped and swapped[r] else table
+        alone = score_rows(TermArrays.of([row]), read, sigma)
+        assert raw[terms.rows[r]].tobytes() == alone[0][0].tobytes()
+        assert smoothed[terms.rows[r]].tobytes() == alone[1][0].tobytes()
+    # merged: no two distinct terms, and no two distinct rows, are equal
+    names = ("column", "weight", "thresholded", "threshold", "complement", "flip")
+    assert len(set(zip(*(getattr(terms, name).tolist() for name in names)))) == terms.column.size
+    assert len(set(map(tuple, terms.slots.tolist()))) == terms.slots.shape[0]
+
+
+def test_a_pass_compiles_the_builtin_models_to_38_distinct_terms_and_rows():
+    compiled = []
+
+    def spy(terms, *args):
+        compiled.append(terms)
+        return score_rows(terms, *args)
+
+    with mock.patch.object(pipeline, "score_rows", spy):
+        assign_track(moving_track({"hand": [(10, 10), (20, 10)]}), builtin_models())
+    [terms] = compiled
+    assert terms.rows.size == len(ARCHETYPES) * len(OBJECT_ORDERS) * len(PHASES) == 50
+    assert sum(len(builtin_model(a).phases[p]) for a in ARCHETYPES for p in PHASES) * 2 == 160
+    assert terms.column.size == terms.slots.shape[0] == 38
 
 
 # --- scoring --------------------------------------------------------------------

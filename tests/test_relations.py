@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from boxact import pipeline
 from boxact.errors import ConfigError, ContractError
-from boxact.phases import ARCHETYPES, ActionModel, builtin_model
+from boxact.phases import ARCHETYPES, PHASES, ActionModel, TermArrays, builtin_model
 from boxact.pipeline import assign_track
 from boxact.relations import (
     BOOLEAN_FEATURES,
@@ -506,8 +506,9 @@ def test_the_pass_computes_every_column_its_models_read(models):
     assert len(columns) == len(computed) == len({m.thresholds for m in models.values()})
     for model in models.values():
         read = model.feature_columns
-        terms = model.term_arrays
-        for order in (read, SWAP[read], terms.column, terms.swapped.column):
+        rows = [model.phases[p] for p in PHASES]
+        both = [TermArrays.of(rows, [swapped] * len(rows)) for swapped in (False, True)]
+        for order in (read, SWAP[read], *(terms.column for terms in both)):
             assert set(order.tolist()) <= columns[model.thresholds]
     if set(models) == set(ARCHETYPES):
         assert len(columns[DEFAULT_CONFIG]) == 14
