@@ -244,7 +244,14 @@ def relation_table(
         )
 
     def offset_angle(a: int, b: int) -> np.ndarray:
-        angle = np.abs(np.arctan2(oy[a], ox[a]) - np.arctan2(oy[b], ox[b]))
+        ta, tb = np.arctan2(oy[a], ox[a]), np.arctan2(oy[b], ox[b])
+        # +-pi takes the other's sign: a vertical flip keeps a leftward step at
+        # +pi but negates every other direction, and must round alike
+        ta, tb = (
+            np.where(np.abs(ta) == math.pi, np.copysign(math.pi, tb), ta),
+            np.where(np.abs(tb) == math.pi, np.copysign(math.pi, ta), tb),
+        )
+        angle = np.abs(ta - tb)
         angle = np.where(angle > math.pi, 2.0 * math.pi - angle, angle)
         # the direction of a near-stationary box is meaningless
         return np.where(moving[a] & moving[b], angle, 0.0)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from boxact.cli import main
 from boxact.phases import (
@@ -179,6 +179,9 @@ UPSIDE_DOWN = np.array([
 
 
 @given(dyadic_tracks, st.sampled_from(THRESHOLD_SETS))
+# a leftward step (direction +pi, on both sides of the flip) against a step
+# whose direction the flip negates
+@example(_dyadic_walk("v", 30, 1016), THRESHOLD_SETS[0])
 @settings(max_examples=100, deadline=None)
 def test_a_vertical_flip_exchanges_only_what_is_on_top_with_what_is_underneath(track, config):
     flipped_y = track.frame_height - track.boxes[:, :, 1] - track.boxes[:, :, 3]
