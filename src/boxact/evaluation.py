@@ -7,6 +7,8 @@ Mean AP is support-weighted; the unweighted macro mean is reported alongside.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -238,12 +240,17 @@ def report_table(report: EvalReport) -> str:
 
 
 def confusion_csv(report: EvalReport) -> str:
-    """Confusion grid as CSV: rows true actions, columns predicted."""
-    header = "true\\predicted," + ",".join(report.actions)
-    lines = [header]
-    for i, a in enumerate(report.actions):
-        lines.append(a + "," + ",".join(str(int(c)) for c in report.confusion[i]))
-    return "\n".join(lines) + "\n"
+    """Confusion grid as CSV: rows true actions, columns predicted.
+
+    An action id holding a comma, a quote or a line break is quoted, so
+    every row keeps one cell per column.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["true\\predicted", *report.actions])
+    for action, row in zip(report.actions, report.confusion):
+        writer.writerow([action, *(int(c) for c in row)])
+    return text.getvalue()
 
 
 def save_predictions(

@@ -37,10 +37,10 @@ batch's largest node, and one sort per lane gives both its order and
 whether it varies on the node.  The lanes that vary are summed and scored
 together, and each node's feature is picked by one argmin, with the 1e-12
 rule scanned only where two candidates lie that close.
-Pending right children wait in per-tree array stacks.  A node's weight and
-positive weight are summed with the nodes of equal length, as the rows of
-one matrix, which keeps numpy's pairwise order and so every bit of summing
-each node alone.
+Pending right children wait in per-tree array stacks.  A node is finished
+in the step that makes it: its weight and positive weight are summed there,
+once, with the step's nodes of equal length as the rows of one matrix, which
+keeps numpy's pairwise order and so every bit of summing each node alone.
 A forest is one set of flat pre-order node columns (:class:`ForestModel`):
 the columns of all its trees laid end to end, from growth to file to
 prediction.  A file holds the columns and the trees' offsets as they are,
@@ -586,9 +586,10 @@ def _grow_trees(
     is made at step k.  A node is a run of row indices in one shared pool.
     A tree whose node splits goes on with its left child and pushes its
     right child on the tree's stack; any other tree pops its last pending
-    right child.  Each step searches the splits of all its nodes in batches
-    of bounded size, with the total weight of each node searched; every
-    node's weight and positive weight come from one grouped pass at the end.
+    right child.  Each step sums every node's weight and positive weight in
+    one grouped pass over the rows it has gathered, searches the splits of
+    its nodes in batches of bounded size, and records each node's columns:
+    no node is summed twice, and nothing reads the pool after the last step.
     Returns each block's node columns and tree offsets, as a
     :class:`ForestModel` holds them.
     """
@@ -644,17 +645,26 @@ def _grow_trees(
     # per tree: its pending right children, (start, size, depth, parent node id)
     stack = np.empty((count, 8, 4), dtype=np.intp)
     height = np.zeros(count, dtype=np.intp)
-    made = []  # per step: the tree, start and size of each node made, by id
-    splits = []  # per step: (node ids, features, thresholds)
+    made = []  # per step: each node's tree, feature, threshold and sums, by id
     rights = []  # per step: (parent node ids, their right children's index)
     first = 0  # the id of the step's first node
     while live.size:
         starts, sizes, depth = state.T
-        made.append((live, starts, sizes))
         # at the first step, the roots' runs lie end to end: they are the pool
         rows = pool if first == 0 else _runs(pool, starts, sizes)
         node = np.repeat(np.arange(live.size), sizes)
-        npos = np.bincount(node[positive[rows]], minlength=live.size)
+        is_positive = positive[rows]
+        npos = np.bincount(node[is_positive], minlength=live.size)
+        # row 0 of the sums: each node's weight; row 1: its positive weight.
+        # Each sums its rows in pool order, so with the bits of summing it alone
+        runs = np.concatenate((sizes, npos))
+        flat = np.concatenate((rows, rows[is_positive]))
+        sums = _run_sums(weights, flat, np.cumsum(runs) - runs, runs).reshape(2, -1)
+        node_feature = np.full(live.size, -1)
+        node_threshold = np.zeros(live.size)
+        # the sums are kept as summed: a fraction array made per step raised
+        # the classify benchmark's peak RSS by 0.3 MiB
+        made.append((live, node_feature, node_threshold, sums))
         searched = (0 < npos) & (npos < sizes)
         searched &= (sizes >= min_split[live]) & (depth < max_depth[live])
         search = np.flatnonzero(searched)
@@ -666,7 +676,7 @@ def _grow_trees(
             used[t] += 1
             rows = rows[searched[node]]
             node = np.repeat(np.arange(search.size), sizes[search])
-            totals = _run_sums(weights, pool, starts[search], sizes[search])
+            totals = sums[0, search]
             # nodes are searched in batches of at most _SEARCH_ENTRIES, or one node
             per_batch = max(1, _SEARCH_ENTRIES // (width * int(sizes[search].max())))
             ends = np.concatenate(([0], np.cumsum(sizes[search])))
@@ -684,7 +694,8 @@ def _grow_trees(
             # +-inf separates nothing, and splitting on it would repeat forever
             found = (feature >= 0) & (0 < n_left) & (n_left < sizes[search])
             split = search[found]
-            splits.append((first + split, feature[found], threshold[found]))
+            node_feature[split] = feature[found]
+            node_threshold[split] = threshold[found]
             n_left = n_left[found]
             n_right = sizes[split] - n_left
             # the children's rows go straight into the pool: left, then right
@@ -720,28 +731,14 @@ def _grow_trees(
         goes_on[pops] = True
         first += live.size
         live, state = live[goes_on], following[goes_on]
-    del table, values, rows, node  # free the search's arrays for the sums below
-    trees, starts, sizes = map(np.concatenate, zip(*made))
+    trees, feature, threshold, sums = (np.concatenate(c, axis=-1) for c in zip(*made))
+    weight, fraction = sums[0], sums[1] / sums[0]
     # node k of a tree was made at step k: a split's left child is made next
-    index = np.repeat(np.arange(len(made)), [t.size for t, _, _ in made])
-    feature = np.full(first, -1)
-    threshold = np.zeros(first)
-    left = np.full(first, -1)
+    index = np.repeat(np.arange(len(made)), [t.size for t, *_ in made])
+    left = np.where(feature >= 0, index + 1, -1)
     right = np.full(first, -1)
-    for ids, f, cut in splits:
-        feature[ids] = f
-        threshold[ids] = cut
-        left[ids] = index[ids] + 1
     for ids, step in rights:
         right[ids] = step
-    weight = _run_sums(weights, pool, starts, sizes)
-    pool = pool[:end]
-    is_positive = positive[pool]
-    before = np.zeros(end + 1, dtype=np.intp)
-    np.cumsum(is_positive, out=before[1:])
-    n_positive = before[starts + sizes] - before[starts]
-    fraction = _run_sums(weights, pool[is_positive], before[starts], n_positive)
-    fraction /= weight
     order = np.argsort(trees, kind="stable")
     columns = [c[order] for c in (feature, threshold, left, right, fraction, weight)]
     offsets = np.concatenate(([0], np.cumsum(np.bincount(trees, minlength=count))))

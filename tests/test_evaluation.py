@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +238,22 @@ def test_report_table_layout():
 def test_confusion_csv_frozen():
     csv = confusion_csv(evaluate(_small_set()))
     assert csv == "true\\predicted,x,y\nx,1,1\ny,1,1\n"
+
+
+def test_confusion_csv_reads_back_action_ids_that_need_quoting():
+    actions = ["a,b", 'say "c"', "line\nbreak", "d"]
+    videos = []
+    for i, truth in enumerate(actions):
+        for j, guess in enumerate(actions[: i + 1]):
+            probabilities = {a: 0.9 if a == guess else 0.1 for a in actions}
+            videos.append(_vp(f"v{i}{j}", truth, **probabilities))
+    report = evaluate(PredictionSet(videos=tuple(videos)))
+    rows = list(csv.reader(io.StringIO(confusion_csv(report), newline="")))
+    assert rows[0] == ["true\\predicted", *report.actions]
+    assert [row[0] for row in rows[1:]] == list(report.actions)
+    assert [[int(c) for c in row[1:]] for row in rows[1:]] == report.confusion.tolist()
+    assert sorted(report.actions) == sorted(actions)
+    assert report.confusion.sum() == len(videos)
 
 
 def test_report_to_dict_keys():

@@ -579,24 +579,31 @@ def test_forests_grown_together_equal_forests_grown_one_by_one(case):
         assert repr(grown[action].trees) == repr(forest_trees_reference(values, labels, params))
 
 
-def test_search_memory_stays_bounded_as_forests_are_added():
+@pytest.mark.parametrize(
+    "features, num_trees, max_depth, mib",
+    [(205, 200, 1, 160), (14, 50, 6, 50)],
+    ids=["stumps", "depth6"],
+)
+def test_search_memory_stays_bounded_as_forests_are_added(features, num_trees, max_depth, mib):
     # the search of a step's root nodes is batched, so growing five forests
     # together adds only the rows and their indices; one batch over all 1,000
-    # roots would hold several (1000, 14, 1500) arrays, hundreds of MiB more
+    # stumps' roots would hold several (1000, 14, 1500) arrays, hundreds of
+    # MiB more.  Each node is summed in the step that makes it, so deeper
+    # trees hold their pool of row indices and no gather of every node's rows
     rng = np.random.default_rng(0)
     samples = {
-        str(k): (rng.normal(size=(1500, 205)), (rng.uniform(size=1500) < 0.3).astype(int))
+        str(k): (rng.normal(size=(1500, features)), (rng.uniform(size=1500) < 0.3).astype(int))
         for k in range(5)
     }
-    params = ForestParams(num_trees=200, max_depth=1)
+    params = ForestParams(num_trees=num_trees, max_depth=max_depth)
     tracemalloc.start()
     try:
         grown = grow_forests(samples, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(len(model.trees) == 200 for model in grown.values())
-    assert peak < 160 * 2**20
+    assert all(len(model.trees) == num_trees for model in grown.values())
+    assert peak < mib * 2**20
 
 
 def _grown_on_an_empty_table(samples, params):

@@ -8,7 +8,8 @@ scored alone.  A video's records must not depend on its name or on the other
 videos of its file either, ids aside.  A vertical flip exchanges what is on
 top with what is underneath and nothing else, and exchanging the two objects
 permutes the table by ``SWAP``, so each winner keeps its centres and flips
-its object order, unless the two orders tie exactly.
+its object order, unless the two orders tie exactly.  Both are checked on
+:func:`assign_track` and again on the bytes the CLI writes.
 
 The tracks are dyadic: every box value is a multiple of 1/64 far below
 2**46, so every sum and difference the relations take is exact and each
@@ -34,8 +35,10 @@ from boxact.phases import (
     B_CHOICES,
     OBJECT_ORDERS,
     PHASES,
+    ActionModel,
     _alternatives,
     builtin_models,
+    save_action_model,
     score_frames,
 )
 from boxact.pipeline import assign_track
@@ -79,12 +82,25 @@ def corpora(draw, prefix: str = "v") -> list[VideoTrack]:
     ]
 
 
-def _outputs(tracks: list[VideoTrack], train: bool = True) -> dict[str, bytes]:
-    """The files that assign, embed and, with ``train``, train and predict --subset val write."""
+def _outputs(
+    tracks: list[VideoTrack], train: bool = True, models: dict[str, ActionModel] | None = None
+) -> dict[str, bytes]:
+    """The files that assign, embed and, with ``train``, train and predict --subset val write.
+
+    Each command reads ``models`` from model files, or the builtin models when None.
+    """
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        root = Path(tmp)
-        annotations = root / "annotations.json"
+        inputs, root = Path(tmp, "in"), Path(tmp, "out")
+        inputs.mkdir()
+        root.mkdir()
+        annotations = inputs / "annotations.json"
         write_annotation_file(annotations, tracks)
+        source = "builtin"
+        if models is not None:
+            source = inputs / "models"
+            source.mkdir()
+            for action, model in models.items():
+                save_action_model(model, source / f"{action}.json")
         forests = root / "forests"
         commands = [
             ["assign", "--out", root / "assign.json"],
@@ -97,11 +113,11 @@ def _outputs(tracks: list[VideoTrack], train: bool = True) -> dict[str, bytes]:
                  "--subset", "val", "--out", root / "predictions.json"],
             ]
         for command, *flags in commands:
-            assert main([command, "--annotations", str(annotations), *map(str, flags)]) == 0
+            corpus = ["--annotations", str(annotations), "--models", str(source)]
+            assert main([command, *corpus, *map(str, flags)]) == 0
         return {
             path.relative_to(root).as_posix(): path.read_bytes()
             for path in sorted(root.rglob("*.json"))
-            if path != annotations
         }
 
 
@@ -178,29 +194,53 @@ UPSIDE_DOWN = np.array([
 ])
 
 
-@given(dyadic_tracks, st.sampled_from(THRESHOLD_SETS))
-# a leftward step (direction +pi, on both sides of the flip) against a step
-# whose direction the flip negates
-@example(_dyadic_walk("v", 30, 1016), THRESHOLD_SETS[0])
-@settings(max_examples=100, deadline=None)
-def test_a_vertical_flip_exchanges_only_what_is_on_top_with_what_is_underneath(track, config):
+def _flipped(track: VideoTrack) -> VideoTrack:
+    """The track upside down: each box's y becomes ``frame_height - y - h``."""
     flipped_y = track.frame_height - track.boxes[:, :, 1] - track.boxes[:, :, 3]
     boxes = track.boxes.copy()
     boxes[:, :, 1] = np.where(track.present, flipped_y, 0.0)
-    flipped = replace(track, boxes=boxes)
-    table = relation_table([track], config)
-    assert relation_table([flipped], config).tobytes() == table[:, UPSIDE_DOWN].tobytes()
-    # so a model that reads neither column ranks and embeds as before
+    return replace(track, boxes=boxes)
+
+
+def _models_without_centres() -> dict[str, ActionModel]:
+    """The builtin models that read neither ``centre_*`` column."""
     models = {
         action: model
         for action, model in builtin_models().items()
         if not any(key.startswith("centre_") for key in model.feature_list)
     }
     assert len(models) == 4
+    return models
+
+
+# a leftward step (direction +pi, on both sides of the flip) against a step
+# whose direction the flip negates
+LEFTWARD = _dyadic_walk("v", 30, 1016)
+
+
+@given(dyadic_tracks, st.sampled_from(THRESHOLD_SETS))
+@example(LEFTWARD, THRESHOLD_SETS[0])
+@settings(max_examples=100, deadline=None)
+def test_a_vertical_flip_exchanges_only_what_is_on_top_with_what_is_underneath(track, config):
+    flipped = _flipped(track)
+    table = relation_table([track], config)
+    assert relation_table([flipped], config).tobytes() == table[:, UPSIDE_DOWN].tobytes()
+    # so a model that reads neither column ranks and embeds as before
+    models = _models_without_centres()
     got, want = assign_track(flipped, models), assign_track(track, models)
     for action in models:
         assert got[action][1] == want[action][1]
         assert got[action][0].values.tobytes() == want[action][0].values.tobytes()
+
+
+@given(dyadic_tracks)
+@example(LEFTWARD)
+@settings(max_examples=50, deadline=None)
+def test_a_vertical_flip_changes_no_byte_that_assign_or_embed_writes_for_those_models(track):
+    # the models go in as files, and the boxes through the annotation file
+    models = _models_without_centres()
+    got = _outputs([_flipped(track)], train=False, models=models)
+    assert got == _outputs([track], train=False, models=models)
 
 
 def _bits(x: float) -> bytes:
@@ -222,6 +262,20 @@ def _twin(track: VideoTrack) -> VideoTrack:
     return _roles(track, "object1", "object1", "hand")
 
 
+def _orders_at(track: VideoTrack, model: ActionModel, b_choice: str) -> tuple[bool, dict]:
+    """Whether the track's two object orders tie exactly under ``model`` at
+    ``b_choice``, and the centres of its swapped order there."""
+    table = relation_table([track])
+    smoothed = [
+        score_frames(track, model, read, order).smoothed
+        for order, read in zip(OBJECT_ORDERS, (table, table[:, SWAP]))
+    ]
+    centres, totals = _alternatives(np.stack(smoothed))  # (order, b choice, ...)
+    b = B_CHOICES.index(b_choice)
+    placed = {p: int(c) if c >= 0 else None for p, c in zip(PHASES, centres[1, b])}
+    return bool(totals[0, b] == totals[1, b]), placed
+
+
 @given(dyadic_tracks, st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_exchanging_the_objects_flips_each_winners_object_order(track, twin):
@@ -234,26 +288,50 @@ def test_exchanging_the_objects_flips_each_winners_object_order(track, twin):
     got, want = assign_track(exchanged, models), assign_track(track, models)
     for action, model in models.items():
         (embedding, winner), (exchanged_embedding, exchanged_winner) = want[action], got[action]
-        smoothed = [
-            score_frames(track, model, read, order).smoothed
-            for order, read in zip(OBJECT_ORDERS, (table, table[:, SWAP]))
-        ]
-        centres, totals = _alternatives(np.stack(smoothed))  # (order, b choice, ...)
-        b = B_CHOICES.index(winner.b_choice)
+        tie, placed = _orders_at(track, model, winner.b_choice)
         assert exchanged_winner.b_choice == winner.b_choice
         assert _bits(exchanged_winner.total_score) == _bits(winner.total_score)
-        if totals[0, b] == totals[1, b]:
+        if tie:
             # the first of the tied orders wins, and the exchanged track's first
             # order reads the original track's swapped one
             event("the two object orders tie")
             assert winner.object_order == exchanged_winner.object_order == OBJECT_ORDERS[0]
-            placed = {p: int(c) if c >= 0 else None for p, c in zip(PHASES, centres[1, b])}
             assert exchanged_winner.centers == placed
         else:
             assert {winner.object_order, exchanged_winner.object_order} == set(OBJECT_ORDERS)
             assert exchanged_winner.centers == winner.centers
             assert exchanged_winner.windows == winner.windows
             assert exchanged_embedding.values.tobytes() == embedding.values.tobytes()
+
+
+def _by_action(outputs: dict[str, bytes], name: str) -> dict[str, dict]:
+    """The records of a one-video file ``name``, by action."""
+    return {record["action_id"]: record for record in json.loads(outputs[name])["records"]}
+
+
+@given(dyadic_tracks, st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_exchanging_the_objects_flips_each_written_winners_object_order(track, twin):
+    if twin:
+        track = _twin(track)
+    want = _outputs([track], train=False)
+    got = _outputs([_exchanged(track)], train=False)
+    for action, model in builtin_models().items():
+        winner, exchanged = (_by_action(out, "assign.json")[action] for out in (want, got))
+        tie, placed = _orders_at(track, model, winner["b_choice"])
+        # the JSON text tells -0.0 from 0.0
+        for key in ("b_choice", "total_score"):
+            assert json.dumps(exchanged[key]) == json.dumps(winner[key])
+        if tie:
+            event("the two object orders tie")
+            assert winner["object_order"] == exchanged["object_order"] == OBJECT_ORDERS[0]
+            assert exchanged["centers"] == placed
+        else:
+            assert {winner["object_order"], exchanged["object_order"]} == set(OBJECT_ORDERS)
+            unordered = [json.dumps({**r, "object_order": None}) for r in (winner, exchanged)]
+            assert unordered[0] == unordered[1]
+            embeds = [json.dumps(_by_action(out, "embed.json")[action]) for out in (want, got)]
+            assert embeds[0] == embeds[1]
 
 
 def test_objects_on_one_box_tie_and_keep_the_annotated_order():
