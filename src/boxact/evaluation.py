@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -84,9 +85,9 @@ class PredictionSet:
                     f"{sorted(v.probabilities)} but {self.videos[0].video_id!r} "
                     f"scores {sorted(universe)}"
                 )
-        ids = [v.video_id for v in self.videos]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        counts = Counter(v.video_id for v in self.videos)
+        if len(counts) != len(self.videos):
+            dupes = sorted(i for i, n in counts.items() if n > 1)
             raise ContractError(f"duplicate video ids in prediction set: {dupes}")
 
     @property

@@ -25,7 +25,8 @@ cells) makes only the draws no earlier call made, and a one-shot ``boxact
 train`` makes each draw once, as it would without the table.  A tree grows left
 child first, so its nodes come in pre-order.  The forests'
 training rows are stacked into one search table, and a node is a run of
-indices into it, kept in one shared pool, never a copy of the rows.  Trees
+indices into it in one pool that holds one run per tree and never grows: a
+split partitions its node's run in place, left rows then right rows.  Trees
 that draw fewer candidate features than others pad their draws with a
 constant column, which never splits.  Each step holds the next node of
 every live tree in flat arrays and does its bookkeeping for all of them in a
@@ -393,12 +394,12 @@ def train_tree(
     return Tree(*(tuple(column.tolist()) for column in grown[0][0]))
 
 
-def _runs(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``flat[start:start + size]`` of each run, laid end to end."""
+def _run_index(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices ``start:start + size`` of each run, laid end to end."""
     ends = np.cumsum(sizes)
     index = np.repeat(starts - ends + sizes, sizes)
     index += np.arange(index.size)
-    return flat[index]
+    return index
 
 
 def _run_sums(
@@ -413,7 +414,7 @@ def _run_sums(
     """
     order = np.argsort(sizes, kind="stable")
     by_size = sizes[order]
-    gathered = values[_runs(flat, starts[order], by_size)]
+    gathered = values[flat[_run_index(starts[order], by_size)]]
     lengths, counts = np.unique(by_size, return_counts=True)
     ordered = np.empty(sizes.size)
     row = at = 0
@@ -583,13 +584,16 @@ def _grow_trees(
     A tree with ``bootstrap`` first draws its rows with replacement; trees
     on one stream with the same row count draw the same rows.  Each
     step makes the next node of every tree that has one, so node k of a tree
-    is made at step k.  A node is a run of row indices in one shared pool.
-    A tree whose node splits goes on with its left child and pushes its
-    right child on the tree's stack; any other tree pops its last pending
-    right child.  Each step sums every node's weight and positive weight in
-    one grouped pass over the rows it has gathered, searches the splits of
-    its nodes in batches of bounded size, and records each node's columns:
-    no node is summed twice, and nothing reads the pool after the last step.
+    is made at step k.  A node is a run of row indices in one pool, which
+    holds one run per tree, made once, its bootstrap or its block's rows.  A
+    split partitions its node's run in place: its left rows, then its right
+    rows, each side in the node's order, so the children are the run's two
+    parts and no row moves out of its tree's run.  A tree whose node splits
+    goes on with its left child and pushes its right child on the tree's
+    stack; any other tree pops its last pending right child.  Each step sums
+    every node's weight and positive weight in one grouped pass over the rows
+    it has gathered, searches the splits of its nodes in batches of bounded
+    size, and records each node's columns, so no node is summed twice.
     Returns each block's node columns and tree offsets, as a
     :class:`ForestModel` holds them.
     """
@@ -637,7 +641,6 @@ def _grow_trees(
         pool = np.concatenate(
             [np.tile(np.arange(at, at + n), streams) for at, n in zip(offsets, block_rows)]
         )
-    end = pool.size
     live = np.arange(count)
     state = np.zeros((count, 3), dtype=np.intp)  # (start, size, depth) per live tree
     state[:, 0] = np.cumsum(n_rows) - n_rows
@@ -651,7 +654,7 @@ def _grow_trees(
     while live.size:
         starts, sizes, depth = state.T
         # at the first step, the roots' runs lie end to end: they are the pool
-        rows = pool if first == 0 else _runs(pool, starts, sizes)
+        rows = pool if first == 0 else pool[_run_index(starts, sizes)]
         node = np.repeat(np.arange(live.size), sizes)
         is_positive = positive[rows]
         npos = np.bincount(node[is_positive], minlength=live.size)
@@ -698,21 +701,13 @@ def _grow_trees(
             node_threshold[split] = threshold[found]
             n_left = n_left[found]
             n_right = sizes[split] - n_left
-            # the children's rows go straight into the pool: left, then right
-            middle = end + int(n_left.sum())
-            after = middle + int(n_right.sum())
-            if after > pool.size:
-                larger = np.empty(end + max(end, after - end), dtype=pool.dtype)
-                larger[:end] = pool[:end]
-                pool = larger
+            # a split rewrites its own run: its left rows, then its right rows,
+            # each side in the node's order
             kept = found[node]
-            goes_right = kept & ~goes_left
-            goes_left &= kept
-            np.compress(goes_left, rows, out=pool[end:middle])
-            np.compress(goes_right, rows, out=pool[middle:after])
-            left_starts = end + np.cumsum(n_left) - n_left
-            right_starts = middle + np.cumsum(n_right) - n_right
-            end = after
+            left_starts = starts[split]
+            right_starts = left_starts + n_left
+            pool[_run_index(left_starts, n_left)] = rows[kept & goes_left]
+            pool[_run_index(right_starts, n_right)] = rows[kept & ~goes_left]
             following[split] = np.column_stack((left_starts, n_left, depth[split] + 1))
             goes_on[split] = True
             t = live[split]

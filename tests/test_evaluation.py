@@ -98,6 +98,14 @@ def test_prediction_set_validation():
         _vp("v1", "x", x=float("nan"))
 
 
+def test_duplicate_ids_are_each_named_once_in_order():
+    ids = ["v3", "v1", "v0", "v3", "v2", "v1", "v3", "v4", "v2"]
+    videos = tuple(_vp(i, "x", x=0.5) for i in ids)
+    with pytest.raises(ContractError) as exc:
+        PredictionSet(videos=videos)
+    assert str(exc.value) == "duplicate video ids in prediction set: ['v1', 'v2', 'v3']"
+
+
 def _small_set() -> PredictionSet:
     return PredictionSet(
         videos=(

@@ -581,15 +581,15 @@ def test_forests_grown_together_equal_forests_grown_one_by_one(case):
 
 @pytest.mark.parametrize(
     "features, num_trees, max_depth, mib",
-    [(205, 200, 1, 160), (14, 50, 6, 50)],
+    [(205, 200, 1, 160), (14, 50, 6, 30)],
     ids=["stumps", "depth6"],
 )
 def test_search_memory_stays_bounded_as_forests_are_added(features, num_trees, max_depth, mib):
     # the search of a step's root nodes is batched, so growing five forests
     # together adds only the rows and their indices; one batch over all 1,000
     # stumps' roots would hold several (1000, 14, 1500) arrays, hundreds of
-    # MiB more.  Each node is summed in the step that makes it, so deeper
-    # trees hold their pool of row indices and no gather of every node's rows
+    # MiB more.  A split partitions its node's rows in place, so deeper trees
+    # hold one fixed pool of row indices, one run per tree, which never grows
     rng = np.random.default_rng(0)
     samples = {
         str(k): (rng.normal(size=(1500, features)), (rng.uniform(size=1500) < 0.3).astype(int))
