@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation/data errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 from collections import Counter
@@ -469,52 +470,33 @@ COMMANDS = {
 }
 
 
-def _define(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """``parser`` with the handler and the arguments of command ``name``."""
-    func, _, add_flags = COMMANDS[name]
-    parser.set_defaults(func=func)
-    add_flags(parser)
-    return parser
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``boxact`` parser, with every command and its arguments."""
+    """The ``boxact`` parser, with every command and its arguments.
+
+    It is built once per process: parsing leaves it unchanged, so every
+    :func:`main` call parses with the same parser.
+    """
     parser = argparse.ArgumentParser(
         prog="boxact",
         description="Interpretable activity recognition from bounding-box tracks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help, _) in COMMANDS.items():
-        _define(sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS), name)
+    for name, (func, help, add_flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        # a handler's usage errors name its command: "boxact sweep: error: ..."
+        command.set_defaults(func=functools.partial(func, parser=command))
+        add_flags(command)
     return parser
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command: what ``build_parser`` makes of ``boxact <name> ...``."""
-    parser = argparse.ArgumentParser(prog=f"boxact {name}", argument_default=argparse.SUPPRESS)
-    return _define(parser, name)
 
 
 def main(argv: list[str] | None = None) -> int:
     if isinstance(sys.stdout, io.TextIOWrapper):
         # what the console's encoding cannot hold is printed backslash-escaped
         sys.stdout.reconfigure(errors="backslashreplace")
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in COMMANDS:
-        # the full parser would hand the rest of argv to this command's
-        # parser, so only that one is built; an argument it does not know
-        # is left to the full parser, which names it in its usage error
-        parser = _command_parser(argv[0])
-        args, unknown = parser.parse_known_args(argv[1:])
-        if unknown:
-            build_parser().parse_args(argv)
-    else:
-        # help, usage errors and an unknown command come from the full parser
-        parser = build_parser()
-        args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (BoxactError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

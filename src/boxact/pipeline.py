@@ -12,6 +12,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .embedding import VideoEmbedding, embed_windows, embedding_layout
-from .errors import ConfigError, ContractError, check_int, prefixed
+from .errors import ConfigError, ContractError, check_finite, check_int, prefixed
 from .evaluation import PredictionSet, VideoPrediction
 from .forest import ForestModel, ForestParams, grow_forests, layout_fingerprint, predict_proba
 from .phases import (
@@ -76,17 +77,21 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_int("window half-width n", self.n, 0))
-        if not (np.isfinite(self.sigma) and 0 < self.sigma <= MAX_SIGMA):
+        # a number out of range, NaN too, gets the range's message; check_finite
+        # rejects the rest and stores a float, so 2 and 2.0 fingerprint alike
+        if isinstance(self.sigma, Real) and not 0 < self.sigma <= MAX_SIGMA:
             raise ConfigError(
                 f"sigma must be finite and positive, at most {MAX_SIGMA:g}, got {self.sigma}"
             )
+        object.__setattr__(self, "sigma", check_finite("sigma", self.sigma))
         if self.embedding_mode not in EMBEDDING_MODES:
             raise ConfigError(
                 f"embedding_mode must be one of {EMBEDDING_MODES}, "
                 f"got {self.embedding_mode!r}"
             )
-        if not 0.0 < self.val_fraction < 1.0:
+        if isinstance(self.val_fraction, Real) and not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must lie strictly between 0 and 1")
+        object.__setattr__(self, "val_fraction", check_finite("val_fraction", self.val_fraction))
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
     @property

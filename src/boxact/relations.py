@@ -76,7 +76,7 @@ class RelationConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            check_finite(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, check_finite(f.name, getattr(self, f.name)))
         if self.touch_tol < 0 or self.move_threshold < 0 or self.move_with_hand_tol < 0:
             raise ConfigError("relation thresholds must be non-negative")
         if not 0.0 < self.containment_fraction <= 1.0:

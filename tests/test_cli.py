@@ -1246,25 +1246,34 @@ def _parsed(parse, argv: list[str]) -> tuple[str, str, object]:
 @pytest.mark.parametrize(
     "argv",
     [[command, flag] for command in COMMANDS for flag in ("--help", "--bogus")]
-    + [["bogus"], [], ["--help"], ["--bogus", "train"], ["bogus", "train"]],
-    ids=" ".join,
-)
-def test_main_prints_what_a_parser_of_every_command_prints(argv):
-    assert _parsed(main, argv) == _parsed(build_parser().parse_args, argv)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
+    + [["bogus"], [], ["--help"], ["--bogus", "train"], ["bogus", "train"]]
+    + [
         ["eval", "--predictions", "p.json", "--bogus"],
         ["fuse", "--predictions", "p.json", "--external", "e.json", "--out", "o.json", "x"],
         ["train", "--annotations", "a.json", "--out-dir", "f", "--bogus=1"],
     ],
     ids=" ".join,
 )
-def test_main_reports_an_unknown_argument_as_the_full_parser_does(argv):
-    # a command's own parser leaves what it does not know to the full parser
+def test_main_prints_what_a_parser_of_every_command_prints(argv):
     assert _parsed(main, argv) == _parsed(build_parser().parse_args, argv)
+
+
+def test_an_unknown_argument_is_named_by_the_boxact_parser():
+    out, err, code = _parsed(main, ["eval", "--predictions", "p.json", "--bogus"])
+    assert (out, code) == ("", 2)
+    assert err.splitlines()[-1] == "boxact: error: unrecognized arguments: --bogus"
+
+
+def test_one_parser_serves_every_call_and_keeps_no_flag(tiny_corpus, tmp_path):
+    # the parser outlives a call, so a flag one call parsed must not become
+    # the next call's default
+    assert build_parser() is build_parser()
+    seeds = []
+    for flags in (["--seed", "3"], []):
+        out = tmp_path / "assignments.json"
+        assert main(["assign", "--annotations", str(tiny_corpus), "--out", str(out), *flags]) == 0
+        seeds.append(json.loads(out.read_text(encoding="utf-8"))["provenance"]["seed"])
+    assert seeds == [3, 0]
 
 
 def test_sweep_writes_a_grid(workdir, tmp_path, capsys):

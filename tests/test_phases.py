@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -45,7 +46,7 @@ from boxact.phases import model_from_dict, model_to_dict
 from boxact.pipeline import assign_track
 from boxact.synthetic import SyntheticScript, generate_synthetic
 
-from boxact.relations import SWAP, relation_table
+from boxact.relations import SWAP, RelationConfig, relation_table
 from boxact.tracks import COORDINATE_LIMIT, ROLES, VideoTrack
 
 from conftest import moving_track
@@ -267,6 +268,16 @@ def test_model_dict_round_trip():
 
 def test_model_file_round_trip(tmp_path):
     model = _tiny_model()
+    path = tmp_path / "m.json"
+    save_action_model(model, path)
+    assert load_action_model(path) == model
+
+
+def test_numpy_thresholds_are_stored_as_floats_and_saved(tmp_path):
+    # a numpy float threshold made save_action_model raise a TypeError
+    thresholds = RelationConfig(touch_tol=np.float32(2), move_threshold=1)
+    assert {type(v) for v in asdict(thresholds).values()} == {float}
+    model = replace(builtin_model("put-into"), thresholds=thresholds)
     path = tmp_path / "m.json"
     save_action_model(model, path)
     assert load_action_model(path) == model

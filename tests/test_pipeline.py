@@ -50,9 +50,14 @@ def test_config_validation():
         dict(sigma=float("inf")),
         dict(sigma=1e300),
         dict(sigma=1000.5),
+        dict(sigma=True),
+        dict(sigma="2"),
+        dict(sigma=None),
         dict(embedding_mode="compact"),
         dict(val_fraction=0.0),
         dict(val_fraction=1.0),
+        dict(val_fraction="0.5"),
+        dict(val_fraction=None),
         dict(seed=-1),
     ):
         with pytest.raises(ConfigError):
@@ -76,6 +81,15 @@ def test_numpy_integer_fields_fingerprint_as_python_ints(kind):
     config = PipelineConfig(n=kind(3), seed=kind(7), forest=forest)
     assert type(config.n) is int and type(config.seed) is int
     assert make_provenance(config, "train") == make_provenance(plain, "train")
+
+
+@pytest.mark.parametrize("sigma", [2, np.float32(2), np.float64(2)])
+def test_number_fields_are_stored_and_fingerprinted_as_python_floats(sigma):
+    # an int sigma fingerprinted otherwise than an equal float, and a numpy
+    # float32 was no JSON at all
+    config = PipelineConfig(sigma=sigma, val_fraction=np.float32(0.25))
+    assert type(config.sigma) is float and type(config.val_fraction) is float
+    assert make_provenance(config, "train") == make_provenance(PipelineConfig(sigma=2.0), "train")
 
 
 def test_provenance_shape():
