@@ -39,9 +39,11 @@ whether it varies on the node.  The lanes that vary are summed and scored
 together, and each node's feature is picked by one argmin, with the 1e-12
 rule scanned only where two candidates lie that close.
 Pending right children wait in per-tree array stacks.  A node is finished
-in the step that makes it: its weight and positive weight are summed there,
-once, with the step's nodes of equal length as the rows of one matrix, which
-keeps numpy's pairwise order and so every bit of summing each node alone.
+in the step that makes it: its weight and positive weight are found there,
+once.  When every weight is 1.0 they count rows, which has the bits of any
+float sum of ones; other weights are summed with the step's nodes of equal
+length as the rows of one matrix, which keeps numpy's pairwise order and so
+every bit of summing each node alone.
 A forest is one set of flat pre-order node columns (:class:`ForestModel`):
 the columns of all its trees laid end to end, from growth to file to
 prediction.  A file holds the columns and the trees' offsets as they are,
@@ -109,6 +111,10 @@ class ForestParams:
         elif self.features_per_split != "sqrt":
             raise ConfigError("features_per_split must be a positive integer or 'sqrt'")
         store("seed", 0)
+        if not isinstance(self.bootstrap, (bool, np.bool_)):
+            raise ConfigError(f"bootstrap must be true or false, got {self.bootstrap!r}")
+        # a plain bool, so that a numpy bool writes to JSON
+        object.__setattr__(self, "bootstrap", bool(self.bootstrap))
         if self.class_weight not in (None, "balanced"):
             raise ConfigError("class_weight must be None or 'balanced'")
 
@@ -151,7 +157,10 @@ class _SearchTable(NamedTuple):
     and every node's rows lie in one block.  ``varies[b, f]`` says whether
     column ``f`` takes more than one rank on block ``b``'s rows; a column
     constant on a block is constant on each of its nodes, so the search
-    drops those candidates before it gathers any rank.
+    drops those candidates before it gathers any rank.  ``unit`` says whether
+    every weight is exactly 1.0, as under ``class_weight=None``: then each
+    sum of weights counts rows, and a count below 2**53 has the bits of a
+    float sum of that many ones in any order, so growth counts instead.
     """
 
     values: np.ndarray  # (n, d)
@@ -160,6 +169,7 @@ class _SearchTable(NamedTuple):
     positive_weights: np.ndarray  # (n + 1,): the weight of a positive row, else 0
     block: np.ndarray  # (n,): each row's block
     varies: np.ndarray  # (blocks, d)
+    unit: bool
 
 
 def _search_table(
@@ -181,14 +191,16 @@ def _search_table(
     starts = np.cumsum(sizes) - sizes
     block = np.repeat(np.arange(sizes.size), sizes)
     varies = np.maximum.reduceat(ranks[:n], starts) > np.minimum.reduceat(ranks[:n], starts)
+    unit = bool((weights == 1.0).all())
     weights = np.append(weights, 0.0)
     positive_weights = np.where(np.append(labels == 1, False), weights, 0.0)
-    return _SearchTable(values, ranks, weights, positive_weights, block, varies)
+    return _SearchTable(values, ranks, weights, positive_weights, block, varies, unit)
 
 
 # Most (node, candidate feature, row) entries in one batch of the split
 # search.  A batch holds a few arrays of that many 8-byte entries at once,
-# about 3 MiB in all, however many rows, trees and forests a pass grows.
+# about 3 MiB in all, however many rows, trees and forests a pass grows.  A
+# unit table gathers no weights, but its batch peaks no lower.
 # Larger batches grew the crossval benchmark's five forests no faster.
 _SEARCH_ENTRIES = 1 << 16
 
@@ -246,12 +258,15 @@ def _best_splits(
     lane's order and whether it varies on the node: its first rank lies
     below the rank at the node's last real row.  Lanes that do not vary
     have no split and are dropped; the rest are summed and scored together,
-    with split positions at or after a node's last real row masked.  Each
-    feature's exact ties go to its lowest threshold, and each node's feature
-    is picked by :func:`_first_lowest`'s rule.  So each node gets the result
-    it would get searched alone.  Returns the arrays (impurity, feature,
-    threshold) over the nodes; the feature is -1, and the other two are
-    meaningless, where every candidate feature is constant on that node.
+    with split positions at or after a node's last real row masked.  On a
+    ``unit`` table no weight is gathered: a lane's left weight after its row
+    i is ``min(i + 1, size)``, the count its float cumulative sum reaches,
+    padding included.  Each feature's exact ties go to its lowest threshold,
+    and each node's feature is picked by :func:`_first_lowest`'s rule.  So
+    each node gets the result it would get searched alone.  Returns the
+    arrays (impurity, feature, threshold) over the nodes; the feature is -1,
+    and the other two are meaningless, where every candidate feature is
+    constant on that node.
     """
     count, width = sizes.size, int(sizes.max())
     features = np.sort(candidates, axis=1)
@@ -289,12 +304,16 @@ def _best_splits(
     keys += node * width
     ordered = index.take(keys)  # each lane's row indices in sorted order
     del keys
-    cw = table.weights.take(ordered)
-    np.cumsum(cw, axis=0, out=cw)
+    if table.unit:
+        # the left weight after row i counts the real rows up to it
+        wl = np.minimum(np.arange(1.0, width)[:, None], sizes[node])
+    else:
+        wl = table.weights.take(ordered)
+        np.cumsum(wl, axis=0, out=wl)
+        wl = wl[:-1]
     cwp = table.positive_weights.take(ordered)
     np.cumsum(cwp, axis=0, out=cwp)
     total = totals[node]
-    wl = cw[:-1]
     wpl = cwp[:-1]
     wpr = cwp[sizes[node] - 1, np.arange(node.size)] - wpl
     # temporaries are reused in place, rounding in the order of the one-node
@@ -315,7 +334,7 @@ def _best_splits(
         np.subtract(1.0, pr, out=pr)
         wr *= pr
         gini += wr
-        del cw, wl, wr, wpr, pr
+        del wl, wr, wpr, pr
         gini /= total
     np.putmask(gini, same, np.inf)
     # exact ties within one feature resolve to the lowest threshold, which
@@ -590,10 +609,13 @@ def _grow_trees(
     rows, each side in the node's order, so the children are the run's two
     parts and no row moves out of its tree's run.  A tree whose node splits
     goes on with its left child and pushes its right child on the tree's
-    stack; any other tree pops its last pending right child.  Each step sums
-    every node's weight and positive weight in one grouped pass over the rows
-    it has gathered, searches the splits of its nodes in batches of bounded
-    size, and records each node's columns, so no node is summed twice.
+    stack; any other tree pops its last pending right child.  Each step finds
+    every node's weight and positive weight: with unit weights (a ``unit``
+    search table) they are its row count and positive count, which the
+    step counts anyway and which have the bits of the float sums; otherwise
+    one grouped pass over the rows it has gathered sums them.  It then
+    searches the splits of its nodes in batches of bounded size and records
+    each node's columns, so no node is summed twice.
     Returns each block's node columns and tree offsets, as a
     :class:`ForestModel` holds them.
     """
@@ -659,10 +681,14 @@ def _grow_trees(
         is_positive = positive[rows]
         npos = np.bincount(node[is_positive], minlength=live.size)
         # row 0 of the sums: each node's weight; row 1: its positive weight.
-        # Each sums its rows in pool order, so with the bits of summing it alone
-        runs = np.concatenate((sizes, npos))
-        flat = np.concatenate((rows, rows[is_positive]))
-        sums = _run_sums(weights, flat, np.cumsum(runs) - runs, runs).reshape(2, -1)
+        # Unit weights are counted. Other weights are summed in pool order, so
+        # each node's sums have the bits of summing it alone
+        if table.unit:
+            sums = np.array((sizes, npos), dtype=float)
+        else:
+            runs = np.concatenate((sizes, npos))
+            flat = np.concatenate((rows, rows[is_positive]))
+            sums = _run_sums(weights, flat, np.cumsum(runs) - runs, runs).reshape(2, -1)
         node_feature = np.full(live.size, -1)
         node_threshold = np.zeros(live.size)
         # the sums are kept as summed: a fraction array made per step raised

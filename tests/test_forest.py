@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,9 +75,24 @@ def test_params_validation():
         dict(features_per_split=2.0),
         dict(seed=-1),
         dict(seed=0.5),
+        # 0 and False compared equal but fingerprinted otherwise; "no" bootstrapped
+        dict(bootstrap="no"),
+        dict(bootstrap=0),
+        dict(bootstrap=1),
+        dict(bootstrap=None),
     ):
         with pytest.raises(ConfigError):
             ForestParams(**bad)
+
+
+def test_forest_file_whose_bootstrap_is_not_a_bool_is_rejected(tmp_path):
+    path = tmp_path / "forest.json"
+    save_forest(train_forest(*SEPARABLE, ONE_TREE), path)
+    document = json.loads(path.read_text())
+    document["params"]["bootstrap"] = "no"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ConfigError, match="bootstrap must be true or false, got 'no'"):
+        load_forest(path)
 
 
 @pytest.mark.parametrize("kind", [np.int64, np.int32])
@@ -318,6 +334,49 @@ def test_best_split_matches_the_per_feature_loop(batch):
         sample = (values[rows], labels[rows], weights[rows])
         want = best_split_reference(*sample, candidates)
         assert repr(got[i]) == repr(want)  # repr also tells -0.0 from 0.0
+
+
+@given(split_batches())
+@settings(max_examples=200, deadline=None)
+def test_counted_split_search_equals_the_summed_one(batch):
+    # with every weight 1.0 the search counts rows; summing the ones as
+    # floats must give the same bits
+    values, labels, _, nodes = batch
+    table = _search_table(values, labels, np.ones(labels.size))
+    assert table.unit
+    rows, _, candidates = zip(*nodes)
+    sizes = np.array([r.size for r in rows])
+    args = (np.concatenate(rows), sizes, sizes.astype(float), np.array(candidates))
+    with np.errstate(all="raise", under="ignore"):
+        counted = _best_splits(table, *args)
+        summed = _best_splits(table._replace(unit=False), *args)
+    # repr also tells -0.0 from 0.0
+    assert repr([a.tolist() for a in counted]) == repr([a.tolist() for a in summed])
+
+
+def test_balanced_forest_on_equal_classes_is_the_default_forest():
+    # equal classes weigh n / (2 * n / 2) = 1.0 each under "balanced"
+    rng = np.random.default_rng(2)
+    values = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0, 3.5], size=(40, 12))
+    labels = rng.permutation(np.repeat([0, 1], 20))
+    default = train_forest(values, labels, ForestParams(num_trees=20))
+    balanced = train_forest(values, labels, ForestParams(num_trees=20, class_weight="balanced"))
+    assert repr(balanced.trees) == repr(default.trees)
+
+
+def test_only_weights_other_than_one_are_summed(monkeypatch):
+    spy = mock.Mock(wraps=_run_sums)
+    monkeypatch.setattr(forest, "_run_sums", spy)
+    rng = np.random.default_rng(3)
+    values = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(30, 6))
+    labels = (np.arange(30) < 10).astype(int)  # 10 positive, 20 negative
+    train_forest(values, labels, ForestParams(num_trees=5))
+    assert not spy.called
+    train_forest(values, labels, ForestParams(num_trees=5, class_weight="balanced"))
+    assert spy.called
+    spy.reset_mock()
+    train_tree(values, labels, ONE_TREE, np.random.default_rng(0), np.full(30, 0.5))
+    assert spy.called
 
 
 # column 0 is constant, and column 2 is constant on rows 0 to 2 (-0.0 ties with 0.0)

@@ -92,6 +92,14 @@ def test_number_fields_are_stored_and_fingerprinted_as_python_floats(sigma):
     assert make_provenance(config, "train") == make_provenance(PipelineConfig(sigma=2.0), "train")
 
 
+def test_numpy_bool_bootstrap_fingerprints_as_a_python_bool():
+    # a numpy bool was no JSON at all
+    config = PipelineConfig(forest=ForestParams(bootstrap=np.bool_(False)))
+    plain = PipelineConfig(forest=ForestParams(bootstrap=False))
+    assert config == plain and type(config.forest.bootstrap) is bool
+    assert make_provenance(config, "train") == make_provenance(plain, "train")
+
+
 def test_provenance_shape():
     p = make_provenance(PipelineConfig(seed=7), "embed")
     assert set(p) == {"tool", "version", "stage", "config_fingerprint", "seed"}
