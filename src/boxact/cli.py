@@ -30,7 +30,7 @@ from .evaluation import (
     save_predictions,
 )
 from .forest import ForestParams, load_forest, save_forest
-from .phases import ARCHETYPES, PHASES
+from .phases import ARCHETYPES
 from .pipeline import (
     EMBEDDING_MODES,
     PipelineConfig,
@@ -156,21 +156,7 @@ def cmd_assign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         for action in sorted(embeds[video_id]):
             _, assignment = embeds[video_id][action]
             records.append(
-                {
-                    "video_id": video_id,
-                    "action_id": action,
-                    "object_order": assignment.object_order,
-                    "b_choice": assignment.b_choice,
-                    "centers": {p: assignment.centers[p] for p in PHASES},
-                    "windows": {
-                        p: list(assignment.windows[p])
-                        if assignment.windows[p] is not None
-                        else None
-                        for p in PHASES
-                    },
-                    "total_score": assignment.total_score,
-                    "degenerate": assignment.degenerate,
-                }
+                {"video_id": video_id, **vars(assignment), "degenerate": assignment.degenerate}
             )
     provenance = make_provenance(config, "assign")
     write_artifact(args.out, "boxact-assignments", provenance, records=records)

@@ -203,16 +203,12 @@ def dump_embeddings(
     path: str | Path,
     provenance: Mapping[str, object] | None = None,
 ) -> None:
-    records = []
-    for e in embeddings:
-        flags = e.assigned_flags()
-        records.append(
-            {
-                "video_id": e.video_id,
-                "action_id": e.action_id,
-                "values": [float(v) for v in e.values],
-                "assigned_flags": [1 if flags[p] else 0 for p in PHASES],
-                "layout": list(e.layout),
-            }
-        )
+    records = [
+        {
+            **vars(e),
+            "values": e.values.tolist(),
+            "assigned_flags": [int(flag) for flag in e.assigned_flags().values()],
+        }
+        for e in embeddings
+    ]
     write_artifact(path, "boxact-embeddings", provenance, records=records)

@@ -12,7 +12,7 @@ import io
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -196,16 +196,8 @@ def fuse(a: PredictionSet, b: PredictionSet) -> PredictionSet:
                 f"video {v.video_id!r} labeled {v.true_label!r} in one set "
                 f"and {other.true_label!r} in the other"
             )
-        fused.append(
-            VideoPrediction(
-                video_id=v.video_id,
-                true_label=v.true_label,
-                probabilities={
-                    act: v.probabilities[act] + other.probabilities[act]
-                    for act in v.probabilities
-                },
-            )
-        )
+        probabilities = {act: p + other.probabilities[act] for act, p in v.probabilities.items()}
+        fused.append(replace(v, probabilities=probabilities))
     return PredictionSet(videos=tuple(fused))
 
 
@@ -213,17 +205,9 @@ def fuse(a: PredictionSet, b: PredictionSet) -> PredictionSet:
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "actions": list(report.actions),
-        "per_action_ap": {
-            a: report.per_action_ap[a] for a in report.actions
-        },
-        "weighted_map": report.weighted_map,
-        "macro_map": report.macro_map,
-        "support": dict(report.support),
-        "accuracy": report.accuracy,
-        "confusion": report.confusion.tolist(),
-    }
+    """The report's fields in new JSON containers: lists for ``actions`` and ``confusion``."""
+    confusion = report.confusion.tolist()
+    return {**asdict(report), "actions": list(report.actions), "confusion": confusion}
 
 
 def report_table(report: EvalReport) -> str:
@@ -259,24 +243,25 @@ def save_predictions(
     path: str | Path,
     provenance: Mapping[str, object] | None = None,
 ) -> None:
-    records = [
-        {"video_id": v.video_id, "true_label": v.true_label, "probabilities": v.probabilities}
-        for v in preds.videos
-    ]
+    records = [vars(v) for v in preds.videos]
     write_artifact(path, PREDICTIONS_FORMAT, provenance, records=records)
 
 
 def load_predictions(path: str | Path) -> PredictionSet:
     doc = read_artifact(path, PREDICTIONS_FORMAT, "a predictions file", AnnotationError)
+    records = doc.get("records", [])
     with prefixed(path):
+        if not isinstance(records, list):
+            raise AnnotationError("'records' must be a list")
+        for i, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                raise AnnotationError(f"prediction record #{i} must be an object")
         try:
             return PredictionSet(
                 videos=tuple(
                     VideoPrediction(rec["video_id"], rec["true_label"], rec["probabilities"])
-                    for rec in doc.get("records", [])
+                    for rec in records
                 )
             )
         except KeyError as exc:
             raise AnnotationError(f"prediction record missing {exc}") from None
-        except TypeError as exc:
-            raise AnnotationError(f"malformed prediction record: {exc}") from None

@@ -18,7 +18,7 @@ copied unchanged from the previous frame and snaps back on the next one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -434,20 +434,15 @@ def generate_dataset(
     seed = check_int("seed", seed, 0)
     tracks: list[VideoTrack] = []
     ground_truth: dict[str, dict[str, int]] = {}
+    base = noise if noise is not None else NoiseParams()
     counter = 0
     for archetype in archetypes:
         for i in range(per_archetype):
-            base = noise if noise is not None else NoiseParams()
-            per_video_noise = NoiseParams(
-                jitter_sigma=base.jitter_sigma,
-                copy_lag_prob=base.copy_lag_prob,
-                seed=seed * 1_000_003 + counter,
-            )
             script = random_script(
                 archetype,
                 seed=seed * 7_919 + counter,
                 num_frames=num_frames,
-                noise=per_video_noise,
+                noise=replace(base, seed=seed * 1_000_003 + counter),
                 video_id=f"{id_prefix}-{archetype}-{i:04d}",
             )
             track, truth = generate_synthetic(script)

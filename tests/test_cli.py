@@ -384,6 +384,25 @@ def test_train_exit_code_flags_skipped_actions(tmp_path):
     assert code == 1
 
 
+def test_features_per_split_sqrt_given_is_the_default(workdir, tmp_path):
+    argv = ["train", "--annotations", str(workdir / "ann.json"), "--models",
+            str(_model_paths(workdir)), "--num-trees", "4", "--seed", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path), "--features-per-split", "sqrt"]) == 0
+    default = sorted(p.name for p in (workdir / "forests").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == default
+    for name in default:
+        assert (tmp_path / name).read_bytes() == (workdir / "forests" / name).read_bytes()
+
+
+def test_features_per_split_that_is_not_a_number_exits_1(workdir, tmp_path, capsys):
+    argv = ["train", "--annotations", str(workdir / "ann.json"), "--out-dir", str(tmp_path)]
+    capsys.readouterr()
+    assert main(argv + ["--features-per-split", "abc"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --features-per-split must be 'sqrt' or an integer, got 'abc'\n"
+    )
+
+
 def test_train_requires_labels(tmp_path):
     ann = tmp_path / "unlabeled.json"
     frames = [
@@ -1205,6 +1224,25 @@ def test_sweep_rejects_malformed_lists_as_usage_errors(workdir, capsys, flags):
         main(["sweep", "--annotations", str(workdir / "ann.json"), *flags])
     assert exc.value.code == 2
     assert "--sigmas takes numbers and --ns integers" in capsys.readouterr().err
+
+
+def test_sweep_rejects_an_empty_list_as_a_usage_error(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--annotations", str(workdir / "ann.json"), "--sigmas", ","])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "boxact sweep: error: --sigmas and --ns must be non-empty comma lists\n"
+    )
+
+
+def test_sweep_needs_a_label_on_every_video(workdir, tmp_path, capsys):
+    document = json.loads((workdir / "ann.json").read_text())
+    del document[0]["label"]
+    ann = tmp_path / "ann.json"
+    ann.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["sweep", "--annotations", str(ann), "--num-trees", "2"]) == 1
+    assert capsys.readouterr().err == "error: sweep needs labels on every video\n"
 
 
 @pytest.mark.parametrize(

@@ -203,11 +203,15 @@ def test_embed_video_validates_consistency():
     other = builtin_model("put-into")
     with pytest.raises(ContractError, match="action mismatch"):
         embed_video(track, assignment, matrix, other, table)
-    swapped_table = relation_table([track])[:, SWAP]
-    swapped = score_frames(track, model, swapped_table, "swapped")
-    if assignment.object_order == "as_annotated":
-        with pytest.raises(ContractError, match="object order mismatch"):
-            embed_video(track, assignment, swapped, model, swapped_table)
+    # the matrix of the order that did not win, whichever that is
+    other_order = "swapped" if order == "as_annotated" else "as_annotated"
+    other_table = _table(track, other_order)
+    other = score_frames(track, model, other_table, other_order)
+    with pytest.raises(ContractError) as exc:
+        embed_video(track, assignment, other, model, other_table)
+    assert str(exc.value) == (
+        f"object order mismatch: assignment {order!r} vs matrix {other_order!r}"
+    )
     with pytest.raises(ContractError, match="relation frames"):
         embed_video(track, assignment, matrix, model, table[:-1])
 

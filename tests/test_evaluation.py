@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -283,6 +284,31 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "preds.json"
     save_predictions(preds, path, provenance={"stage": "test"})
     assert load_predictions(path) == preds
+
+
+GOOD_RECORD = {"video_id": "v", "true_label": "x", "probabilities": {"x": 0.5}}
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ({"a": 1}, "'records' must be a list"),
+        (7, "'records' must be a list"),
+        ("abc", "'records' must be a list"),
+        ([5], "prediction record #0 must be an object"),
+        ([None], "prediction record #0 must be an object"),
+        ([GOOD_RECORD, [GOOD_RECORD]], "prediction record #1 must be an object"),
+    ],
+    ids=["object", "number", "string", "number-record", "null-record", "list-record"],
+)
+def test_load_names_what_is_wrong_with_the_records(tmp_path, records, message):
+    # these raised Python's own TypeError text, "string indices must be integers"
+    path = tmp_path / "preds.json"
+    doc = {"format": "boxact-predictions", "version": 1, "records": records}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(AnnotationError) as exc:
+        load_predictions(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_load_rejects_other_files(tmp_path):

@@ -196,6 +196,12 @@ def test_train_tree_rejects_bad_weights(weights):
         train_tree(*SEPARABLE, ForestParams(), np.random.default_rng(0), weights)
 
 
+def test_train_tree_rejects_zero_rows():
+    with pytest.raises(ContractError) as exc:
+        train_tree(np.zeros((0, 1)), np.zeros(0, int), ForestParams(), np.random.default_rng(0))
+    assert str(exc.value) == "train_tree needs at least one sample"
+
+
 def test_random_labels_predict_near_the_base_rate():
     rng = np.random.default_rng(7)
     values = rng.uniform(size=(200, 5))

@@ -5,7 +5,9 @@ motion between annotated frames.  So translating a video's boxes, shifting
 its frame indices or changing its frame size must leave every output byte
 as it was, and so must reordering a file's videos, since each video is
 scored alone.  A video's records must not depend on its name or on the other
-videos of its file either, ids aside.  A vertical flip exchanges what is on
+videos of its file either, ids aside.  A common prefix on every name keeps
+the names' sorted order, and with it the split, so it changes no forest file
+and no probability.  A vertical flip exchanges what is on
 top with what is underneath and nothing else, and exchanging the two objects
 permutes the table by ``SWAP``, so each winner keeps its centres and flips
 its object order, unless the two orders tie exactly.  Both are checked on
@@ -83,11 +85,15 @@ def corpora(draw, prefix: str = "v") -> list[VideoTrack]:
 
 
 def _outputs(
-    tracks: list[VideoTrack], train: bool = True, models: dict[str, ActionModel] | None = None
+    tracks: list[VideoTrack],
+    train: bool = True,
+    models: dict[str, ActionModel] | None = None,
+    train_flags: tuple[str, ...] = (),
 ) -> dict[str, bytes]:
     """The files that assign, embed and, with ``train``, train and predict --subset val write.
 
     Each command reads ``models`` from model files, or the builtin models when None.
+    ``train`` takes ``train_flags`` after :data:`TRAIN_FLAGS`.
     """
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         inputs, root = Path(tmp, "in"), Path(tmp, "out")
@@ -108,7 +114,7 @@ def _outputs(
         ]
         if train:
             commands += [
-                ["train", "--out-dir", forests, *TRAIN_FLAGS],
+                ["train", "--out-dir", forests, *TRAIN_FLAGS, *train_flags],
                 ["predict", "--forest-dir", forests, "--split", forests / "split.json",
                  "--subset", "val", "--out", root / "predictions.json"],
             ]
@@ -183,6 +189,28 @@ def test_a_videos_records_depend_on_neither_its_name_nor_the_other_videos(corpus
     got = _outputs(mixed, train=False)
     for track in corpus:
         assert _records(got, track.video_id) == _records(want, track.video_id)
+
+
+@pytest.mark.parametrize("flags", [(), ("--no-bootstrap",)], ids=["bootstrap", "no-bootstrap"])
+@given(corpora())
+@settings(max_examples=6, deadline=None)
+def test_a_prefix_on_every_name_changes_no_forest_and_no_probability(flags, corpus):
+    # a common prefix keeps the ids' sorted order, so the split and the training
+    # rows' order stay as they were; a rename that reorders the ids changes both
+    want = _outputs(corpus, train_flags=flags)
+    got = _outputs([replace(t, video_id=f"x-{t.video_id}") for t in corpus], train_flags=flags)
+    forests = [name for name in want if name.startswith("forests/forest_")]
+    assert forests
+    assert {name: got[name] for name in forests} == {name: want[name] for name in forests}
+
+    def records(outputs: dict[str, bytes], prefix: str = "") -> list[str]:
+        """The predictions, each id without ``prefix``, as JSON text."""
+        return [
+            json.dumps({**record, "video_id": record["video_id"].removeprefix(prefix)})
+            for record in json.loads(outputs["predictions.json"])["records"]
+        ]
+
+    assert records(got, "x-") == records(want)
 
 
 # the columns of centre_on_top(a,b) and centre_underneath(a,b) exchanged

@@ -8,6 +8,7 @@ known by construction.
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
 from dataclasses import asdict, replace
 from unittest import mock
@@ -29,6 +30,7 @@ from boxact.phases import (
     Term,
     TermArrays,
     _windows,
+    assign_batch,
     assign_phases,
     assign_with_alternatives,
     builtin_model,
@@ -394,6 +396,42 @@ def test_a_model_built_in_code_rejects_a_phase_entry_that_is_not_a_term(entry):
         ActionModel("m", phases)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"action_id": ""}, "action model needs a non-empty action_id"),
+        ({"phases": [("a", ())]}, "model 'm': 'phases' must be a mapping"),
+        ({"thresholds": {"touch_tol": 1.0}}, "model 'm': thresholds must be a RelationConfig"),
+    ],
+    ids=["empty-id", "phases-list", "thresholds-dict"],
+)
+def test_a_model_built_in_code_checks_its_fields(changes, message):
+    fields = {"action_id": "m", "phases": _tiny_model().phases, **changes}
+    with pytest.raises(ConfigError) as info:
+        ActionModel(**fields)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d["phases"]["a"][0].pop("args"), "model 'tiny': term missing 'args'"),
+        (lambda d: d.pop("action_id"), "action model config needs a string 'action_id'"),
+        (lambda d: d.update(action_id=5), "action model config needs a string 'action_id'"),
+        (lambda d: d.update(action_id=""), "action model config needs a string 'action_id'"),
+    ],
+    ids=["term-without-args", "no-action-id", "number-action-id", "empty-action-id"],
+)
+def test_a_model_file_names_its_missing_field(tmp_path, change, message):
+    data = model_to_dict(_tiny_model())
+    change(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as info:
+        load_action_model(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_a_term_built_in_code_holds_its_fields_as_a_model_file_does():
     term = Term("touching", ["hand", "object1"], weight=2, threshold=1)
     model = ActionModel("m", {p: (term,) for p in PHASES})
@@ -579,6 +617,21 @@ def test_single_frame_track_is_degenerate():
 def test_assign_rejects_negative_window():
     with pytest.raises(ContractError):
         assign_phases(_matrix(np.ones((5, 4))), n=-1)
+
+
+def test_a_batch_rejects_a_track_of_no_frames():
+    rows = np.arange(len(OBJECT_ORDERS) * len(PHASES))
+    with pytest.raises(ContractError) as info:
+        assign_batch(np.zeros((rows.size, 0)), rows, [0, 0])
+    assert str(info.value) == "cannot assign phases on an empty track"
+
+
+def test_alternatives_reject_matrices_of_two_lengths():
+    with pytest.raises(ContractError) as info:
+        assign_with_alternatives(_matrix(np.ones((5, 4))), _matrix(np.ones((5, 6)), "swapped"))
+    assert str(info.value) == (
+        "score matrices of shapes (5, 4) and (5, 6) do not belong to one track"
+    )
 
 
 def test_restricted_ties_resolve_to_the_lowest_index():

@@ -145,6 +145,9 @@ def test_load_models_errors(tmp_path):
     save_action_model(models["put-into"], tmp_path / "b.json")
     with pytest.raises(ConfigError, match="duplicate action model"):
         load_models(f"{tmp_path / 'a.json'},{tmp_path / 'b.json'}")
+    with pytest.raises(ConfigError) as exc:
+        load_models(",")
+    assert str(exc.value) == "no action models resolved"
 
 
 def test_stratified_split_properties():
@@ -351,3 +354,12 @@ def test_train_and_predict_name_what_they_lack():
         train_forests(partial, labels, models, config)
     with pytest.raises(ContractError, match=lacks):
         predict_set(partial, labels, forests, models, config)
+    others = {a: m for a, m in models.items() if a != "put-into"}
+    for given, known, ids, message in [
+        ({}, models, None, "no forests supplied"),
+        (forests, others, None, "forest 'put-into' has no matching action model"),
+        (forests, models, [], "prediction set is empty"),
+    ]:
+        with pytest.raises(ContractError) as exc:
+            predict_set(embeddings, labels, given, known, config, video_ids=ids)
+        assert str(exc.value) == message

@@ -72,6 +72,47 @@ def test_script_validation():
         _script(layout_seed=-1)
 
 
+EARLY = {"a": 0, "b": 1, "c": 2, "d": 3, "e": 59}  # increasing, but leaves no room to move
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: _script(true_phase_centers=[0, 15, 29, 44, 59]),
+            "true_phase_centers must be an object, got [0, 15, 29, 44, 59]",
+        ),
+        (lambda: script_from_dict(5), "script record must be an object, got 5"),
+        (
+            lambda: script_from_dict({"archetype": "put-into"}),
+            "script record missing ['num_frames', 'true_phase_centers']",
+        ),
+        (
+            lambda: generate_synthetic(_script(true_phase_centers=EARLY)),
+            f"put-into: phase centres {EARLY} imply invalid segments "
+            "(t1=-48, t2=50, t3=-46, te=52)",
+        ),
+        (
+            lambda: generate_synthetic(
+                _script(archetype="pretend-put-next-to", true_phase_centers=EARLY)
+            ),
+            f"pretend-put-next-to: phase centres {EARLY} imply invalid segments "
+            "(t1=6, hover=[-4,8], r1=-50, x0=-46, te=52)",
+        ),
+        (
+            lambda: random_script("juggle", seed=0),
+            f"unknown archetype 'juggle', expected one of {ARCHETYPES}",
+        ),
+    ],
+    ids=["centres-list", "record-number", "record-lacks-fields", "carry-segments",
+         "pretend-segments", "random-unknown-archetype"],
+)
+def test_a_script_names_what_is_wrong_with_it(make, message):
+    with pytest.raises(ContractError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_generate_dataset_rejects_a_negative_seed():
     with pytest.raises(ConfigError, match="seed must be at least 0"):
         generate_dataset(["put-into"], 1, seed=-1)

@@ -94,6 +94,14 @@ def test_out_of_order_frames_come_back_sorted():
         (lambda d: d.update(height=float("inf")), "frame size must be finite"),
         (lambda d: d.update(width=True), "missing numeric 'width'"),
         (lambda d: d.update(height=-1), "frame size must be positive"),
+        (
+            lambda d: d.update(frames=[{"idx": 0, "boxes": {"role": "hand"}}]),
+            "^video 'v0' frame 0: 'boxes' must be a list$",
+        ),
+        (
+            lambda d: d.update(frames=[{"idx": 0, "boxes": [5]}]),
+            "^video 'v0' frame 0: box entry must be an object$",
+        ),
     ],
 )
 def test_bad_video_records(mutate, message):
